@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke cluster-loadtest check
+.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke check
 
 build:
 	$(GO) build ./...
@@ -59,13 +59,6 @@ cluster-smoke:
 # docs/INTERPROCEDURAL.md.
 module-smoke:
 	sh scripts/module-smoke.sh
-
-# Cluster scaling load test: single process vs coordinator + {1,2,4}
-# one-core workers over the same batch, with injected per-analysis
-# latency. Hard-fails on any warning-set divergence or if 2 workers
-# don't beat 1 by >= 1.6x; writes BENCH_cluster.json.
-cluster-loadtest:
-	sh scripts/cluster-loadtest.sh
 
 vet:
 	$(GO) vet ./...

@@ -2,13 +2,9 @@ package uafcheck
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"sync/atomic"
 
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/cache"
-	"uafcheck/internal/obs"
 )
 
 // Analyzer is a long-lived analysis handle: it owns a per-procedure
@@ -35,7 +31,9 @@ type Analyzer struct {
 
 // AnalyzerStats is a snapshot of an Analyzer's incremental traffic.
 type AnalyzerStats struct {
-	// Files counts AnalyzeDelta calls (batch files included).
+	// Files counts the files the handle analyzed: one per AnalyzeDelta
+	// call, one per batch file run through WithAnalyzer, and every file
+	// of each AnalyzeModuleDelta call.
 	Files int64
 	// UnitHits / UnitMisses count analysis units (top-level procedures
 	// containing begin tasks) served from the memo store vs recomputed.
@@ -82,67 +80,9 @@ func (a *Analyzer) Stats() AnalyzerStats {
 // degradation surfaces through Report.Err as usual. Trace mode bypasses
 // the memo store (retained graphs are not serializable) and runs the
 // full pipeline.
-func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (rep *Report, err error) {
-	opts := a.opts
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
-	defer func() {
-		// Same last-resort fault isolation as AnalyzeWithOptions: a crash
-		// outside the per-proc pipeline degrades the report, never the
-		// caller.
-		if r := recover(); r != nil {
-			rep = &Report{Degraded: &Degradation{
-				Reason: DegradePanic,
-				Crashes: []Crash{{
-					Phase: "frontend",
-					Err:   fmt.Sprint(r),
-					Stack: string(debug.Stack()),
-				}},
-			}}
-			err = nil
-		}
-	}()
+func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (*Report, error) {
 	a.files.Add(1)
-	rec := obs.New(opts.MetricsSinks...)
-	in := opts.internal()
-	in.KeepGraphs = opts.Trace
-	in.Obs = rec
-	in.Ctx = ctx
-
-	var key cache.Key
-	if opts.Cache != nil {
-		key = reportKey(filename, src, in)
-		hit, ok, lookupNS := cacheLookup(ctx, opts.Cache, key, rec)
-		if ok {
-			return cacheHit(hit, opts.MetricsSinks, lookupNS), nil
-		}
-		rec.Add(obs.CtrCacheMisses, 1)
-	}
-
-	res, istats := analysis.AnalyzeSourceIncremental(filename, src, in, a.units)
-	a.unitHits.Add(int64(istats.UnitHits))
-	a.unitMisses.Add(int64(istats.UnitMisses))
-	if res.Diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(res.Diags))
-	}
-	rep = buildReport(res, opts)
-	if opts.Cache != nil && rep.Degraded == nil {
-		rec.Add(obs.CtrCacheStores, 1)
-	}
-	rep.Metrics = rec.Snapshot()
-	if err := rec.Flush(); err != nil {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("metrics sink error: %v", err))
-	}
-	if opts.Cache != nil && rep.Degraded == nil {
-		cachePut(opts.Cache, key, rep)
-	}
-	return rep, nil
+	return analyzeWith(ctx, filename, src, a.opts, a)
 }
 
 // analyzeForBatch is the per-attempt analysis hook WithAnalyzer plugs
@@ -151,8 +91,19 @@ func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (rep 
 // fingerprint separately and never serve a stale full-budget result).
 func (a *Analyzer) analyzeForBatch(name, src string, in analysis.Options) *analysis.Result {
 	a.files.Add(1)
-	res, istats := analysis.AnalyzeSourceIncremental(name, src, in, a.units)
-	a.unitHits.Add(int64(istats.UnitHits))
-	a.unitMisses.Add(int64(istats.UnitMisses))
+	return a.analyzeSource(name, src, in)
+}
+
+// analyzeSource runs the single-file pipeline through the handle's memo
+// store.
+func (a *Analyzer) analyzeSource(name, src string, in analysis.Options) *analysis.Result {
+	res, stats := analysis.AnalyzeSourceIncremental(name, src, in, a.units)
+	a.count(stats)
 	return res
+}
+
+// count adds one run's unit traffic to the handle's counters.
+func (a *Analyzer) count(stats analysis.IncrStats) {
+	a.unitHits.Add(int64(stats.UnitHits))
+	a.unitMisses.Add(int64(stats.UnitMisses))
 }

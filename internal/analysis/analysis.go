@@ -56,14 +56,6 @@ type Options struct {
 	// instead and Result.Trace stays nil — the request owns the tree.
 	// Excluded from Fingerprint: tracing never changes results.
 	RecordTrace bool
-	// InlineLowering selects the legacy per-call-site inliner for
-	// nested procedures instead of the default template (summary)
-	// expansion. The two are byte-identical by construction — the
-	// summary lowerer falls back to the inliner whenever a template
-	// cannot reproduce it exactly — so the flag is excluded from
-	// Fingerprint and exists for A/B verification (the property test)
-	// and as an escape hatch.
-	InlineLowering bool
 }
 
 // DefaultOptions returns the standard configuration.
@@ -217,14 +209,21 @@ func (r *Result) Warnings() []Warning {
 
 // AnalyzeSource parses and analyzes one source text.
 func AnalyzeSource(name, src string, opts Options) *Result {
-	file := source.NewFile(name, src)
-	return AnalyzeFile(file, opts)
+	res, _ := AnalyzeSourceIncremental(name, src, opts, nil)
+	return res
 }
 
-// AnalyzeFile analyzes a source file. When tracing is active (an
-// ambient trace on Options.Ctx, or Options.RecordTrace) the file gets a
-// "file" span parenting the per-procedure phase spans.
-func AnalyzeFile(file *source.File, opts Options) *Result {
+// AnalyzeSourceIncremental is AnalyzeSource with per-unit memoization:
+// parse and resolve always run (they are cheap and position-bearing),
+// then each root procedure is either served from the unit store or
+// analyzed afresh and stored. The assembled Result is indistinguishable
+// from a from-scratch run. A nil store, and KeepGraphs or PPS-trace
+// runs (the retained graphs are not serializable), analyze every unit
+// afresh. When tracing is active (an ambient trace on Options.Ctx, or
+// Options.RecordTrace) the file gets a "file" span parenting the
+// per-procedure phase spans.
+func AnalyzeSourceIncremental(name, src string, opts Options, units *Units) (*Result, IncrStats) {
+	file := source.NewFile(name, src)
 	var owned *obs.Trace
 	if opts.RecordTrace && obs.TraceFrom(opts.Ctx) == nil {
 		owned = obs.NewTrace(obs.DeriveTraceID("uafcheck/file", file.Name, file.Content))
@@ -232,18 +231,22 @@ func AnalyzeFile(file *source.File, opts Options) *Result {
 	}
 	ctx, fileSp := obs.StartSpan(opts.Ctx, "file")
 	fileSp.SetAttr("name", file.Name)
+	if units != nil {
+		fileSp.SetAttr("mode", "incremental")
+	}
 	opts.Ctx = ctx
-	res := analyzeFile(file, opts)
+	res, stats := analyzeFile(file, opts, units)
 	fileSp.End()
 	if owned != nil {
 		res.Trace = owned.Spans()
 		opts.Obs.SetTrace(res.Trace)
 	}
-	return res
+	return res, stats
 }
 
-// analyzeFile is AnalyzeFile's body, free of trace bookkeeping.
-func analyzeFile(file *source.File, opts Options) *Result {
+// analyzeFile is the single-file front end: the file resolves on its
+// own, so calls to other top-level procedures stay opaque (§III).
+func analyzeFile(file *source.File, opts Options, units *Units) (*Result, IncrStats) {
 	diags := &source.Diagnostics{}
 	_, endParse := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseParse)
 	mod := parser.Parse(file, diags)
@@ -252,36 +255,20 @@ func analyzeFile(file *source.File, opts Options) *Result {
 	if diags.HasErrors() {
 		// Frontend errors: skip the concurrency pass, matching a compiler
 		// that stops before its analysis phases.
-		return res
+		return res, IncrStats{}
 	}
 	_, endResolve := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseResolve)
 	info := sym.Resolve(mod, diags)
 	endResolve()
 	res.Info = info
 	if diags.HasErrors() {
-		return res
+		return res, IncrStats{}
 	}
-	synced := syncedRefParams(mod, info)
-	for _, proc := range mod.Procs {
-		if !ast.HasBegin(proc) {
-			// Partial inter-procedural analysis: only outermost
-			// procedures containing begin tasks are analyzed (§III).
-			continue
-		}
-		pr, crash := analyzeProcSafe(info, proc, synced, opts, diags,
-			ir.LowerOptions{Inline: opts.InlineLowering})
-		if crash != nil {
-			res.Crashes = append(res.Crashes, *crash)
-			diags.Addf(file, proc.Name.Sp, source.Note,
-				"proc %s: internal analysis panic in phase %s (recovered): %s",
-				proc.Name.Name, crash.Phase, crash.Err)
-			continue
-		}
-		res.Procs = append(res.Procs, pr)
-		opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-		opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-	}
-	return res
+	d := newDriver(opts, units)
+	d.sites = procCallSites(mod, info)
+	d.synced = syncedRefParamsFrom(d.sites, info)
+	d.roots(file, res)
+	return res, d.stats
 }
 
 // analyzeProcSafe is the fault-isolation rung of the ladder: a panic
@@ -431,18 +418,10 @@ func (si *siteInfo) allSynced() bool {
 	return si != nil && si.calls > 0 && si.calls == si.synced
 }
 
-// syncedRefParams implements the synced-scope list rule of §III-A: a
-// by-ref formal of a procedure is structurally safe when the procedure
-// has at least one call site and every call site is lexically enclosed in
-// a sync block.
-func syncedRefParams(mod *ast.Module, info *sym.Info) map[*sym.Symbol]bool {
-	return syncedRefParamsFrom(procCallSites(mod, info), info)
-}
-
 // procCallSites walks the whole module collecting per-procedure call
 // site accounting — the cross-procedure fact feeding the synced-scope
-// rule, and (split out from syncedRefParams) the bit the incremental
-// engine folds into each unit's fingerprint.
+// rule of §III-A, and the bit the incremental engine folds into each
+// unit's fingerprint.
 func procCallSites(mod *ast.Module, info *sym.Info) map[*ast.ProcDecl]*siteInfo {
 	sites := make(map[*ast.ProcDecl]*siteInfo)
 
@@ -532,8 +511,11 @@ func procCallSites(mod *ast.Module, info *sym.Info) map[*ast.ProcDecl]*siteInfo 
 	return sites
 }
 
-// syncedRefParamsFrom projects the call-site accounting onto the by-ref
-// formal symbols the CCFG builder consults.
+// syncedRefParamsFrom implements the synced-scope list rule of §III-A:
+// a by-ref formal of a procedure is structurally safe when the
+// procedure has at least one call site and every call site is lexically
+// enclosed in a sync block. It projects the call-site accounting onto
+// the by-ref formal symbols the CCFG builder consults.
 func syncedRefParamsFrom(sites map[*ast.ProcDecl]*siteInfo, info *sym.Info) map[*sym.Symbol]bool {
 	out := make(map[*sym.Symbol]bool)
 	for proc, si := range sites {

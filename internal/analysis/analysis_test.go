@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"uafcheck/internal/pps"
-	"uafcheck/internal/source"
 )
 
 func analyzeTestdata(t *testing.T, name string, opts Options) *Result {
@@ -17,7 +16,7 @@ func analyzeTestdata(t *testing.T, name string, opts Options) *Result {
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
-	res := AnalyzeFile(source.NewFile(name, string(data)), opts)
+	res := AnalyzeSource(name, string(data), opts)
 	if res.Diags.HasErrors() {
 		t.Fatalf("frontend errors:\n%s", res.Diags)
 	}

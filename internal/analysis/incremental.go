@@ -30,13 +30,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"uafcheck/internal/ast"
 	"uafcheck/internal/cache"
 	"uafcheck/internal/ccfg"
-	"uafcheck/internal/ir"
-	"uafcheck/internal/obs"
 	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/source"
@@ -165,110 +162,6 @@ type UnitNote struct {
 type IncrStats struct {
 	UnitHits   int
 	UnitMisses int
-}
-
-// AnalyzeSourceIncremental is AnalyzeSource with per-unit memoization:
-// parse and resolve always run (they are cheap and position-bearing),
-// then each root procedure is either served from the unit store or
-// analyzed afresh and stored. The assembled Result is indistinguishable
-// from a from-scratch run. Trace/KeepGraphs runs bypass the store (the
-// retained graphs are not serializable) and fall back to AnalyzeSource,
-// as does a nil store.
-func AnalyzeSourceIncremental(name, src string, opts Options, units *Units) (*Result, IncrStats) {
-	if units == nil || opts.KeepGraphs || opts.PPS.Trace {
-		return AnalyzeSource(name, src, opts), IncrStats{}
-	}
-	file := source.NewFile(name, src)
-	var owned *obs.Trace
-	if opts.RecordTrace && obs.TraceFrom(opts.Ctx) == nil {
-		owned = obs.NewTrace(obs.DeriveTraceID("uafcheck/file", file.Name, file.Content))
-		opts.Ctx = obs.ContextWithTrace(opts.Ctx, owned)
-	}
-	ctx, fileSp := obs.StartSpan(opts.Ctx, "file")
-	fileSp.SetAttr("name", file.Name)
-	fileSp.SetAttr("mode", "incremental")
-	opts.Ctx = ctx
-	res, stats := analyzeIncremental(file, opts, units)
-	fileSp.End()
-	if owned != nil {
-		res.Trace = owned.Spans()
-		opts.Obs.SetTrace(res.Trace)
-	}
-	return res, stats
-}
-
-// analyzeIncremental is AnalyzeSourceIncremental's body, free of trace
-// bookkeeping.
-func analyzeIncremental(file *source.File, opts Options, units *Units) (*Result, IncrStats) {
-	var stats IncrStats
-	diags := &source.Diagnostics{}
-	_, endParse := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseParse)
-	mod := parser.Parse(file, diags)
-	endParse()
-	res := &Result{Module: mod, Diags: diags}
-	if diags.HasErrors() {
-		return res, stats
-	}
-	_, endResolve := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseResolve)
-	info := sym.Resolve(mod, diags)
-	endResolve()
-	res.Info = info
-	if diags.HasErrors() {
-		return res, stats
-	}
-	sites := procCallSites(mod, info)
-	synced := syncedRefParamsFrom(sites, info)
-	configsFP := configsFingerprint(file, mod)
-	beginPrefix := 0
-	for _, proc := range mod.Procs {
-		if !ast.HasBegin(proc) {
-			continue
-		}
-		key := unitKey(units.salt, file.Name, opts, file, proc,
-			sites[proc].allSynced(), configsFP, moduleRefs(proc, info), "")
-		lookupStart := time.Now()
-		ur, ok := units.c.Get(key)
-		opts.Obs.Observe(obs.HistUnitLookupNS, time.Since(lookupStart).Nanoseconds())
-		if ok && ur != nil {
-			stats.UnitHits++
-			opts.Obs.Add(obs.CtrUnitHits, 1)
-			_, usp := obs.StartSpan(opts.Ctx, "unit-hit")
-			usp.SetAttr("proc", proc.Name.Name)
-			pr := ur.materialize(file, proc, beginPrefix, diags)
-			usp.End()
-			res.Procs = append(res.Procs, pr)
-			opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-			opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-			beginPrefix += ast.CountBegins(proc)
-			continue
-		}
-		stats.UnitMisses++
-		opts.Obs.Add(obs.CtrUnitMisses, 1)
-		pdiags := &source.Diagnostics{}
-		pr, crash := analyzeProcSafe(info, proc, synced, opts, pdiags,
-			ir.LowerOptions{Inline: opts.InlineLowering})
-		for _, d := range pdiags.All() {
-			diags.Add(d)
-		}
-		if crash != nil {
-			res.Crashes = append(res.Crashes, *crash)
-			diags.Addf(file, proc.Name.Sp, source.Note,
-				"proc %s: internal analysis panic in phase %s (recovered): %s",
-				proc.Name.Name, crash.Phase, crash.Err)
-			beginPrefix += ast.CountBegins(proc)
-			continue
-		}
-		res.Procs = append(res.Procs, pr)
-		opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-		opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-		// Only complete units are memoized: a degraded unit's warning set
-		// depends on this run's budget/deadline race.
-		if pr.PPSStats.Stop == pps.StopNone {
-			units.c.Put(key, captureUnit(file, proc, beginPrefix, pr, pdiags))
-		}
-		beginPrefix += ast.CountBegins(proc)
-	}
-	return res, stats
 }
 
 // unitKey is the content address of one analysis unit: everything that

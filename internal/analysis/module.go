@@ -14,14 +14,11 @@
 package analysis
 
 import (
-	"time"
-
 	"uafcheck/internal/ast"
 	"uafcheck/internal/ir"
 	"uafcheck/internal/modgraph"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/parser"
-	"uafcheck/internal/pps"
 	"uafcheck/internal/source"
 	"uafcheck/internal/sym"
 )
@@ -45,18 +42,12 @@ type ModuleResult struct {
 	FrontendFailed bool
 }
 
-// AnalyzeModule analyzes all files of one module together. A nil units
-// store analyzes every root afresh; with a store the per-unit memo is
-// consulted exactly as in single-file incremental mode. Both paths
-// assemble the same Results, so a one-shot run is byte-identical to a
-// warm incremental run by construction.
+// AnalyzeModule analyzes all files of one module together. Its roots
+// go through the same per-unit driver as single-file mode: a nil units
+// store analyzes every root afresh, and a store is consulted per unit.
+// Both assemble the same Results, so a one-shot run is byte-identical
+// to a warm incremental run by construction.
 func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResult, IncrStats) {
-	var stats IncrStats
-	if opts.KeepGraphs || opts.PPS.Trace {
-		// Retained graphs and PPS traces are not serializable; run every
-		// unit afresh, exactly like single-file incremental mode.
-		units = nil
-	}
 	mres := &ModuleResult{}
 	mfiles := make([]*modgraph.File, len(files))
 	results := make([]*Result, len(files))
@@ -76,7 +67,7 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 	if mres.FrontendFailed {
 		// Frontend errors: skip linking, matching the single-file
 		// pipeline which stops before its analysis phases.
-		return mres, stats
+		return mres, IncrStats{}
 	}
 	_, endResolve := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseResolve)
 	g := modgraph.Link(mfiles)
@@ -90,84 +81,21 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 		}
 	}
 	if mres.FrontendFailed {
-		return mres, stats
+		return mres, IncrStats{}
 	}
 
+	d := newDriver(opts, units)
+	d.graph = g
 	// Cross-file synced-scope rule (§III-A): a procedure's by-ref
 	// formals are structurally safe when every call site, in any file
 	// of the module, sits inside a sync block.
-	sites := moduleCallSites(g)
-	synced := moduleSyncedRefParams(g, sites)
-	low := ir.LowerOptions{Inline: opts.InlineLowering, Effects: g.Effects}
-
+	d.sites = moduleCallSites(g)
+	d.synced = moduleSyncedRefParams(g, d.sites)
+	d.low = ir.LowerOptions{Effects: g.Effects}
 	for i, mf := range mfiles {
-		res := results[i]
-		file := mf.Src
-		diags := mf.Diags
-		configsFP := ""
-		if units != nil {
-			configsFP = configsFingerprint(file, mf.Mod)
-		}
-		beginPrefix := 0
-		for _, proc := range mf.Mod.Procs {
-			if !g.NeedsAnalysis(proc) {
-				continue
-			}
-			if units != nil {
-				key := unitKey(units.salt, file.Name, opts, file, proc,
-					sites[proc].allSynced(), configsFP,
-					moduleRefs(proc, mf.Info), moduleCalleesFP(g, mf, proc))
-				lookupStart := time.Now()
-				ur, ok := units.c.Get(key)
-				opts.Obs.Observe(obs.HistUnitLookupNS, time.Since(lookupStart).Nanoseconds())
-				if ok && ur != nil {
-					stats.UnitHits++
-					opts.Obs.Add(obs.CtrUnitHits, 1)
-					pr := ur.materialize(file, proc, beginPrefix, diags)
-					res.Procs = append(res.Procs, pr)
-					opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-					opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-					beginPrefix += ast.CountBegins(proc)
-					continue
-				}
-				stats.UnitMisses++
-				opts.Obs.Add(obs.CtrUnitMisses, 1)
-				pdiags := &source.Diagnostics{}
-				pr, crash := analyzeProcSafe(mf.Info, proc, synced, opts, pdiags, low)
-				for _, d := range pdiags.All() {
-					diags.Add(d)
-				}
-				if crash != nil {
-					res.Crashes = append(res.Crashes, *crash)
-					diags.Addf(file, proc.Name.Sp, source.Note,
-						"proc %s: internal analysis panic in phase %s (recovered): %s",
-						proc.Name.Name, crash.Phase, crash.Err)
-					beginPrefix += ast.CountBegins(proc)
-					continue
-				}
-				res.Procs = append(res.Procs, pr)
-				opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-				opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-				if pr.PPSStats.Stop == pps.StopNone {
-					units.c.Put(key, captureUnit(file, proc, beginPrefix, pr, pdiags))
-				}
-				beginPrefix += ast.CountBegins(proc)
-				continue
-			}
-			pr, crash := analyzeProcSafe(mf.Info, proc, synced, opts, diags, low)
-			if crash != nil {
-				res.Crashes = append(res.Crashes, *crash)
-				diags.Addf(file, proc.Name.Sp, source.Note,
-					"proc %s: internal analysis panic in phase %s (recovered): %s",
-					proc.Name.Name, crash.Phase, crash.Err)
-				continue
-			}
-			res.Procs = append(res.Procs, pr)
-			opts.Obs.Add(obs.CtrProcsAnalyzed, 1)
-			opts.Obs.Add(obs.CtrWarnings, int64(len(pr.Warnings)))
-		}
+		d.roots(mf.Src, results[i])
 	}
-	return mres, stats
+	return mres, d.stats
 }
 
 // moduleCallSites merges per-file call-site accounting across the
@@ -211,8 +139,8 @@ func moduleSyncedRefParams(g *modgraph.Graph, sites map[*ast.ProcDecl]*siteInfo)
 // moduleCalleesFP renders the unit's direct-callee view for the memo
 // key: one line per distinct module-level callee, identity plus
 // converged summary fingerprint, in deterministic order.
-func moduleCalleesFP(g *modgraph.Graph, f *modgraph.File, proc *ast.ProcDecl) string {
-	callees := g.DirectCallees(f, proc)
+func moduleCalleesFP(g *modgraph.Graph, proc *ast.ProcDecl) string {
+	callees := g.DirectCallees(g.Files[g.DeclFile[proc]], proc)
 	if len(callees) == 0 {
 		return "module"
 	}

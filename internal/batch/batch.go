@@ -88,12 +88,12 @@ type Options struct {
 	// Analysis configures the per-file pipeline.
 	Analysis analysis.Options
 	// Analyze, when non-nil, replaces analysis.AnalyzeSource as the
-	// per-attempt pipeline — the seam the incremental engine plugs into
-	// (an Analyzer handle's memoized AnalyzeSourceIncremental). It must
-	// honor opts.Ctx and be safe for concurrent use; every attempt
-	// (retries included) goes through it with that attempt's effective
-	// options, so shrunken retry budgets are never served a full-budget
-	// memo.
+	// per-attempt pipeline. uafcheck.WithAnalyzer sets it to run each
+	// attempt through the handle's unit memo store
+	// (analysis.AnalyzeSourceIncremental). It must honor opts.Ctx and
+	// be safe for concurrent use; every attempt (retries included) goes
+	// through it with that attempt's effective options, so shrunken
+	// retry budgets are never served a full-budget memo.
 	Analyze func(name, src string, opts analysis.Options) *analysis.Result
 	// Ctx cancels the whole batch. Files not yet started still produce
 	// Results: their analyses observe the cancelled context immediately

@@ -8,16 +8,8 @@ import (
 	"uafcheck/internal/sym"
 )
 
-// LowerOptions selects the nested-procedure expansion strategy and the
-// optional module-level call-boundary effects.
+// LowerOptions carries the optional module-level call-boundary effects.
 type LowerOptions struct {
-	// Inline forces the legacy per-call-site inliner with its recursion
-	// cutoff. The default (false) lowers each nested procedure once into
-	// a reusable template and instantiates it per call site; the output
-	// is byte-identical, and lowering falls back to the inliner for the
-	// whole root when a nested-call cycle would make a template
-	// context-dependent.
-	Inline bool
 	// Effects, when non-nil, supplies per-procedure summaries for
 	// module-level (non-nested) callees: the returned slice is indexed
 	// by parameter position. Lowering splices the callee's boundary
@@ -28,50 +20,22 @@ type LowerOptions struct {
 	Effects func(callee *ast.ProcDecl) []ParamEffects
 }
 
-// Lower produces the IR Program for one root procedure using the
-// default summary (template) expansion.
+// Lower produces the IR Program for one root procedure, with calls to
+// module-level procedures left opaque.
 func Lower(info *sym.Info, proc *ast.ProcDecl, diags *source.Diagnostics) *Program {
 	return LowerWith(info, proc, diags, LowerOptions{})
 }
 
-// LowerWith is Lower with explicit options.
+// LowerWith is Lower with explicit options. Nested procedures are
+// inlined at every call site, and a nested-call cycle stops at the
+// recursion cutoff (§III-A), which sets Program.Truncated.
 func LowerWith(info *sym.Info, proc *ast.ProcDecl, diags *source.Diagnostics, opt LowerOptions) *Program {
-	if opt.Inline {
-		lw := &lowerer{info: info, diags: diags, file: info.Module.File, opts: opt}
-		return lw.lowerRoot(proc)
-	}
-	// Summary attempt: capture notes so a late cycle discovery can
-	// discard the whole attempt without double-emitting.
-	lw := &lowerer{info: info, diags: diags, file: info.Module.File, opts: opt,
-		templates: make(map[*ast.ProcDecl]*template),
-		building:  make(map[*ast.ProcDecl]bool),
-	}
-	var captured []capNote
-	lw.sink = func(sp source.Span, msg string) {
-		captured = append(captured, capNote{sp: sp, msg: msg})
-	}
-	p := lw.lowerRoot(proc)
-	if lw.cycle {
-		// A nested-call cycle makes the recursion-cutoff shape depend on
-		// the call chain, which a context-free template cannot express.
-		// Re-lower the whole root with the per-site inliner so the
-		// output (including the cutoff notes) matches inline mode.
-		legacy := &lowerer{info: info, diags: diags, file: info.Module.File,
-			opts: LowerOptions{Inline: true, Effects: opt.Effects}}
-		return legacy.lowerRoot(proc)
-	}
-	for _, n := range captured {
-		diags.Addf(lw.file, n.sp, source.Note, "%s", n.msg)
-	}
-	return p
-}
-
-func (lw *lowerer) lowerRoot(proc *ast.ProcDecl) *Program {
-	p := &Program{Proc: proc, Info: lw.info}
-	scope := lw.info.ScopeFor(proc)
+	lw := &lowerer{info: info, diags: diags, file: info.Module.File, opts: opt}
+	p := &Program{Proc: proc, Info: info}
+	scope := info.ScopeFor(proc)
 	root := &Block{Scope: scope}
 	for _, prm := range proc.Params {
-		s := lw.info.Uses[prm.Name]
+		s := info.Uses[prm.Name]
 		if s == nil {
 			continue
 		}
@@ -96,45 +60,13 @@ type lowerer struct {
 	// subst maps by-ref formals of inlined procedures to the actual
 	// argument variables at the active call site.
 	subst map[*sym.Symbol]*sym.Symbol
-	// inlining is the call stack used for recursion detection in legacy
-	// inline mode (§III-A).
+	// inlining is the call stack used for recursion detection (§III-A).
 	inlining []*ast.ProcDecl
-	// sink, when set, receives notes instead of diags — used to record
-	// template notes for replay and to make the summary attempt
-	// discardable.
-	sink func(sp source.Span, msg string)
-	// templates memoizes the once-lowered body of each nested procedure
-	// (summary mode only).
-	templates map[*ast.ProcDecl]*template
-	building  map[*ast.ProcDecl]bool
-	// cycle is set when template construction hits a nested-call cycle;
-	// the summary attempt is then discarded in favor of the inliner.
-	cycle bool
-	// truncated is set when the legacy recursion cutoff fires.
+	// truncated is set when the recursion cutoff fires.
 	truncated bool
 }
 
-// capNote is a recorded diagnostic note: the message is preformatted so
-// replaying it cannot depend on call-site context.
-type capNote struct {
-	sp  source.Span
-	msg string
-}
-
-// template is the per-procedure summary of a nested procedure at the IR
-// level: its body lowered once under the identity substitution, plus
-// the notes that lowering emitted (replayed at every instantiation,
-// matching the per-site inliner).
-type template struct {
-	body  *Block
-	notes []capNote
-}
-
 func (lw *lowerer) note(sp source.Span, format string, args ...any) {
-	if lw.sink != nil {
-		lw.sink(sp, fmt.Sprintf(format, args...))
-		return
-	}
 	lw.diags.Addf(lw.file, sp, source.Note, format, args...)
 }
 
@@ -457,22 +389,18 @@ func (lw *lowerer) call(b *Block, x *ast.CallExpr) {
 		lw.spliceEffects(b, c, proc)
 		return
 	}
-	if lw.opts.Inline {
-		// Recursion cutoff (§III-A): stop inlining on a cycle.
-		for _, active := range lw.inlining {
-			if active == proc {
-				lw.note(x.Sp, "recursive nested procedure %q: inlining stopped (paper §III-A)", proc.Name.Name)
-				lw.truncated = true
-				for _, a := range x.Args {
-					lw.expr(b, a)
-				}
-				return
+	// Recursion cutoff (§III-A): stop inlining on a cycle.
+	for _, active := range lw.inlining {
+		if active == proc {
+			lw.note(x.Sp, "recursive nested procedure %q: inlining stopped (paper §III-A)", proc.Name.Name)
+			lw.truncated = true
+			for _, a := range x.Args {
+				lw.expr(b, a)
 			}
+			return
 		}
-		lw.inline(b, proc, x)
-		return
 	}
-	lw.summaryCall(b, proc, x)
+	lw.inline(b, proc, x)
 }
 
 // spliceEffects applies the callee's summary at an opaque call
@@ -564,176 +492,4 @@ func (lw *lowerer) inline(b *Block, proc *ast.ProcDecl, call *ast.CallExpr) {
 	lw.subst = savedSubst
 	// Splice the inlined body as a control-transparent region.
 	b.Instrs = append(b.Instrs, &Region{Body: inlineBlock, Sp: call.Sp})
-}
-
-// ------------------------------------------- summary-mode nested calls
-
-// summaryCall expands a nested-procedure call from the callee's
-// template. The per-site prologue (argument-count note, by-ref
-// substitution, caller-side evaluation of by-value arguments) is
-// byte-identical to the legacy inliner; only the body comes from the
-// template, instantiated by a deep copy under the site's substitution.
-func (lw *lowerer) summaryCall(b *Block, proc *ast.ProcDecl, call *ast.CallExpr) {
-	tpl := lw.templateFor(proc)
-	if len(call.Args) != len(proc.Params) {
-		lw.note(call.Sp, "call to %q passes %d arguments for %d parameters",
-			proc.Name.Name, len(call.Args), len(proc.Params))
-	}
-	newSubst := make(map[*sym.Symbol]*sym.Symbol, len(lw.subst)+len(proc.Params))
-	for k, v := range lw.subst {
-		newSubst[k] = v
-	}
-	region := &Block{Scope: lw.info.ScopeFor(proc)}
-	for i, prm := range proc.Params {
-		formal := lw.info.Uses[prm.Name]
-		if formal == nil || i >= len(call.Args) {
-			continue
-		}
-		arg := call.Args[i]
-		if prm.ByRef {
-			if id, ok := arg.(*ast.Ident); ok {
-				if actual := lw.info.Uses[id]; actual != nil {
-					newSubst[formal] = lw.resolve(actual)
-					continue
-				}
-			}
-			lw.note(arg.Span(), "by-ref argument to %q is not a variable; treated by value", proc.Name.Name)
-		}
-		lw.expr(b, arg)
-		region.Instrs = append(region.Instrs, &Decl{Sym: formal, Sp: prm.Name.Sp})
-	}
-	if tpl == nil {
-		// A cycle poisoned this callee's template; the whole root is
-		// about to be re-lowered by the inliner, so just stop expanding
-		// (guarantees termination of the doomed attempt).
-		return
-	}
-	if substPlain(newSubst) {
-		for _, in := range tpl.body.Instrs {
-			region.Instrs = append(region.Instrs, copyInstr(in, newSubst))
-		}
-		for _, n := range tpl.notes {
-			lw.note(n.sp, "%s", n.msg)
-		}
-		b.Instrs = append(b.Instrs, &Region{Body: region, Sp: call.Sp})
-		return
-	}
-	// Ineligible site: a substituted symbol changes instruction
-	// classification (sync/single/atomic/config actual), so the template
-	// copy would be wrong. Lower the body for this one site, exactly
-	// like the inliner.
-	saved := lw.subst
-	lw.subst = newSubst
-	lw.stmts(region, proc.Body.Stmts)
-	lw.subst = saved
-	b.Instrs = append(b.Instrs, &Region{Body: region, Sp: call.Sp})
-}
-
-// templateFor returns the memoized template of a nested procedure,
-// lowering its body once (under the identity substitution, with notes
-// recorded for replay). Returns nil and sets lw.cycle when the
-// procedure participates in a nested-call cycle.
-func (lw *lowerer) templateFor(proc *ast.ProcDecl) *template {
-	if t, ok := lw.templates[proc]; ok {
-		return t
-	}
-	if lw.building[proc] {
-		lw.cycle = true
-		return nil
-	}
-	lw.building[proc] = true
-	savedSubst, savedSink := lw.subst, lw.sink
-	var notes []capNote
-	lw.subst = nil
-	lw.sink = func(sp source.Span, msg string) {
-		notes = append(notes, capNote{sp: sp, msg: msg})
-	}
-	body := &Block{Scope: lw.info.ScopeFor(proc)}
-	lw.stmts(body, proc.Body.Stmts)
-	lw.subst, lw.sink = savedSubst, savedSink
-	delete(lw.building, proc)
-	if lw.cycle {
-		lw.templates[proc] = nil
-		return nil
-	}
-	t := &template{body: body, notes: notes}
-	lw.templates[proc] = t
-	return t
-}
-
-// substPlain reports whether every mapping in the substitution is
-// plain-variable to plain-variable — the condition under which a
-// template copy classifies every instruction exactly as per-site
-// lowering would.
-func substPlain(m map[*sym.Symbol]*sym.Symbol) bool {
-	for k, v := range m {
-		if !plainSym(k) || !plainSym(v) {
-			return false
-		}
-	}
-	return true
-}
-
-func plainSym(s *sym.Symbol) bool {
-	return s.Kind != sym.KindProc && s.Kind != sym.KindConfig &&
-		s.Type.Qual == ast.QualNone && !s.IsAtomic()
-}
-
-// copyInstr deep-copies one instruction, rewriting substituted symbols.
-// Scopes, AST back-pointers and symbols stay shared — exactly what the
-// per-site inliner produces, which shares formal and local symbols
-// across call sites through sym.Info.
-func copyInstr(in Instr, subst map[*sym.Symbol]*sym.Symbol) Instr {
-	switch x := in.(type) {
-	case *Access:
-		if t, ok := subst[x.Sym]; ok {
-			return &Access{Sym: t, Write: x.Write, Sp: x.Sp}
-		}
-		c := *x
-		return &c
-	case *Decl:
-		c := *x
-		return &c
-	case *SyncOp:
-		c := *x
-		return &c
-	case *AtomicOp:
-		c := *x
-		return &c
-	case *Return:
-		c := *x
-		return &c
-	case *Call:
-		c := &Call{Callee: x.Callee, CalleeSym: x.CalleeSym, Sp: x.Sp}
-		for _, ra := range x.RefArgs {
-			if t, ok := subst[ra.Sym]; ok {
-				ra.Sym = t
-			}
-			c.RefArgs = append(c.RefArgs, ra)
-		}
-		return c
-	case *Begin:
-		return &Begin{Label: x.Label, Body: copyBlock(x.Body, subst), Stmt: x.Stmt, Sp: x.Sp}
-	case *SyncRegion:
-		return &SyncRegion{Body: copyBlock(x.Body, subst), Sp: x.Sp}
-	case *Region:
-		return &Region{Body: copyBlock(x.Body, subst), Sp: x.Sp}
-	case *Loop:
-		return &Loop{Body: copyBlock(x.Body, subst), Subsumed: x.Subsumed, Sp: x.Sp}
-	case *If:
-		c := &If{Then: copyBlock(x.Then, subst), Sp: x.Sp}
-		if x.Else != nil {
-			c.Else = copyBlock(x.Else, subst)
-		}
-		return c
-	}
-	return in
-}
-
-func copyBlock(b *Block, subst map[*sym.Symbol]*sym.Symbol) *Block {
-	nb := &Block{Scope: b.Scope, Instrs: make([]Instr, 0, len(b.Instrs))}
-	for _, in := range b.Instrs {
-		nb.Instrs = append(nb.Instrs, copyInstr(in, subst))
-	}
-	return nb
 }

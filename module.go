@@ -104,8 +104,7 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile) (*ModuleReport, error) {
 	a.files.Add(int64(len(files)))
 	rep, stats, err := analyzeModule(ctx, files, a.opts, a.units)
-	a.unitHits.Add(int64(stats.UnitHits))
-	a.unitMisses.Add(int64(stats.UnitMisses))
+	a.count(stats)
 	return rep, err
 }
 

@@ -2,9 +2,6 @@ package uafcheck_test
 
 // Property tests for the module-mode guarantees:
 //
-//   - summary-based lowering is byte-identical (canonical wire encoding)
-//     to the legacy per-call-site inliner, over the calibrated Table I
-//     corpus and over random multi-file modules with cross-file calls;
 //   - Analyzer.AnalyzeModuleDelta is byte-identical to a one-shot
 //     AnalyzeModuleContext run, cold and across random file edits;
 //   - memo invalidation is graph-scoped: editing a callee re-keys the
@@ -22,7 +19,6 @@ import (
 	"testing"
 
 	"uafcheck"
-	"uafcheck/internal/corpus"
 	"uafcheck/internal/progen"
 	"uafcheck/internal/wire"
 )
@@ -57,62 +53,6 @@ func requireModulesEqual(t *testing.T, got, want *uafcheck.ModuleReport, label s
 			t.Fatalf("%s: wire bytes differ for file %d\n  got: %s\n want: %s",
 				label, i, g[i], w[i])
 		}
-	}
-}
-
-// TestSummaryInlineByteIdentityCorpus sweeps a stride of the calibrated
-// corpus (which includes every nested-procedure idiom) through both
-// lowering modes and demands identical canonical bytes.
-func TestSummaryInlineByteIdentityCorpus(t *testing.T) {
-	ctx := context.Background()
-	cases := corpus.Generate(corpus.DefaultParams(7))
-	stride := 17
-	if testing.Short() {
-		stride = 97
-	}
-	for i := 0; i < len(cases); i += stride {
-		tc := cases[i]
-		name := tc.Name + ".chpl"
-		sum, serr := uafcheck.AnalyzeContext(ctx, name, tc.Source)
-		inl, ierr := uafcheck.AnalyzeContext(ctx, name, tc.Source,
-			uafcheck.WithInlineLowering(true))
-		if (serr == nil) != (ierr == nil) {
-			t.Fatalf("%s: error mismatch: summary=%v inline=%v", tc.Name, serr, ierr)
-		}
-		if got, want := wireBytes(t, name, sum, serr), wireBytes(t, name, inl, ierr); got != want {
-			t.Fatalf("%s (%s): summary and inline modes differ\nsummary: %s\n inline: %s\nsource:\n%s",
-				tc.Name, tc.Pattern, got, want, tc.Source)
-		}
-	}
-}
-
-// TestModuleSummaryInlineByteIdentity is the cross-file half of the
-// property: random modules with calls in plain, sync-enclosed, and
-// task-enclosed positions analyze identically under both lowerings.
-func TestModuleSummaryInlineByteIdentity(t *testing.T) {
-	ctx := context.Background()
-	trials := 10
-	if testing.Short() {
-		trials = 3
-	}
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(4000 + trial)))
-			files := modFiles(progen.GenerateModule(rng.Int63(), progen.ModuleOptions{
-				Files:   2 + rng.Intn(3),
-				Procs:   1 + rng.Intn(3),
-				Atomics: trial%2 == 0,
-			}))
-			sum, serr := uafcheck.AnalyzeModuleContext(ctx, files)
-			inl, ierr := uafcheck.AnalyzeModuleContext(ctx, files,
-				uafcheck.WithInlineLowering(true))
-			if serr != nil || ierr != nil {
-				t.Fatalf("unexpected errors: summary=%v inline=%v", serr, ierr)
-			}
-			requireModulesEqual(t, sum, inl, "summary vs inline")
-		})
 	}
 }
 

@@ -81,13 +81,13 @@ func WithCache(cc *Cache) Option {
 	return func(c *apiConfig) { c.opts.Cache = cc }
 }
 
-// WithInlineLowering switches nested-procedure call lowering back to
-// the legacy per-call-site inliner (default off = template-based
-// summary instantiation). Both modes are byte-identical by
-// construction; the knob exists for A/B verification and as an escape
-// hatch, and does not participate in cache or memo fingerprints.
+// WithInlineLowering has no effect: nested-procedure calls are always
+// inlined per call site, which is what this option used to select.
+//
+// Deprecated: the alternative lowering it switched away from is gone,
+// and the two never differed in any result.
 func WithInlineLowering(on bool) Option {
-	return func(c *apiConfig) { c.opts.InlineLowering = on }
+	return func(*apiConfig) {}
 }
 
 // WithTracing records a hierarchical span tree for each analysis run
@@ -166,7 +166,7 @@ func AnalyzeContext(ctx context.Context, filename, src string, options ...Option
 	for _, o := range options {
 		o(&cfg)
 	}
-	return analyzeWith(ctx, filename, src, cfg.opts)
+	return analyzeWith(ctx, filename, src, cfg.opts, nil)
 }
 
 // AnalyzeFilesContext analyzes many files under ctx — the context-first

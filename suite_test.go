@@ -15,9 +15,12 @@ package uafcheck_test
 //
 // Unlisted warnings, missing warnings and missing notes all fail.
 // Additionally, every clean-expected program is run through the dynamic
-// oracle to confirm it is genuinely schedule-safe.
+// oracle to confirm it is genuinely schedule-safe, and every program
+// must analyze to the same canonical wire bytes through AnalyzeContext
+// and through a cold and a warm Analyzer.AnalyzeDelta.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -149,6 +152,26 @@ func TestGoldenSuite(t *testing.T) {
 				if !found {
 					t.Errorf("missing expected note containing %q\nnotes: %v", n, rep.Notes)
 				}
+			}
+
+			// Entry-point conformance: the wire bytes carry the notes and
+			// Truncated, which the warm run replays from the unit memo.
+			fopts := []uafcheck.Option{
+				uafcheck.WithPrune(exp.opts.Prune),
+				uafcheck.WithAtomicsModel(exp.opts.ModelAtomics),
+				uafcheck.WithAtomicsCounting(exp.opts.CountAtomics),
+			}
+			ctx := context.Background()
+			oneShot, oerr := uafcheck.AnalyzeContext(ctx, path, src, fopts...)
+			an := uafcheck.NewAnalyzer(fopts...)
+			for _, run := range []string{"cold", "warm"} {
+				got, gerr := an.AnalyzeDelta(ctx, path, src)
+				if g, w := wireBytes(t, path, got, gerr), wireBytes(t, path, oneShot, oerr); g != w {
+					t.Errorf("%s AnalyzeDelta differs from AnalyzeContext\n delta: %s\n  want: %s", run, g, w)
+				}
+			}
+			if s := an.Stats(); s.UnitHits != s.UnitMisses {
+				t.Errorf("warm run replayed %d units; the cold run computed %d", s.UnitHits, s.UnitMisses)
 			}
 
 			// Dynamic cross-check for clean programs: no schedule may

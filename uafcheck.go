@@ -117,13 +117,11 @@ type Options struct {
 	// never changes analysis results and does not participate in cache
 	// keys.
 	Tracing bool
-	// InlineLowering switches the lowering of nested-procedure calls back
-	// to the legacy per-call-site inliner instead of the template-based
-	// summary instantiation that is now the default. Both modes produce
-	// byte-identical reports by construction (the property tests enforce
-	// it), so the knob exists for A/B verification and as an escape
-	// hatch; it deliberately does not participate in cache or memo
-	// fingerprints.
+	// InlineLowering has no effect: nested-procedure calls are always
+	// inlined per call site, which is what this field used to select.
+	//
+	// Deprecated: the alternative lowering it switched away from is
+	// gone, and the two never differed in any result.
 	InlineLowering bool
 	// Cache, when non-nil, memoizes complete analysis reports by content
 	// address (source text + effective options + tool Version). Hits
@@ -145,11 +143,10 @@ func DefaultOptions() Options { return Options{Prune: true} }
 
 func (o Options) internal() analysis.Options {
 	return analysis.Options{
-		Prune:          o.Prune,
-		ModelAtomics:   o.ModelAtomics || o.CountAtomics,
-		CountAtomics:   o.CountAtomics,
-		RecordTrace:    o.Tracing,
-		InlineLowering: o.InlineLowering,
+		Prune:        o.Prune,
+		ModelAtomics: o.ModelAtomics || o.CountAtomics,
+		CountAtomics: o.CountAtomics,
+		RecordTrace:  o.Tracing,
 		PPS: pps.Options{
 			MaxStates:    o.MaxStates,
 			Trace:        o.Trace,
@@ -328,10 +325,11 @@ type Report struct {
 	// cutoffs, potential deadlocks, style notes).
 	Notes []string `json:"notes,omitempty"`
 	// Truncated is set when any analyzed procedure's lowering hit the
-	// nested-call recursion cutoff (a cycle through nested procedures the
-	// summary templates cannot expand), so deeper call chains were
-	// dropped. The corresponding "recursive call ... not inlined further"
-	// note pinpoints the site; before 0.7.0 only the note existed.
+	// nested-call recursion cutoff (§III-A: inlining stops where a chain
+	// of nested-procedure calls returns to a procedure it is already
+	// inlining), so deeper call chains were dropped. The corresponding
+	// "recursive nested procedure ...: inlining stopped" note pinpoints
+	// the site; before 0.7.0 only the note existed.
 	Truncated bool `json:"truncated,omitempty"`
 	// Stats has one entry per analyzed root procedure.
 	Stats []ProcStats `json:"stats,omitempty"`
@@ -364,12 +362,14 @@ func Analyze(filename, src string) (*Report, error) {
 // remains for v1 callers and behaves identically (minus the removed
 // Options.Context field — it always runs under context.Background).
 func AnalyzeWithOptions(filename, src string, opts Options) (*Report, error) {
-	return analyzeWith(context.Background(), filename, src, opts)
+	return analyzeWith(context.Background(), filename, src, opts, nil)
 }
 
-// analyzeWith is the shared single-file driver behind AnalyzeContext
-// and the deprecated AnalyzeWithOptions shim.
-func analyzeWith(ctx context.Context, filename, src string, opts Options) (rep *Report, err error) {
+// analyzeWith is the shared single-file driver behind AnalyzeContext,
+// the deprecated AnalyzeWithOptions shim and Analyzer.AnalyzeDelta. A
+// nil handle means a one-shot run; a handle lends its memo store and
+// counts the run.
+func analyzeWith(ctx context.Context, filename, src string, opts Options, a *Analyzer) (rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -410,7 +410,12 @@ func analyzeWith(ctx context.Context, filename, src string, opts Options) (rep *
 		rec.Add(obs.CtrCacheMisses, 1)
 	}
 
-	res := analysis.AnalyzeSource(filename, src, in)
+	var res *analysis.Result
+	if a == nil {
+		res = analysis.AnalyzeSource(filename, src, in)
+	} else {
+		res = a.analyzeSource(filename, src, in)
+	}
 	if res.Diags.HasErrors() {
 		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(res.Diags))
 	}
