@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke check
+.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke examples check
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,13 @@ cluster-smoke:
 module-smoke:
 	sh scripts/module-smoke.sh
 
+# Runs every program under examples/ from the repository root (several
+# read testdata/); fails on the first non-zero exit.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
+	done
+
 vet:
 	$(GO) vet ./...
 
@@ -72,7 +79,6 @@ fmt-check:
 
 bench:
 	$(GO) test -bench='BenchmarkExplore(Seq|Par)|BenchmarkAnalyzeCached' -benchmem .
-	$(GO) run ./cmd/uafcorpus -tests 400 -bench-out "" -pps-bench-out BENCH_pps.json
 
 # The full benchmark sweep (every table, figure and ablation).
 bench-all:

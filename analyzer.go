@@ -10,7 +10,7 @@ import (
 // Analyzer is a long-lived analysis handle: it owns a per-procedure
 // memo store (and, when configured, a report cache) that persist across
 // calls, so re-analyzing a file after an edit only pays for the
-// procedures the edit touched. It is the v2 home for editor/daemon
+// procedures the edit touched. It is the home for editor/daemon
 // workloads — uafcheck -watch and the uafserve /v1/delta endpoint are
 // both built on it.
 //
@@ -21,7 +21,7 @@ import (
 // AnalyzeContext run with the same options produces; see
 // docs/INCREMENTAL.md for the fingerprinting and invalidation rules.
 type Analyzer struct {
-	opts  Options
+	cfg   config
 	units *analysis.Units
 
 	files      atomic.Int64
@@ -49,12 +49,9 @@ type AnalyzerStats struct {
 // the per-procedure memo store. Batch-only options are honored when the
 // handle drives a batch via WithAnalyzer.
 func NewAnalyzer(options ...Option) *Analyzer {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
+	cfg := newConfig(options...)
 	return &Analyzer{
-		opts:  cfg.opts,
+		cfg:   cfg,
 		units: analysis.NewUnits(Version, cfg.unitCacheEntries),
 	}
 }
@@ -82,7 +79,7 @@ func (a *Analyzer) Stats() AnalyzerStats {
 // full pipeline.
 func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (*Report, error) {
 	a.files.Add(1)
-	return analyzeWith(ctx, filename, src, a.opts, a)
+	return analyzeWith(ctx, filename, src, a.cfg, a)
 }
 
 // analyzeForBatch is the per-attempt analysis hook WithAnalyzer plugs

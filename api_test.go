@@ -1,6 +1,7 @@
 package uafcheck_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
@@ -31,7 +32,7 @@ proc leak() {
 `
 
 func TestAnalyzeBasic(t *testing.T) {
-	rep, err := uafcheck.Analyze("a.chpl", apiBuggy)
+	rep, err := uafcheck.AnalyzeContext(context.Background(), "a.chpl", apiBuggy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestAnalyzeBasic(t *testing.T) {
 		t.Errorf("stats = %+v", rep.Stats)
 	}
 
-	rep, err = uafcheck.Analyze("b.chpl", apiFixed)
+	rep, err = uafcheck.AnalyzeContext(context.Background(), "b.chpl", apiFixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +63,12 @@ func TestAnalyzeBasic(t *testing.T) {
 }
 
 func TestAnalyzeFrontendError(t *testing.T) {
-	_, err := uafcheck.Analyze("bad.chpl", "proc f( {")
+	_, err := uafcheck.AnalyzeContext(context.Background(), "bad.chpl", "proc f( {")
 	if err == nil {
 		t.Fatal("expected frontend error")
 	}
-	if !errors.Is(err, uafcheck.ErrFrontend) {
-		t.Errorf("error not wrapped as ErrFrontend: %v", err)
+	if !errors.Is(err, uafcheck.ErrParse) {
+		t.Errorf("error not wrapped as ErrParse: %v", err)
 	}
 }
 
@@ -148,16 +149,15 @@ proc f() {
   }
   g.waitFor(1);
 }`
-	opts := uafcheck.DefaultOptions()
-	rep, err := uafcheck.AnalyzeWithOptions("a.chpl", src, opts)
+	ctx := context.Background()
+	rep, err := uafcheck.AnalyzeContext(ctx, "a.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Warnings) != 1 {
 		t.Fatalf("default warnings = %d, want 1", len(rep.Warnings))
 	}
-	opts.ModelAtomics = true
-	rep, err = uafcheck.AnalyzeWithOptions("a.chpl", src, opts)
+	rep, err = uafcheck.AnalyzeContext(ctx, "a.chpl", src, uafcheck.WithAtomicsModel(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +173,14 @@ func TestCorpusAndTableIAPI(t *testing.T) {
 	if len(cases) != 100 {
 		t.Fatalf("corpus size = %d", len(cases))
 	}
-	table, breakdown := uafcheck.RunTableI(cases, uafcheck.DefaultOptions())
+	table, breakdown := uafcheck.RunTableIContext(context.Background(), cases)
 	if table.TruePositives != 8 || table.WarningsReported != 20 {
 		t.Errorf("table = %+v", table)
 	}
 	if !strings.Contains(breakdown, "pattern") {
 		t.Errorf("breakdown = %s", breakdown)
 	}
-	cmp := uafcheck.BaselineComparison(cases, uafcheck.DefaultOptions())
+	cmp := uafcheck.BaselineComparison(context.Background(), cases)
 	if !strings.Contains(cmp, "Naive MHP") {
 		t.Errorf("baseline comparison = %s", cmp)
 	}
@@ -200,7 +200,7 @@ func TestTestdataProgramsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := uafcheck.Analyze(tc.file, string(data))
+		rep, err := uafcheck.AnalyzeContext(context.Background(), tc.file, string(data))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,9 @@ import (
 // SHA-256 of (tool Version, file name, source text, effective analysis
 // options). A hit is correct by construction — changing any input
 // changes the key — so there is no invalidation protocol and no
-// staleness. Degraded reports are never stored; see Options.Cache.
+// staleness. Degraded reports are never stored; see WithCache.
 //
-// A Cache is safe for concurrent use and may be shared across Analyze
+// A Cache is safe for concurrent use and may be shared across analysis
 // calls, batches and goroutines. Every value crosses the cache boundary
 // through Report.Clone, so callers can mutate what they get back.
 type Cache struct {

@@ -67,7 +67,6 @@ func main() {
 		countAtomics = flag.Bool("count-atomics", false, "enable the counting refinement of the atomics extension and rerun the table")
 		dump         = flag.String("dump", "", "write the generated corpus to this directory")
 		benchOut     = flag.String("bench-out", "BENCH_corpus.json", "write the aggregate telemetry artifact to this file (\"\" disables)")
-		ppsBenchOut  = flag.String("pps-bench-out", "", "run the parallel-exploration + cache benchmark over the corpus and write the artifact to this file")
 		jobs         = flag.Int("jobs", 0, "parallel analysis workers (0 = GOMAXPROCS)")
 		caseTimeout  = flag.Duration("case-timeout", 0, "per-case analysis deadline (0 = none); expired cases degrade to conservative warnings")
 		retries      = flag.Int("retries", 0, "extra attempts for a timed-out case, each with a 4x smaller state budget")
@@ -161,13 +160,6 @@ func main() {
 		fmt.Printf("wrote telemetry artifact to %s\n", *benchOut)
 	}
 
-	if *ppsBenchOut != "" {
-		if err := runPPSBench(cases, *ppsBenchOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	if *modelAtomics {
 		start = time.Now()
 		extTable, extBreakdown := uafcheck.RunTableIContext(context.Background(), cases,
@@ -195,7 +187,7 @@ func main() {
 
 	if *baselines {
 		fmt.Println("\nBaseline comparison (§VI):")
-		fmt.Print(uafcheck.BaselineComparison(cases, uafcheck.DefaultOptions()))
+		fmt.Print(uafcheck.BaselineComparison(context.Background(), cases))
 	}
 
 	if *pruning {
@@ -214,7 +206,6 @@ func main() {
 		fmt.Printf("  true sites confirmed:   %d/%d\n", rep.ConfirmedTrue, rep.TotalTrue)
 		fmt.Printf("  atomic-case false alarms: %d\n", len(rep.FalseAlarms))
 	}
-	_ = analysis.DefaultOptions // keep import for documentation locality
 }
 
 func max(a, b int) int {

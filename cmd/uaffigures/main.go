@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -94,7 +95,7 @@ func printTrace(name, src, proc string) {
 }
 
 func printWarnings(name, src string) {
-	rep, err := uafcheck.Analyze(name, src)
+	rep, err := uafcheck.AnalyzeContext(context.Background(), name, src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -107,10 +107,10 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchReportUnification: a file analyzed through AnalyzeFiles must
-// produce a report structurally identical to the single-file entry
-// point — same type, same warnings, same stats; only span timings and
-// the batch-level telemetry wrapper may differ.
+// TestBatchReportUnification: a file analyzed through
+// AnalyzeFilesContext must produce a report structurally identical to
+// the single-file entry point — same type, same warnings, same stats;
+// only span timings and the batch-level telemetry wrapper may differ.
 func TestBatchReportUnification(t *testing.T) {
 	data, err := os.ReadFile("testdata/figure1.chpl")
 	if err != nil {

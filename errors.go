@@ -41,11 +41,6 @@ var (
 	ErrUnresolvedCall = errors.New("uafcheck: unresolved cross-file call")
 )
 
-// ErrFrontend is the v1 name of ErrParse; both match the same errors.
-//
-// Deprecated: use ErrParse.
-var ErrFrontend = ErrParse
-
 // ErrRepairDegraded: Repair refused to run
 // because the baseline analysis or a candidate's verification
 // re-analysis degraded (budget, deadline, cancellation or a recovered

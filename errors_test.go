@@ -10,9 +10,9 @@ import (
 	"uafcheck"
 )
 
-// TestErrParseIdentity: frontend rejections match ErrParse (and its
-// deprecated alias ErrFrontend) via errors.Is, from both the
-// single-shot and the incremental entry points.
+// TestErrParseIdentity: frontend rejections match ErrParse via
+// errors.Is, from both the single-shot and the incremental entry
+// points.
 func TestErrParseIdentity(t *testing.T) {
 	ctx := context.Background()
 	_, err := uafcheck.AnalyzeContext(ctx, "bad.chpl", "proc ( {")
@@ -21,9 +21,6 @@ func TestErrParseIdentity(t *testing.T) {
 	}
 	if !errors.Is(err, uafcheck.ErrParse) {
 		t.Errorf("errors.Is(err, ErrParse) = false for %v", err)
-	}
-	if !errors.Is(err, uafcheck.ErrFrontend) {
-		t.Errorf("errors.Is(err, ErrFrontend) = false for %v", err)
 	}
 	if !strings.Contains(err.Error(), "frontend errors") {
 		t.Errorf("v1 message lost: %v", err)

@@ -114,7 +114,7 @@ func ExampleRepair() {
 
 // The atomics extension models handshake synchronization the default
 // analysis cannot see.
-func ExampleOptions_modelAtomics() {
+func ExampleWithAtomicsModel() {
 	src := `
 proc main() {
   var x: int = 1;

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ proc syncHandshake() {
 
 func main() {
 	fmt.Println("== atomic-protected program ==")
-	report, err := uafcheck.Analyze("atomic.chpl", atomicProtected)
+	report, err := uafcheck.AnalyzeContext(context.Background(), "atomic.chpl", atomicProtected)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 	}
 
 	fmt.Println("\n== the same handshake via a sync variable ==")
-	report, err = uafcheck.Analyze("sync.chpl", syncProtected)
+	report, err = uafcheck.AnalyzeContext(context.Background(), "sync.chpl", syncProtected)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,7 @@ func main() {
 	src := string(data)
 
 	fmt.Println("== Figure 6: branch-dependent synchronization ==")
-	report, err := uafcheck.Analyze(path, src)
+	report, err := uafcheck.AnalyzeContext(context.Background(), path, src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 	fmt.Println(trace)
 
 	fmt.Println("== repaired version: a token per waiter ==")
-	report, err = uafcheck.Analyze("repaired.chpl", repaired)
+	report, err = uafcheck.AnalyzeContext(context.Background(), "repaired.chpl", repaired)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"uafcheck"
@@ -27,14 +28,14 @@ func main() {
 	cases := uafcheck.GenerateCorpus(params)
 	fmt.Printf("generated %d programs (%d with begin tasks)\n\n", len(cases), params.BeginTests)
 
-	table, breakdown := uafcheck.RunTableI(cases, uafcheck.DefaultOptions())
+	table, breakdown := uafcheck.RunTableIContext(context.Background(), cases)
 	fmt.Println("miniature Table I:")
 	fmt.Print(table.Format())
 	fmt.Println("\nper-pattern breakdown:")
 	fmt.Print(breakdown)
 
 	fmt.Println("\nbaseline comparison (§VI):")
-	fmt.Print(uafcheck.BaselineComparison(cases, uafcheck.DefaultOptions()))
+	fmt.Print(uafcheck.BaselineComparison(context.Background(), cases))
 
 	// Show one flagged program of each kind.
 	var shownTrue, shownFP bool

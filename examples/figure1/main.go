@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 	fmt.Println(trace)
 
 	fmt.Println("== warnings ==")
-	report, err := uafcheck.Analyze(path, src)
+	report, err := uafcheck.AnalyzeContext(context.Background(), path, src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ proc accumulate() {
 
 func main() {
 	fmt.Println("== analyzing the buggy version ==")
-	report, err := uafcheck.Analyze("buggy.chpl", buggy)
+	report, err := uafcheck.AnalyzeContext(context.Background(), "buggy.chpl", buggy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	fmt.Printf("-> %d warning(s)\n\n", len(report.Warnings))
 
 	fmt.Println("== analyzing the fixed version ==")
-	report, err = uafcheck.Analyze("fixed.chpl", fixed)
+	report, err = uafcheck.AnalyzeContext(context.Background(), "fixed.chpl", fixed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func main() {
 	} {
 		fmt.Printf("== %s ==\n", v.name)
 
-		rep, err := uafcheck.Analyze(v.name, v.src)
+		rep, err := uafcheck.AnalyzeContext(context.Background(), v.name, v.src)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func main() {
 		}
 		src := string(data)
 
-		rep, err := uafcheck.Analyze(path, src)
+		rep, err := uafcheck.AnalyzeContext(context.Background(), path, src)
 		if err != nil {
 			log.Fatal(err)
 		}

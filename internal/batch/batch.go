@@ -183,7 +183,7 @@ func Run(files []File, opts Options) ([]Result, Summary) {
 	// Concurrency split: total parallelism ≈ Workers × per-analysis PPS
 	// workers. With many files, file-level workers already saturate the
 	// machine, so an unset in-analysis parallelism defaults to sequential
-	// exploration here (a single Analyze call defaults to GOMAXPROCS
+	// exploration here (a single AnalyzeContext call defaults to GOMAXPROCS
 	// instead). An explicit value passes through — callers with few huge
 	// files can flip the split the other way.
 	if opts.Analysis.PPS.Parallelism <= 0 {

@@ -7,14 +7,13 @@ import (
 )
 
 // RunTableIBatch runs the Table I evaluation on the fault-isolated batch
-// driver instead of the bare worker pool of RunTableIParallel: per-case
-// deadlines, retry-with-smaller-budget, and panic isolation, so one
-// pathological generated program can slow or crash only itself, never the
-// evaluation. The returned Summary is the robustness accounting (cases
+// driver: a worker pool with per-case deadlines, retry-with-smaller-budget,
+// and panic isolation, so one pathological generated program can slow or
+// crash only itself, never the evaluation. The returned Summary is the robustness accounting (cases
 // OK / degraded / timed out / crashed).
 //
 // Scoring is identical to RunTableI — outcomes feed the same aggregate —
-// so on a healthy corpus all three drivers produce the same table.
+// so on a healthy corpus both drivers produce the same table.
 func RunTableIBatch(cases []corpus.TestCase, opts analysis.Options, bopts batch.Options) (TableI, *Details, batch.Summary) {
 	files := make([]batch.File, len(cases))
 	for i := range cases {

@@ -4,24 +4,26 @@ import (
 	"testing"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
 )
 
-// TestParallelMatchesSequential: the worker-pool evaluation produces the
-// exact same Table I and per-pattern breakdown as the sequential one.
+// TestParallelMatchesSequential: the batch-driver evaluation produces
+// the exact same Table I and per-pattern breakdown as the sequential one,
+// at every worker-pool size.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := corpus.Generate(smallParams(17))
 	seqTable, seqDet := RunTableI(cases, analysis.DefaultOptions())
 	for _, workers := range []int{1, 2, 8} {
-		parTable, parDet := RunTableIParallel(cases, analysis.DefaultOptions(), workers)
+		parTable, parDet, sum := RunTableIBatch(cases, analysis.DefaultOptions(), batch.Options{Workers: workers})
 		if parTable != seqTable {
 			t.Fatalf("workers=%d: table differs: %+v vs %+v", workers, parTable, seqTable)
 		}
 		if parDet.FormatPatternBreakdown() != seqDet.FormatPatternBreakdown() {
 			t.Fatalf("workers=%d: breakdown differs", workers)
 		}
-		if len(parDet.Outcomes) != len(seqDet.Outcomes) {
-			t.Fatalf("workers=%d: outcome count differs", workers)
+		if sum.Files != len(cases) || sum.OK != len(cases) {
+			t.Fatalf("workers=%d: summary %+v, want all %d cases ok", workers, sum, len(cases))
 		}
 		for i := range parDet.Outcomes {
 			if parDet.Outcomes[i].Case.Name != seqDet.Outcomes[i].Case.Name ||

@@ -110,8 +110,8 @@ func RunTableI(cases []corpus.TestCase, opts analysis.Options) (TableI, *Details
 }
 
 // aggregate folds per-case outcomes into the table and details; shared
-// by the sequential and parallel drivers so both stay deterministic and
-// can never diverge.
+// by RunTableI and RunTableIBatch so both stay deterministic and can
+// never diverge.
 func aggregate(cases []corpus.TestCase, outcomes []CaseOutcome) (TableI, *Details) {
 	var table TableI
 	det := &Details{PerPattern: make(map[string]*PatternStats)}

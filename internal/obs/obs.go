@@ -94,7 +94,7 @@ const (
 	CtrBatchWarnings = "batch.warnings"
 
 	// Content-addressed report cache (internal/cache): consult outcomes
-	// and store traffic, recorded by the public Analyze entry points.
+	// and store traffic, recorded by the public uafcheck entry points.
 	CtrCacheHits     = "cache.hits"
 	CtrCacheMisses   = "cache.misses"
 	CtrCacheStores   = "cache.stores"

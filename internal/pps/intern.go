@@ -1,7 +1,5 @@
 package pps
 
-import "sync"
-
 // This file is the hash-consing layer of the exploration: every PPS is
 // identified by a canonical byte encoding of its (ASN, state-table,
 // counter-vector) triple, compressed to a 64-bit FNV-1a key. The
@@ -10,41 +8,24 @@ import "sync"
 // lookup instead of a string-map probe, and the same key doubles as the
 // cycle/visited identity used by the worklist.
 //
-// The table is sharded 64 ways with per-shard RWMutexes so concurrent
-// wave workers may consult it while the committer writes. The committer
-// itself is single-threaded (see parallel.go), which is what keeps state
-// IDs, merge counts and warning order deterministic; the locking makes
-// the structure safe for the read-side traffic and for any future
-// concurrent committer.
+// Only the single-threaded commit loop (parallel.go) and the MHP
+// explorer touch the table, which is what keeps state IDs, merge counts
+// and warning order deterministic; it therefore needs no locking.
 
-const internShardCount = 64
-
-// interner is the concurrent hash-consing table: 64-bit canonical key →
-// canonical *PPS, with full-key comparison on hash collisions so a
-// collision can never merge two genuinely different states.
+// interner is the hash-consing table: 64-bit canonical key → canonical
+// *PPS, with full-key comparison on hash collisions so a collision can
+// never merge two genuinely different states.
 type interner struct {
-	shards [internShardCount]internShard
-}
-
-type internShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]*PPS
+	m map[uint64][]*PPS
 }
 
 func newInterner() *interner {
-	it := &interner{}
-	for i := range it.shards {
-		it.shards[i].m = make(map[uint64][]*PPS)
-	}
-	return it
+	return &interner{m: make(map[uint64][]*PPS)}
 }
 
 // lookup returns the canonical PPS for the key, or nil.
 func (it *interner) lookup(h uint64, key []byte) *PPS {
-	s := &it.shards[h%internShardCount]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, p := range s.m[h] {
+	for _, p := range it.m[h] {
 		if bytesEqual(p.ckey, key) {
 			return p
 		}
@@ -53,27 +34,9 @@ func (it *interner) lookup(h uint64, key []byte) *PPS {
 }
 
 // insert registers p as the canonical state for its key. The caller
-// guarantees a prior lookup miss for the same key within the same
-// critical section of the (single-threaded) commit loop.
+// guarantees a prior lookup miss for the same key.
 func (it *interner) insert(p *PPS) {
-	s := &it.shards[p.hkey%internShardCount]
-	s.mu.Lock()
-	s.m[p.hkey] = append(s.m[p.hkey], p)
-	s.mu.Unlock()
-}
-
-// size returns the number of interned states.
-func (it *interner) size() int {
-	n := 0
-	for i := range it.shards {
-		s := &it.shards[i]
-		s.mu.RLock()
-		for _, b := range s.m {
-			n += len(b)
-		}
-		s.mu.RUnlock()
-	}
-	return n
+	it.m[p.hkey] = append(it.m[p.hkey], p)
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -31,7 +31,7 @@
 // to OV so no warning is lost), mirroring the optimization of §III-C.
 // Merge identity is hash-consed: every PPS carries a canonical 64-bit
 // key over its (ASN, state-table, counters) triple (intern.go), so the
-// merge probe is a sharded map lookup.
+// merge probe is a single map lookup.
 //
 // The worklist runs in bulk-synchronous waves (parallel.go): each wave
 // COMPUTES every frontier state's transitions in parallel — a pure

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ const cleanSrc = `proc ok() {
 
 func analyze(t *testing.T, name, src string) *uafcheck.Report {
 	t.Helper()
-	rep, err := uafcheck.Analyze(name, src)
+	rep, err := uafcheck.AnalyzeContext(context.Background(), name, src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -48,7 +49,7 @@ func TestStatusOf(t *testing.T) {
 		want string
 	}{
 		{&uafcheck.Report{}, nil, "ok"},
-		{nil, uafcheck.ErrFrontend, "error"},
+		{nil, uafcheck.ErrParse, "error"},
 		{nil, nil, "error"},
 		{mk(uafcheck.DegradeBudget), nil, "degraded"},
 		{mk(uafcheck.DegradeCancelled), nil, "degraded"},

@@ -32,8 +32,8 @@ type ModuleFile struct {
 type ModuleReport struct {
 	// Files holds one per-file outcome, index-aligned with the input.
 	// Each entry's Report is structurally identical to a single-file
-	// Analyze report (wire-encodable, byte-stable), so module results
-	// flow through the same NDJSON surfaces as batch results.
+	// AnalyzeContext report (wire-encodable, byte-stable), so module
+	// results flow through the same NDJSON surfaces as batch results.
 	Files []FileReport
 	// Metrics is the module-wide telemetry snapshot (one frontend pass
 	// plus every analyzed procedure across all files).
@@ -75,16 +75,12 @@ func (m *ModuleReport) ExitCode() int {
 // degradation never errors — it surfaces per file through
 // Report.Degraded, exactly as in single-file mode.
 //
-// Options.Cache is ignored in module mode: the report cache's content
+// WithCache is ignored in module mode: the report cache's content
 // addresses cover one file's text, and a module report also depends on
 // every other file of the module. (The Analyzer's per-unit memo store
 // handles module mode precisely instead — see AnalyzeModuleDelta.)
 func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
-	rep, _, err := analyzeModule(ctx, files, cfg.opts, nil)
+	rep, _, err := analyzeModule(ctx, files, newConfig(options...), nil)
 	return rep, err
 }
 
@@ -103,20 +99,20 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 // module units share the store without key collisions.
 func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile) (*ModuleReport, error) {
 	a.files.Add(int64(len(files)))
-	rep, stats, err := analyzeModule(ctx, files, a.opts, a.units)
+	rep, stats, err := analyzeModule(ctx, files, a.cfg, a.units)
 	a.count(stats)
 	return rep, err
 }
 
 // analyzeModule is the shared whole-module driver behind
 // AnalyzeModuleContext (nil units) and Analyzer.AnalyzeModuleDelta.
-func analyzeModule(ctx context.Context, files []ModuleFile, opts Options, units *analysis.Units) (mr *ModuleReport, stats analysis.IncrStats, err error) {
+func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *analysis.Units) (mr *ModuleReport, stats analysis.IncrStats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Deadline > 0 {
+	if cfg.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
 		defer cancel()
 	}
 	defer func() {
@@ -143,9 +139,9 @@ func analyzeModule(ctx context.Context, files []ModuleFile, opts Options, units 
 			err = nil
 		}
 	}()
-	rec := obs.New(opts.MetricsSinks...)
-	in := opts.internal()
-	in.KeepGraphs = opts.Trace
+	rec := obs.New(cfg.metricsSinks...)
+	in := cfg.internal()
+	in.KeepGraphs = cfg.trace
 	in.Obs = rec
 	in.Ctx = ctx
 
@@ -168,7 +164,7 @@ func analyzeModule(ctx context.Context, files []ModuleFile, opts Options, units 
 
 	mr = &ModuleReport{}
 	for i, fr := range res.Files {
-		rep := buildReport(fr, opts)
+		rep := buildReport(fr, cfg)
 		mr.Files = append(mr.Files, FileReport{
 			Name:   files[i].Name,
 			Status: reportStatus(rep),

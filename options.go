@@ -3,82 +3,144 @@ package uafcheck
 import (
 	"context"
 	"time"
+
+	"uafcheck/internal/analysis"
+	"uafcheck/internal/pps"
 )
 
-// Option configures the context-first entry points AnalyzeContext and
-// AnalyzeFilesContext. Options compose left to right; unset knobs keep
-// the DefaultOptions behavior. Batch-only options (WithWorkers,
-// WithFileTimeout, WithRetries) are ignored by AnalyzeContext.
-type Option func(*apiConfig)
+// Option configures an analysis entry point (AnalyzeContext,
+// AnalyzeFilesContext, AnalyzeModuleContext, NewAnalyzer, Repair,
+// RunTableIContext, BaselineComparison). Options compose left to right;
+// unset knobs keep the defaults (pruning on, everything else off or
+// library-sized). Batch-only options (WithWorkers, WithFileTimeout,
+// WithRetries, WithAnalyzer, WithOnFile) are ignored elsewhere.
+type Option func(*config)
 
-// apiConfig is the merged configuration the functional options write
-// into; it wraps the v1 structs so both API generations share one
-// implementation.
-type apiConfig struct {
-	opts  Options
-	bopts BatchOptions
-	// unitCacheEntries bounds NewAnalyzer's per-procedure memo store;
-	// ignored by the one-shot entry points.
+// config is the one configuration every entry point reads; the With*
+// options write its fields and newConfig applies them.
+type config struct {
+	prune        bool
+	maxStates    int
+	trace        bool
+	disableMerge bool
+	modelAtomics bool
+	countAtomics bool
+	parallelism  int
+	tracing      bool
+	cache        *Cache
+	metricsSinks []MetricsSink
+	deadline     time.Duration
+
+	// Batch runs only.
+	workers     int
+	fileTimeout time.Duration
+	retries     int
+	onFile      func(i int, fr FileReport)
+	// analyze, when set (via WithAnalyzer), replaces the per-attempt
+	// pipeline with an Analyzer handle's incremental engine.
+	analyze func(name, src string, in analysis.Options) *analysis.Result
+
+	// unitCacheEntries bounds NewAnalyzer's per-procedure memo store.
 	unitCacheEntries int
+}
+
+// newConfig applies options over the defaults.
+func newConfig(options ...Option) config {
+	cfg := config{prune: true}
+	for _, o := range options {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// internal maps the configuration onto the analysis layer's options.
+func (c *config) internal() analysis.Options {
+	return analysis.Options{
+		Prune:        c.prune,
+		ModelAtomics: c.modelAtomics || c.countAtomics,
+		CountAtomics: c.countAtomics,
+		RecordTrace:  c.tracing,
+		PPS: pps.Options{
+			MaxStates:    c.maxStates,
+			Trace:        c.trace,
+			DisableMerge: c.disableMerge,
+			Parallelism:  c.parallelism,
+		},
+	}
 }
 
 // WithPrune toggles the paper's CCFG pruning rules A-D (default on).
 func WithPrune(on bool) Option {
-	return func(c *apiConfig) { c.opts.Prune = on }
+	return func(c *config) { c.prune = on }
 }
 
 // WithMaxStates bounds the PPS exploration (0 = library default). When
 // the budget is exhausted the analysis degrades conservatively instead
 // of truncating.
 func WithMaxStates(n int) Option {
-	return func(c *apiConfig) { c.opts.MaxStates = n }
+	return func(c *config) { c.maxStates = n }
 }
 
 // WithTrace records the PPS tables on Report.PPSTraces.
 func WithTrace(on bool) Option {
-	return func(c *apiConfig) { c.opts.Trace = on }
+	return func(c *config) { c.trace = on }
 }
 
 // WithMergeDisabled turns off the identical-(ASN, state-table) merge
 // optimization of §III-C — exposed for ablation benchmarks.
 func WithMergeDisabled(on bool) Option {
-	return func(c *apiConfig) { c.opts.DisableMerge = on }
+	return func(c *config) { c.disableMerge = on }
 }
 
-// WithAtomicsModel enables the atomics extension (non-blocking fills,
-// SINGLE-READ-like waitFor).
+// WithAtomicsModel enables the paper's future-work atomics extension:
+// atomic writes become non-blocking fill events and waitFor becomes a
+// SINGLE-READ-like wait (§IV-A sketch). With it on, atomic-handshake
+// programs are proven safe instead of producing false positives.
 func WithAtomicsModel(on bool) Option {
-	return func(c *apiConfig) { c.opts.ModelAtomics = on }
+	return func(c *config) { c.modelAtomics = on }
 }
 
 // WithAtomicsCounting enables the saturating-counter refinement of the
-// atomics extension (implies the atomics model).
+// atomics extension (implies the atomics model): atomic variables used
+// only monotonically become counters, so counting protocols (n
+// fetchAdds before a waitFor(n)) verify as well.
 func WithAtomicsCounting(on bool) Option {
-	return func(c *apiConfig) { c.opts.CountAtomics = on }
+	return func(c *config) { c.countAtomics = on }
 }
 
 // WithMetricsSinks attaches telemetry sinks; each receives one Metrics
-// snapshot per analyzed file.
+// snapshot per analyzed file. The snapshot is attached to
+// Report.Metrics regardless. Batch runs share the sinks across workers,
+// serializing concurrent emits.
 func WithMetricsSinks(sinks ...MetricsSink) Option {
-	return func(c *apiConfig) { c.opts.MetricsSinks = append(c.opts.MetricsSinks, sinks...) }
+	return func(c *config) { c.metricsSinks = append(c.metricsSinks, sinks...) }
 }
 
-// WithDeadline bounds one analysis's wall clock (0 = none); on expiry
-// the analysis degrades conservatively.
+// WithDeadline bounds one analysis's wall clock (0 = none). When it
+// fires, the analysis degrades instead of truncating: every access not
+// yet proven safe is reported as a conservative warning and
+// Report.Degraded records the reason.
 func WithDeadline(d time.Duration) Option {
-	return func(c *apiConfig) { c.opts.Deadline = d }
+	return func(c *config) { c.deadline = d }
 }
 
 // WithParallelism sets the number of concurrent PPS exploration workers
-// per analyzed procedure; see Options.Parallelism for the defaults and
-// the determinism guarantee.
+// per analyzed procedure. 0 means GOMAXPROCS for single-file calls;
+// batch runs default to 1 instead (file-level workers already saturate
+// the machine — total concurrency ≈ workers × parallelism). Results are
+// identical for every value: exploration proceeds in deterministic
+// bulk-synchronous waves, so the warning set, stats and traces never
+// depend on the worker count.
 func WithParallelism(n int) Option {
-	return func(c *apiConfig) { c.opts.Parallelism = n }
+	return func(c *config) { c.parallelism = n }
 }
 
-// WithCache attaches a content-addressed report cache; see NewCache.
+// WithCache attaches a content-addressed report cache (source text +
+// effective options + tool Version); see NewCache. Hits return a
+// defensive clone and skip the pipeline entirely; degraded results are
+// never cached.
 func WithCache(cc *Cache) Option {
-	return func(c *apiConfig) { c.opts.Cache = cc }
+	return func(c *config) { c.cache = cc }
 }
 
 // WithInlineLowering has no effect: nested-procedure calls are always
@@ -87,7 +149,7 @@ func WithCache(cc *Cache) Option {
 // Deprecated: the alternative lowering it switched away from is gone,
 // and the two never differed in any result.
 func WithInlineLowering(on bool) Option {
-	return func(*apiConfig) {}
+	return func(*config) {}
 }
 
 // WithTracing records a hierarchical span tree for each analysis run
@@ -97,25 +159,26 @@ func WithInlineLowering(on bool) Option {
 // that ambient trace instead and the report carries none. Tracing
 // never changes analysis results or cache keys.
 func WithTracing(on bool) Option {
-	return func(c *apiConfig) { c.opts.Tracing = on }
+	return func(c *config) { c.tracing = on }
 }
 
 // WithWorkers sets the batch worker-pool size (0 = GOMAXPROCS). Batch
 // runs only.
 func WithWorkers(n int) Option {
-	return func(c *apiConfig) { c.bopts.Workers = n }
+	return func(c *config) { c.workers = n }
 }
 
 // WithFileTimeout bounds each per-file attempt's wall clock. Batch runs
 // only.
 func WithFileTimeout(d time.Duration) Option {
-	return func(c *apiConfig) { c.bopts.FileTimeout = d }
+	return func(c *config) { c.fileTimeout = d }
 }
 
 // WithRetries grants extra attempts after a per-file deadline hit, each
-// with a smaller state budget. Batch runs only.
+// with a 4×-smaller state budget, converging on a deterministic
+// budget-degraded result instead of a flaky timeout. Batch runs only.
 func WithRetries(n int) Option {
-	return func(c *apiConfig) { c.bopts.Retries = n }
+	return func(c *config) { c.retries = n }
 }
 
 // WithUnitCacheEntries bounds the per-procedure memo store of a
@@ -123,7 +186,7 @@ func WithRetries(n int) Option {
 // One-shot entry points ignore it — incrementality needs a handle that
 // outlives the call.
 func WithUnitCacheEntries(n int) Option {
-	return func(c *apiConfig) { c.unitCacheEntries = n }
+	return func(c *config) { c.unitCacheEntries = n }
 }
 
 // WithAnalyzer routes a batch's per-file analysis through the handle's
@@ -135,9 +198,9 @@ func WithUnitCacheEntries(n int) Option {
 // change a result participates in the unit fingerprint. Batch runs
 // only.
 func WithAnalyzer(a *Analyzer) Option {
-	return func(c *apiConfig) {
+	return func(c *config) {
 		if a != nil {
-			c.bopts.analyze = a.analyzeForBatch
+			c.analyze = a.analyzeForBatch
 		}
 	}
 }
@@ -147,12 +210,11 @@ func WithAnalyzer(a *Analyzer) Option {
 // in finish order). fn runs on worker goroutines and may be called
 // concurrently; it must synchronize internally. Batch runs only.
 func WithOnFile(fn func(i int, fr FileReport)) Option {
-	return func(c *apiConfig) { c.bopts.OnFile = fn }
+	return func(c *config) { c.onFile = fn }
 }
 
-// AnalyzeContext runs the static analysis under ctx. It is the primary
-// single-shot entry point of the v2 API (the struct-options
-// AnalyzeWithOptions form is a deprecated compatibility shim):
+// AnalyzeContext runs the static analysis under ctx. It is the
+// single-file entry point:
 //
 //	cache := uafcheck.NewCache(uafcheck.CacheConfig{})
 //	report, err := uafcheck.AnalyzeContext(ctx, "prog.chpl", src,
@@ -160,23 +222,9 @@ func WithOnFile(fn func(i int, fr FileReport)) Option {
 //	    uafcheck.WithCache(cache))
 //
 // Cancellation and deadlines on ctx degrade the analysis conservatively
-// (Report.Degraded) rather than aborting it.
+// (Report.Degraded) rather than aborting it. The call never panics: a
+// crash anywhere in the pipeline is recovered and reported through
+// Report.Degraded (reason DegradePanic).
 func AnalyzeContext(ctx context.Context, filename, src string, options ...Option) (*Report, error) {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
-	return analyzeWith(ctx, filename, src, cfg.opts, nil)
-}
-
-// AnalyzeFilesContext analyzes many files under ctx — the context-first
-// form of AnalyzeFiles. Cancelling ctx degrades unfinished files to
-// conservative results instead of dropping them.
-func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Option) *BatchReport {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
-	cfg.bopts.Context = ctx
-	return AnalyzeFiles(files, cfg.opts, cfg.bopts)
+	return analyzeWith(ctx, filename, src, newConfig(options...), nil)
 }

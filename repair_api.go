@@ -9,7 +9,7 @@ import (
 	"uafcheck/internal/udiff"
 )
 
-// ------------------------------------------------------- repair v2 API
+// ---------------------------------------------------------- repair API
 //
 // Repair is the public face of the internal/repair engine: the same
 // verified synchronization synthesis (§VII "optimize the amount and
@@ -152,16 +152,13 @@ func (v *Verdict) clone() *Verdict {
 // rather than guessing. Re-run with a larger WithMaxStates budget or
 // without a deadline.
 func Repair(ctx context.Context, name, src string, options ...Option) (*RepairReport, error) {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
-	if cfg.opts.Deadline > 0 {
+	cfg := newConfig(options...)
+	if cfg.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.opts.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
 		defer cancel()
 	}
-	in := cfg.opts.internal()
+	in := cfg.internal()
 	in.Ctx = ctx
 	res, err := repair.Repair(name, src, in)
 	if err != nil {

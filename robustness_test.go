@@ -48,11 +48,8 @@ func warnKey(w Warning) string {
 func TestDeadlineDegradesPromptly(t *testing.T) {
 	src := pathologicalProgram(8, 4)
 	const deadline = 50 * time.Millisecond
-	o := DefaultOptions()
-	o.Deadline = deadline
-
 	start := time.Now()
-	rep, err := AnalyzeWithOptions("patho.chpl", src, o)
+	rep, err := AnalyzeContext(context.Background(), "patho.chpl", src, WithDeadline(deadline))
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +87,8 @@ func TestConservativeWarningsAreSuperset(t *testing.T) {
 	// 50-state budget stops far short of completion.
 	src := pathologicalProgram(5, 3)
 
-	full, err := AnalyzeWithOptions("patho.chpl", src, DefaultOptions())
+	ctx := context.Background()
+	full, err := AnalyzeContext(ctx, "patho.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +96,7 @@ func TestConservativeWarningsAreSuperset(t *testing.T) {
 		t.Fatalf("full run unexpectedly degraded: %v", full.Degraded.Reason)
 	}
 
-	o := DefaultOptions()
-	o.MaxStates = 50
-	deg, err := AnalyzeWithOptions("patho.chpl", src, o)
+	deg, err := AnalyzeContext(ctx, "patho.chpl", src, WithMaxStates(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +153,18 @@ func TestAnalyzeFilesExitCodes(t *testing.T) {
 	cases := []struct {
 		name  string
 		files []FileInput
-		bopts BatchOptions
+		opts  []Option
 		want  int
 	}{
-		{"clean", []FileInput{{"c.chpl", cleanSrc}}, BatchOptions{}, 0},
-		{"warnings", []FileInput{{"w.chpl", warnSrc}, {"c.chpl", cleanSrc}}, BatchOptions{}, 1},
+		{"clean", []FileInput{{"c.chpl", cleanSrc}}, nil, 0},
+		{"warnings", []FileInput{{"w.chpl", warnSrc}, {"c.chpl", cleanSrc}}, nil, 1},
 		{"degraded", []FileInput{{"p.chpl", pathologicalProgram(8, 4)}},
-			BatchOptions{FileTimeout: 30 * time.Millisecond}, 2},
-		{"errors", []FileInput{{"bad.chpl", "proc ( nope"}, {"w.chpl", warnSrc}}, BatchOptions{}, 3},
+			[]Option{WithFileTimeout(30 * time.Millisecond)}, 2},
+		{"errors", []FileInput{{"bad.chpl", "proc ( nope"}, {"w.chpl", warnSrc}}, nil, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := AnalyzeFiles(tc.files, DefaultOptions(), tc.bopts)
+			rep := AnalyzeFilesContext(context.Background(), tc.files, tc.opts...)
 			if got := rep.ExitCode(); got != tc.want {
 				t.Errorf("ExitCode() = %d, want %d (summary %+v)", got, tc.want, rep.Summary)
 			}
@@ -190,12 +186,10 @@ func TestAnalyzeFilesConcurrent(t *testing.T) {
 		FileInput{"patho.chpl", pathologicalProgram(8, 4)},
 		FileInput{"broken.chpl", "proc ( nope"})
 
-	opts := DefaultOptions()
-	opts.MetricsSinks = []MetricsSink{TextMetricsSink(io.Discard), JSONLinesMetricsSink(io.Discard)}
-	rep := AnalyzeFiles(files, opts, BatchOptions{
-		Workers:     4,
-		FileTimeout: 40 * time.Millisecond,
-	})
+	rep := AnalyzeFilesContext(context.Background(), files,
+		WithMetricsSinks(TextMetricsSink(io.Discard), JSONLinesMetricsSink(io.Discard)),
+		WithWorkers(4),
+		WithFileTimeout(40*time.Millisecond))
 
 	if len(rep.Files) != len(files) {
 		t.Fatalf("got %d file reports for %d inputs", len(rep.Files), len(files))
@@ -225,8 +219,8 @@ func TestAnalyzeFilesConcurrent(t *testing.T) {
 	}
 	for _, fr := range rep.Files {
 		if fr.Name == "broken.chpl" {
-			if !errors.Is(fr.Err, ErrFrontend) {
-				t.Errorf("broken.chpl Err = %v, want ErrFrontend", fr.Err)
+			if !errors.Is(fr.Err, ErrParse) {
+				t.Errorf("broken.chpl Err = %v, want ErrParse", fr.Err)
 			}
 		} else if fr.Report == nil {
 			t.Errorf("%s: nil report", fr.Name)

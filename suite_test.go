@@ -16,8 +16,9 @@ package uafcheck_test
 // Unlisted warnings, missing warnings and missing notes all fail.
 // Additionally, every clean-expected program is run through the dynamic
 // oracle to confirm it is genuinely schedule-safe, and every program
-// must analyze to the same canonical wire bytes through AnalyzeContext
-// and through a cold and a warm Analyzer.AnalyzeDelta.
+// must analyze to the same canonical wire bytes through AnalyzeContext,
+// through a cold and a warm Analyzer.AnalyzeDelta, and through a
+// one-file AnalyzeFilesContext batch with and without WithAnalyzer.
 
 import (
 	"context"
@@ -35,7 +36,7 @@ type expectation struct {
 	warnings []warnExpect
 	notes    []string
 	entry    string
-	opts     uafcheck.Options
+	opts     []uafcheck.Option
 }
 
 type warnExpect struct {
@@ -46,7 +47,7 @@ type warnExpect struct {
 
 func parseExpectations(t *testing.T, src, name string) expectation {
 	t.Helper()
-	exp := expectation{opts: uafcheck.DefaultOptions()}
+	var exp expectation
 	for _, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, "// entry:") {
@@ -57,11 +58,11 @@ func parseExpectations(t *testing.T, src, name string) expectation {
 			for _, opt := range strings.Fields(strings.TrimPrefix(line, "// options:")) {
 				switch opt {
 				case "model-atomics":
-					exp.opts.ModelAtomics = true
+					exp.opts = append(exp.opts, uafcheck.WithAtomicsModel(true))
 				case "count-atomics":
-					exp.opts.CountAtomics = true
+					exp.opts = append(exp.opts, uafcheck.WithAtomicsCounting(true))
 				case "no-prune":
-					exp.opts.Prune = false
+					exp.opts = append(exp.opts, uafcheck.WithPrune(false))
 				default:
 					t.Fatalf("%s: unknown option %q", name, opt)
 				}
@@ -113,7 +114,8 @@ func TestGoldenSuite(t *testing.T) {
 			src := string(data)
 			exp := parseExpectations(t, src, path)
 
-			rep, err := uafcheck.AnalyzeWithOptions(path, src, exp.opts)
+			ctx := context.Background()
+			rep, err := uafcheck.AnalyzeContext(ctx, path, src, exp.opts...)
 			if err != nil {
 				t.Fatalf("analysis failed: %v", err)
 			}
@@ -156,22 +158,30 @@ func TestGoldenSuite(t *testing.T) {
 
 			// Entry-point conformance: the wire bytes carry the notes and
 			// Truncated, which the warm run replays from the unit memo.
-			fopts := []uafcheck.Option{
-				uafcheck.WithPrune(exp.opts.Prune),
-				uafcheck.WithAtomicsModel(exp.opts.ModelAtomics),
-				uafcheck.WithAtomicsCounting(exp.opts.CountAtomics),
-			}
-			ctx := context.Background()
-			oneShot, oerr := uafcheck.AnalyzeContext(ctx, path, src, fopts...)
-			an := uafcheck.NewAnalyzer(fopts...)
+			wantWire := wireBytes(t, path, rep, err)
+			an := uafcheck.NewAnalyzer(exp.opts...)
 			for _, run := range []string{"cold", "warm"} {
 				got, gerr := an.AnalyzeDelta(ctx, path, src)
-				if g, w := wireBytes(t, path, got, gerr), wireBytes(t, path, oneShot, oerr); g != w {
-					t.Errorf("%s AnalyzeDelta differs from AnalyzeContext\n delta: %s\n  want: %s", run, g, w)
+				if g := wireBytes(t, path, got, gerr); g != wantWire {
+					t.Errorf("%s AnalyzeDelta differs from AnalyzeContext\n delta: %s\n  want: %s", run, g, wantWire)
 				}
 			}
 			if s := an.Stats(); s.UnitHits != s.UnitMisses {
 				t.Errorf("warm run replayed %d units; the cold run computed %d", s.UnitHits, s.UnitMisses)
+			}
+			files := []uafcheck.FileInput{{Name: path, Src: src}}
+			for _, run := range []struct {
+				name string
+				opts []uafcheck.Option
+			}{
+				{"batch", exp.opts},
+				{"batch WithAnalyzer", append([]uafcheck.Option{
+					uafcheck.WithAnalyzer(uafcheck.NewAnalyzer())}, exp.opts...)},
+			} {
+				fr := uafcheck.AnalyzeFilesContext(ctx, files, run.opts...).Files[0]
+				if g := wireBytes(t, path, fr.Report, fr.Err); g != wantWire {
+					t.Errorf("%s differs from AnalyzeContext\n batch: %s\n  want: %s", run.name, g, wantWire)
+				}
 			}
 
 			// Dynamic cross-check for clean programs: no schedule may

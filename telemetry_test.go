@@ -2,6 +2,7 @@ package uafcheck
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -49,7 +50,7 @@ func checkCounters(t *testing.T, m Metrics, want map[string]int64) {
 // here as an exact-number diff.
 func TestMetricsGoldenFigure1(t *testing.T) {
 	src := loadTestdata(t, "figure1.chpl")
-	rep, err := Analyze("figure1.chpl", src)
+	rep, err := AnalyzeContext(context.Background(), "figure1.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMetricsGoldenFigure1(t *testing.T) {
 // optimization collapses six states.
 func TestMetricsGoldenFigure6(t *testing.T) {
 	src := loadTestdata(t, "figure6.chpl")
-	rep, err := Analyze("figure6.chpl", src)
+	rep, err := AnalyzeContext(context.Background(), "figure6.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestMetricsGoldenFigure6(t *testing.T) {
 // warnings and a single linear exploration (no merges, frontier 1).
 func TestMetricsGoldenFigure1Safe(t *testing.T) {
 	src := loadTestdata(t, "figure1_safe.chpl")
-	rep, err := Analyze("figure1_safe.chpl", src)
+	rep, err := AnalyzeContext(context.Background(), "figure1_safe.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +151,11 @@ func TestMetricsGoldenFigure1Safe(t *testing.T) {
 // exploration has converging interleavings.
 func TestDisableMergeCreatesMoreStates(t *testing.T) {
 	src := loadTestdata(t, "figure6.chpl")
-	merged, err := Analyze("figure6.chpl", src)
+	merged, err := AnalyzeContext(context.Background(), "figure6.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.DisableMerge = true
-	unmerged, err := AnalyzeWithOptions("figure6.chpl", src, opts)
+	unmerged, err := AnalyzeContext(context.Background(), "figure6.chpl", src, WithMergeDisabled(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestDisableMergeCreatesMoreStates(t *testing.T) {
 // nonempty transition chain ending at that sink.
 func TestWarningProvenance(t *testing.T) {
 	src := loadTestdata(t, "figure1.chpl")
-	rep, err := Analyze("figure1.chpl", src)
+	rep, err := AnalyzeContext(context.Background(), "figure1.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +214,11 @@ func TestWarningProvenance(t *testing.T) {
 func TestMetricsSinksReceiveSnapshot(t *testing.T) {
 	src := loadTestdata(t, "figure1.chpl")
 	var text, jsonl, prom bytes.Buffer
-	opts := DefaultOptions()
-	opts.MetricsSinks = []MetricsSink{
+	rep, err := AnalyzeContext(context.Background(), "figure1.chpl", src, WithMetricsSinks(
 		TextMetricsSink(&text),
 		JSONLinesMetricsSink(&jsonl),
 		PrometheusMetricsSink(&prom),
-	}
-	rep, err := AnalyzeWithOptions("figure1.chpl", src, opts)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}

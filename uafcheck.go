@@ -5,20 +5,20 @@
 //
 // The package exposes the full pipeline of the paper:
 //
-//   - Analyze runs the compile-time pass: parse → resolve → lower (with
-//     nested-procedure inlining) → Concurrent Control Flow Graph → prune
-//     (rules A-D) → Parallel Program State exploration → warnings.
+//   - AnalyzeContext runs the compile-time pass: parse → resolve → lower
+//     (with nested-procedure inlining) → Concurrent Control Flow Graph →
+//     prune (rules A-D) → Parallel Program State exploration → warnings.
 //   - CCFGText / CCFGDot / PPSTrace expose the intermediate artifacts the
 //     paper draws in Figures 2, 3 and 7.
 //   - ExploreSchedules runs the dynamic oracle: a task-parallel
 //     interpreter with real sync-variable semantics and scope-lifetime
 //     tracking, driven by seeded random or exhaustive schedulers.
-//   - GenerateCorpus / RunTableI regenerate the paper's evaluation
+//   - GenerateCorpus / RunTableIContext regenerate the paper's evaluation
 //     (Table I) on a synthetic Chapel-1.11-style test suite.
 //
 // Quick start:
 //
-//	report, err := uafcheck.Analyze("prog.chpl", src)
+//	report, err := uafcheck.AnalyzeContext(ctx, "prog.chpl", src)
 //	if err != nil { ... }
 //	for _, w := range report.Warnings {
 //	    fmt.Println(w)
@@ -51,7 +51,7 @@ import (
 // content addresses (the report cache and the Analyzer's per-procedure
 // memo store), so results cached by one version are never served by
 // another.
-const Version = "0.7.0"
+const Version = "0.8.0"
 
 // ------------------------------------------------------------- telemetry
 
@@ -59,12 +59,12 @@ const Version = "0.7.0"
 // (parse, resolve, lower, ccfg-build, prune, pps-explore, oracle),
 // counters (CCFG nodes, tasks pruned per rule, PPS states created /
 // merged / forked, sync transitions by kind, oracle schedules) and
-// gauges (peak exploration frontier). Every Analyze, ExploreSchedules
-// and RunTableI call populates one on its report.
+// gauges (peak exploration frontier). Every AnalyzeContext and
+// ExploreSchedules call populates one on its report.
 type Metrics = obs.Metrics
 
-// MetricsSink receives Metrics snapshots; attach sinks via
-// Options.MetricsSinks.
+// MetricsSink receives Metrics snapshots; attach sinks with
+// WithMetricsSinks.
 type MetricsSink = obs.Sink
 
 // TextMetricsSink renders metrics human-readably.
@@ -76,85 +76,6 @@ func JSONLinesMetricsSink(w io.Writer) MetricsSink { return obs.JSONLSink{W: w} 
 
 // PrometheusMetricsSink writes Prometheus text exposition format.
 func PrometheusMetricsSink(w io.Writer) MetricsSink { return obs.PromSink{W: w} }
-
-// Options configure the static analysis.
-type Options struct {
-	// Prune applies the paper's CCFG pruning rules A-D. Default true.
-	Prune bool
-	// MaxStates bounds the PPS exploration (0 = library default).
-	MaxStates int
-	// Trace records the PPS table (see Report.PPSTraces).
-	Trace bool
-	// DisableMerge turns off the identical-(ASN, state-table) merge
-	// optimization of §III-C — exposed for the ablation benchmarks.
-	DisableMerge bool
-	// ModelAtomics enables the paper's future-work atomics extension:
-	// atomic writes become non-blocking fill events and waitFor becomes a
-	// SINGLE-READ-like wait (§IV-A sketch). With it on, atomic-handshake
-	// programs are proven safe instead of producing false positives.
-	ModelAtomics bool
-	// CountAtomics (implies ModelAtomics) refines the extension further:
-	// atomic variables used only monotonically become saturating
-	// counters, so counting protocols (n fetchAdds before a waitFor(n))
-	// verify as well.
-	CountAtomics bool
-	// Parallelism is the number of concurrent PPS exploration workers
-	// per analyzed procedure. 0 means GOMAXPROCS for single-file calls;
-	// batch runs default to 1 instead (file-level workers already
-	// saturate the machine — total concurrency ≈ Workers × Parallelism).
-	// Results are identical for every value: exploration proceeds in
-	// deterministic bulk-synchronous waves, so the warning set, stats and
-	// traces never depend on the worker count.
-	Parallelism int
-	// Tracing records a hierarchical span tree for the run: the pipeline
-	// gets a per-file trace with a deterministic ID (derived from file
-	// name + content) and every phase — parse through PPS waves —
-	// attaches a span. The completed tree lands on Report.Metrics.Trace
-	// and flows to JSONL metrics sinks (cmd/uafcheck -trace-out). When
-	// the caller's context already carries an obs.Trace (a uafserve
-	// request), spans attach to that ambient trace instead and
-	// Metrics.Trace stays empty — the request owns its tree. Tracing
-	// never changes analysis results and does not participate in cache
-	// keys.
-	Tracing bool
-	// InlineLowering has no effect: nested-procedure calls are always
-	// inlined per call site, which is what this field used to select.
-	//
-	// Deprecated: the alternative lowering it switched away from is
-	// gone, and the two never differed in any result.
-	InlineLowering bool
-	// Cache, when non-nil, memoizes complete analysis reports by content
-	// address (source text + effective options + tool Version). Hits
-	// return a defensive clone and skip the pipeline entirely; degraded
-	// (incomplete) results are never cached. See NewCache.
-	Cache *Cache
-	// MetricsSinks receive the run's Metrics snapshot when the analysis
-	// finishes. The snapshot is attached to Report.Metrics regardless.
-	MetricsSinks []MetricsSink
-	// Deadline bounds the wall-clock time of one Analyze call (0 = none).
-	// When it fires, the analysis degrades instead of truncating: every
-	// access not yet proven safe is reported as a conservative warning
-	// and Report.Degraded records the reason.
-	Deadline time.Duration
-}
-
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Prune: true} }
-
-func (o Options) internal() analysis.Options {
-	return analysis.Options{
-		Prune:        o.Prune,
-		ModelAtomics: o.ModelAtomics || o.CountAtomics,
-		CountAtomics: o.CountAtomics,
-		RecordTrace:  o.Tracing,
-		PPS: pps.Options{
-			MaxStates:    o.MaxStates,
-			Trace:        o.Trace,
-			DisableMerge: o.DisableMerge,
-			Parallelism:  o.Parallelism,
-		},
-	}
-}
 
 // Warning is one potentially dangerous outer-variable access.
 //
@@ -272,7 +193,7 @@ type DegradeReason string
 const (
 	// DegradeBudget: the PPS exploration exhausted MaxStates.
 	DegradeBudget DegradeReason = "budget"
-	// DegradeDeadline: Options.Deadline (or the context's deadline)
+	// DegradeDeadline: WithDeadline (or the context's deadline)
 	// expired mid-analysis.
 	DegradeDeadline DegradeReason = "deadline"
 	// DegradeCancelled: the caller's context was cancelled.
@@ -334,7 +255,7 @@ type Report struct {
 	// Stats has one entry per analyzed root procedure.
 	Stats []ProcStats `json:"stats,omitempty"`
 	// PPSTraces maps procedure names to their formatted PPS tables when
-	// Options.Trace is set.
+	// WithTrace is set.
 	PPSTraces map[string]string `json:"pps_traces,omitempty"`
 	// Metrics is the run's telemetry snapshot: phase timings, pipeline
 	// counters and gauges (see the obs sink flags of cmd/uafcheck).
@@ -347,35 +268,16 @@ type Report struct {
 	Degraded *Degradation `json:"degraded,omitempty"`
 }
 
-// Analyze runs the static analysis with default options.
-func Analyze(filename, src string) (*Report, error) {
-	return AnalyzeWithOptions(filename, src, DefaultOptions())
-}
-
-// AnalyzeWithOptions runs the static analysis.
-//
-// The call never panics: a crash anywhere in the pipeline is recovered
-// and reported through Report.Degraded (reason DegradePanic), so batch
-// drivers can keep going past a pathological input.
-//
-// Deprecated: use AnalyzeContext with functional options. This shim
-// remains for v1 callers and behaves identically (minus the removed
-// Options.Context field — it always runs under context.Background).
-func AnalyzeWithOptions(filename, src string, opts Options) (*Report, error) {
-	return analyzeWith(context.Background(), filename, src, opts, nil)
-}
-
-// analyzeWith is the shared single-file driver behind AnalyzeContext,
-// the deprecated AnalyzeWithOptions shim and Analyzer.AnalyzeDelta. A
-// nil handle means a one-shot run; a handle lends its memo store and
-// counts the run.
-func analyzeWith(ctx context.Context, filename, src string, opts Options, a *Analyzer) (rep *Report, err error) {
+// analyzeWith is the shared single-file driver behind AnalyzeContext
+// and Analyzer.AnalyzeDelta. A nil handle means a one-shot run; a
+// handle lends its memo store and counts the run.
+func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analyzer) (rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Deadline > 0 {
+	if cfg.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
 		defer cancel()
 	}
 	defer func() {
@@ -394,18 +296,18 @@ func analyzeWith(ctx context.Context, filename, src string, opts Options, a *Ana
 			err = nil
 		}
 	}()
-	rec := obs.New(opts.MetricsSinks...)
-	in := opts.internal()
-	in.KeepGraphs = opts.Trace
+	rec := obs.New(cfg.metricsSinks...)
+	in := cfg.internal()
+	in.KeepGraphs = cfg.trace
 	in.Obs = rec
 	in.Ctx = ctx
 
 	var key cache.Key
-	if opts.Cache != nil {
+	if cfg.cache != nil {
 		key = reportKey(filename, src, in)
-		hit, ok, lookupNS := cacheLookup(ctx, opts.Cache, key, rec)
+		hit, ok, lookupNS := cacheLookup(ctx, cfg.cache, key, rec)
 		if ok {
-			return cacheHit(hit, opts.MetricsSinks, lookupNS), nil
+			return cacheHit(hit, cfg.metricsSinks, lookupNS), nil
 		}
 		rec.Add(obs.CtrCacheMisses, 1)
 	}
@@ -419,8 +321,8 @@ func analyzeWith(ctx context.Context, filename, src string, opts Options, a *Ana
 	if res.Diags.HasErrors() {
 		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(res.Diags))
 	}
-	rep = buildReport(res, opts)
-	if opts.Cache != nil && rep.Degraded == nil {
+	rep = buildReport(res, cfg)
+	if cfg.cache != nil && rep.Degraded == nil {
 		rec.Add(obs.CtrCacheStores, 1)
 	}
 	rep.Metrics = rec.Snapshot()
@@ -430,8 +332,8 @@ func analyzeWith(ctx context.Context, filename, src string, opts Options, a *Ana
 	// Only complete results are cached: a degraded report depends on the
 	// budget/deadline race of this particular run, so serving it later
 	// could mask a complete result the caller's options would produce.
-	if opts.Cache != nil && rep.Degraded == nil {
-		cachePut(opts.Cache, key, rep)
+	if cfg.cache != nil && rep.Degraded == nil {
+		cachePut(cfg.cache, key, rep)
 	}
 	return rep, nil
 }
@@ -496,7 +398,7 @@ func cacheHit(rep *Report, sinks []MetricsSink, lookupNS int64) *Report {
 
 // buildReport converts an internal analysis result into the public
 // Report shape (shared by the single-file and batch entry points).
-func buildReport(res *analysis.Result, opts Options) *Report {
+func buildReport(res *analysis.Result, cfg config) *Report {
 	rep := &Report{}
 	for _, w := range res.Warnings() {
 		rep.Warnings = append(rep.Warnings, Warning{
@@ -530,7 +432,7 @@ func buildReport(res *analysis.Result, opts Options) *Report {
 			Incomplete:        pr.PPSStats.Incomplete,
 			StopReason:        string(pr.PPSStats.Stop),
 		})
-		if opts.Trace && pr.PPS != nil {
+		if cfg.trace && pr.PPS != nil {
 			if rep.PPSTraces == nil {
 				rep.PPSTraces = make(map[string]string)
 			}
@@ -584,31 +486,6 @@ type FileInput struct {
 	Src string
 }
 
-// BatchOptions configure the fault-isolated parallel driver.
-type BatchOptions struct {
-	// Workers is the pool size; 0 means GOMAXPROCS.
-	Workers int
-	// FileTimeout bounds each per-file attempt's wall clock (0 = none).
-	FileTimeout time.Duration
-	// Retries is how many extra attempts a file earns after a deadline
-	// hit, each with a 4×-smaller PPS state budget, converging on a
-	// deterministic budget-degraded result instead of a flaky timeout.
-	Retries int
-	// Context cancels the whole batch; files not yet analyzed degrade
-	// immediately to conservative results instead of being dropped.
-	Context context.Context
-	// OnFile, when set, receives each file's finished report as soon as
-	// the worker pool completes it (cache hits fire first, before any
-	// worker runs). i is the file's index in the input slice. Callbacks
-	// run on worker goroutines and may overlap — the callee must be safe
-	// for concurrent use. The uafserve daemon streams NDJSON batch
-	// responses through this hook.
-	OnFile func(i int, fr FileReport)
-	// analyze, when set (via WithAnalyzer), replaces the per-attempt
-	// pipeline with an Analyzer handle's incremental engine.
-	analyze func(name, src string, in analysis.Options) *analysis.Result
-}
-
 // BatchSummary is the aggregate accounting of one batch run: files OK /
 // degraded / crashed / timed out / frontend errors, retries spent, and
 // warning totals.
@@ -622,15 +499,15 @@ type FileReport struct {
 	// "crashed" or "error".
 	Status string
 	// Report is the file's analysis report, structurally identical to
-	// what the single-file Analyze entry points return: nil only when the
+	// what the single-file entry points return: nil only when the
 	// frontend rejected the file (Err is set); for every other status —
 	// including hung-and-abandoned analyses — it is non-nil, and for
 	// degraded statuses Report.Degraded carries the ladder reason.
 	Report *Report
 	// Err is set for frontend-rejected files.
 	Err error
-	// Cached marks a report served from Options.Cache without running
-	// the pipeline (Attempts is 0 for such files).
+	// Cached marks a report served from the WithCache cache without
+	// running the pipeline (Attempts is 0 for such files).
 	Cached bool
 	// Attempts counts analysis runs (retries included).
 	Attempts int
@@ -638,7 +515,7 @@ type FileReport struct {
 	Duration time.Duration
 }
 
-// BatchReport is the outcome of AnalyzeFiles.
+// BatchReport is the outcome of AnalyzeFilesContext.
 type BatchReport struct {
 	// Files holds one report per input, index-aligned.
 	Files []FileReport
@@ -665,24 +542,24 @@ func (b *BatchReport) ExitCode() int {
 	return 0
 }
 
-// AnalyzeFiles analyzes many files on a worker pool with per-file
-// deadlines, bounded retry-with-smaller-budget, and panic isolation: one
-// pathological or crashing input degrades that file's report and never
-// takes down the batch. Results are index-aligned with files.
+// AnalyzeFilesContext analyzes many files under ctx on a worker pool
+// with per-file deadlines, bounded retry-with-smaller-budget, and panic
+// isolation: one pathological or crashing input degrades that file's
+// report and never takes down the batch. Results are index-aligned with
+// files. Cancelling ctx degrades unfinished files to conservative
+// results instead of dropping them.
 //
-// Options.MetricsSinks are shared across workers (wrapped to serialize
+// Metrics sinks are shared across workers (wrapped to serialize
 // concurrent emits) and receive one snapshot per file; BatchReport.
 // Metrics carries the merged aggregate.
-//
-// Deprecated: use AnalyzeFilesContext with functional options. This
-// shim remains for v1 callers and behaves identically.
-func AnalyzeFiles(files []FileInput, opts Options, bopts BatchOptions) *BatchReport {
-	shared := make([]MetricsSink, len(opts.MetricsSinks))
-	for i, s := range opts.MetricsSinks {
+func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Option) *BatchReport {
+	cfg := newConfig(options...)
+	shared := make([]MetricsSink, len(cfg.metricsSinks))
+	for i, s := range cfg.metricsSinks {
 		shared[i] = obs.Synchronized(s)
 	}
-	in := opts.internal()
-	in.KeepGraphs = opts.Trace
+	in := cfg.internal()
+	in.KeepGraphs = cfg.trace
 
 	rec := obs.New() // batch-level counters and span
 
@@ -694,10 +571,10 @@ func AnalyzeFiles(files []FileInput, opts Options, bopts BatchOptions) *BatchRep
 	var missOf []int
 	var bfiles []batch.File
 	for i, f := range files {
-		if opts.Cache != nil {
+		if cfg.cache != nil {
 			keys[i] = reportKey(f.Name, f.Src, in)
-			if rep, ok, lookupNS := cacheLookup(bopts.Context, opts.Cache, keys[i], rec); ok {
-				hits[i] = cacheHit(rep, opts.MetricsSinks, lookupNS)
+			if rep, ok, lookupNS := cacheLookup(ctx, cfg.cache, keys[i], rec); ok {
+				hits[i] = cacheHit(rep, cfg.metricsSinks, lookupNS)
 				continue
 			}
 		}
@@ -718,8 +595,8 @@ func AnalyzeFiles(files []FileInput, opts Options, bopts BatchOptions) *BatchRep
 			Report: rep,
 			Cached: true,
 		}
-		if bopts.OnFile != nil {
-			bopts.OnFile(i, frs[i])
+		if cfg.onFile != nil {
+			cfg.onFile(i, frs[i])
 		}
 	}
 
@@ -740,7 +617,7 @@ func AnalyzeFiles(files []FileInput, opts Options, bopts BatchOptions) *BatchRep
 		case r.Status == batch.FrontendError:
 			fr.Err = fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(r.Res.Diags))
 		case r.Res != nil:
-			fr.Report = buildReport(r.Res, opts)
+			fr.Report = buildReport(r.Res, cfg)
 			if rec := recs[i]; rec != nil {
 				fr.Report.Metrics = rec.Snapshot()
 			}
@@ -759,25 +636,25 @@ func AnalyzeFiles(files []FileInput, opts Options, bopts BatchOptions) *BatchRep
 				Procs:  nil,
 			}}
 		}
-		if opts.Cache != nil && fr.Report != nil && fr.Report.Degraded == nil {
-			cachePut(opts.Cache, keys[i], fr.Report)
+		if cfg.cache != nil && fr.Report != nil && fr.Report.Degraded == nil {
+			cachePut(cfg.cache, keys[i], fr.Report)
 		}
 		frs[i] = fr
-		if bopts.OnFile != nil {
-			bopts.OnFile(i, fr)
+		if cfg.onFile != nil {
+			cfg.onFile(i, fr)
 		}
 	}
 	_, sum := batch.Run(bfiles, batch.Options{
-		Workers:     bopts.Workers,
-		FileTimeout: bopts.FileTimeout,
-		Retries:     bopts.Retries,
+		Workers:     cfg.workers,
+		FileTimeout: cfg.fileTimeout,
+		Retries:     cfg.retries,
 		Analysis:    in,
-		Analyze:     bopts.analyze,
-		Ctx:         bopts.Context,
+		Analyze:     cfg.analyze,
+		Ctx:         ctx,
 		Obs:         rec,
 		PerFileObs: func(j int, f batch.File) *obs.Recorder {
 			r := obs.New(shared...)
-			if opts.Cache != nil {
+			if cfg.cache != nil {
 				r.Add(obs.CtrCacheMisses, 1)
 			}
 			recs[missOf[j]] = r
@@ -1041,25 +918,12 @@ func GenerateCorpus(p CorpusParams) []CorpusCase { return corpus.Generate(p) }
 // TableI mirrors the paper's Table I.
 type TableI = eval.TableI
 
-// RunTableI analyzes the corpus and assembles Table I. The returned
+// RunTableIContext analyzes the corpus under ctx and assembles Table I,
+// taking the same functional options as AnalyzeContext. The returned
 // string is the per-pattern breakdown.
-//
-// Deprecated: use RunTableIContext.
-func RunTableI(cases []CorpusCase, opts Options) (TableI, string) {
-	table, det := eval.RunTableI(cases, opts.internal())
-	return table, det.FormatPatternBreakdown()
-}
-
-// RunTableIContext analyzes the corpus under ctx and assembles Table I —
-// the context-first form of RunTableI, taking the same functional
-// options as AnalyzeContext. The returned string is the per-pattern
-// breakdown.
 func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option) (TableI, string) {
-	cfg := apiConfig{opts: DefaultOptions()}
-	for _, o := range options {
-		o(&cfg)
-	}
-	in := cfg.opts.internal()
+	cfg := newConfig(options...)
+	in := cfg.internal()
 	in.Ctx = ctx
 	table, det := eval.RunTableI(cases, in)
 	return table, det.FormatPatternBreakdown()
@@ -1071,23 +935,12 @@ func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option
 // cmd/uafcorpus.
 type CorpusTelemetry = eval.Telemetry
 
-// RunTableIWithTelemetry runs the evaluation like RunTableI and also
-// returns the aggregate telemetry report.
-func RunTableIWithTelemetry(cases []CorpusCase, opts Options) (TableI, *CorpusTelemetry, string) {
-	table, det := eval.RunTableI(cases, opts.internal())
-	return table, det.Telemetry(), det.FormatPatternBreakdown()
-}
-
 // BaselineComparison runs the §VI baselines over the corpus's begin-task
-// cases and formats the comparison.
-func BaselineComparison(cases []CorpusCase, opts Options) string {
-	rep := eval.RunBaselines(cases, opts.internal())
-	return rep.Format()
+// cases under ctx and formats the comparison, taking the same
+// functional options as AnalyzeContext.
+func BaselineComparison(ctx context.Context, cases []CorpusCase, options ...Option) string {
+	cfg := newConfig(options...)
+	in := cfg.internal()
+	in.Ctx = ctx
+	return eval.RunBaselines(cases, in).Format()
 }
-
-// ---------------------------------------------------------------- repair
-//
-// The v1 repair helpers (RepairSource, RepairSourceContext and their
-// RepairResult/RepairStep shapes) were removed in 0.7.0 after a full
-// deprecation cycle; use Repair (repair_api.go), which returns verified
-// unified-diff patches. See docs/SERVER.md for the removal policy.
