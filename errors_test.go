@@ -32,6 +32,36 @@ func TestErrParseIdentity(t *testing.T) {
 	}
 }
 
+// TestErrParseMixedErrorText pins the ErrParse text of an input that
+// mixes lexer and parser errors: every lexer error first, in source
+// order, then every parser error.
+func TestErrParseMixedErrorText(t *testing.T) {
+	_, err := uafcheck.AnalyzeContext(context.Background(), "mixed.chpl",
+		"x = 1;\nproc main() {\n  var a = ;\n  var b = 1.5 # 2;\n  writeln(\"open);\n}\n")
+	want := `uafcheck: frontend errors:
+mixed.chpl:4:11: error: floating-point literals are not part of MiniChapel
+mixed.chpl:4:15: error: illegal character "#"
+mixed.chpl:5:11: error: unterminated string literal
+mixed.chpl:1:1: error: expected top-level proc or config declaration, found IDENT("x")
+mixed.chpl:3:11: error: expected expression, found ;
+mixed.chpl:4:3: error: expected ";", found var
+mixed.chpl:4:11: error: invalid integer literal "1.5"
+mixed.chpl:4:15: error: expected ";", found ILLEGAL
+mixed.chpl:4:15: error: unexpected token ILLEGAL at start of statement
+mixed.chpl:6:1: error: expected ",", found }
+mixed.chpl:6:1: error: expected expression, found }
+mixed.chpl:7:1: error: expected ")", found EOF
+mixed.chpl:7:1: error: expected ";", found EOF
+mixed.chpl:7:1: error: expected "}", found EOF
+`
+	if err == nil || !errors.Is(err, uafcheck.ErrParse) {
+		t.Fatalf("err = %v, want ErrParse", err)
+	}
+	if err.Error() != want {
+		t.Errorf("ErrParse text:\n%s\nwant:\n%s", err.Error(), want)
+	}
+}
+
 // degradingSrc explores far more states than the budgets used below.
 func degradingSrc() string {
 	return `proc big() {

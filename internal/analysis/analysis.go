@@ -264,6 +264,11 @@ func analyzeFile(file *source.File, opts Options, units *Units) (*Result, IncrSt
 	if diags.HasErrors() {
 		return res, IncrStats{}
 	}
+	if !ast.HasBegin(mod) {
+		// No begin, no analysis roots: the call-site facts below feed
+		// only the roots.
+		return res, IncrStats{}
+	}
 	d := newDriver(opts, units)
 	d.sites = procCallSites(mod, info)
 	d.synced = syncedRefParamsFrom(d.sites, info)

@@ -103,5 +103,15 @@ func CountBegins(n Node) int {
 	return count
 }
 
-// HasBegin reports whether the subtree contains any begin statement.
-func HasBegin(n Node) bool { return CountBegins(n) > 0 }
+// HasBegin reports whether the subtree contains any begin statement. It
+// stops walking at the first one.
+func HasBegin(n Node) bool {
+	found := false
+	Walk(n, func(m Node) bool {
+		if _, ok := m.(*BeginStmt); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
+}

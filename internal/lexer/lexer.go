@@ -22,23 +22,6 @@ func New(file *source.File, diags *source.Diagnostics) *Lexer {
 	return &Lexer{file: file, src: file.Content, diags: diags}
 }
 
-// Tokenize scans the whole file, dropping comments, and returns the token
-// stream terminated by an EOF token.
-func Tokenize(file *source.File, diags *source.Diagnostics) []token.Token {
-	lx := New(file, diags)
-	var toks []token.Token
-	for {
-		t := lx.Next()
-		if t.Kind == token.Comment {
-			continue
-		}
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}
-
 func (lx *Lexer) errorf(start, end int, format string, args ...any) {
 	lx.diags.Addf(lx.file, source.Span{Start: source.Pos(start), End: source.Pos(end)},
 		source.Error, format, args...)

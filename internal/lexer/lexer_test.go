@@ -8,10 +8,27 @@ import (
 	"uafcheck/internal/token"
 )
 
+// tokenize scans the whole file through Next, dropping comments, and
+// returns the token stream terminated by an EOF token.
+func tokenize(file *source.File, diags *source.Diagnostics) []token.Token {
+	lx := New(file, diags)
+	var toks []token.Token
+	for {
+		t := lx.Next()
+		if t.Kind == token.Comment {
+			continue
+		}
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func lex(t *testing.T, src string) ([]token.Token, *source.Diagnostics) {
 	t.Helper()
 	diags := &source.Diagnostics{}
-	toks := Tokenize(source.NewFile("t.chpl", src), diags)
+	toks := tokenize(source.NewFile("t.chpl", src), diags)
 	return toks, diags
 }
 
@@ -172,7 +189,7 @@ func TestSpansCoverSource(t *testing.T) {
 func TestLexerTotalProperty(t *testing.T) {
 	check := func(data []byte) bool {
 		diags := &source.Diagnostics{}
-		toks := Tokenize(source.NewFile("fuzz", string(data)), diags)
+		toks := tokenize(source.NewFile("fuzz", string(data)), diags)
 		if len(toks) == 0 || toks[len(toks)-1].Kind != token.EOF {
 			return false
 		}

@@ -1,6 +1,8 @@
 package modgraph_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"uafcheck/internal/ast"
@@ -12,7 +14,7 @@ import (
 
 // link parses and links named sources in order, failing the test on any
 // parse error (resolution errors are the caller's business).
-func link(t *testing.T, files ...[2]string) *modgraph.Graph {
+func link(t testing.TB, files ...[2]string) *modgraph.Graph {
 	t.Helper()
 	var mfs []*modgraph.File
 	for _, f := range files {
@@ -202,5 +204,108 @@ func TestUnresolvedCallsListed(t *testing.T) {
 	u := g.Unresolved[0]
 	if u.File != "a.chpl" || u.Name != "nowhere" {
 		t.Errorf("Unresolved[0] = %+v, want file a.chpl, name nowhere", u)
+	}
+}
+
+// TestWideLinkerScope links many procedures across many files. Every
+// call resolves to the declaration the linker rules name: a file's own
+// procedure first, else the first declaration in file order. Calls to
+// names no file declares give exactly one diagnostic each.
+func TestWideLinkerScope(t *testing.T) {
+	const nFiles, nProcs = 8, 40
+	var files [][2]string
+	for f := 0; f < nFiles; f++ {
+		var b strings.Builder
+		for i := 0; i < nProcs; i++ {
+			// Each proc calls its namesake in the next file. Each
+			// file's first proc also calls shared, which files 2 and 5
+			// both declare, and a name no file declares.
+			fmt.Fprintf(&b, "proc p%d_%d(ref v: int) {\n  p%d_%d(v);\n", f, i, (f+1)%nFiles, i)
+			if i == 0 {
+				fmt.Fprintf(&b, "  shared(v);\n  missing%d(v);\n", f)
+			}
+			b.WriteString("}\n")
+		}
+		if f == 2 || f == 5 {
+			fmt.Fprintf(&b, "proc shared(ref w: int) {\n  w = %d;\n}\n", f)
+		}
+		files = append(files, [2]string{fmt.Sprintf("f%d.chpl", f), b.String()})
+	}
+	g := link(t, files...)
+
+	if n := len(g.Linker.Symbols()); n != nFiles*nProcs+1 {
+		t.Errorf("linker scope holds %d symbols, want %d", n, nFiles*nProcs+1)
+	}
+	sharedIn := func(f int) *ast.ProcDecl { return proc(t, g, fmt.Sprintf("f%d.chpl", f), "shared") }
+	for f, mf := range g.Files {
+		wantShared := sharedIn(2)
+		if f == 5 {
+			wantShared = sharedIn(5)
+		}
+		calls := 0
+		ast.Walk(mf.Mod, func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var want *ast.ProcDecl
+			switch name := c.Fun.Name; {
+			case name == "shared":
+				want = wantShared
+			case strings.HasPrefix(name, "missing"):
+				if s := mf.Info.Uses[c.Fun]; s != nil {
+					t.Errorf("%s: %s resolved to %v", mf.Name, name, s)
+				}
+				return true
+			default:
+				var tf, ti int
+				fmt.Sscanf(name, "p%d_%d", &tf, &ti)
+				want = proc(t, g, fmt.Sprintf("f%d.chpl", tf), name)
+			}
+			calls++
+			if s := mf.Info.Uses[c.Fun]; s == nil || s.Proc != want {
+				t.Errorf("%s: call %s resolved to %v, want the declaration in %s",
+					mf.Name, c.Fun.Name, s, g.Files[g.DeclFile[want]].Name)
+			}
+			return true
+		})
+		if calls != nProcs+1 {
+			t.Errorf("%s: checked %d calls, want %d", mf.Name, calls, nProcs+1)
+		}
+		var got []string
+		for _, d := range mf.Diags.All() {
+			got = append(got, d.String())
+		}
+		want := []string{fmt.Sprintf("%s:4:3: error: call to undefined procedure \"missing%d\"", mf.Name, f)}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s diagnostics:\n%s\nwant:\n%s", mf.Name, strings.Join(got, "\n"), want[0])
+		}
+	}
+	if len(g.Unresolved) != nFiles {
+		t.Errorf("Unresolved has %d entries, want %d", len(g.Unresolved), nFiles)
+	}
+}
+
+// BenchmarkLinkWide links a module of 4 files with n procedures each,
+// every one calling a procedure of the next file; ns/op divided by n
+// should stay flat as n grows.
+func BenchmarkLinkWide(b *testing.B) {
+	for _, n := range []int{500, 2000} {
+		var files [][2]string
+		for f := 0; f < 4; f++ {
+			var sb strings.Builder
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&sb, "proc p%d_%d() {\n  p%d_%d();\n}\n", f, i, (f+1)%4, i)
+			}
+			files = append(files, [2]string{fmt.Sprintf("f%d.chpl", f), sb.String()})
+		}
+		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if g := link(b, files...); len(g.Unresolved) != 0 {
+					b.Fatalf("%d unresolved calls", len(g.Unresolved))
+				}
+			}
+		})
 	}
 }

@@ -11,8 +11,9 @@
 // flushed into the Recorder once per phase, so the exploration loop
 // itself never touches a map or a mutex.
 //
-// A Snapshot of a Recorder is a Metrics value — a plain, serializable
-// struct — which the sinks render: TextSink for humans, JSONLSink as a
+// A Snapshot of a Recorder, or the state Finish hands over at the end
+// of a run, is a Metrics value — a plain, serializable struct — which
+// the sinks render: TextSink for humans, JSONLSink as a
 // JSON-lines trace file, PromSink in Prometheus text exposition format.
 package obs
 
@@ -280,27 +281,29 @@ func (m *Metrics) Merge(other Metrics) {
 
 // Recorder accumulates spans, counters and gauges. All methods are safe
 // on a nil receiver (no-ops) and safe for concurrent use otherwise.
+//
+// A recorder serves one of two owners. A long-lived one (a server, a
+// batch) reads it with Snapshot and Flush as often as it likes. A
+// single run ends it with Finish, which hands the state over instead of
+// copying it.
 type Recorder struct {
 	t0    time.Time
 	sinks []Sink
 
+	// The maps are allocated on first write: most single-file runs
+	// record two phase spans and nothing else.
 	mu       sync.Mutex
 	spans    []Span
 	counters map[string]int64
 	gauges   map[string]int64
-	hists    map[string]*Histogram
+	hists    map[string]Histogram
 	trace    []TraceSpan
 }
 
-// New creates a Recorder emitting to the given sinks on Flush.
+// New creates a Recorder emitting to the given sinks on Flush and
+// Finish.
 func New(sinks ...Sink) *Recorder {
-	return &Recorder{
-		t0:       time.Now(),
-		sinks:    sinks,
-		counters: make(map[string]int64),
-		gauges:   make(map[string]int64),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Recorder{t0: time.Now(), sinks: sinks}
 }
 
 // noopEnd is returned by Span on a nil Recorder so the caller's
@@ -320,19 +323,38 @@ func (r *Recorder) Span(name string) (end func()) {
 		dur := time.Since(r.t0) - start
 		r.mu.Lock()
 		r.spans = append(r.spans, Span{Name: name, Start: start, Dur: dur})
-		r.observeLocked(HistKey(HistPhaseNS, "phase", name), dur.Nanoseconds())
+		r.observeLocked(phaseHistKey(name), dur.Nanoseconds())
 		r.mu.Unlock()
 	}
 }
 
+// phaseKeys holds the phase_ns histogram key of each pipeline phase,
+// built once so closing one of their spans builds no string.
+var phaseKeys = func() map[string]string {
+	keys := make(map[string]string)
+	for _, name := range []string{PhaseParse, PhaseResolve, PhaseLower, PhaseCCFG,
+		PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch} {
+		keys[name] = HistKey(HistPhaseNS, "phase", name)
+	}
+	return keys
+}()
+
+// phaseHistKey returns the phase_ns histogram key of a phase span.
+func phaseHistKey(name string) string {
+	if k, ok := phaseKeys[name]; ok {
+		return k
+	}
+	return HistKey(HistPhaseNS, "phase", name)
+}
+
 // observeLocked records one histogram value; r.mu must be held.
 func (r *Recorder) observeLocked(name string, v int64) {
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	if r.hists == nil {
+		r.hists = make(map[string]Histogram)
 	}
+	h := r.hists[name]
 	h.Observe(v)
+	r.hists[name] = h
 }
 
 // Observe records one value into the named histogram.
@@ -353,12 +375,12 @@ func (r *Recorder) ObserveHist(name string, h Histogram) {
 		return
 	}
 	r.mu.Lock()
-	dst := r.hists[name]
-	if dst == nil {
-		dst = &Histogram{}
-		r.hists[name] = dst
+	if r.hists == nil {
+		r.hists = make(map[string]Histogram)
 	}
+	dst := r.hists[name]
 	dst.Merge(h)
+	r.hists[name] = dst
 	r.mu.Unlock()
 }
 
@@ -368,6 +390,9 @@ func (r *Recorder) Add(name string, delta int64) {
 		return
 	}
 	r.mu.Lock()
+	if r.counters == nil {
+		r.counters = make(map[string]int64)
+	}
 	r.counters[name] += delta
 	r.mu.Unlock()
 }
@@ -378,6 +403,9 @@ func (r *Recorder) Max(name string, v int64) {
 		return
 	}
 	r.mu.Lock()
+	if r.gauges == nil {
+		r.gauges = make(map[string]int64)
+	}
 	if cur, ok := r.gauges[name]; !ok || v > cur {
 		r.gauges[name] = v
 	}
@@ -404,25 +432,32 @@ func (r *Recorder) Snapshot() Metrics {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := Metrics{
-		Spans:    append([]Span(nil), r.spans...),
-		Counters: make(map[string]int64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
+	return Metrics{Spans: r.spans, Counters: r.counters, Gauges: r.gauges,
+		Hists: r.hists, Trace: r.trace}.clone()
+}
+
+// clone returns a deep copy of m in Snapshot's shape: non-nil Counters
+// and Gauges; nil Spans, Hists and Trace when there are none.
+func (m Metrics) clone() Metrics {
+	c := Metrics{
+		Spans:    append([]Span(nil), m.Spans...),
+		Counters: make(map[string]int64, len(m.Counters)),
+		Gauges:   make(map[string]int64, len(m.Gauges)),
 	}
-	for k, v := range r.counters {
-		m.Counters[k] = v
+	for k, v := range m.Counters {
+		c.Counters[k] = v
 	}
-	for k, v := range r.gauges {
-		m.Gauges[k] = v
+	for k, v := range m.Gauges {
+		c.Gauges[k] = v
 	}
-	if len(r.hists) > 0 {
-		m.Hists = make(map[string]Histogram, len(r.hists))
-		for k, h := range r.hists {
-			m.Hists[k] = *h
+	if len(m.Hists) > 0 {
+		c.Hists = make(map[string]Histogram, len(m.Hists))
+		for k, h := range m.Hists {
+			c.Hists[k] = h
 		}
 	}
-	m.Trace = append([]TraceSpan(nil), r.trace...)
-	return m
+	c.Trace = append([]TraceSpan(nil), m.Trace...)
+	return c
 }
 
 // Flush emits a snapshot to every sink; the first error wins.
@@ -430,7 +465,43 @@ func (r *Recorder) Flush() error {
 	if r == nil || len(r.sinks) == 0 {
 		return nil
 	}
-	m := r.Snapshot()
+	return r.emit(r.Snapshot())
+}
+
+// Finish ends a single-owner run. It hands the recorder's spans,
+// counters, gauges, histograms and trace to the caller without copying
+// and leaves the recorder empty, so later writes never reach the
+// returned value. The result has the shape Snapshot gives: non-nil
+// Counters and Gauges, nil Hists and Trace when there are none. When
+// the recorder has sinks, each receives a deep copy of the result, so
+// a sink that keeps it shares nothing with the caller; the first sink
+// error wins. Call Finish once, after every writer of the run is done.
+func (r *Recorder) Finish() (Metrics, error) {
+	if r == nil {
+		return Metrics{}, nil
+	}
+	r.mu.Lock()
+	m := Metrics{Spans: r.spans, Counters: r.counters, Gauges: r.gauges,
+		Hists: r.hists, Trace: r.trace}
+	r.spans, r.counters, r.gauges, r.hists, r.trace = nil, nil, nil, nil, nil
+	r.mu.Unlock()
+	if m.Counters == nil {
+		m.Counters = make(map[string]int64)
+	}
+	if m.Gauges == nil {
+		m.Gauges = make(map[string]int64)
+	}
+	if len(m.Trace) == 0 {
+		m.Trace = nil
+	}
+	if len(r.sinks) == 0 {
+		return m, nil
+	}
+	return m, r.emit(m.clone())
+}
+
+// emit sends m to every sink; the first error wins.
+func (r *Recorder) emit(m Metrics) error {
 	var first error
 	for _, s := range r.sinks {
 		if err := s.Emit(m); err != nil && first == nil {

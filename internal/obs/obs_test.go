@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -191,5 +193,119 @@ func TestSpanTimesAreSane(t *testing.T) {
 	}
 	if m.PhaseTotal(PhaseOracle) != m.Spans[0].Dur {
 		t.Fatalf("PhaseTotal mismatch")
+	}
+}
+
+// finishedRun records a small run: two phase spans, a counter, a
+// gauge, a histogram and a trace.
+func finishedRun(r *Recorder) {
+	r.Span(PhaseParse)()
+	r.Span(PhaseResolve)()
+	r.Add(CtrWarnings, 2)
+	r.Max(GaugePeakFrontier, 3)
+	r.Observe(HistWaveSize, 4)
+	r.SetTrace([]TraceSpan{{Name: "file"}})
+}
+
+// Finish hands the state over: writes to the recorder afterwards start
+// from empty and never reach the returned Metrics.
+func TestFinishHandsStateOver(t *testing.T) {
+	r := New()
+	finishedRun(r)
+	m, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%+v", m)
+	if len(m.Spans) != 2 || m.Counter(CtrWarnings) != 2 || m.Gauge(GaugePeakFrontier) != 3 ||
+		m.Hists[HistWaveSize].Count != 1 || m.Hists[phaseHistKey(PhaseParse)].Count != 1 ||
+		len(m.Trace) != 1 {
+		t.Fatalf("Finish returned %s", want)
+	}
+
+	finishedRun(r)
+	r.Add(CtrProcsAnalyzed, 1)
+	r.ObserveHist(HistWaveSize, Histogram{Count: 1, Sum: 1})
+	if got := fmt.Sprintf("%+v", m); got != want {
+		t.Errorf("writes after Finish changed its result:\n%s\nwant\n%s", got, want)
+	}
+	// The recorder restarted from empty: the second run is all it holds.
+	if s := r.Snapshot(); len(s.Spans) != 2 || s.Counter(CtrWarnings) != 2 || s.Hists[HistWaveSize].Count != 2 {
+		t.Errorf("second run snapshot = %+v", s)
+	}
+}
+
+// Finish on an empty recorder gives Snapshot's shape: non-nil, empty
+// Counters and Gauges; nil Spans, Hists and Trace.
+func TestFinishEmptyMatchesSnapshot(t *testing.T) {
+	r := New()
+	m, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%#v", m), fmt.Sprintf("%#v", New().Snapshot()); got != want {
+		t.Errorf("Finish = %s, want %s", got, want)
+	}
+	if m.Counters == nil || m.Gauges == nil {
+		t.Error("empty Finish returned nil Counters or Gauges")
+	}
+	var nilRec *Recorder
+	if m, err := nilRec.Finish(); err != nil || m.Counters != nil || m.Spans != nil {
+		t.Errorf("nil Finish = %+v, %v", m, err)
+	}
+}
+
+// recordingSink keeps every Metrics it is given.
+type recordingSink struct{ got []Metrics }
+
+func (s *recordingSink) Emit(m Metrics) error {
+	s.got = append(s.got, m)
+	return nil
+}
+
+type failingSink struct{ err error }
+
+func (s failingSink) Emit(Metrics) error { return s.err }
+
+// Every sink receives exactly the Metrics the caller got, once, as its
+// own copy, and the first sink error is returned.
+func TestFinishEmitsCallersMetrics(t *testing.T) {
+	a, b := &recordingSink{}, &recordingSink{}
+	boom := errors.New("boom")
+	r := New(a, failingSink{boom}, b, failingSink{errors.New("second")})
+	finishedRun(r)
+	m, err := r.Finish()
+	if err != boom {
+		t.Errorf("Finish error = %v, want the first sink error", err)
+	}
+	want := fmt.Sprintf("%+v", m)
+	for i, s := range []*recordingSink{a, b} {
+		if len(s.got) != 1 {
+			t.Fatalf("sink %d received %d emits, want 1", i, len(s.got))
+		}
+		if got := fmt.Sprintf("%+v", s.got[0]); got != want {
+			t.Errorf("sink %d received\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	// The caller owns its Metrics: changing them leaves the sinks' alone.
+	m.Counters[CtrWarnings] = 99
+	m.Gauges[GaugePeakFrontier] = 99
+	m.Hists[HistWaveSize] = Histogram{}
+	m.Spans[0].Name = "changed"
+	m.Trace[0].Name = "changed"
+	for i, s := range []*recordingSink{a, b} {
+		if got := fmt.Sprintf("%+v", s.got[0]); got != want {
+			t.Errorf("sink %d's Metrics changed with the caller's:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// The precomputed phase keys are exactly what HistKey builds.
+func TestPhaseHistKey(t *testing.T) {
+	for _, name := range []string{PhaseParse, PhaseResolve, PhaseLower, PhaseCCFG,
+		PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch, "custom-phase"} {
+		if got, want := phaseHistKey(name), HistKey(HistPhaseNS, "phase", name); got != want {
+			t.Errorf("phaseHistKey(%q) = %q, want %q", name, got, want)
+		}
 	}
 }

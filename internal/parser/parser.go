@@ -17,13 +17,23 @@ import (
 	"uafcheck/internal/token"
 )
 
-// Parse tokenizes and parses one file. Diagnostics (including lexer
-// errors) are appended to diags; the returned module contains whatever was
-// recoverable.
+// Parse lexes and parses one file. The parser pulls tokens from the
+// lexer on demand, so no token slice is built. Diagnostics are appended
+// to diags, every lexer error ahead of every parser error; the returned
+// module contains whatever was recoverable.
 func Parse(file *source.File, diags *source.Diagnostics) *ast.Module {
-	toks := lexer.Tokenize(file, diags)
-	p := &parser{file: file, toks: toks, diags: diags}
-	return p.module()
+	p := &parser{file: file}
+	p.lx = *lexer.New(file, &p.lexDiags)
+	p.tok = p.pull()
+	p.next = p.pull()
+	m := p.module()
+	for _, d := range p.lexDiags.All() {
+		diags.Add(d)
+	}
+	for _, d := range p.diags.All() {
+		diags.Add(d)
+	}
+	return m
 }
 
 // ParseSource is a convenience wrapper for tests and tools: it wraps the
@@ -33,10 +43,19 @@ func ParseSource(name, src string, diags *source.Diagnostics) *ast.Module {
 }
 
 type parser struct {
-	file  *source.File
-	toks  []token.Token
-	pos   int
-	diags *source.Diagnostics
+	file *source.File
+	lx   lexer.Lexer
+	// tok is the current token and next the one after it: the whole
+	// lookahead the grammar needs. Comments never enter the window.
+	tok, next token.Token
+	// pos counts consumed tokens; loops compare it to detect that a
+	// malformed construct made no progress.
+	pos int
+	// lexDiags and diags collect the lexer's and the parser's
+	// diagnostics apart, so Parse can report the lexer's first even
+	// though the two now interleave in time.
+	lexDiags source.Diagnostics
+	diags    source.Diagnostics
 	// beginCount assigns stable "TASK A", "TASK B" ... labels in source
 	// order, matching the paper's Figure 1 naming.
 	beginCount int
@@ -66,20 +85,27 @@ func (p *parser) tooDeep() bool {
 	return true
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// pull reads the next non-comment token from the lexer. Past the end
+// the lexer keeps returning EOF, so the window stays filled.
+func (p *parser) pull() token.Token {
+	for {
+		if t := p.lx.Next(); t.Kind != token.Comment {
+			return t
+		}
 	}
-	return p.toks[len(p.toks)-1]
 }
+
+func (p *parser) cur() token.Token  { return p.tok }
+func (p *parser) peek() token.Token { return p.next }
 
 func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
 
 func (p *parser) advance() token.Token {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != token.EOF {
 		p.pos++
+		p.tok = p.next
+		p.next = p.pull()
 	}
 	return t
 }

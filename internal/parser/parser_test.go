@@ -407,3 +407,82 @@ func TestSpanSanity(t *testing.T) {
 		return true
 	})
 }
+
+// Parse reports every lexer error first, in source order, then every
+// parser error, even though the parser pulls tokens from the lexer as it
+// goes. The ErrParse text of the public API lists diagnostics in this
+// order without sorting, so the order is part of the contract.
+func TestDiagnosticOrderLexerFirst(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want []string
+	}{
+		{
+			name: "illegal character after missing semicolon",
+			src:  "proc main() {\n  var x: int = 1\n  var y: int = 2 # 3;\n}\n",
+			want: []string{
+				`t.chpl:3:18: error: illegal character "#"`,
+				`t.chpl:3:3: error: expected ";", found var`,
+				`t.chpl:3:18: error: expected ";", found ILLEGAL`,
+				`t.chpl:3:18: error: unexpected token ILLEGAL at start of statement`,
+			},
+		},
+		{
+			name: "unterminated string after stray top-level token",
+			src:  "x = 1;\nproc main() {\n  writeln(\"abc);\n}\n",
+			want: []string{
+				`t.chpl:3:11: error: unterminated string literal`,
+				`t.chpl:1:1: error: expected top-level proc or config declaration, found IDENT("x")`,
+				`t.chpl:4:1: error: expected ",", found }`,
+				`t.chpl:4:1: error: expected expression, found }`,
+				`t.chpl:5:1: error: expected ")", found EOF`,
+				`t.chpl:5:1: error: expected ";", found EOF`,
+				`t.chpl:5:1: error: expected "}", found EOF`,
+			},
+		},
+		{
+			name: "unterminated block comment after missing semicolon",
+			src:  "proc main() {\n  var a: int = 1\n}\n/* never closed\n",
+			want: []string{
+				`t.chpl:4:1: error: unterminated block comment`,
+				`t.chpl:3:1: error: expected ";", found }`,
+			},
+		},
+		{
+			name: "float literal after missing expression",
+			src:  "proc main() {\n  var a = ;\n  var b = 1.5;\n}\n",
+			want: []string{
+				`t.chpl:3:11: error: floating-point literals are not part of MiniChapel`,
+				`t.chpl:2:11: error: expected expression, found ;`,
+				`t.chpl:3:3: error: expected ";", found var`,
+				`t.chpl:3:11: error: invalid integer literal "1.5"`,
+			},
+		},
+		{
+			name: "two lexer errors around parser errors",
+			src:  "proc main() {\n  var a = 2.5\n  @\n}\n}\n",
+			want: []string{
+				`t.chpl:2:11: error: floating-point literals are not part of MiniChapel`,
+				`t.chpl:3:3: error: illegal character "@"`,
+				`t.chpl:2:11: error: invalid integer literal "2.5"`,
+				`t.chpl:3:3: error: expected ";", found ILLEGAL`,
+				`t.chpl:3:3: error: unexpected token ILLEGAL at start of statement`,
+				`t.chpl:5:1: error: expected top-level proc or config declaration, found }`,
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, diags := parse(t, tc.src)
+			var got []string
+			for _, d := range diags.All() {
+				got = append(got, d.String())
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("diagnostics:\n%s\nwant:\n%s",
+					strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
+	}
+}

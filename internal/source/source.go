@@ -62,7 +62,7 @@ type File struct {
 // NewFile builds a File and its line index.
 func NewFile(name, content string) *File {
 	f := &File{Name: name, Content: content}
-	f.lines = append(f.lines, 0)
+	f.lines = make([]int, 1, strings.Count(content, "\n")+1)
 	for i := 0; i < len(content); i++ {
 		if content[i] == '\n' {
 			f.lines = append(f.lines, i+1)

@@ -139,23 +139,56 @@ type Scope struct {
 	Parent   *Scope
 	Children []*Scope
 	Node     ast.Node // the AST node that opened the scope
-	names    map[string]*Symbol
-	ordered  []*Symbol
+	// ordered holds the scope's symbols in declaration order. Most
+	// scopes are small and a backward scan finds a name faster than a
+	// map. A scope that outgrows indexFrom symbols (a module or linker
+	// scope with many procedures, a long procedure body) also keeps
+	// index, each name's latest symbol, so lookups in it stay
+	// constant-time.
+	ordered []*Symbol
+	index   map[string]*Symbol
+}
+
+// indexFrom is the symbol count past which a scope builds its index.
+const indexFrom = 16
+
+// add appends s to the scope, keeping the index once there is one.
+func (sc *Scope) add(s *Symbol) {
+	sc.ordered = append(sc.ordered, s)
+	switch {
+	case sc.index != nil:
+		sc.index[s.Name] = s
+	case len(sc.ordered) > indexFrom:
+		sc.index = make(map[string]*Symbol, 2*len(sc.ordered))
+		for _, o := range sc.ordered {
+			sc.index[o.Name] = o
+		}
+	}
 }
 
 // Lookup resolves name in this scope or any ancestor; nil if unknown.
 func (sc *Scope) Lookup(name string) *Symbol {
 	for s := sc; s != nil; s = s.Parent {
-		if sym, ok := s.names[name]; ok {
+		if sym := s.LookupLocal(name); sym != nil {
 			return sym
 		}
 	}
 	return nil
 }
 
-// LookupLocal resolves name in this scope only.
+// LookupLocal resolves name in this scope only. When a name is declared
+// twice (a reported redeclaration, or two `in` copies of one variable)
+// the latest declaration wins.
 func (sc *Scope) LookupLocal(name string) *Symbol {
-	return sc.names[name]
+	if sc.index != nil {
+		return sc.index[name]
+	}
+	for i := len(sc.ordered) - 1; i >= 0; i-- {
+		if s := sc.ordered[i]; s.Name == name {
+			return s
+		}
+	}
+	return nil
 }
 
 // Symbols returns the scope's symbols in declaration order.
@@ -307,7 +340,7 @@ func Resolve(m *ast.Module, diags *source.Diagnostics) *Info {
 // it, so local declarations shadow imports naturally and only calls
 // that would otherwise be undefined resolve across files.
 func NewLinkerScope() *Scope {
-	return &Scope{ID: -1, Kind: ScopeModule, names: make(map[string]*Symbol)}
+	return &Scope{ID: -1, Kind: ScopeModule}
 }
 
 // DeclareExtern registers a foreign top-level procedure in a linker
@@ -321,8 +354,7 @@ func DeclareExtern(sc *Scope, proc *ast.ProcDecl) *Symbol {
 	}
 	s := &Symbol{ID: -(len(sc.ordered) + 1), Name: name, Kind: KindProc,
 		Type: proc.Ret, Decl: proc, Scope: sc, Proc: proc}
-	sc.names[name] = s
-	sc.ordered = append(sc.ordered, s)
+	sc.add(s)
 	return s
 }
 
@@ -365,8 +397,7 @@ func ResolveWith(m *ast.Module, diags *source.Diagnostics, linker *Scope) *Info 
 }
 
 func (in *Info) newScope(kind ScopeKind, parent *Scope, node ast.Node) *Scope {
-	sc := &Scope{ID: in.nextScopeID, Kind: kind, Parent: parent, Node: node,
-		names: make(map[string]*Symbol)}
+	sc := &Scope{ID: in.nextScopeID, Kind: kind, Parent: parent, Node: node}
 	in.nextScopeID++
 	if parent != nil {
 		parent.Children = append(parent.Children, sc)
@@ -385,8 +416,7 @@ func (in *Info) declare(sc *Scope, name *ast.Ident, kind Kind, typ ast.Type, dec
 	sym := &Symbol{ID: in.nextSymID, Name: name.Name, Kind: kind, Type: typ,
 		Decl: decl, Scope: sc}
 	in.nextSymID++
-	sc.names[name.Name] = sym
-	sc.ordered = append(sc.ordered, sym)
+	sc.add(sym)
 	in.Decls[decl] = sym
 	in.Uses[name] = sym
 	return sym
@@ -509,8 +539,7 @@ func (in *Info) begin(sc *Scope, b *ast.BeginStmt) {
 			cp := &Symbol{ID: in.nextSymID, Name: outer.Name, Kind: KindCopy,
 				Type: outer.Type, Decl: b, Scope: task, Origin: outer}
 			in.nextSymID++
-			task.names[outer.Name] = cp
-			task.ordered = append(task.ordered, cp)
+			task.add(cp)
 			copies[outer] = cp
 		}
 		// ref intent: uses keep resolving to the outer symbol through

@@ -70,12 +70,92 @@ func TestShadowing(t *testing.T) {
 	if outerUse != outer {
 		t.Error("outer use bound to inner")
 	}
+
+	// An `in` copy shadows the outer variable inside the task only.
+	info = resolveOK(t, `proc g() {
+	  var y: int = 1;
+	  begin with (in y) {
+	    writeln(y);
+	  }
+	  writeln(y);
+	}`)
+	proc = info.Module.Procs[0]
+	outerY := info.Uses[proc.Body.Stmts[0].(*ast.VarDecl).Name]
+	b := proc.Body.Stmts[1].(*ast.BeginStmt)
+	taskUse := info.Uses[b.Body.Stmts[0].(*ast.CallStmt).X.(*ast.CallExpr).Args[0].(*ast.Ident)]
+	afterUse := info.Uses[proc.Body.Stmts[2].(*ast.CallStmt).X.(*ast.CallExpr).Args[0].(*ast.Ident)]
+	if taskUse == nil || taskUse.Kind != KindCopy || taskUse.Origin != outerY {
+		t.Errorf("task use bound to %v, want the in-copy of %v", taskUse, outerY)
+	}
+	if got := info.ScopeFor(b).LookupLocal("y"); got != taskUse {
+		t.Errorf("task scope LookupLocal(y) = %v, want the copy %v", got, taskUse)
+	}
+	if afterUse != outerY {
+		t.Errorf("use after the task bound to %v, want %v", afterUse, outerY)
+	}
 }
 
 func TestRedeclarationError(t *testing.T) {
 	_, diags := resolve(t, `proc f() { var x: int = 1; var x: int = 2; }`)
 	if !diags.HasErrors() {
 		t.Error("redeclaration not reported")
+	}
+
+	// After a redeclaration, later uses bind to the last declaration.
+	info, diags := resolve(t, `proc f() {
+	  var x: int = 1;
+	  var x: bool = true;
+	  writeln(x);
+	}`)
+	if n := diags.Count(source.Error); n != 1 {
+		t.Fatalf("got %d errors, want 1 redeclaration:\n%s", n, diags)
+	}
+	proc := info.Module.Procs[0]
+	first := info.Uses[proc.Body.Stmts[0].(*ast.VarDecl).Name]
+	second := info.Uses[proc.Body.Stmts[1].(*ast.VarDecl).Name]
+	use := info.Uses[proc.Body.Stmts[2].(*ast.CallStmt).X.(*ast.CallExpr).Args[0].(*ast.Ident)]
+	if first == second {
+		t.Fatal("redeclaration did not create a second symbol")
+	}
+	if use != second {
+		t.Errorf("use bound to %v, want the last declaration %v", use, second)
+	}
+	if got := info.ScopeFor(proc).LookupLocal("x"); got != second {
+		t.Errorf("LookupLocal(x) = %v, want %v", got, second)
+	}
+	if syms := info.ScopeFor(proc).Symbols(); len(syms) != 2 || syms[0] != first || syms[1] != second {
+		t.Errorf("Symbols() = %v, want both declarations in order", syms)
+	}
+}
+
+// DeclareExtern keeps the first declaration of a name; later ones
+// return it instead of declaring a second symbol.
+func TestDeclareExternFirstWins(t *testing.T) {
+	parse := func(src string) *ast.Module {
+		diags := &source.Diagnostics{}
+		mod := parser.ParseSource("t.chpl", src, diags)
+		if diags.HasErrors() {
+			t.Fatalf("parse errors:\n%s", diags)
+		}
+		return mod
+	}
+	a := parse("proc p() { }\nproc q() { }\n").Procs
+	b := parse("proc p(x: int) { }\n").Procs
+	sc := NewLinkerScope()
+	p1 := DeclareExtern(sc, a[0])
+	q := DeclareExtern(sc, a[1])
+	p2 := DeclareExtern(sc, b[0])
+	if p2 != p1 || p1.Proc != a[0] {
+		t.Errorf("second p = %v (proc %p), want the first %v (proc %p)", p2, p2.Proc, p1, a[0])
+	}
+	if got := sc.LookupLocal("p"); got != p1 {
+		t.Errorf("LookupLocal(p) = %v, want %v", got, p1)
+	}
+	if got := sc.Lookup("q"); got != q {
+		t.Errorf("Lookup(q) = %v, want %v", got, q)
+	}
+	if n := len(sc.Symbols()); n != 2 {
+		t.Errorf("linker scope holds %d symbols, want 2", n)
 	}
 }
 

@@ -171,8 +171,9 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *a
 			Report: rep,
 		})
 	}
-	mr.Metrics = rec.Snapshot()
-	if ferr := rec.Flush(); ferr != nil && len(mr.Files) > 0 {
+	var ferr error
+	mr.Metrics, ferr = rec.Finish()
+	if ferr != nil && len(mr.Files) > 0 {
 		mr.Files[0].Report.Notes = append(mr.Files[0].Report.Notes,
 			fmt.Sprintf("metrics sink error: %v", ferr))
 	}

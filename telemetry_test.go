@@ -249,6 +249,87 @@ func TestMetricsSinksReceiveSnapshot(t *testing.T) {
 	}
 }
 
+// TestReportMetricsShape pins the whole shape of a single run's
+// Report.Metrics: counter names and values, gauges, span names in
+// order, and histogram keys with their observation counts. A begin-free
+// file still gets non-nil, empty Counters and Gauges maps, so callers
+// may write into them.
+func TestReportMetricsShape(t *testing.T) {
+	type shape struct {
+		spans    []string
+		counters map[string]int64
+		gauges   map[string]int64
+		hists    map[string]int64
+	}
+	cases := []struct {
+		name, src string
+		want      shape
+	}{
+		{"figure1.chpl", loadTestdata(t, "figure1.chpl"), shape{
+			spans: []string{"parse", "resolve", "lower", "prune", "ccfg-build", "pps-explore"},
+			counters: map[string]int64{
+				"analysis.procs": 1, "analysis.warnings": 1,
+				"ccfg.nodes": 11, "ccfg.sync_vars": 2, "ccfg.tasks": 4, "ccfg.tracked_accesses": 4,
+				"pps.sinks": 1, "pps.states_created": 8, "pps.states_forked": 11,
+				"pps.states_merged": 3, "pps.states_processed": 8,
+				"pps.trans_read": 5, "pps.trans_write": 5, "pps.waves": 5,
+				"prune.rule_a": 1, "prune.tasks": 1,
+			},
+			gauges: map[string]int64{"pps.peak_frontier": 2},
+			hists: map[string]int64{
+				"phase_ns|phase=ccfg-build": 1, "phase_ns|phase=lower": 1,
+				"phase_ns|phase=parse": 1, "phase_ns|phase=pps-explore": 1,
+				"phase_ns|phase=prune": 1, "phase_ns|phase=resolve": 1,
+				"pps.wave_size": 5,
+			},
+		}},
+		{"plain.chpl", "proc main() {\n  var x: int = 1;\n  writeln(x);\n}\n", shape{
+			spans:    []string{"parse", "resolve"},
+			counters: map[string]int64{},
+			gauges:   map[string]int64{},
+			hists:    map[string]int64{"phase_ns|phase=parse": 1, "phase_ns|phase=resolve": 1},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := AnalyzeContext(context.Background(), tc.name, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rep.Metrics
+			got := shape{counters: m.Counters, gauges: m.Gauges, hists: map[string]int64{}}
+			for _, sp := range m.Spans {
+				got.spans = append(got.spans, sp.Name)
+			}
+			for k, h := range m.Hists {
+				got.hists[k] = h.Count
+			}
+			if m.Counters == nil || m.Gauges == nil {
+				t.Errorf("Counters nil %v, Gauges nil %v; want non-nil maps", m.Counters == nil, m.Gauges == nil)
+			}
+			if m.Trace != nil {
+				t.Errorf("Trace = %v, want nil without tracing", m.Trace)
+			}
+			if g, w := fmt.Sprint(got.spans), fmt.Sprint(tc.want.spans); g != w {
+				t.Errorf("spans = %s, want %s", g, w)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want map[string]int64
+			}{
+				{"counters", got.counters, tc.want.counters},
+				{"gauges", got.gauges, tc.want.gauges},
+				{"histogram counts", got.hists, tc.want.hists},
+			} {
+				// fmt prints maps with sorted keys.
+				if g, w := fmt.Sprint(c.got), fmt.Sprint(c.want); g != w {
+					t.Errorf("%s = %s, want %s", c.what, g, w)
+				}
+			}
+		})
+	}
+}
+
 // buildGraph runs the frontend once so the alloc test can call
 // pps.Explore directly, isolating the hot loop from parser allocations.
 func buildGraph(t testing.TB, name string) *ccfg.Graph {

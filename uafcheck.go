@@ -325,9 +325,10 @@ func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analy
 	if cfg.cache != nil && rep.Degraded == nil {
 		rec.Add(obs.CtrCacheStores, 1)
 	}
-	rep.Metrics = rec.Snapshot()
-	if err := rec.Flush(); err != nil {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("metrics sink error: %v", err))
+	var sinkErr error
+	rep.Metrics, sinkErr = rec.Finish()
+	if sinkErr != nil {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("metrics sink error: %v", sinkErr))
 	}
 	// Only complete results are cached: a degraded report depends on the
 	// budget/deadline race of this particular run, so serving it later
