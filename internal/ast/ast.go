@@ -361,6 +361,10 @@ type Module struct {
 	File    *source.File
 	Configs []*VarDecl
 	Procs   []*ProcDecl
+	// Idents counts the Ident nodes the parser made for the file. The
+	// resolver sizes its use map with it; 0 (a hand-built tree) only
+	// loses that sizing.
+	Idents int
 }
 
 // Span covers the whole file.

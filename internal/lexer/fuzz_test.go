@@ -50,9 +50,7 @@ func seedCorpus(f *testing.F) {
 func FuzzLex(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		diags := &source.Diagnostics{}
-		file := source.NewFile("fuzz.chpl", src)
-		lx := New(file, diags)
+		lx := New(source.NewFile("fuzz.chpl", src))
 		// Bound iterations: every token spans at least one byte except the
 		// final EOF, so len(src)+1 tokens is the theoretical maximum.
 		limit := len(src) + 2

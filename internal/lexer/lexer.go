@@ -11,19 +11,22 @@ import (
 
 // Lexer scans one file into tokens.
 type Lexer struct {
-	file  *source.File
-	src   string
-	pos   int
-	diags *source.Diagnostics
+	file *source.File
+	src  string
+	pos  int
+	// Diags collects the problems found so far, in scan order. The
+	// lexer owns the list, so a parser can hold its lexer by value
+	// without pointing into itself.
+	Diags source.Diagnostics
 }
 
-// New returns a Lexer over file, reporting problems into diags.
-func New(file *source.File, diags *source.Diagnostics) *Lexer {
-	return &Lexer{file: file, src: file.Content, diags: diags}
+// New returns a Lexer over file.
+func New(file *source.File) *Lexer {
+	return &Lexer{file: file, src: file.Content}
 }
 
 func (lx *Lexer) errorf(start, end int, format string, args ...any) {
-	lx.diags.Addf(lx.file, source.Span{Start: source.Pos(start), End: source.Pos(end)},
+	lx.Diags.Addf(lx.file, source.Span{Start: source.Pos(start), End: source.Pos(end)},
 		source.Error, format, args...)
 }
 
@@ -103,17 +106,8 @@ func (lx *Lexer) Next() token.Token {
 		return lx.tok(token.Comment, start)
 	}
 
-	// Operators, longest first.
-	two := ""
-	if lx.pos+1 < len(lx.src) {
-		two = lx.src[lx.pos : lx.pos+2]
-	}
-	if k, ok := twoCharOps[two]; ok {
-		lx.pos += 2
-		return lx.tok(k, start)
-	}
-	if k, ok := oneCharOps[c]; ok {
-		lx.pos++
+	if k, w := operator(c, lx.peekAt(1)); w > 0 {
+		lx.pos += w
 		return lx.tok(k, start)
 	}
 
@@ -122,41 +116,90 @@ func (lx *Lexer) Next() token.Token {
 	return token.Token{Kind: token.Illegal, Lit: string(c), Span: token.Span{Start: start, End: lx.pos}}
 }
 
-var twoCharOps = map[string]token.Kind{
-	"+=": token.PlusEq,
-	"-=": token.MinusEq,
-	"*=": token.TimesEq,
-	"++": token.PlusPlus,
-	"--": token.MinusMinus,
-	"==": token.Eq,
-	"!=": token.NotEq,
-	"<=": token.LtEq,
-	">=": token.GtEq,
-	"&&": token.AndAnd,
-	"||": token.OrOr,
-	"..": token.DotDot,
-}
-
-var oneCharOps = map[byte]token.Kind{
-	'=': token.Assign,
-	'+': token.Plus,
-	'-': token.Minus,
-	'*': token.Star,
-	'/': token.Slash,
-	'%': token.Percent,
-	'<': token.Lt,
-	'>': token.Gt,
-	'!': token.Not,
-	'(': token.LParen,
-	')': token.RParen,
-	'{': token.LBrace,
-	'}': token.RBrace,
-	'[': token.LBracket,
-	']': token.RBracket,
-	',': token.Comma,
-	';': token.Semicolon,
-	':': token.Colon,
-	'.': token.Dot,
+// operator classifies the operator that starts with c when d follows
+// it, longest match first, and returns its kind and width in bytes. A
+// width of 0 means c starts no operator. Comments are split off before
+// this, so '/' here is always division.
+func operator(c, d byte) (token.Kind, int) {
+	switch c {
+	case '+':
+		switch d {
+		case '=':
+			return token.PlusEq, 2
+		case '+':
+			return token.PlusPlus, 2
+		}
+		return token.Plus, 1
+	case '-':
+		switch d {
+		case '=':
+			return token.MinusEq, 2
+		case '-':
+			return token.MinusMinus, 2
+		}
+		return token.Minus, 1
+	case '*':
+		if d == '=' {
+			return token.TimesEq, 2
+		}
+		return token.Star, 1
+	case '=':
+		if d == '=' {
+			return token.Eq, 2
+		}
+		return token.Assign, 1
+	case '!':
+		if d == '=' {
+			return token.NotEq, 2
+		}
+		return token.Not, 1
+	case '<':
+		if d == '=' {
+			return token.LtEq, 2
+		}
+		return token.Lt, 1
+	case '>':
+		if d == '=' {
+			return token.GtEq, 2
+		}
+		return token.Gt, 1
+	case '.':
+		if d == '.' {
+			return token.DotDot, 2
+		}
+		return token.Dot, 1
+	case '&':
+		if d == '&' {
+			return token.AndAnd, 2
+		}
+	case '|':
+		if d == '|' {
+			return token.OrOr, 2
+		}
+	case '/':
+		return token.Slash, 1
+	case '%':
+		return token.Percent, 1
+	case '(':
+		return token.LParen, 1
+	case ')':
+		return token.RParen, 1
+	case '{':
+		return token.LBrace, 1
+	case '}':
+		return token.RBrace, 1
+	case '[':
+		return token.LBracket, 1
+	case ']':
+		return token.RBracket, 1
+	case ',':
+		return token.Comma, 1
+	case ';':
+		return token.Semicolon, 1
+	case ':':
+		return token.Colon, 1
+	}
+	return token.Illegal, 0
 }
 
 func (lx *Lexer) tok(k token.Kind, start int) token.Token {
@@ -173,11 +216,7 @@ func (lx *Lexer) scanIdent() token.Token {
 	if lx.peek() == '$' {
 		lx.pos++
 	}
-	lit := lx.src[start:lx.pos]
-	kind := token.Lookup(lit)
-	t := lx.tok(kind, start)
-	t.Lit = lit
-	return t
+	return lx.tok(token.Lookup(lx.src[start:lx.pos]), start)
 }
 
 func (lx *Lexer) scanNumber() token.Token {
@@ -210,6 +249,5 @@ func (lx *Lexer) scanString() token.Token {
 	} else {
 		lx.pos++
 	}
-	t := lx.tok(token.StringLit, start)
-	return t
+	return lx.tok(token.StringLit, start)
 }

@@ -11,7 +11,7 @@ import (
 // tokenize scans the whole file through Next, dropping comments, and
 // returns the token stream terminated by an EOF token.
 func tokenize(file *source.File, diags *source.Diagnostics) []token.Token {
-	lx := New(file, diags)
+	lx := New(file)
 	var toks []token.Token
 	for {
 		t := lx.Next()
@@ -20,6 +20,9 @@ func tokenize(file *source.File, diags *source.Diagnostics) []token.Token {
 		}
 		toks = append(toks, t)
 		if t.Kind == token.EOF {
+			for _, d := range lx.Diags.All() {
+				diags.Add(d)
+			}
 			return toks
 		}
 	}

@@ -22,12 +22,14 @@ import (
 // to diags, every lexer error ahead of every parser error; the returned
 // module contains whatever was recoverable.
 func Parse(file *source.File, diags *source.Diagnostics) *ast.Module {
-	p := &parser{file: file}
-	p.lx = *lexer.New(file, &p.lexDiags)
+	n := len(file.Content)
+	p := &parser{file: file, lx: *lexer.New(file),
+		idents: chunk[ast.Ident]{first: min(n/bytesPerIdent+1, maxFirst)},
+		ints:   chunk[ast.IntLit]{first: min(n/bytesPerIntLit+1, maxFirst)}}
 	p.tok = p.pull()
 	p.next = p.pull()
 	m := p.module()
-	for _, d := range p.lexDiags.All() {
+	for _, d := range p.lx.Diags.All() {
 		diags.Add(d)
 	}
 	for _, d := range p.diags.All() {
@@ -51,11 +53,10 @@ type parser struct {
 	// pos counts consumed tokens; loops compare it to detect that a
 	// malformed construct made no progress.
 	pos int
-	// lexDiags and diags collect the lexer's and the parser's
-	// diagnostics apart, so Parse can report the lexer's first even
-	// though the two now interleave in time.
-	lexDiags source.Diagnostics
-	diags    source.Diagnostics
+	// diags collects the parser's diagnostics apart from the lexer's,
+	// so Parse can report the lexer's first even though the two
+	// interleave in time.
+	diags source.Diagnostics
 	// beginCount assigns stable "TASK A", "TASK B" ... labels in source
 	// order, matching the paper's Figure 1 naming.
 	beginCount int
@@ -65,6 +66,60 @@ type parser struct {
 	// a diagnostic instead of being followed.
 	depth     int
 	depthDiag bool
+	// idents and ints hand out the two most numerous node types.
+	idents chunk[ast.Ident]
+	ints   chunk[ast.IntLit]
+}
+
+// chunk hands out nodes of one type from slices that belong to one
+// parse, so a small file makes one allocation per node type where it
+// made one per node. The first slice holds first nodes; if the file
+// outruns it, later slices start at chunkMin and double. A slice lives
+// as long as the AST holding its nodes.
+type chunk[T any] struct {
+	first int // length of the first slice
+	free  []T // the unused tail of the current slice
+	grown int // length of the last slice after the first
+	n     int // nodes handed out
+}
+
+const chunkMin = 4
+
+func (c *chunk[T]) new() *T {
+	if len(c.free) == 0 {
+		size := c.first
+		if c.n > 0 {
+			c.grown = max(2*c.grown, chunkMin)
+			size = c.grown
+		}
+		c.free = make([]T, size)
+	}
+	x := &c.free[0]
+	c.free = c.free[1:]
+	c.n++
+	return x
+}
+
+// The first chunk slices are sized from the file length. Table I
+// corpus files run 12-21 source bytes per identifier and about twice
+// that per integer literal, so these ratios fit most files' nodes in
+// one slice each; maxFirst bounds the guess on long files.
+const (
+	bytesPerIdent  = 14
+	bytesPerIntLit = 28
+	maxFirst       = 256
+)
+
+func (p *parser) newIdent(name string, sp source.Span) *ast.Ident {
+	id := p.idents.new()
+	*id = ast.Ident{Name: name, Sp: sp}
+	return id
+}
+
+func (p *parser) newIntLit(v int64, sp source.Span) *ast.IntLit {
+	lit := p.ints.new()
+	*lit = ast.IntLit{Value: v, Sp: sp}
+	return lit
 }
 
 // maxNestingDepth bounds statement/expression nesting. Real MiniChapel
@@ -164,6 +219,7 @@ func (p *parser) module() *ast.Module {
 			}
 		}
 	}
+	m.Idents = p.idents.n
 	return m
 }
 
@@ -243,10 +299,10 @@ func (p *parser) ident() *ast.Ident {
 	t := p.cur()
 	if t.Kind != token.Ident {
 		p.errorf(t, "expected identifier, found %s", t)
-		return &ast.Ident{Name: "_err_", Sp: p.span(t)}
+		return p.newIdent("_err_", p.span(t))
 	}
 	p.advance()
-	return &ast.Ident{Name: t.Lit, Sp: p.span(t)}
+	return p.newIdent(t.Lit, p.span(t))
 }
 
 func (p *parser) block() *ast.BlockStmt {
@@ -569,7 +625,7 @@ func opSpelling(op string) string {
 func (p *parser) expr() ast.Expr {
 	if p.tooDeep() {
 		t := p.advance()
-		return &ast.IntLit{Value: 0, Sp: p.span(t)}
+		return p.newIntLit(0, p.span(t))
 	}
 	p.depth++
 	defer func() { p.depth-- }()
@@ -602,7 +658,7 @@ func (p *parser) unary() ast.Expr {
 		// Operator chains (`----x`) recurse one frame per operator; they
 		// share the nesting budget with parenthesized expressions.
 		if p.tooDeep() {
-			return &ast.IntLit{Value: 0, Sp: p.span(op)}
+			return p.newIntLit(0, p.span(op))
 		}
 		p.depth++
 		x := p.unary()
@@ -621,7 +677,7 @@ func (p *parser) postfix() ast.Expr {
 			recv, ok := e.(*ast.Ident)
 			if !ok {
 				p.errorf(p.cur(), "method call receiver must be a variable")
-				recv = &ast.Ident{Name: "_err_", Sp: e.Span()}
+				recv = p.newIdent("_err_", e.Span())
 			}
 			method := p.ident()
 			args, sp := p.callArgs()
@@ -663,14 +719,14 @@ func (p *parser) primary() ast.Expr {
 	switch t.Kind {
 	case token.Ident:
 		p.advance()
-		return &ast.Ident{Name: t.Lit, Sp: p.span(t)}
+		return p.newIdent(t.Lit, p.span(t))
 	case token.IntLit:
 		p.advance()
 		v, err := strconv.ParseInt(t.Lit, 10, 64)
 		if err != nil {
 			p.errorf(t, "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{Value: v, Sp: p.span(t)}
+		return p.newIntLit(v, p.span(t))
 	case token.BoolLit:
 		p.advance()
 		return &ast.BoolLit{Value: t.Lit == "true", Sp: p.span(t)}
@@ -685,7 +741,7 @@ func (p *parser) primary() ast.Expr {
 	default:
 		p.errorf(t, "expected expression, found %s", t)
 		p.advance()
-		return &ast.IntLit{Value: 0, Sp: p.span(t)}
+		return p.newIntLit(0, p.span(t))
 	}
 }
 

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -484,5 +485,49 @@ func TestDiagnosticOrderLexerFirst(t *testing.T) {
 					strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
 			}
 		})
+	}
+}
+
+// TestLeafNodesFromChunks checks the nodes the parser hands out from
+// its per-parse chunks: every Ident and IntLit is its own node holding
+// its own token, also past the first chunk, and Module.Idents counts
+// the Idents. The dense inputs hold more nodes than the length-based
+// first chunk, so later chunks are used too.
+func TestLeafNodesFromChunks(t *testing.T) {
+	for _, src := range []string{
+		"proc f() { var a = 1; a=a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a+a; }",
+		"proc g() { var b = 1+2+3+4+5+6+7+8+9+10+11+12+13+14+15+16+17+18+19+20; }",
+		"proc h(x: int) { writeln(x); }",
+		"",
+	} {
+		mod := parseOK(t, src)
+		seen := map[ast.Node]bool{}
+		idents := 0
+		ast.Walk(mod, func(n ast.Node) bool {
+			text := ""
+			switch x := n.(type) {
+			case *ast.ProcDecl:
+				idents++ // Walk does not visit procedure names
+				return true
+			case *ast.Ident:
+				idents++
+				text = x.Name
+			case *ast.IntLit:
+				text = strconv.FormatInt(x.Value, 10)
+			default:
+				return true
+			}
+			if seen[n] {
+				t.Errorf("%q: node %q at %v reached twice", src, text, n.Span())
+			}
+			seen[n] = true
+			if sp := n.Span(); src[sp.Start:sp.End] != text {
+				t.Errorf("%q: node %q spans %q", src, text, src[sp.Start:sp.End])
+			}
+			return true
+		})
+		if mod.Idents != idents {
+			t.Errorf("%q: Module.Idents = %d, tree has %d", src, mod.Idents, idents)
+		}
 	}
 }

@@ -1036,22 +1036,28 @@ func (e *explorer) merge(dst, src *PPS) bool {
 		changed = true
 	}
 	// Union pendings entry-wise (entries are sorted by sync node ID and
-	// the key guarantees identical node sets).
+	// the key guarantees identical node sets). A state's Pending slices
+	// may share backing arrays with its parent and siblings, so the
+	// first append copies (cap clipped to len) instead of writing into
+	// spare capacity another state can see.
 	for i := range dst.Entries {
 		if i >= len(src.Entries) {
 			break
 		}
-		have := make(map[int]bool, len(dst.Entries[i].Pending))
-		for _, n := range dst.Entries[i].Pending {
+		pl := dst.Entries[i].Pending
+		have := make(map[int]bool, len(pl))
+		for _, n := range pl {
 			have[n.ID] = true
 		}
+		pl = pl[:len(pl):len(pl)]
 		for _, n := range src.Entries[i].Pending {
 			if !have[n.ID] {
-				dst.Entries[i].Pending = append(dst.Entries[i].Pending, n)
+				pl = append(pl, n)
 				have[n.ID] = true
 				changed = true
 			}
 		}
+		dst.Entries[i].Pending = pl
 	}
 	if src.TS < dst.TS {
 		dst.TS = src.TS

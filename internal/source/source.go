@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Pos is a byte offset into a File, 0-based. NoPos marks an unknown
@@ -52,28 +53,39 @@ func (s Span) Cover(t Span) Span {
 }
 
 // File holds one source file's name and content, plus a line index for
-// offset→line:column translation.
+// offset→line:column translation. The index is built on the first
+// position lookup: a file that parses and resolves cleanly and has no
+// task to analyze never needs one.
 type File struct {
 	Name    string
 	Content string
-	lines   []int // byte offsets of line starts; lines[0] == 0
+
+	once  sync.Once
+	lines []int // byte offsets of line starts; lines[0] == 0
 }
 
-// NewFile builds a File and its line index.
+// NewFile returns a File over content.
 func NewFile(name, content string) *File {
-	f := &File{Name: name, Content: content}
-	f.lines = make([]int, 1, strings.Count(content, "\n")+1)
-	for i := 0; i < len(content); i++ {
-		if content[i] == '\n' {
-			f.lines = append(f.lines, i+1)
+	return &File{Name: name, Content: content}
+}
+
+// lineStarts returns the line index, building it on first use. A File
+// may be read from several goroutines, so the build runs under once.
+func (f *File) lineStarts() []int {
+	f.once.Do(func() {
+		f.lines = make([]int, 1, strings.Count(f.Content, "\n")+1)
+		for i := 0; i < len(f.Content); i++ {
+			if f.Content[i] == '\n' {
+				f.lines = append(f.lines, i+1)
+			}
 		}
-	}
-	return f
+	})
+	return f.lines
 }
 
 // NumLines returns the number of lines in the file. An empty file has one
 // (empty) line.
-func (f *File) NumLines() int { return len(f.lines) }
+func (f *File) NumLines() int { return len(f.lineStarts()) }
 
 // Line returns the 1-based line number containing pos.
 func (f *File) Line(pos Pos) int {
@@ -81,7 +93,8 @@ func (f *File) Line(pos Pos) int {
 		return 0
 	}
 	// Find the last line start <= pos.
-	i := sort.Search(len(f.lines), func(i int) bool { return f.lines[i] > int(pos) })
+	lines := f.lineStarts()
+	i := sort.Search(len(lines), func(i int) bool { return lines[i] > int(pos) })
 	return i // lines are 1-based, and i is the count of starts <= pos
 }
 
@@ -90,8 +103,7 @@ func (f *File) Column(pos Pos) int {
 	if !pos.IsValid() {
 		return 0
 	}
-	line := f.Line(pos)
-	return int(pos) - f.lines[line-1] + 1
+	return int(pos) - f.lineStarts()[f.Line(pos)-1] + 1
 }
 
 // Position renders pos as "name:line:col".
@@ -111,13 +123,14 @@ func (f *File) PosAt(line, col int) Pos {
 	if line <= 0 {
 		return NoPos
 	}
-	if line > len(f.lines) {
-		line = len(f.lines)
+	lines := f.lineStarts()
+	if line > len(lines) {
+		line = len(lines)
 	}
-	start := f.lines[line-1]
+	start := lines[line-1]
 	end := len(f.Content)
-	if line < len(f.lines) {
-		end = f.lines[line] - 1
+	if line < len(lines) {
+		end = lines[line] - 1
 	}
 	p := start + col - 1
 	if p < start {
@@ -132,13 +145,14 @@ func (f *File) PosAt(line, col int) Pos {
 // LineText returns the text of the 1-based line number, without the
 // trailing newline. Out-of-range lines yield "".
 func (f *File) LineText(line int) string {
-	if line < 1 || line > len(f.lines) {
+	lines := f.lineStarts()
+	if line < 1 || line > len(lines) {
 		return ""
 	}
-	start := f.lines[line-1]
+	start := lines[line-1]
 	end := len(f.Content)
-	if line < len(f.lines) {
-		end = f.lines[line] - 1
+	if line < len(lines) {
+		end = lines[line] - 1
 	}
 	if end < start {
 		end = start

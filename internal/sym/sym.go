@@ -306,13 +306,15 @@ type Info struct {
 	// ScopeOf maps scope-opening nodes (module handled separately) to
 	// their scope: *ast.ProcDecl, *ast.BlockStmt of begin/sync/branch...
 	ScopeOf map[ast.Node]*Scope
-	// MethodOps classifies every method call that is a sync/atomic op.
+	// MethodOps classifies every method call on a resolved receiver;
+	// nil until the first one.
 	MethodOps map[*ast.MethodCallExpr]SyncOpKind
 	// ModuleScope is the root scope.
 	ModuleScope *Scope
 	// ProcSyms maps proc name symbols (both top-level and nested).
 	ProcSyms map[*ast.ProcDecl]*Symbol
-	// CopyFor maps (begin, outer symbol) pairs to the in-intent copy.
+	// CopyFor maps (begin, outer symbol) pairs to the in-intent copy;
+	// nil until the first copy.
 	CopyFor map[*ast.BeginStmt]map[*Symbol]*Symbol
 	// UnresolvedCalls lists call identifiers that named no known
 	// procedure (after consulting the linker scope, if any). Module
@@ -363,15 +365,15 @@ func DeclareExtern(sc *Scope, proc *ast.ProcDecl) *Symbol {
 // Passing nil is exactly Resolve.
 func ResolveWith(m *ast.Module, diags *source.Diagnostics, linker *Scope) *Info {
 	info := &Info{
-		Module:    m,
-		Uses:      make(map[*ast.Ident]*Symbol),
-		Decls:     make(map[ast.Node]*Symbol),
-		ScopeOf:   make(map[ast.Node]*Scope),
-		MethodOps: make(map[*ast.MethodCallExpr]SyncOpKind),
-		ProcSyms:  make(map[*ast.ProcDecl]*Symbol),
-		CopyFor:   make(map[*ast.BeginStmt]map[*Symbol]*Symbol),
-		diags:     diags,
-		file:      m.File,
+		Module: m,
+		// Every use is an identifier, so the parser's count sizes the
+		// map once.
+		Uses:     make(map[*ast.Ident]*Symbol, m.Idents),
+		Decls:    make(map[ast.Node]*Symbol),
+		ScopeOf:  make(map[ast.Node]*Scope),
+		ProcSyms: make(map[*ast.ProcDecl]*Symbol),
+		diags:    diags,
+		file:     m.File,
 	}
 	root := info.newScope(ScopeModule, linker, m)
 	info.ModuleScope = root
@@ -518,7 +520,7 @@ func (in *Info) stmt(sc *Scope, s ast.Stmt) {
 func (in *Info) begin(sc *Scope, b *ast.BeginStmt) {
 	task := in.newScope(ScopeBegin, sc, b)
 	in.ScopeOf[b.Body] = task
-	copies := make(map[*Symbol]*Symbol)
+	var copies map[*Symbol]*Symbol
 	for _, w := range b.With {
 		outer := sc.Lookup(w.Name.Name)
 		if outer == nil {
@@ -540,12 +542,18 @@ func (in *Info) begin(sc *Scope, b *ast.BeginStmt) {
 				Type: outer.Type, Decl: b, Scope: task, Origin: outer}
 			in.nextSymID++
 			task.add(cp)
+			if copies == nil {
+				copies = make(map[*Symbol]*Symbol)
+			}
 			copies[outer] = cp
 		}
 		// ref intent: uses keep resolving to the outer symbol through
 		// ordinary lexical lookup; nothing to declare.
 	}
 	if len(copies) > 0 {
+		if in.CopyFor == nil {
+			in.CopyFor = make(map[*ast.BeginStmt]map[*Symbol]*Symbol)
+		}
 		in.CopyFor[b] = copies
 	}
 	in.stmts(task, b.Body.Stmts)
@@ -658,6 +666,9 @@ func (in *Info) classifyMethod(sc *Scope, call *ast.MethodCallExpr, recv *Symbol
 		in.diags.Addf(in.file, call.Sp, source.Error,
 			"%s is not a sync, single or atomic variable; method call %q is invalid",
 			recv.Name, call.Method)
+	}
+	if in.MethodOps == nil {
+		in.MethodOps = make(map[*ast.MethodCallExpr]SyncOpKind)
 	}
 	in.MethodOps[call] = op
 }

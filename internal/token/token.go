@@ -82,7 +82,9 @@ const (
 	keywordEnd
 )
 
-var kindNames = map[Kind]string{
+// kindNames spells every kind; Lookup and the lexer's operator switch
+// must agree with it (lexer tests check this for every kind).
+var kindNames = [...]string{
 	Illegal:    "ILLEGAL",
 	EOF:        "EOF",
 	Comment:    "COMMENT",
@@ -147,8 +149,8 @@ var kindNames = map[Kind]string{
 
 // String returns the canonical spelling of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -156,22 +158,52 @@ func (k Kind) String() string {
 // IsKeyword reports whether k is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
-var keywords = map[string]Kind{}
-
-func init() {
-	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		keywords[kindNames[k]] = k
-	}
-}
-
 // Lookup classifies an identifier spelling: keyword kind if reserved,
 // Ident otherwise. true/false map to BoolLit.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		if k == KwTrue || k == KwFalse {
-			return BoolLit
-		}
-		return k
+	switch ident {
+	case "proc":
+		return KwProc
+	case "var":
+		return KwVar
+	case "const":
+		return KwConst
+	case "config":
+		return KwConfig
+	case "begin":
+		return KwBegin
+	case "sync":
+		return KwSync
+	case "single":
+		return KwSingle
+	case "atomic":
+		return KwAtomic
+	case "with":
+		return KwWith
+	case "ref":
+		return KwRef
+	case "in":
+		return KwIn
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "for":
+		return KwFor
+	case "return":
+		return KwReturn
+	case "true", "false":
+		return BoolLit
+	case "int":
+		return KwInt
+	case "bool":
+		return KwBool
+	case "string":
+		return KwString
+	case "void":
+		return KwVoid
 	}
 	return Ident
 }
