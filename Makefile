@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke examples check
+.PHONY: build test test-race vet fmt-check bench bench-all fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke examples check
 
 build:
 	$(GO) build ./...
@@ -83,11 +83,5 @@ bench:
 # The full benchmark sweep (every table, figure and ablation).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
-
-# Cold vs warm single-edit latency of the incremental engine. Exits
-# nonzero if any warm report is not byte-identical to its cold
-# counterpart, so this doubles as the CI smoke of AnalyzeDelta.
-bench-incremental:
-	$(GO) run ./cmd/uafcorpus -incr-bench-out BENCH_incremental.json
 
 check: build vet fmt-check test test-race

@@ -24,7 +24,7 @@ func runWatch(ctx context.Context, out io.Writer, newAnalyzer func() *uafcheck.A
 		Interval:    interval,
 		HangTimeout: hangTimeout,
 		Out:         out,
-		NewAnalyzer: func() watch.Analyzer { return newAnalyzer() },
+		NewAnalyzer: newAnalyzer,
 	})
 	svc.Run(ctx)
 	if showMetrics {

@@ -44,9 +44,9 @@ type benchArtifact struct {
 	Telemetry    *eval.Telemetry `json:"telemetry"`
 }
 
-// hostInfo records the hardware shape every BENCH_*.json artifact
-// carries, so numbers from different machines are never compared as if
-// they came from the same one.
+// hostInfo records the hardware shape BENCH_corpus.json carries, so
+// numbers from different machines are never compared as if they came
+// from the same one.
 type hostInfo struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
@@ -70,22 +70,8 @@ func main() {
 		jobs         = flag.Int("jobs", 0, "parallel analysis workers (0 = GOMAXPROCS)")
 		caseTimeout  = flag.Duration("case-timeout", 0, "per-case analysis deadline (0 = none); expired cases degrade to conservative warnings")
 		retries      = flag.Int("retries", 0, "extra attempts for a timed-out case, each with a 4x smaller state budget")
-		incrBenchOut = flag.String("incr-bench-out", "", "run the incremental-analysis benchmark instead of the corpus evaluation and write the artifact to this file")
-		incrFiles    = flag.Int("incr-files", 4, "incremental benchmark: number of generated multi-procedure files")
-		incrProcs    = flag.Int("incr-procs", 24, "incremental benchmark: procedures per file")
-		incrEdits    = flag.Int("incr-edits", 8, "incremental benchmark: single-procedure edits per file")
 	)
 	flag.Parse()
-
-	if *incrBenchOut != "" {
-		// The incremental benchmark is its own mode: cold vs warm
-		// re-analysis latency plus the byte-identity check, no corpus run.
-		if err := runIncrBench(*incrBenchOut, *seed, *incrFiles, *incrProcs, *incrEdits); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	params := uafcheck.DefaultCorpusParams(*seed)
 	if *tests != params.Tests {

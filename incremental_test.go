@@ -26,6 +26,28 @@ func genProc(i int, seed int64, atomics bool) string {
 	return strings.Replace(src, "proc fuzz(", fmt.Sprintf("proc p%d(", i), 1)
 }
 
+// fanoutProc generates one procedure pN that is a sync-variable fanout
+// of 5–6 tasks, a shape genProc does not produce: its interleaving
+// space makes PPS exploration the dominant per-procedure cost, the
+// regime the memo store exists for.
+func fanoutProc(i int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	tasks := 5 + rng.Intn(2)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "proc p%d() {\n  var x: int = %d;\n", i, rng.Intn(100))
+	for t := 0; t < tasks; t++ {
+		fmt.Fprintf(&sb, "  var d%d$: sync bool;\n", t)
+	}
+	for t := 0; t < tasks; t++ {
+		fmt.Fprintf(&sb, "  begin with (ref x) {\n    x += %d;\n    d%d$ = true;\n  }\n", rng.Intn(50)+1, t)
+	}
+	for t := 0; t < tasks; t++ {
+		fmt.Fprintf(&sb, "  d%d$;\n", t)
+	}
+	sb.WriteString("}\n")
+	return sb.String()
+}
+
 // wireBytes canonically encodes a report outcome the way every server
 // and CLI surface does.
 func wireBytes(t *testing.T, name string, rep *uafcheck.Report, err error) string {
@@ -57,16 +79,21 @@ func TestAnalyzeDeltaByteIdentity(t *testing.T) {
 	if testing.Short() {
 		trials = 4
 	}
-	for trial := 0; trial < trials; trial++ {
+	// The extra last trial edits sync-variable fanouts.
+	for trial := 0; trial <= trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			atomics := trial%3 == 0
+			gen := func(i int, seed int64) string { return genProc(i, seed, atomics) }
+			if trial == trials {
+				gen = fanoutProc
+			}
 			n := 2 + rng.Intn(4)
 			procs := make([]string, n)
 			for i := range procs {
-				procs[i] = genProc(i, rng.Int63(), atomics)
+				procs[i] = gen(i, rng.Int63())
 			}
 			an := uafcheck.NewAnalyzer()
 			name := fmt.Sprintf("prop%d.chpl", trial)
@@ -74,7 +101,7 @@ func TestAnalyzeDeltaByteIdentity(t *testing.T) {
 			requireIdentical(t, ctx, an, name, join(), "initial")
 			for edit := 0; edit < 5; edit++ {
 				i := rng.Intn(n)
-				procs[i] = genProc(i, rng.Int63(), atomics)
+				procs[i] = gen(i, rng.Int63())
 				requireIdentical(t, ctx, an, name, join(), fmt.Sprintf("edit%d(proc p%d)", edit, i))
 			}
 			st := an.Stats()

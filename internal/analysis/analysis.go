@@ -15,6 +15,7 @@ import (
 	"uafcheck/internal/ccfg"
 	"uafcheck/internal/fault"
 	"uafcheck/internal/ir"
+	"uafcheck/internal/modgraph"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
@@ -270,8 +271,9 @@ func analyzeFile(file *source.File, opts Options, units *Units) (*Result, IncrSt
 		return res, IncrStats{}
 	}
 	d := newDriver(opts, units)
-	d.sites = procCallSites(mod, info)
-	d.synced = syncedRefParamsFrom(d.sites, info)
+	files := []*modgraph.File{{Mod: mod, Info: info}}
+	d.sites = procCallSites(files)
+	d.synced = syncedRefParamsFrom(d.sites, files)
 	d.roots(file, res)
 	return res, d.stats
 }
@@ -423,12 +425,15 @@ func (si *siteInfo) allSynced() bool {
 	return si != nil && si.calls > 0 && si.calls == si.synced
 }
 
-// procCallSites walks the whole module collecting per-procedure call
-// site accounting — the cross-procedure fact feeding the synced-scope
-// rule of §III-A, and the bit the incremental engine folds into each
-// unit's fingerprint.
-func procCallSites(mod *ast.Module, info *sym.Info) map[*ast.ProcDecl]*siteInfo {
+// procCallSites walks every file collecting per-procedure call site
+// accounting — the cross-procedure fact feeding the synced-scope rule
+// of §III-A, and the bit the incremental engine folds into each unit's
+// fingerprint. Single-file mode passes one file; in module mode extern
+// uses resolve to the defining file's declaration, so the accounting
+// keys on declarations, not names, and merges across files.
+func procCallSites(files []*modgraph.File) map[*ast.ProcDecl]*siteInfo {
 	sites := make(map[*ast.ProcDecl]*siteInfo)
+	var info *sym.Info
 
 	var walkStmts func(list []ast.Stmt, syncDepth int)
 	var walkExpr func(e ast.Expr, syncDepth int)
@@ -510,8 +515,11 @@ func procCallSites(mod *ast.Module, info *sym.Info) map[*ast.ProcDecl]*siteInfo 
 			walkStmt(s, syncDepth)
 		}
 	}
-	for _, p := range mod.Procs {
-		walkStmts(p.Body.Stmts, 0)
+	for _, f := range files {
+		info = f.Info
+		for _, p := range f.Mod.Procs {
+			walkStmts(p.Body.Stmts, 0)
+		}
 	}
 	return sites
 }
@@ -520,20 +528,27 @@ func procCallSites(mod *ast.Module, info *sym.Info) map[*ast.ProcDecl]*siteInfo 
 // a by-ref formal of a procedure is structurally safe when the
 // procedure has at least one call site and every call site is lexically
 // enclosed in a sync block. It projects the call-site accounting onto
-// the by-ref formal symbols the CCFG builder consults.
-func syncedRefParamsFrom(sites map[*ast.ProcDecl]*siteInfo, info *sym.Info) map[*sym.Symbol]bool {
+// the by-ref formal symbols the CCFG builder consults, using each
+// procedure's defining file's resolver info (only that info knows the
+// formal symbols).
+func syncedRefParamsFrom(sites map[*ast.ProcDecl]*siteInfo, files []*modgraph.File) map[*sym.Symbol]bool {
 	out := make(map[*sym.Symbol]bool)
 	for proc, si := range sites {
-		if si.allSynced() {
-			scope := info.ScopeFor(proc)
-			if scope == nil {
+		if !si.allSynced() {
+			continue
+		}
+		for _, f := range files {
+			if f.Info.ProcSyms[proc] == nil {
 				continue
 			}
-			for _, s := range scope.Symbols() {
-				if s.Kind == sym.KindParam && s.ByRef {
-					out[s] = true
+			if scope := f.Info.ScopeFor(proc); scope != nil {
+				for _, s := range scope.Symbols() {
+					if s.Kind == sym.KindParam && s.ByRef {
+						out[s] = true
+					}
 				}
 			}
+			break
 		}
 	}
 	return out

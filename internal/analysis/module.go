@@ -20,7 +20,6 @@ import (
 	"uafcheck/internal/obs"
 	"uafcheck/internal/parser"
 	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 // ModuleFile is one input file of a module analysis.
@@ -89,51 +88,13 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 	// Cross-file synced-scope rule (§III-A): a procedure's by-ref
 	// formals are structurally safe when every call site, in any file
 	// of the module, sits inside a sync block.
-	d.sites = moduleCallSites(g)
-	d.synced = moduleSyncedRefParams(g, d.sites)
+	d.sites = procCallSites(mfiles)
+	d.synced = syncedRefParamsFrom(d.sites, mfiles)
 	d.low = ir.LowerOptions{Effects: g.Effects}
 	for i, mf := range mfiles {
 		d.roots(mf.Src, results[i])
 	}
 	return mres, d.stats
-}
-
-// moduleCallSites merges per-file call-site accounting across the
-// module; extern uses resolve to the defining file's declaration, so
-// the merge keys on declarations, not names.
-func moduleCallSites(g *modgraph.Graph) map[*ast.ProcDecl]*siteInfo {
-	merged := make(map[*ast.ProcDecl]*siteInfo)
-	for _, f := range g.Files {
-		for d, si := range procCallSites(f.Mod, f.Info) {
-			m := merged[d]
-			if m == nil {
-				m = &siteInfo{}
-				merged[d] = m
-			}
-			m.calls += si.calls
-			m.synced += si.synced
-		}
-	}
-	return merged
-}
-
-// moduleSyncedRefParams projects the merged accounting onto by-ref
-// formal symbols, using each declaration's defining file's resolver
-// info (only that info knows the formal symbols).
-func moduleSyncedRefParams(g *modgraph.Graph, sites map[*ast.ProcDecl]*siteInfo) map[*sym.Symbol]bool {
-	out := make(map[*sym.Symbol]bool)
-	for _, f := range g.Files {
-		own := make(map[*ast.ProcDecl]*siteInfo)
-		for d, si := range sites {
-			if f.Info.ProcSyms[d] != nil {
-				own[d] = si
-			}
-		}
-		for s, v := range syncedRefParamsFrom(own, f.Info) {
-			out[s] = v
-		}
-	}
-	return out
 }
 
 // moduleCalleesFP renders the unit's direct-callee view for the memo

@@ -166,10 +166,6 @@ type Summary struct {
 // exact, complete result.
 func (s Summary) Degradations() int { return s.Degraded + s.TimedOut + s.Crashed }
 
-// hangGraceMin bounds how long a worker waits for a cancelled analysis
-// to come back before abandoning its goroutine.
-const hangGraceMin = 100 * time.Millisecond
-
 // Run analyzes every file and returns per-file results (index-aligned
 // with files) plus the aggregate summary. Results are deterministic for
 // a fixed input set and options: workers race only on who analyzes
@@ -268,49 +264,53 @@ func runFile(f File, idx int, opts Options) Result {
 	return res
 }
 
-// runAttempt executes one pipeline run under the per-file deadline. The
-// analysis runs in its own goroutine so a hard hang (a loop that never
-// reaches a cancellation poll) can be abandoned; the cooperative path —
-// by far the common one — returns promptly after the context fires.
-func runAttempt(f File, aopts analysis.Options, opts Options) (ar *analysis.Result, hung bool) {
-	ctx := opts.Ctx
-	cancel := context.CancelFunc(func() {})
-	if opts.FileTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.FileTimeout)
-	}
-	defer cancel()
-	aopts.Ctx = ctx
-
+// runAttempt executes one pipeline run under the per-file deadline.
+func runAttempt(f File, aopts analysis.Options, opts Options) (*analysis.Result, bool) {
 	analyze := opts.Analyze
 	if analyze == nil {
 		analyze = analysis.AnalyzeSource
 	}
-	done := make(chan *analysis.Result, 1)
-	go func() {
+	return Attempt(opts.Ctx, opts.FileTimeout, func(ctx context.Context) (ar *analysis.Result) {
 		// analysis recovers per-proc panics itself; this recover is the
 		// net under frontend/report crashes so the worker never dies.
 		defer func() {
-			if r := recover(); r != nil {
-				done <- nil
+			if recover() != nil {
+				ar = nil
 			}
 		}()
-		done <- analyze(f.Name, f.Src, aopts)
-	}()
+		o := aopts // assigning aopts itself would move it to the heap
+		o.Ctx = ctx
+		return analyze(f.Name, f.Src, o)
+	})
+}
+
+// Attempt is the analysis-hang supervisor shared by every multi-file
+// and watch path: it runs fn in its own goroutine under a context
+// derived from ctx (with timeout, when positive) and waits. The
+// cooperative path — by far the common one — returns fn's value
+// promptly after the context fires. If fn has not returned by the
+// timeout plus a grace of max(timeout, 100ms), Attempt abandons its
+// goroutine (which cannot be killed) and reports hung with the zero T;
+// callers must treat whatever fn was using as possibly wedged.
+func Attempt[T any](ctx context.Context, timeout time.Duration, fn func(context.Context) T) (v T, hung bool) {
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	defer cancel()
+	done := make(chan T, 1)
+	go func() { done <- fn(ctx) }()
 
 	select {
-	case ar = <-done:
-		return ar, false
+	case v = <-done:
+		return v, false
 	case <-ctx.Done():
 	}
-	grace := opts.FileTimeout
-	if grace < hangGraceMin {
-		grace = hangGraceMin
-	}
 	select {
-	case ar = <-done:
-		return ar, false
-	case <-time.After(grace):
-		return nil, true
+	case v = <-done:
+		return v, false
+	case <-time.After(max(timeout, 100*time.Millisecond)):
+		return v, true
 	}
 }
 

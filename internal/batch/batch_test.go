@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/fault"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/pps"
 )
@@ -143,6 +144,52 @@ func TestRetryConvergesToBudget(t *testing.T) {
 	}
 	if r.Attempts < 2 {
 		t.Errorf("Attempts = %d, want >= 2", r.Attempts)
+	}
+}
+
+// TestHardHangAbandoned drives the abandon branch of the attempt
+// supervisor: an injected stall is a plain sleep that ignores the
+// attempt's context, so only the timeout-plus-grace watchdog gets the
+// worker back. The test arms the global injector and must not run in
+// parallel with other tests.
+func TestHardHangAbandoned(t *testing.T) {
+	const stall = 3 * time.Second
+	files := []File{{Name: "clean.chpl", Src: cleanSrc}}
+	for _, tc := range []struct {
+		retries int
+		want    Status
+		hung    bool
+	}{
+		{retries: 0, want: TimedOut, hung: true},
+		// The stall fires once; the retry runs the pipeline normally.
+		{retries: 1, want: OK, hung: false},
+	} {
+		restore := fault.Set(fault.New(3, fault.Rule{
+			Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Count: 1, Delay: stall,
+		}))
+		start := time.Now()
+		results, sum := Run(files, Options{
+			FileTimeout: 20 * time.Millisecond,
+			Retries:     tc.retries,
+			Analysis:    analysis.DefaultOptions(),
+		})
+		elapsed := time.Since(start)
+		restore()
+		r := results[0]
+		if r.Status != tc.want || r.Hung != tc.hung {
+			t.Errorf("retries=%d: status %v hung %v, want %v hung %v", tc.retries, r.Status, r.Hung, tc.want, tc.hung)
+		}
+		if tc.hung {
+			if r.Res != nil {
+				t.Errorf("retries=%d: abandoned attempt left a result", tc.retries)
+			}
+			if sum.Hung != 1 {
+				t.Errorf("retries=%d: Summary.Hung = %d, want 1", tc.retries, sum.Hung)
+			}
+		}
+		if elapsed > stall/2 {
+			t.Errorf("retries=%d: Run took %v, waited out the %v stall", tc.retries, elapsed, stall)
+		}
 	}
 }
 

@@ -12,11 +12,11 @@
 //     analyzer was just restarted) but the loop is running — the
 //     last-known-good warning set for each file keeps being served;
 //   - wedged: an analysis overran its hang timeout plus grace and was
-//     abandoned. The analyzer (which may be stuck holding its memo
-//     store's locks) is discarded; the service serves last-known-good
-//     warnings while it waits out an exponential backoff (with
-//     deterministic jitter) before building a fresh analyzer via the
-//     configured factory.
+//     abandoned by batch.Attempt, the supervisor every multi-file path
+//     shares. The analyzer (which may be stuck holding its memo store's
+//     locks) is discarded; the service serves last-known-good warnings
+//     while it waits out an exponential backoff before building a fresh
+//     analyzer via the configured factory.
 //
 // A clean pass returns the service to healthy from either degraded
 // state. Transitions, per-file diffs and watchdog actions all print to
@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"uafcheck"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/fault"
 	"uafcheck/internal/obs"
 )
@@ -72,13 +73,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// Analyzer is the incremental analysis dependency, satisfied by
-// *uafcheck.Analyzer. The factory in Config builds one at startup and
-// again after every watchdog-forced restart.
-type Analyzer interface {
-	AnalyzeDelta(ctx context.Context, filename, src string) (*uafcheck.Report, error)
-}
-
 // ErrAbandoned is returned (wrapped) when the watchdog gives up on a
 // hung analysis.
 var ErrAbandoned = errors.New("watch: analysis abandoned by watchdog")
@@ -90,30 +84,23 @@ var errBackingOff = errors.New("watch: analyzer restart pending")
 // Config configures a Service. Roots and NewAnalyzer are required.
 type Config struct {
 	// Roots are the files and/or directory trees to watch. Directories
-	// are rescanned every poll (recursive), picking up created files and
-	// dropping deleted ones; explicit file roots are watched even when
-	// their extension does not match Exts.
+	// are rescanned every poll (recursive) for .chpl files, picking up
+	// created files and dropping deleted ones; explicit file roots are
+	// watched whatever their extension.
 	Roots []string
-	// Exts are the file extensions tracked inside directory roots
-	// (default ".chpl").
-	Exts []string
-	// Interval is the poll period (default 500ms).
+	// Interval is the poll period (default 500ms). The restart backoff
+	// is capped at 16 intervals, at least 1s.
 	Interval time.Duration
 	// HangTimeout bounds one file's analysis. The analysis context is
 	// cancelled at HangTimeout; a worker that ignores even the
-	// cancellation is abandoned at HangTimeout + grace (half of
-	// HangTimeout) and the analyzer is restarted. Default 30s.
+	// cancellation is abandoned at HangTimeout plus batch.Attempt's
+	// grace and the analyzer is restarted. Default 30s.
 	HangTimeout time.Duration
-	// MaxBackoff caps the exponential restart backoff (default 16x
-	// Interval, at least 1s).
-	MaxBackoff time.Duration
-	// Seed seeds the deterministic backoff jitter (0 means 1).
-	Seed int64
 	// Out receives diffs and supervision events; nil discards them.
 	Out io.Writer
 	// NewAnalyzer builds the incremental analyzer, at startup and after
 	// each watchdog restart. Must be non-nil.
-	NewAnalyzer func() Analyzer
+	NewAnalyzer func() *uafcheck.Analyzer
 }
 
 // Status is a point-in-time snapshot of the supervision state, the
@@ -148,13 +135,12 @@ type Service struct {
 	mu        sync.Mutex
 	state     State
 	files     map[string]*fileState
-	an        Analyzer
+	an        *uafcheck.Analyzer
 	restartAt time.Time // when wedged: earliest next analyzer rebuild
 	wedges    int       // consecutive wedges, drives the backoff exponent
 	restarts  int64
 	abandoned int64
 	lastErr   string
-	rng       uint64
 	agg       uafcheck.Metrics
 }
 
@@ -166,27 +152,14 @@ func New(cfg Config) *Service {
 	if cfg.HangTimeout <= 0 {
 		cfg.HangTimeout = 30 * time.Second
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 16 * cfg.Interval
-		if cfg.MaxBackoff < time.Second {
-			cfg.MaxBackoff = time.Second
-		}
-	}
-	if len(cfg.Exts) == 0 {
-		cfg.Exts = []string{".chpl"}
-	}
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	return &Service{
 		cfg:   cfg,
 		rec:   obs.New(),
 		files: make(map[string]*fileState),
 		an:    cfg.NewAnalyzer(),
-		rng:   uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1,
 	}
 }
 
@@ -276,7 +249,7 @@ func (s *Service) pass(ctx context.Context, first bool) {
 }
 
 // scan resolves the roots to the sorted set of files watched this
-// poll. Directory roots are walked recursively for Exts matches; file
+// poll. Directory roots are walked recursively for .chpl files; file
 // roots are included as long as they exist. Root-level errors print on
 // the first pass only (a missing root later is just "no files").
 func (s *Service) scan(first bool) []string {
@@ -297,11 +270,8 @@ func (s *Service) scan(first bool) []string {
 			if err != nil || d.IsDir() {
 				return nil // unreadable subtrees degrade to absence
 			}
-			for _, ext := range s.cfg.Exts {
-				if strings.HasSuffix(path, ext) {
-					seen[path] = true
-					break
-				}
+			if strings.HasSuffix(path, ".chpl") {
+				seen[path] = true
 			}
 			return nil
 		})
@@ -445,48 +415,39 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 	return clean
 }
 
-// analyzeGuarded runs one analysis under the watchdog: the analysis
+// analyzeGuarded runs one analysis under batch.Attempt: the analysis
 // context is cancelled at HangTimeout, and a worker that ignores even
-// that is abandoned at HangTimeout + grace — its goroutine is left to
-// die on its own, the analyzer it may have wedged is discarded, and a
-// replacement is scheduled after an exponential backoff.
+// that is abandoned at HangTimeout plus grace — its goroutine is left
+// to die on its own, the analyzer it may have wedged is discarded, and
+// a replacement is scheduled after an exponential backoff.
 func (s *Service) analyzeGuarded(ctx context.Context, path, src string) (*uafcheck.Report, error) {
 	an, err := s.analyzer()
 	if err != nil {
 		return nil, err
 	}
-
-	actx, cancel := context.WithTimeout(ctx, s.cfg.HangTimeout)
-	defer cancel()
 	type result struct {
 		rep *uafcheck.Report
 		err error
 	}
-	ch := make(chan result, 1)
-	go func() {
+	r, hung := batch.Attempt(ctx, s.cfg.HangTimeout, func(actx context.Context) result {
 		rep, err := an.AnalyzeDelta(actx, path, src)
-		ch <- result{rep, err}
-	}()
-
-	grace := s.cfg.HangTimeout / 2
-	timer := time.NewTimer(s.cfg.HangTimeout + grace)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.rep, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-timer.C:
-		s.abandon(an, path)
-		return nil, fmt.Errorf("%w: %s did not return within %v",
-			ErrAbandoned, path, s.cfg.HangTimeout+grace)
+		return result{rep, err}
+	})
+	if ctx.Err() != nil {
+		return nil, ctx.Err() // shutdown, not a hang
 	}
+	if hung {
+		s.abandon(an, path)
+		return nil, fmt.Errorf("%w: %s did not return within %v plus grace",
+			ErrAbandoned, path, s.cfg.HangTimeout)
+	}
+	return r.rep, r.err
 }
 
 // analyzer returns the live analyzer, rebuilding it when a wedge's
 // backoff has elapsed. During backoff it returns errBackingOff and the
 // caller skips the file (last-known-good keeps being served).
-func (s *Service) analyzer() (Analyzer, error) {
+func (s *Service) analyzer() (*uafcheck.Analyzer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.an != nil {
@@ -506,9 +467,8 @@ func (s *Service) analyzer() (Analyzer, error) {
 
 // abandon gives up on a hung analysis: the analyzer is discarded (only
 // if it is still the current one — a concurrent abandon may have beaten
-// us) and the next rebuild is scheduled with exponential backoff plus
-// deterministic jitter.
-func (s *Service) abandon(an Analyzer, path string) {
+// us) and the next rebuild is scheduled with exponential backoff.
+func (s *Service) abandon(an *uafcheck.Analyzer, path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.abandoned++
@@ -521,25 +481,13 @@ func (s *Service) abandon(an Analyzer, path string) {
 	s.wedges++
 	// Backoff scales from the hang timeout (a restart cheaper than one
 	// analysis worth of waiting buys nothing) and doubles per
-	// consecutive wedge.
-	backoff := s.cfg.HangTimeout
-	if backoff < s.cfg.Interval {
-		backoff = s.cfg.Interval
-	}
-	for i := 1; i < s.wedges && backoff < s.cfg.MaxBackoff; i++ {
+	// consecutive wedge, up to 16 poll intervals (at least 1s).
+	maxBackoff := max(16*s.cfg.Interval, time.Second)
+	backoff := max(s.cfg.HangTimeout, s.cfg.Interval)
+	for i := 1; i < s.wedges && backoff < maxBackoff; i++ {
 		backoff *= 2
 	}
-	if backoff > s.cfg.MaxBackoff {
-		backoff = s.cfg.MaxBackoff
-	}
-	// Deterministic jitter in [0, backoff/4): splitmix64 over the seed,
-	// so a chaos run's restart schedule reproduces exactly.
-	s.rng += 0x9e3779b97f4a7c15
-	z := s.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	backoff += time.Duration(z % uint64(backoff/4+1))
+	backoff = min(backoff, maxBackoff)
 	s.restartAt = time.Now().Add(backoff)
 	s.setStateLocked(StateWedged)
 	fmt.Fprintf(s.cfg.Out, "watch: analysis of %s abandoned (hang watchdog); analyzer restart in %v\n",

@@ -72,9 +72,8 @@ func startService(t *testing.T, roots []string, hang time.Duration) (*Service, *
 		Roots:       roots,
 		Interval:    2 * time.Millisecond,
 		HangTimeout: hang,
-		MaxBackoff:  20 * time.Millisecond,
 		Out:         &out,
-		NewAnalyzer: func() Analyzer { return uafcheck.NewAnalyzer() },
+		NewAnalyzer: func() *uafcheck.Analyzer { return uafcheck.NewAnalyzer() },
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -85,6 +84,20 @@ func startService(t *testing.T, roots []string, hang time.Duration) (*Service, *
 	return svc, &out, func() {
 		cancel()
 		<-done
+	}
+}
+
+// replaceFile swaps new content in with a rename: os.WriteFile
+// truncates before it writes, and a poll that reads the empty file in
+// between would serve it as a real (warning-free) edit. The scan
+// ignores the .tmp name.
+func replaceFile(t *testing.T, path, src string) {
+	t.Helper()
+	if err := os.WriteFile(path+".tmp", []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -191,9 +204,7 @@ func TestWedgeRecovery(t *testing.T) {
 		Delay: 30 * time.Second,
 	}))
 	defer restore()
-	if err := os.WriteFile(path, []byte(editedSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	replaceFile(t, path, editedSrc)
 
 	waitFor(t, "watchdog abandon", func() bool {
 		return svc.Status().Abandoned >= 1
@@ -227,9 +238,7 @@ func TestWedgeRecovery(t *testing.T) {
 
 	// And the restarted analyzer is actually serving: an edit that
 	// fixes the bug produces a removal diff.
-	if err := os.WriteFile(path, []byte(fixedSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	replaceFile(t, path, fixedSrc)
 	waitFor(t, "post-restart diff", func() bool {
 		return strings.Contains(out.String(), "- "+path)
 	})
@@ -263,7 +272,7 @@ func TestDegradedReportKeepsServing(t *testing.T) {
 		Interval:    2 * time.Millisecond,
 		HangTimeout: time.Minute,
 		Out:         &out,
-		NewAnalyzer: func() Analyzer {
+		NewAnalyzer: func() *uafcheck.Analyzer {
 			return uafcheck.NewAnalyzer(uafcheck.WithMaxStates(2))
 		},
 	})

@@ -932,8 +932,10 @@ func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option
 
 // CorpusTelemetry is the aggregate evaluation telemetry: per-pattern
 // analysis timing and PPS state-count aggregates with power-of-two
-// histograms. It serializes to the BENCH_corpus.json schema of
-// cmd/uafcorpus.
+// histograms.
+//
+// Deprecated: no function of this package has returned it since
+// 0.8.0; it will be removed in 0.9.0.
 type CorpusTelemetry = eval.Telemetry
 
 // BaselineComparison runs the §VI baselines over the corpus's begin-task
