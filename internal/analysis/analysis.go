@@ -363,9 +363,6 @@ func analyzeProc(info *sym.Info, proc *ast.ProcDecl, synced map[*sym.Symbol]bool
 			Prov:         u.Prov,
 		})
 	}
-	for _, w := range pr.Warnings {
-		diags.Addf(file, source.NoSpan, source.Warning, "%s", w.String())
-	}
 	if len(r.Deadlocks) > 0 {
 		diags.Addf(file, proc.Name.Sp, source.Note,
 			"proc %s: %d parallel program state(s) block with no applicable rule (potential deadlock)",

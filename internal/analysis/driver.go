@@ -21,6 +21,9 @@ type driver struct {
 	opts Options
 	// units is the memo store; nil analyzes every unit afresh.
 	units *Units
+	// optsFP is opts.Fingerprint(), rendered once per run for the memo
+	// keys ("" without a store).
+	optsFP string
 	// sites and synced are the call-site facts of the synced-scope rule
 	// (§III-A).
 	sites  map[*ast.ProcDecl]*siteInfo
@@ -38,7 +41,11 @@ func newDriver(opts Options, units *Units) driver {
 	if opts.KeepGraphs || opts.PPS.Trace {
 		units = nil
 	}
-	return driver{opts: opts, units: units}
+	d := driver{opts: opts, units: units}
+	if units != nil {
+		d.optsFP = opts.Fingerprint()
+	}
+	return d
 }
 
 // roots analyzes the analysis roots of one resolved file into res, in
@@ -78,7 +85,7 @@ func (d *driver) unit(file *source.File, res *Result, proc *ast.ProcDecl, config
 		if d.graph != nil {
 			calleesFP = moduleCalleesFP(d.graph, proc)
 		}
-		key = unitKey(d.units.salt, file.Name, d.opts, file, proc,
+		key = unitKey(d.units.salt, file.Name, d.optsFP, file, proc,
 			d.sites[proc].allSynced(), configsFP, moduleRefs(proc, res.Info), calleesFP)
 		lookupStart := time.Now()
 		ur, ok := d.units.c.Get(key)

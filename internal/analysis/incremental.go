@@ -28,7 +28,9 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"uafcheck/internal/ast"
@@ -75,14 +77,14 @@ func (u *Units) Len() int { return u.c.Len() }
 
 // UnitResult is the memoized outcome of one analysis unit — everything
 // analyzeProc produces, stored position-relative so the entry survives
-// the unit moving within (or across) files. Only complete runs are
-// stored: degraded or crashed units depend on this run's budget race
-// and are always recomputed.
+// the unit moving within its file (the memo key includes the file
+// name, so a unit moved to another file misses). Only complete runs
+// are stored: degraded or crashed units depend on this run's budget
+// race and are always recomputed.
 type UnitResult struct {
 	Proc       string        `json:"proc"`
 	Warnings   []UnitWarning `json:"warnings,omitempty"`
-	PreNotes   []UnitNote    `json:"pre_notes,omitempty"`
-	PostNotes  []UnitNote    `json:"post_notes,omitempty"`
+	Notes      []UnitNote    `json:"notes,omitempty"`
 	GraphStats ccfg.Stats    `json:"graph_stats"`
 	PPSStats   pps.Stats     `json:"pps_stats"`
 	Deadlocks  int           `json:"deadlocks"`
@@ -117,8 +119,7 @@ func (u *UnitResult) Clone() *UnitResult {
 			}
 		}
 	}
-	v.PreNotes = append([]UnitNote(nil), u.PreNotes...)
-	v.PostNotes = append([]UnitNote(nil), u.PostNotes...)
+	v.Notes = append([]UnitNote(nil), u.Notes...)
 	return &v
 }
 
@@ -147,9 +148,9 @@ type UnitWarning struct {
 	Prov     *pps.Provenance `json:"prov,omitempty"`
 }
 
-// UnitNote is a Note-severity diagnostic in position-relative form.
-// PreNotes precede the unit's warning diagnostics in emission order
-// (lowering notes); PostNotes follow them (the deadlock note).
+// UnitNote is a Note-severity diagnostic in position-relative form,
+// kept in the unit's emission order: lowering notes, then the deadlock
+// note.
 type UnitNote struct {
 	RelLine int    `json:"rel_line"`
 	Col     int    `json:"col"`
@@ -174,21 +175,17 @@ type IncrStats struct {
 // a callee that changes its (transitively composed) summary changes
 // this component for exactly the units that call it, while an
 // effect-preserving callee edit leaves every caller unit hot.
-func unitKey(salt, name string, opts Options, file *source.File, proc *ast.ProcDecl,
+func unitKey(salt, name, optsFP string, file *source.File, proc *ast.ProcDecl,
 	syncedUnit bool, configsFP string, refsFP string, calleesFP string) cache.Key {
 	text := ""
 	if sp := proc.Sp; sp.IsValid() && int(sp.End) <= len(file.Content) {
 		text = file.Content[sp.Start:sp.End]
 	}
-	return cache.KeyOf(
-		"uafcheck/unit", salt, name,
-		opts.Fingerprint(),
-		text,
-		fmt.Sprintf("synced=%t", syncedUnit),
-		configsFP,
-		refsFP,
-		calleesFP,
-	)
+	synced := "synced=false"
+	if syncedUnit {
+		synced = "synced=true"
+	}
+	return cache.KeyOf("uafcheck/unit", salt, name, optsFP, text, synced, configsFP, refsFP, calleesFP)
 }
 
 // configsFingerprint canonically encodes every top-level config const:
@@ -215,7 +212,7 @@ func configsFingerprint(file *source.File, mod *ast.Module) string {
 // removing one so an identifier falls back to unresolved/builtin —
 // changes this string and invalidates the unit.
 func moduleRefs(proc *ast.ProcDecl, info *sym.Info) string {
-	set := make(map[string]struct{})
+	var refs []string
 	ast.Walk(proc, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -226,18 +223,15 @@ func moduleRefs(proc *ast.ProcDecl, info *sym.Info) string {
 		case !used:
 			// Declaration occurrences are covered by the unit text.
 		case s == nil:
-			set["?"+id.Name] = struct{}{}
+			refs = append(refs, "?"+id.Name)
 		case s.Scope != nil && s.Scope.Kind == sym.ScopeModule:
-			set[fmt.Sprintf("%s:%d:%d:%t", s.Name, int(s.Kind), int(s.Type.Qual), s.ByRef)] = struct{}{}
+			refs = append(refs, s.Name+":"+strconv.Itoa(int(s.Kind))+":"+
+				strconv.Itoa(int(s.Type.Qual))+":"+strconv.FormatBool(s.ByRef))
 		}
 		return true
 	})
-	refs := make([]string, 0, len(set))
-	for r := range set {
-		refs = append(refs, r)
-	}
 	sort.Strings(refs)
-	return strings.Join(refs, "\n")
+	return strings.Join(slices.Compact(refs), "\n")
 }
 
 // captureUnit converts a freshly analyzed unit into its
@@ -277,21 +271,11 @@ func captureUnit(file *source.File, proc *ast.ProcDecl, beginPrefix int,
 		}
 		ur.Warnings = append(ur.Warnings, uw)
 	}
-	// Replayable diagnostics: Note-severity entries, split around the
-	// warning-severity block analyzeProc emits between lowering notes and
-	// the deadlock note.
-	seenWarning := false
+	// Replayable diagnostics: the Note-severity entries, in emission
+	// order.
 	for _, d := range pdiags.All() {
-		switch d.Severity {
-		case source.Warning:
-			seenWarning = true
-		case source.Note:
-			n := captureNote(file, proc, base, d)
-			if seenWarning {
-				ur.PostNotes = append(ur.PostNotes, n)
-			} else {
-				ur.PreNotes = append(ur.PreNotes, n)
-			}
+		if d.Severity == source.Note {
+			ur.Notes = append(ur.Notes, captureNote(file, proc, base, d))
 		}
 	}
 	return ur
@@ -329,6 +313,9 @@ func (ur *UnitResult) materialize(file *source.File, proc *ast.ProcDecl,
 		HasAtomics: ur.HasAtomics,
 		Truncated:  ur.Truncated,
 	}
+	if len(ur.Warnings) > 0 {
+		pr.Warnings = make([]Warning, 0, len(ur.Warnings))
+	}
 	for _, uw := range ur.Warnings {
 		task := uw.TaskLabel
 		if uw.TaskOrd >= 0 {
@@ -351,17 +338,11 @@ func (ur *UnitResult) materialize(file *source.File, proc *ast.ProcDecl,
 			AccessCol:  uw.Col,
 			DeclLine:   declLine,
 			DeclPos:    declPos,
-			Pos:        fmt.Sprintf("%s:%d:%d", file.Name, accessLine, uw.Col),
+			Pos:        file.Name + ":" + strconv.Itoa(accessLine) + ":" + strconv.Itoa(uw.Col),
 			Prov:       uw.Prov,
 		})
 	}
-	for _, n := range ur.PreNotes {
-		diags.Add(n.diag(file, base))
-	}
-	for _, w := range pr.Warnings {
-		diags.Addf(file, source.NoSpan, source.Warning, "%s", w.String())
-	}
-	for _, n := range ur.PostNotes {
+	for _, n := range ur.Notes {
 		diags.Add(n.diag(file, base))
 	}
 	return pr

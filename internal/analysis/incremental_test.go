@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"uafcheck/internal/source"
 )
 
 // render flattens an analysis result into a comparable transcript:
@@ -166,5 +168,84 @@ func TestIncrementalDegradedNeverStored(t *testing.T) {
 		if stats.UnitHits != 0 {
 			t.Fatalf("run %d: degraded units must never be served from cache: %+v", i, stats)
 		}
+	}
+}
+
+// TestIncrementalMemoHitOrder: one unit emits a lowering note (the
+// subsumed loop), two warnings and a deadlock note. Replayed from the
+// memo after the unit shifted down and behind another unit's task, its
+// notes and warnings match a fresh run in order, and no run renders a
+// warning as a diagnostic.
+func TestIncrementalMemoHitOrder(t *testing.T) {
+	unit := `proc combo() {
+  var x: int = 1;
+  var y: int = 2;
+  var done$: sync bool;
+  var go$: sync bool;
+  begin with (ref x) {
+    while (x < 3) {
+      x = x + 1;
+      done$ = true;
+    }
+    writeln(x);
+  }
+  done$;
+  begin with (ref y) {
+    go$;
+    y = 3;
+  }
+}
+`
+	shifted := `proc first() {
+  var z: int = 0;
+  begin with (ref z) {
+    z = 1;
+  }
+}
+
+` + unit
+	transcript := func(res *Result) (notes, warnings []string) {
+		if n := res.Diags.Count(source.Warning); n != 0 {
+			t.Errorf("Result.Diags holds %d Warning-severity entries, want none:\n%s", n, res.Diags)
+		}
+		for _, d := range res.Diags.All() {
+			notes = append(notes, d.String())
+		}
+		for _, w := range res.Warnings() {
+			warnings = append(warnings, w.String())
+		}
+		return notes, warnings
+	}
+	opts := DefaultOptions()
+	units := NewUnits("test", 0)
+	if _, st := AnalyzeSourceIncremental("t.chpl", unit, opts, units); st.UnitMisses != 1 {
+		t.Fatalf("cold run: %+v", st)
+	}
+	hit, st := AnalyzeSourceIncremental("t.chpl", shifted, opts, units)
+	if st.UnitHits != 1 || st.UnitMisses != 1 {
+		t.Fatalf("shifted run: %+v, want combo served from the memo and first analyzed", st)
+	}
+	gotNotes, gotWarnings := transcript(hit)
+	wantNotes, wantWarnings := transcript(AnalyzeSource("t.chpl", shifted, opts))
+
+	// The fresh run must exercise every kind of entry, in this order.
+	var kinds []string
+	for _, n := range wantNotes {
+		switch {
+		case strings.Contains(n, "subsumes the loop"):
+			kinds = append(kinds, "loop")
+		case strings.Contains(n, "potential deadlock"):
+			kinds = append(kinds, "deadlock")
+		}
+	}
+	if fmt.Sprint(kinds) != "[loop deadlock]" || len(wantWarnings) < 2 {
+		t.Fatalf("fresh run notes %q and %d warnings; want the loop note, then the deadlock note, and at least 2 warnings",
+			wantNotes, len(wantWarnings))
+	}
+	if g, w := strings.Join(gotNotes, "\n"), strings.Join(wantNotes, "\n"); g != w {
+		t.Errorf("memo-hit notes differ from the fresh run\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if g, w := strings.Join(gotWarnings, "\n"), strings.Join(wantWarnings, "\n"); g != w {
+		t.Errorf("memo-hit warnings differ from the fresh run\n got:\n%s\nwant:\n%s", g, w)
 	}
 }

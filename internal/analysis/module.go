@@ -14,6 +14,8 @@
 package analysis
 
 import (
+	"strings"
+
 	"uafcheck/internal/ast"
 	"uafcheck/internal/ir"
 	"uafcheck/internal/modgraph"
@@ -32,6 +34,8 @@ type ModuleFile struct {
 // file, in input order, plus the linked graph.
 type ModuleResult struct {
 	Files []*Result
+	// Graph is the linked module; its summaries are computed only when
+	// every file resolved without errors.
 	Graph *modgraph.Graph
 	// Unresolved lists calls that named no procedure in any file; the
 	// public layer converts a non-empty list into ErrUnresolvedCall.
@@ -69,7 +73,7 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 		return mres, IncrStats{}
 	}
 	_, endResolve := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseResolve)
-	g := modgraph.Link(mfiles)
+	g := modgraph.Resolve(mfiles)
 	endResolve()
 	mres.Graph = g
 	mres.Unresolved = g.Unresolved
@@ -82,6 +86,9 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 	if mres.FrontendFailed {
 		return mres, IncrStats{}
 	}
+	_, endSummaries := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseSummaries)
+	g.Summarize()
+	endSummaries()
 
 	d := newDriver(opts, units)
 	d.graph = g
@@ -99,15 +106,18 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 
 // moduleCalleesFP renders the unit's direct-callee view for the memo
 // key: one line per distinct module-level callee, identity plus
-// converged summary fingerprint, in deterministic order.
+// converged summary fingerprint, in deterministic order. Both come
+// from what the link already computed.
 func moduleCalleesFP(g *modgraph.Graph, proc *ast.ProcDecl) string {
 	callees := g.DirectCallees(g.Files[g.DeclFile[proc]], proc)
 	if len(callees) == 0 {
 		return "module"
 	}
-	s := "module"
+	var b strings.Builder
+	b.WriteString("module")
 	for _, d := range callees {
-		s += "\n" + g.SummaryFingerprint(d)
+		b.WriteByte('\n')
+		b.WriteString(g.SummaryFingerprint(d))
 	}
-	return s
+	return b.String()
 }

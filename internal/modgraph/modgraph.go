@@ -7,18 +7,22 @@
 // (transitively, through further module-level calls) reads or writes
 // it from the calling task (Direct*) or from a fire-and-forget task
 // that may outlive the call (Esc*). Summaries are computed bottom-up
-// by a chaotic-iteration fixpoint over the whole module, so mutual
-// recursion between top-level procedures converges instead of hitting
-// a recursion cutoff. The ir lowering splices each callee's summary in
-// right after the opaque Call instruction, which makes the composition
-// rules fall out of the existing CCFG semantics: effects spliced
-// inside a sync region are contained, effects spliced inside a begin
-// escape with it, and loop subsumption (§IV-A) applies unchanged.
+// over the call graph's strongly connected components, callees first:
+// a procedure outside a recursive component is lowered exactly once,
+// against callee summaries that have already converged, and only a
+// recursive component iterates, so mutual recursion between top-level
+// procedures converges instead of hitting a recursion cutoff. The ir
+// lowering splices each callee's summary in right after the opaque
+// Call instruction, which makes the composition rules fall out of the
+// existing CCFG semantics: effects spliced inside a sync region are
+// contained, effects spliced inside a begin escape with it, and loop
+// subsumption (§IV-A) applies unchanged.
 package modgraph
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"uafcheck/internal/ast"
@@ -64,20 +68,33 @@ type Graph struct {
 	// Unresolved lists calls that resolve to no procedure module-wide,
 	// in file order.
 	Unresolved []Unresolved
+
+	// callees holds each top-level procedure's DirectCallees list and
+	// fingerprints its SummaryFingerprint, both filled by Summarize.
+	callees      map[*ast.ProcDecl][]*ast.ProcDecl
+	fingerprints map[*ast.ProcDecl]string
+	// lowerings counts the fixpoint's lowerings.
+	lowerings int
 }
 
-// Link resolves every file against a shared linker scope holding all
-// files' top-level procedures (the first declaration of a name wins,
-// in file order; a file's own declarations shadow imports), then runs
-// the summary fixpoint. Per-file resolution diagnostics go to each
-// File's Diags.
+// Link resolves the module and computes its summaries: Resolve, then
+// Summarize.
 func Link(files []*File) *Graph {
+	g := Resolve(files)
+	g.Summarize()
+	return g
+}
+
+// Resolve resolves every file against a shared linker scope holding all
+// files' top-level procedures (the first declaration of a name wins, in
+// file order; a file's own declarations shadow imports). Per-file
+// resolution diagnostics go to each File's Diags. The returned graph has
+// no summaries until Summarize runs.
+func Resolve(files []*File) *Graph {
 	g := &Graph{
-		Files:     files,
-		Linker:    sym.NewLinkerScope(),
-		DeclFile:  make(map[*ast.ProcDecl]int),
-		Summaries: make(map[*ast.ProcDecl][]ir.ParamEffects),
-		HasTask:   make(map[*ast.ProcDecl]bool),
+		Files:    files,
+		Linker:   sym.NewLinkerScope(),
+		DeclFile: make(map[*ast.ProcDecl]int),
 	}
 	for i, f := range files {
 		for _, p := range f.Mod.Procs {
@@ -95,8 +112,31 @@ func Link(files []*File) *Graph {
 				Unresolved{File: f.Name, Name: id.Name, Sp: id.Sp})
 		}
 	}
-	g.computeSummaries()
 	return g
+}
+
+// Summarize builds the call graph of the resolved module, runs the
+// summary fixpoint and renders every procedure's SummaryFingerprint.
+// It runs once per graph, after Resolve; afterwards the graph is
+// read-only and safe for concurrent readers.
+func (g *Graph) Summarize() {
+	n := len(g.DeclFile)
+	g.Summaries = make(map[*ast.ProcDecl][]ir.ParamEffects, n)
+	g.HasTask = make(map[*ast.ProcDecl]bool, n)
+	g.callees = make(map[*ast.ProcDecl][]*ast.ProcDecl, n)
+	for _, f := range g.Files {
+		for _, p := range f.Mod.Procs {
+			g.Summaries[p] = make([]ir.ParamEffects, len(p.Params))
+			g.callees[p] = g.directCallees(f, p)
+		}
+	}
+	for _, comp := range g.components() {
+		g.solve(comp)
+	}
+	g.fingerprints = make(map[*ast.ProcDecl]string, n)
+	for p := range g.DeclFile {
+		g.fingerprints[p] = g.fingerprint(p)
+	}
 }
 
 // Effects is the lowering hook: it returns the current summary of a
@@ -117,24 +157,43 @@ func (g *Graph) NeedsAnalysis(p *ast.ProcDecl) bool {
 // summary compactly: "file:name|dr dw er ew|..." — the component the
 // incremental layer folds into each caller unit's memo key, so an edit
 // to a callee invalidates exactly the units whose view of it changed.
+// Summarize renders it once per procedure; "" for procedures outside
+// the graph.
 func (g *Graph) SummaryFingerprint(p *ast.ProcDecl) string {
+	return g.fingerprints[p]
+}
+
+func (g *Graph) fingerprint(p *ast.ProcDecl) string {
 	var b strings.Builder
-	fi, ok := g.DeclFile[p]
-	if !ok {
-		return ""
-	}
-	fmt.Fprintf(&b, "%s:%s", g.Files[fi].Name, p.Name.Name)
+	b.WriteString(g.Files[g.DeclFile[p]].Name)
+	b.WriteByte(':')
+	b.WriteString(p.Name.Name)
 	for _, e := range g.Summaries[p] {
-		fmt.Fprintf(&b, "|%t %t %t %t", e.DirectRead, e.DirectWrite, e.EscRead, e.EscWrite)
+		for i, bit := range [4]bool{e.DirectRead, e.DirectWrite, e.EscRead, e.EscWrite} {
+			if i == 0 {
+				b.WriteByte('|')
+			} else {
+				b.WriteByte(' ')
+			}
+			b.WriteString(strconv.FormatBool(bit))
+		}
 	}
 	return b.String()
 }
 
 // DirectCallees returns the distinct top-level procedures called
 // (possibly through nested procedures) from within p, resolved against
-// p's file. Sorted by defining file then name, so the slice is a
-// stable memo-key component.
+// p's file f. Sorted by defining file then name, so the slice is a
+// stable memo-key component. For the graph's own procedures it is the
+// list Summarize stored; callers must not modify it.
 func (g *Graph) DirectCallees(f *File, p *ast.ProcDecl) []*ast.ProcDecl {
+	if cs, ok := g.callees[p]; ok {
+		return cs
+	}
+	return g.directCallees(f, p)
+}
+
+func (g *Graph) directCallees(f *File, p *ast.ProcDecl) []*ast.ProcDecl {
 	seen := make(map[*ast.ProcDecl]bool)
 	var out []*ast.ProcDecl
 	ast.Walk(p, func(n ast.Node) bool {
@@ -163,38 +222,113 @@ func (g *Graph) DirectCallees(f *File, p *ast.ProcDecl) []*ast.ProcDecl {
 	return out
 }
 
-// computeSummaries runs the bottom-up fixpoint. Effects live in a
-// finite monotone boolean lattice (4 bits per by-ref formal), so
-// chaotic iteration converges; the bound is a safety net that also
-// keeps a hypothetical oscillation deterministic.
-func (g *Graph) computeSummaries() {
+// components returns the strongly connected components of the call
+// graph callees-first (Tarjan's algorithm, rooted in file order), each
+// component's members in file order. Solving them in this order finds
+// every callee outside a component already converged.
+func (g *Graph) components() [][]*ast.ProcDecl {
+	var procs []*ast.ProcDecl
+	id := make(map[*ast.ProcDecl]int, len(g.callees))
 	for _, f := range g.Files {
 		for _, p := range f.Mod.Procs {
-			g.Summaries[p] = make([]ir.ParamEffects, len(p.Params))
+			id[p] = len(procs)
+			procs = append(procs, p)
 		}
 	}
+	index := make([]int, len(procs)) // DFS visit order + 1; 0 = unvisited
+	low := make([]int, len(procs))
+	onStack := make([]bool, len(procs))
+	var stack []int
+	var out [][]*ast.ProcDecl
+	next := 0
+	var visit func(v int)
+	visit = func(v int) {
+		next++
+		index[v], low[v] = next, next
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, c := range g.callees[procs[v]] {
+			w := id[c]
+			switch {
+			case index[w] == 0:
+				visit(w)
+				low[v] = min(low[v], low[w])
+			case onStack[w]:
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] != index[v] {
+			return
+		}
+		i := len(stack) - 1
+		for stack[i] != v {
+			i--
+		}
+		members := append([]int(nil), stack[i:]...)
+		stack = stack[:i]
+		sort.Ints(members)
+		comp := make([]*ast.ProcDecl, len(members))
+		for j, m := range members {
+			onStack[m] = false
+			comp[j] = procs[m]
+		}
+		out = append(out, comp)
+	}
+	for v := range procs {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+	return out
+}
+
+// solve computes the summaries of one call-graph component whose
+// callees outside it have converged. A procedure that is not recursive
+// is lowered once. A recursive component iterates its members in file
+// order until a pass changes nothing: effects live in a finite monotone
+// boolean lattice (4 bits per by-ref formal), so it converges to the
+// least fixpoint; the bound of 2 + 4 per by-ref formal is a safety net
+// that also keeps a hypothetical oscillation deterministic.
+func (g *Graph) solve(comp []*ast.ProcDecl) {
+	if len(comp) == 1 && !slices.Contains(g.callees[comp[0]], comp[0]) {
+		g.lower(comp[0])
+		return
+	}
 	maxIter := 2
-	for _, effs := range g.Summaries {
-		maxIter += 4 * len(effs)
+	for _, p := range comp {
+		for _, prm := range p.Params {
+			if prm.ByRef {
+				maxIter += 4
+			}
+		}
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for _, f := range g.Files {
-			for _, p := range f.Mod.Procs {
-				scratch := &source.Diagnostics{}
-				prog := ir.LowerWith(f.Info, p, scratch, ir.LowerOptions{Effects: g.Effects})
-				g.HasTask[p] = blockHasBegin(prog.Root)
-				ns := extractEffects(prog)
-				if !effectsEqual(ns, g.Summaries[p]) {
-					g.Summaries[p] = ns
-					changed = true
-				}
+		for _, p := range comp {
+			if g.lower(p) {
+				changed = true
 			}
 		}
 		if !changed {
-			break
+			return
 		}
 	}
+}
+
+// lower lowers p under the current summary table, records whether its
+// body holds a task, and stores its new summary; it reports whether the
+// summary changed.
+func (g *Graph) lower(p *ast.ProcDecl) bool {
+	g.lowerings++
+	info := g.Files[g.DeclFile[p]].Info
+	prog := ir.LowerWith(info, p, &source.Diagnostics{}, ir.LowerOptions{Effects: g.Effects})
+	g.HasTask[p] = blockHasBegin(prog.Root)
+	ns := extractEffects(prog)
+	if slices.Equal(ns, g.Summaries[p]) {
+		return false
+	}
+	g.Summaries[p] = ns
+	return true
 }
 
 // extractEffects walks a lowered procedure and projects its accesses
@@ -252,18 +386,6 @@ func extractEffects(prog *ir.Program) []ir.ParamEffects {
 	}
 	walk(prog.Root, false, 0)
 	return out
-}
-
-func effectsEqual(a, b []ir.ParamEffects) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func blockHasBegin(b *ir.Block) bool {

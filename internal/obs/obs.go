@@ -25,14 +25,15 @@ import (
 
 // Phase names used by the pipeline spans.
 const (
-	PhaseParse   = "parse"
-	PhaseResolve = "resolve"
-	PhaseLower   = "lower"
-	PhaseCCFG    = "ccfg-build"
-	PhasePrune   = "prune"
-	PhaseExplore = "pps-explore"
-	PhaseOracle  = "oracle"
-	PhaseBatch   = "batch"
+	PhaseParse     = "parse"
+	PhaseResolve   = "resolve"
+	PhaseSummaries = "summaries" // module mode's call-graph summary fixpoint
+	PhaseLower     = "lower"
+	PhaseCCFG      = "ccfg-build"
+	PhasePrune     = "prune"
+	PhaseExplore   = "pps-explore"
+	PhaseOracle    = "oracle"
+	PhaseBatch     = "batch"
 )
 
 // Counter names. The dotted names are stable identifiers; the Prometheus
@@ -332,8 +333,8 @@ func (r *Recorder) Span(name string) (end func()) {
 // built once so closing one of their spans builds no string.
 var phaseKeys = func() map[string]string {
 	keys := make(map[string]string)
-	for _, name := range []string{PhaseParse, PhaseResolve, PhaseLower, PhaseCCFG,
-		PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch} {
+	for _, name := range []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
+		PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch} {
 		keys[name] = HistKey(HistPhaseNS, "phase", name)
 	}
 	return keys

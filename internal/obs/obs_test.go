@@ -302,8 +302,8 @@ func TestFinishEmitsCallersMetrics(t *testing.T) {
 
 // The precomputed phase keys are exactly what HistKey builds.
 func TestPhaseHistKey(t *testing.T) {
-	for _, name := range []string{PhaseParse, PhaseResolve, PhaseLower, PhaseCCFG,
-		PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch, "custom-phase"} {
+	for _, name := range []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
+		PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch, "custom-phase"} {
 		if got, want := phaseHistKey(name), HistKey(HistPhaseNS, "phase", name); got != want {
 			t.Errorf("phaseHistKey(%q) = %q, want %q", name, got, want)
 		}

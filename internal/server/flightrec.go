@@ -154,8 +154,9 @@ func stateFrom(ctx context.Context) *reqState {
 // spans each contribute their own duration).
 func digestPhases(spans []obs.TraceSpan) map[string]int64 {
 	phases := map[string]bool{
-		obs.PhaseParse: true, obs.PhaseResolve: true, obs.PhaseCCFG: true,
-		obs.PhasePrune: true, obs.PhaseLower: true, obs.PhaseExplore: true,
+		obs.PhaseParse: true, obs.PhaseResolve: true, obs.PhaseSummaries: true,
+		obs.PhaseCCFG: true, obs.PhasePrune: true, obs.PhaseLower: true,
+		obs.PhaseExplore: true,
 	}
 	var out map[string]int64
 	for _, sp := range spans {

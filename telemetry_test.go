@@ -330,6 +330,33 @@ func TestReportMetricsShape(t *testing.T) {
 	}
 }
 
+// TestModuleMetricsSummariesSpan: a module run bills its summary
+// fixpoint to its own "summaries" span and phase_ns histogram, between
+// the module-wide resolve and the first lowering; resolve keeps one
+// span.
+func TestModuleMetricsSummariesSpan(t *testing.T) {
+	mr, err := AnalyzeModuleContext(context.Background(), []ModuleFile{
+		{Name: "leaf.chpl", Src: "proc leaf(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
+		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  leaf(x);\n}\n"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, sp := range mr.Metrics.Spans {
+		spans = append(spans, sp.Name)
+	}
+	if got, want := fmt.Sprint(spans[:min(len(spans), 5)]), "[parse parse resolve summaries lower]"; got != want {
+		t.Errorf("leading spans = %s, want %s (all: %v)", got, want, spans)
+	}
+	for _, phase := range []string{obs.PhaseResolve, obs.PhaseSummaries} {
+		key := obs.HistKey(obs.HistPhaseNS, "phase", phase)
+		if h, ok := mr.Metrics.Hists[key]; !ok || h.Count != 1 {
+			t.Errorf("%s observed %d times, want once", key, h.Count)
+		}
+	}
+}
+
 // buildGraph runs the frontend once so the alloc test can call
 // pps.Explore directly, isolating the hot loop from parser allocations.
 func buildGraph(t testing.TB, name string) *ccfg.Graph {
