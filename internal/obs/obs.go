@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -249,11 +250,35 @@ func (m Metrics) aggregateSpans() []phaseAgg {
 // Merge folds other into m: spans and trace spans are concatenated,
 // counters summed, gauges kept at their maximum, histograms summed
 // bucket-wise. Counter, gauge and histogram merging is commutative and
-// associative, so aggregate runs (corpus evaluation, the uafserve
-// metrics aggregator) produce the same totals in any merge order.
+// associative, so aggregate runs (corpus evaluation, a batch report)
+// produce the same totals in any merge order.
 func (m *Metrics) Merge(other Metrics) {
 	m.Spans = append(m.Spans, other.Spans...)
 	m.Trace = append(m.Trace, other.Trace...)
+	m.mergeValues(other)
+}
+
+// MergeTotals folds other into m like Merge, for an aggregate that
+// lives as long as its process (the uafserve and watch telemetry
+// totals): its size stays bounded however many reports it absorbs.
+// Spans fold into one per phase, which keeps the first start seen and
+// sums the durations, and trace spans are dropped. FormatText and
+// PromSink therefore render every phase with the order and total that
+// Merge would give; only FormatText's span count is lost.
+func (m *Metrics) MergeTotals(other Metrics) {
+	for _, sp := range other.Spans {
+		i := slices.IndexFunc(m.Spans, func(t Span) bool { return t.Name == sp.Name })
+		if i < 0 {
+			m.Spans = append(m.Spans, sp)
+			continue
+		}
+		m.Spans[i].Dur += sp.Dur
+	}
+	m.mergeValues(other)
+}
+
+// mergeValues sums counters and histograms and keeps gauge maxima.
+func (m *Metrics) mergeValues(other Metrics) {
 	for k, v := range other.Counters {
 		if m.Counters == nil {
 			m.Counters = make(map[string]int64)

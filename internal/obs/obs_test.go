@@ -109,6 +109,61 @@ func TestMetricsMerge(t *testing.T) {
 	}
 }
 
+// TestMergeTotalsRendersLikeMerge folds the same reports with Merge and
+// with MergeTotals. The folded aggregate keeps one span per phase and
+// no trace spans, and PromSink renders both byte for byte alike.
+func TestMergeTotalsRendersLikeMerge(t *testing.T) {
+	var hist Histogram
+	hist.Observe(3)
+	reports := []Metrics{
+		{
+			Spans: []Span{
+				{Name: PhaseParse, Start: 5 * time.Microsecond, Dur: 120 * time.Microsecond},
+				{Name: PhaseExplore, Start: 300 * time.Microsecond, Dur: time.Millisecond},
+				{Name: PhaseExplore, Start: 2 * time.Millisecond, Dur: 700 * time.Microsecond},
+			},
+			Counters: map[string]int64{CtrStatesCreated: 11},
+			Hists:    map[string]Histogram{HistWaveSize: hist},
+			Trace:    []TraceSpan{{TraceID: "t1", SpanID: "s1", Name: "request"}},
+		},
+		{
+			// A later report whose phases start in another order: the
+			// first start seen still decides each phase's position.
+			Spans: []Span{
+				{Name: PhaseResolve, Start: 0, Dur: 90 * time.Microsecond},
+				{Name: PhaseExplore, Start: time.Microsecond, Dur: 333 * time.Microsecond},
+				{Name: PhaseParse, Start: 2 * time.Microsecond, Dur: 77 * time.Microsecond},
+			},
+			Counters: map[string]int64{CtrStatesCreated: 4, CtrWarnings: 1},
+			Gauges:   map[string]int64{GaugePeakFrontier: 6},
+			Hists:    map[string]Histogram{HistWaveSize: hist},
+			Trace:    []TraceSpan{{TraceID: "t2", SpanID: "s2", Name: "request"}},
+		},
+	}
+	var unfolded, folded Metrics
+	for i := 0; i < 50; i++ {
+		for _, r := range reports {
+			unfolded.Merge(r)
+			folded.MergeTotals(r)
+		}
+	}
+	if len(folded.Spans) != 3 {
+		t.Errorf("folded aggregate holds %d spans, want one per phase (3): %v", len(folded.Spans), folded.Spans)
+	}
+	if folded.Trace != nil {
+		t.Errorf("folded aggregate keeps %d trace spans", len(folded.Trace))
+	}
+	if got, want := folded.PhaseTotal(PhaseExplore), unfolded.PhaseTotal(PhaseExplore); got != want {
+		t.Errorf("folded explore total = %v, want %v", got, want)
+	}
+	var a, b bytes.Buffer
+	PromSink{W: &a}.Emit(unfolded) //nolint:errcheck
+	PromSink{W: &b}.Emit(folded)   //nolint:errcheck
+	if a.String() != b.String() {
+		t.Errorf("PromSink output differs\nMerge:\n%s\nMergeTotals:\n%s", a.String(), b.String())
+	}
+}
+
 func sampleMetrics() Metrics {
 	return Metrics{
 		Spans: []Span{

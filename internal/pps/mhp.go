@@ -46,24 +46,8 @@ func (o *MHPOracle) PairCount() int {
 // BuildMHP explores the graph and materializes the oracle.
 func BuildMHP(g *ccfg.Graph, opts Options) *MHPOracle {
 	o := &MHPOracle{n: len(g.Nodes), pairs: bits.New(len(g.Nodes) * len(g.Nodes))}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = defaultMaxStates
-	}
-	if opts.MaxOutcomes <= 0 {
-		opts.MaxOutcomes = defaultMaxOutcomes
-	}
-	e := &explorer{
-		g:           g,
-		opts:        opts,
-		par:         resolveParallelism(opts.Parallelism),
-		intern:      newInterner(),
-		everVisited: bits.New(len(g.Nodes)),
-		reported:    bits.New(len(g.Accesses)),
-		res:         &Result{},
-		varAccess:   nil,
-		mhp:         o,
-	}
-	e.varAccess = buildVarAccess(g)
+	e := newExplorer(g, opts)
+	e.mhp = o
 	e.run()
 	return o
 }

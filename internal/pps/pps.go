@@ -44,11 +44,14 @@
 package pps
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"uafcheck/internal/bits"
@@ -314,23 +317,8 @@ func Explore(g *ccfg.Graph, opts Options) *Result {
 	endExplore := opts.Obs.Span(obs.PhaseExplore)
 	defer endExplore()
 	tctx, tsp := obs.StartSpan(opts.Ctx, obs.PhaseExplore)
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = defaultMaxStates
-	}
-	if opts.MaxOutcomes <= 0 {
-		opts.MaxOutcomes = defaultMaxOutcomes
-	}
-	e := &explorer{
-		g:           g,
-		opts:        opts,
-		par:         resolveParallelism(opts.Parallelism),
-		intern:      newInterner(),
-		everVisited: bits.New(len(g.Nodes)),
-		reported:    bits.New(len(g.Accesses)),
-		res:         &Result{},
-		varAccess:   buildVarAccess(g),
-		traceCtx:    tctx,
-	}
+	e := newExplorer(g, opts)
+	e.traceCtx = tctx
 	if tr := obs.TraceFrom(tctx); tr != nil {
 		e.traceID = tr.ID().String()
 	}
@@ -340,6 +328,26 @@ func Explore(g *ccfg.Graph, opts Options) *Result {
 	tsp.SetAttrInt("states", int64(e.res.Stats.StatesProcessed))
 	tsp.End()
 	return e.res
+}
+
+// newExplorer prepares an exploration of g, resolving opts' defaults.
+func newExplorer(g *ccfg.Graph, opts Options) *explorer {
+	if opts.MaxStates <= 0 {
+		opts.MaxStates = defaultMaxStates
+	}
+	if opts.MaxOutcomes <= 0 {
+		opts.MaxOutcomes = defaultMaxOutcomes
+	}
+	return &explorer{
+		g:           g,
+		opts:        opts,
+		par:         resolveParallelism(opts.Parallelism),
+		intern:      newInterner(),
+		everVisited: bits.New(len(g.Nodes)),
+		reported:    bits.New(len(g.Accesses)),
+		res:         &Result{},
+		varAccess:   buildVarAccess(g),
+	}
 }
 
 // resolveParallelism maps the Options.Parallelism knob to a worker
@@ -621,8 +629,8 @@ func (e *explorer) product(lists [][]outcome, hit *bool) []outcome {
 }
 
 func normalizeEntries(entries []Entry) []Entry {
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Sync.ID < entries[j].Sync.ID
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Compare(a.Sync.ID, b.Sync.ID)
 	})
 	return entries
 }
@@ -786,21 +794,21 @@ func (e *explorer) computeState(p *PPS) *stepOut {
 }
 
 // computeFire executes the chosen entries (a single READ/WRITE, or a
-// batch of SINGLE-READs), buffering one successor PPS per branch-arm
-// combination of the freed strands into out. Successors get their
-// canonical key here, in the parallel phase, so the commit loop only
-// probes the interner.
+// batch of SINGLE-READs; idxs ascending), buffering one successor PPS
+// per branch-arm combination of the freed strands into out. Successors
+// get their canonical key here, in the parallel phase, so the commit
+// loop only probes the interner.
+//
+// The working sets (state table, counters, OV, SV, Visited) are private
+// to this call: every successor but the last takes a clone, and the last
+// takes the working sets themselves. All successors share one remark
+// string.
 func (e *explorer) computeFire(p *PPS, idxs []int, out *stepOut) {
 	state := p.State.Clone()
 	visited := p.Visited.Clone()
 	ov := p.OV.Clone()
 	sv := p.SV.Clone()
-
-	chosen := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		chosen[i] = true
-	}
-	var remark []string
+	counters := append([]uint8(nil), p.Counters...)
 
 	attribute := func(n *ccfg.Node) {
 		if visited.Has(n.ID) {
@@ -815,8 +823,8 @@ func (e *explorer) computeFire(p *PPS, idxs []int, out *stepOut) {
 	}
 
 	var lists [][]outcome
-	counters := append([]uint8(nil), p.Counters...)
-	for _, i := range idxs {
+	var remark []byte
+	for k, i := range idxs {
 		en := p.Entries[i]
 		ev := en.Sync.Sync
 		op := ev.Op
@@ -845,8 +853,15 @@ func (e *explorer) computeFire(p *PPS, idxs []int, out *stepOut) {
 				// retains full state
 			}
 		}
-		out.trans[ruleNumber(op)]++
-		remark = append(remark, fmt.Sprintf("r#%d N#%d", ruleNumber(op), en.Sync.ID))
+		rule := ruleNumber(op)
+		out.trans[rule]++
+		if k > 0 {
+			remark = append(remark, ' ')
+		}
+		remark = append(remark, "r#"...)
+		remark = strconv.AppendInt(remark, int64(rule), 10)
+		remark = append(remark, " N#"...)
+		remark = strconv.AppendInt(remark, int64(en.Sync.ID), 10)
 		// Attribute the path since the strand's previous sync event,
 		// then the executed node itself ("∀ Nk from Sprev to Si").
 		for _, n := range en.Pending {
@@ -864,17 +879,20 @@ func (e *explorer) computeFire(p *PPS, idxs []int, out *stepOut) {
 			lists = append(lists, conts)
 		}
 	}
+	rem := string(remark)
 
-	var remaining []Entry
-	for i, en := range p.Entries {
-		if !chosen[i] {
-			remaining = append(remaining, en)
+	combos := e.product(lists, &out.budgetHit)
+	for c, combo := range combos {
+		// The entries that did not fire carry over unchanged.
+		entries := make([]Entry, 0, len(p.Entries)-len(idxs)+len(combo.entries))
+		k := 0
+		for i, en := range p.Entries {
+			if k < len(idxs) && idxs[k] == i {
+				k++
+				continue
+			}
+			entries = append(entries, en)
 		}
-	}
-
-	for _, combo := range e.product(lists, &out.budgetHit) {
-		entries := make([]Entry, 0, len(remaining)+len(combo.entries))
-		entries = append(entries, remaining...)
 		entries = append(entries, combo.entries...)
 		var trailing [][]*ccfg.Node
 		if e.mhp != nil {
@@ -885,14 +903,18 @@ func (e *explorer) computeFire(p *PPS, idxs []int, out *stepOut) {
 		np := &PPS{
 			TS:       p.TS + 1,
 			Entries:  normalizeEntries(entries),
-			State:    state.Clone(),
-			Counters: append([]uint8(nil), counters...),
-			OV:       ov.Clone(),
-			SV:       sv.Clone(),
-			Visited:  visited.Clone(),
-			Remark:   strings.Join(remark, " "),
+			Remark:   rem,
 			Trailing: trailing,
 			parent:   p,
+		}
+		if c == len(combos)-1 {
+			np.State, np.Counters, np.OV, np.SV, np.Visited = state, counters, ov, sv, visited
+		} else {
+			np.State = state.Clone()
+			np.Counters = append([]uint8(nil), counters...)
+			np.OV = ov.Clone()
+			np.SV = sv.Clone()
+			np.Visited = visited.Clone()
 		}
 		e.promote(np)
 		if !e.opts.DisableMerge {
@@ -967,7 +989,7 @@ func (e *explorer) promote(p *PPS) {
 				}
 			})
 			if moved {
-				p.Remark += fmt.Sprintf(" PF(%s)", v.Name)
+				p.Remark += " PF(" + v.Name + ")"
 			}
 		}
 	}

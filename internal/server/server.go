@@ -288,8 +288,11 @@ type Server struct {
 	// Retry-After estimate on 429s.
 	ewmaMS atomic.Int64
 
-	mu  sync.Mutex
-	agg obs.Metrics // aggregate of per-request report telemetry
+	mu sync.Mutex
+	// agg totals the per-request report telemetry: one span per phase,
+	// no trace spans (MergeTotals), so it stays the same size however
+	// many requests the server answers.
+	agg obs.Metrics
 
 	// amu guards the /v1/delta analyzer pool: one incremental Analyzer
 	// per distinct option fingerprint, bounded by maxAnalyzers.
@@ -515,6 +518,8 @@ poll:
 
 // MetricsSnapshot returns the server counters merged with the
 // aggregated per-request analysis telemetry — what /metrics renders.
+// The aggregate holds per-phase span totals and no trace spans, so a
+// scrape copies a bounded value however many requests came before.
 func (s *Server) MetricsSnapshot() obs.Metrics {
 	var m obs.Metrics
 	s.mu.Lock()
@@ -783,7 +788,7 @@ func (s *Server) observeAnalysis(t0 time.Time, rep *uafcheck.Report) {
 	s.ewmaMS.Store((old*3 + ms) / 4)
 	if rep != nil {
 		s.mu.Lock()
-		s.agg.Merge(rep.Metrics)
+		s.agg.MergeTotals(rep.Metrics)
 		s.mu.Unlock()
 	}
 }
@@ -873,7 +878,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
 	s.mu.Lock()
-	s.agg.Merge(batchRep.Metrics)
+	s.agg.MergeTotals(batchRep.Metrics)
 	s.mu.Unlock()
 }
 
@@ -908,7 +913,7 @@ func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRe
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
 	s.mu.Lock()
-	s.agg.Merge(mrep.Metrics)
+	s.agg.MergeTotals(mrep.Metrics)
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -1083,7 +1088,7 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
 	s.mu.Lock()
-	s.agg.Merge(batchRep.Metrics)
+	s.agg.MergeTotals(batchRep.Metrics)
 	s.mu.Unlock()
 
 	// Best-effort per-file repair, same eligibility as the single-shot
@@ -1249,7 +1254,7 @@ func (s *Server) deltaModule(r *http.Request, req *DeltaRequest, emit func([]byt
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
 	s.mu.Lock()
-	s.agg.Merge(mrep.Metrics)
+	s.agg.MergeTotals(mrep.Metrics)
 	s.mu.Unlock()
 	for _, fr := range mrep.Files {
 		line, encErr := wire.NewResult(fr.Name, fr.Report, fr.Err, req.Options.Metrics).Encode()

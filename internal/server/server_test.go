@@ -340,6 +340,59 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 }
 
+// TestMetricsAggregateStaysBounded sends batch requests with fresh
+// content and checks that the per-request telemetry aggregate behind
+// /metrics totals them: one span per phase, no trace spans, and no
+// growth between the 4th and the 12th request.
+func TestMetricsAggregateStaysBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	batch := func(i int) {
+		req := BatchRequest{Files: []BatchFile{
+			{Name: fmt.Sprintf("a%d.chpl", i), Src: fanoutSrc(fmt.Sprintf("a%d", i), 3)},
+			{Name: fmt.Sprintf("b%d.chpl", i), Src: fanoutSrc(fmt.Sprintf("b%d", i), 2)},
+		}}
+		if resp, body := post(t, ts, "/v1/analyze-batch", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	check := func(m obs.Metrics) {
+		t.Helper()
+		seen := make(map[string]bool)
+		for _, sp := range m.Spans {
+			if seen[sp.Name] {
+				t.Errorf("phase %q has more than one aggregate span", sp.Name)
+			}
+			seen[sp.Name] = true
+		}
+		if !seen[obs.PhaseExplore] {
+			t.Errorf("aggregate has no %q span: %v", obs.PhaseExplore, m.Spans)
+		}
+		if m.Trace != nil {
+			t.Errorf("aggregate keeps %d trace spans", len(m.Trace))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		batch(i)
+	}
+	early := srv.MetricsSnapshot()
+	check(early)
+	for i := 4; i < 12; i++ {
+		batch(i)
+	}
+	late := srv.MetricsSnapshot()
+	check(late)
+	if len(late.Spans) != len(early.Spans) {
+		t.Errorf("aggregate spans grew from %d to %d", len(early.Spans), len(late.Spans))
+	}
+	if late.PhaseTotal(obs.PhaseExplore) <= early.PhaseTotal(obs.PhaseExplore) {
+		t.Errorf("explore total did not grow: %v then %v",
+			early.PhaseTotal(obs.PhaseExplore), late.PhaseTotal(obs.PhaseExplore))
+	}
+	if got := late.Counter(obs.CtrServerBatchFiles); got != 24 {
+		t.Errorf("server.batch_files = %d, want 24", got)
+	}
+}
+
 // TestDeadlineDegrades maps a tiny request deadline onto the governor:
 // the response is still 200, but the report is marked degraded with the
 // deadline stop reason.

@@ -205,10 +205,13 @@ func (s *Service) Warnings(path string) ([]string, bool) {
 }
 
 // Metrics returns the session aggregate: every analyzed report's
-// telemetry merged with the watch loop's own counters and gauges.
+// telemetry totalled per phase (no trace spans) and merged with the
+// watch loop's own counters and gauges. The result is a copy; later
+// passes do not change it.
 func (s *Service) Metrics() uafcheck.Metrics {
+	var agg uafcheck.Metrics
 	s.mu.Lock()
-	agg := s.agg
+	agg.Merge(s.agg)
 	s.mu.Unlock()
 	agg.Merge(s.rec.Snapshot())
 	return agg
@@ -371,7 +374,7 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 
 	s.mu.Lock()
 	st.src = src
-	s.agg.Merge(rep.Metrics)
+	s.agg.MergeTotals(rep.Metrics)
 	s.mu.Unlock()
 	uafcheck.SortWarnings(rep.Warnings)
 	next := make([]string, len(rep.Warnings))

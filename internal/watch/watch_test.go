@@ -335,3 +335,46 @@ func TestDiffWarnings(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsAggregateStaysBounded re-analyzes an edited file over many
+// polls. The session aggregate totals the reports (one span per phase,
+// no trace spans), and reading it is a copy: reading it twice gives
+// the same counters.
+func TestMetricsAggregateStaysBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.chpl")
+	replaceFile(t, path, buggySrc)
+	svc := New(Config{
+		Roots:       []string{path},
+		NewAnalyzer: func() *uafcheck.Analyzer { return uafcheck.NewAnalyzer() },
+	})
+	ctx := context.Background()
+	svc.pass(ctx, true)
+	for i := 0; i < 10; i++ {
+		src := buggySrc
+		if i%2 == 0 {
+			src = editedSrc
+		}
+		replaceFile(t, path, src)
+		svc.pass(ctx, false)
+	}
+	m := svc.Metrics()
+	seen := make(map[string]bool)
+	for _, sp := range m.Spans {
+		if seen[sp.Name] {
+			t.Errorf("phase %q has more than one aggregate span", sp.Name)
+		}
+		seen[sp.Name] = true
+	}
+	if len(seen) == 0 {
+		t.Error("aggregate has no phase spans")
+	}
+	if m.Trace != nil {
+		t.Errorf("aggregate keeps %d trace spans", len(m.Trace))
+	}
+	if got := m.Counter("watch.polls"); got != 11 {
+		t.Errorf("watch.polls = %d, want 11", got)
+	}
+	if got := svc.Metrics().Counter("watch.polls"); got != 11 {
+		t.Errorf("second read: watch.polls = %d, want 11", got)
+	}
+}

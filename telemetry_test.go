@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -354,6 +355,55 @@ func TestModuleMetricsSummariesSpan(t *testing.T) {
 		if h, ok := mr.Metrics.Hists[key]; !ok || h.Count != 1 {
 			t.Errorf("%s observed %d times, want once", key, h.Count)
 		}
+	}
+}
+
+// TestMergeTotalsOnReports folds the traced reports of the suite
+// programs, each twice, the way a long-lived aggregate (uafserve,
+// watch) does. MergeTotals keeps one span per phase and no trace
+// spans, and PromSink renders it exactly as it renders the unfolded
+// Merge of the same reports.
+func TestMergeTotalsOnReports(t *testing.T) {
+	paths, err := filepath.Glob("testdata/suite/*.chpl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no suite programs: %v", err)
+	}
+	var unfolded, folded Metrics
+	for round := 0; round < 2; round++ {
+		for _, p := range paths {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := AnalyzeContext(context.Background(), filepath.Base(p), string(src), WithTracing(true))
+			if err != nil {
+				continue // the suite keeps a few frontend-error programs
+			}
+			unfolded.Merge(rep.Metrics)
+			folded.MergeTotals(rep.Metrics)
+		}
+	}
+	if len(unfolded.Trace) == 0 {
+		t.Fatal("traced reports carried no trace spans")
+	}
+	if folded.Trace != nil {
+		t.Errorf("folded aggregate keeps %d trace spans", len(folded.Trace))
+	}
+	phases := make(map[string]bool)
+	for _, sp := range folded.Spans {
+		if phases[sp.Name] {
+			t.Errorf("phase %q folded into more than one span", sp.Name)
+		}
+		phases[sp.Name] = true
+	}
+	if len(folded.Spans) >= len(unfolded.Spans) {
+		t.Errorf("folding kept %d of %d spans", len(folded.Spans), len(unfolded.Spans))
+	}
+	var a, b bytes.Buffer
+	obs.PromSink{W: &a}.Emit(unfolded) //nolint:errcheck
+	obs.PromSink{W: &b}.Emit(folded)   //nolint:errcheck
+	if a.String() != b.String() {
+		t.Errorf("PromSink output differs\nMerge:\n%s\nMergeTotals:\n%s", a.String(), b.String())
 	}
 }
 
