@@ -47,7 +47,9 @@ repair-smoke:
 # asserts batch byte-identity with a single process through the edge,
 # then kills both workers mid-batch and asserts the stream degrades
 # visibly (one flagged line per unfinished file) instead of going
-# silently short. See docs/CLUSTER.md.
+# silently short, and last checks that a forged cache entry PUT to the
+# edge or a worker is refused and never served after a restart. See
+# docs/CLUSTER.md.
 cluster-smoke:
 	sh scripts/cluster-smoke.sh
 

@@ -38,29 +38,31 @@ type CacheConfig struct {
 	// call Flush to checkpoint and Close at shutdown. Ignored when Dir
 	// is empty.
 	AsyncDiskWrites int
-	// Backend, when non-nil, replaces the persistence tier entirely —
-	// how cluster replicas plug a tiered local+remote store under the
-	// same LRU, envelope checksums, and quarantine machinery as the
-	// plain disk tier. Takes precedence over Dir.
+	// Backend, when non-nil, replaces the persistence tier: the Cache
+	// keeps its LRU, envelope checksums and quarantine, and moves entry
+	// bytes through Backend instead of the plain Dir tier. Takes
+	// precedence over Dir.
 	Backend CacheBackend
 }
 
 // CacheBackend is the pluggable persistence tier behind a Cache: a
 // blob store for checksummed entry envelopes. The built-in local
-// directory tier is one implementation; the cluster's HTTP remote
-// tier is another. See internal/cache.Backend for the contract.
+// directory tier is the one implementation. See internal/cache.Backend
+// for the contract.
 type CacheBackend = cache.Backend
 
 // NewDirCacheBackend creates the local-directory backend the plain
-// disk tier uses — exposed so callers can compose it (e.g. into a
-// tiered local+remote chain via NewTieredCacheBackend).
+// disk tier uses.
 func NewDirCacheBackend(dir string) CacheBackend { return cache.NewDirBackend(dir) }
 
-// NewTieredCacheBackend chains a fast local backend with a remote one:
-// reads fall through to remote on a local miss and warm the local copy
-// (after validating it); writes land locally only.
+// NewTieredCacheBackend returns local unchanged; remote is ignored.
+//
+// Deprecated: the peer cache tier is gone; use local directly. A
+// content-addressed tier never changes a result, only whether a report
+// is recomputed, so dropping remote changes no report. It will be
+// removed in 0.9.0.
 func NewTieredCacheBackend(local, remote CacheBackend) CacheBackend {
-	return cache.NewTiered(local, remote)
+	return local
 }
 
 // CacheStats counts cache traffic (hits, disk hits, misses, stores,
@@ -98,8 +100,10 @@ func NewCache(cfg CacheConfig) *Cache {
 }
 
 // Backend returns the persistence backend (nil for memory-only
-// caches). uafserve mounts this behind its /v1/cache peer endpoints so
-// other replicas can warm from it.
+// caches).
+//
+// Deprecated: its only use was serving the peer cache endpoints, which
+// are gone. It will be removed in 0.9.0.
 func (c *Cache) Backend() CacheBackend { return c.c.Backend() }
 
 // Stats returns a snapshot of the traffic counters.

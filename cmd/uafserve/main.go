@@ -34,10 +34,6 @@
 //	                   worker-0, worker-1, ... by position; the routing
 //	                   ring hashes IDs, so keep them stable across
 //	                   restarts)
-//	-cache-peers LIST  worker: comma-separated peer base URLs; local
-//	                   report-cache misses fall through to the peers'
-//	                   /v1/cache endpoints, so a cold replica warms from
-//	                   the fleet instead of recomputing
 //	-probe-interval D  coordinator: worker health probe cadence
 //	                   (default 2s); a worker failing its probe leaves
 //	                   the ring until it recovers
@@ -106,7 +102,6 @@ import (
 	"time"
 
 	"uafcheck"
-	"uafcheck/internal/client"
 	"uafcheck/internal/cluster"
 	"uafcheck/internal/fault"
 	"uafcheck/internal/server"
@@ -131,7 +126,6 @@ func main() {
 		faultSeed   = flag.Int64("fault-seed", 1, "deterministic seed for -faults probability streams")
 		mode        = flag.String("mode", "single", "process role: single, worker, or coordinator")
 		workers     = flag.String("workers", "", "coordinator: comma-separated worker base URLs (optionally id=url pairs)")
-		cachePeers  = flag.String("cache-peers", "", "worker: comma-separated peer base URLs to warm the report cache from")
 		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "coordinator: worker health probe interval")
 	)
 	flag.Parse()
@@ -163,20 +157,8 @@ func main() {
 	// through the async tier so cache persistence never sits on a
 	// request's latency path; Shutdown flushes it.
 	cacheCfg := uafcheck.CacheConfig{MaxEntries: *cacheSize, Dir: *cacheDir}
-	var peerBackend uafcheck.CacheBackend
 	if *cacheDir != "" {
 		cacheCfg.AsyncDiskWrites = 256
-		// The peer endpoint always serves the local tier only — serving
-		// the tiered chain would turn one peer's miss into a fan-out.
-		local := uafcheck.NewDirCacheBackend(*cacheDir)
-		peerBackend = local
-		cacheCfg.Backend = local
-		if *cachePeers != "" {
-			remote := cluster.NewRemoteBackend(splitList(*cachePeers),
-				client.New(client.Config{MaxAttempts: 2, Budget: 10 * time.Second, NoStatusRetry: true}))
-			cacheCfg.Backend = uafcheck.NewTieredCacheBackend(local, remote)
-			fmt.Fprintf(os.Stderr, "uafserve: cache warms from peers: %s\n", *cachePeers)
-		}
 	}
 	reportCache := uafcheck.NewCache(cacheCfg)
 	if *cacheDir != "" {
@@ -200,7 +182,6 @@ func main() {
 		FlightRecorderSize: *flightSize,
 		EnablePprof:        *enablePprof,
 		Mode:               *mode,
-		CachePeer:          peerBackend,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

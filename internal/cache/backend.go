@@ -19,9 +19,8 @@ var ErrNotFound = errors.New("cache: entry not found")
 // persistence tier behind the in-memory LRU. Implementations move raw
 // envelope bytes only; the checksummed envelope itself (encodeEntry /
 // decodeEntry) is produced and verified by the Cache, so every backend
-// — a local directory, a remote HTTP peer, a tiered chain — gets the
-// same crash-safety contract: a torn or corrupt entry is detected on
-// read, quarantined via Discard, and degrades to a miss.
+// gets the same crash-safety contract: a torn or corrupt entry is
+// detected on read, quarantined via Discard, and degrades to a miss.
 //
 // All methods must be safe for concurrent use. Store failures are
 // tolerated by the cache (counted, and the tier self-disables after
@@ -57,8 +56,7 @@ type RecoverableBackend interface {
 // partial entry; corrupt entries are moved into quarantine/ for
 // post-mortem inspection instead of deleted. The fault-injection
 // points cache.fs.read / cache.fs.write / cache.fs.rename /
-// cache.fs.torn instrument this backend (and only this backend — a
-// remote peer's torn reads have their own point).
+// cache.fs.torn instrument this backend.
 type DirBackend struct {
 	dir string
 }
@@ -71,9 +69,6 @@ func NewDirBackend(dir string) *DirBackend {
 
 // Name implements Backend.
 func (d *DirBackend) Name() string { return "dir:" + d.dir }
-
-// Dir returns the backing directory.
-func (d *DirBackend) Dir() string { return d.dir }
 
 func (d *DirBackend) path(k Key) string {
 	return filepath.Join(d.dir, k.String()+".json")
@@ -186,76 +181,4 @@ func (d *DirBackend) Recover(validate func(env []byte) error) RecoverStats {
 		rs.Quarantined++
 	}
 	return rs
-}
-
-// ------------------------------------------------------ TieredBackend
-
-// TieredBackend chains a fast local backend with a remote one: reads
-// try local first and fall through to the remote tier, warming the
-// local copy on a remote hit so a cold replica serves its second
-// lookup from disk instead of the network. Writes land locally only —
-// peers pull entries on demand rather than being pushed to, which
-// keeps stores off the request path and makes the remote tier purely
-// an accelerator.
-//
-// A remote envelope is validated before it is warmed through: torn or
-// corrupt remote bytes are never persisted locally. They are still
-// returned to the cache layer, whose own validation quarantines the
-// entry (Discard) and degrades the lookup to a miss — the same
-// contract as a torn local read.
-type TieredBackend struct {
-	local  Backend
-	remote Backend
-}
-
-// NewTiered chains local and remote into one backend.
-func NewTiered(local, remote Backend) *TieredBackend {
-	return &TieredBackend{local: local, remote: remote}
-}
-
-// Name implements Backend.
-func (t *TieredBackend) Name() string {
-	return "tiered(" + t.local.Name() + ", " + t.remote.Name() + ")"
-}
-
-// Fetch implements Backend: local first, then remote with warm-through.
-func (t *TieredBackend) Fetch(k Key) ([]byte, error) {
-	env, err := t.local.Fetch(k)
-	if err == nil {
-		return env, nil
-	}
-	env, rerr := t.remote.Fetch(k)
-	if rerr != nil {
-		if errors.Is(rerr, ErrNotFound) && !errors.Is(err, ErrNotFound) {
-			// A local I/O failure is the more actionable error when the
-			// remote simply doesn't have the entry either.
-			return nil, err
-		}
-		return nil, rerr
-	}
-	if _, verr := decodeEntry(env); verr == nil {
-		t.local.Store(k, env) //nolint:errcheck — warm-through is best-effort
-	}
-	return env, nil
-}
-
-// Store implements Backend: local tier only (peers pull, see type doc).
-func (t *TieredBackend) Store(k Key, env []byte) error {
-	return t.local.Store(k, env)
-}
-
-// Discard implements Backend: both tiers, so neither can re-serve the
-// corrupt entry.
-func (t *TieredBackend) Discard(k Key, cause error) {
-	t.local.Discard(k, cause)
-	t.remote.Discard(k, cause)
-}
-
-// Recover implements RecoverableBackend by delegating to the local
-// tier when it supports recovery (remote tiers validate per read).
-func (t *TieredBackend) Recover(validate func(env []byte) error) RecoverStats {
-	if r, ok := t.local.(RecoverableBackend); ok {
-		return r.Recover(validate)
-	}
-	return RecoverStats{}
 }

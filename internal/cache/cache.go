@@ -64,18 +64,6 @@ func KeyOf(chunks ...string) Key {
 // String returns the hex form of the key (also the disk file stem).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey parses the 64-hex form back into a Key — how the cache peer
-// HTTP endpoint turns a URL path segment into an address.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != sha256.Size {
-		return k, fmt.Errorf("cache: malformed key %q", s)
-	}
-	copy(k[:], raw)
-	return k, nil
-}
-
 // Codec says how to serialize and defensively copy cached values. All
 // three functions must be safe for concurrent use.
 type Codec[V any] struct {
@@ -164,8 +152,7 @@ func New[V any](codec Codec[V], maxEntries int, dir string) *Cache[V] {
 }
 
 // NewWithBackend creates a cache over an arbitrary persistence backend
-// (nil for memory-only) — how the cluster layer plugs a tiered
-// local+remote store under the same LRU, envelope validation, and
+// (nil for memory-only), with the same LRU, envelope validation and
 // self-disabling failure accounting as the plain disk tier.
 func NewWithBackend[V any](codec Codec[V], maxEntries int, be Backend) *Cache[V] {
 	if maxEntries <= 0 {
@@ -180,8 +167,7 @@ func NewWithBackend[V any](codec Codec[V], maxEntries int, be Backend) *Cache[V]
 	}
 }
 
-// Backend returns the persistence backend (nil for memory-only caches)
-// — what uafserve mounts behind its /v1/cache peer endpoints.
+// Backend returns the persistence backend (nil for memory-only caches).
 func (c *Cache[V]) Backend() Backend { return c.backend }
 
 // Get returns a clone of the value stored under k. A memory miss falls
@@ -358,15 +344,6 @@ func decodeEntry(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// ValidateEnvelope checks that raw is a well-formed checksummed entry
-// envelope without decoding its payload — how a cache peer endpoint
-// rejects corrupt uploads and how the tiered backend refuses to warm a
-// torn remote read through to local disk.
-func ValidateEnvelope(raw []byte) error {
-	_, err := decodeEntry(raw)
-	return err
-}
-
 // readDisk loads and validates one backend entry. I/O errors count as
 // DiskErrors; validation or decode failures quarantine the entry
 // (Backend.Discard). Both degrade to a miss.
@@ -419,8 +396,7 @@ type RecoverStats struct {
 // startup crash-recovery scan. Corrupt entries are quarantined,
 // orphaned temp files from interrupted writes are removed, and valid
 // entries are left in place (not promoted to memory; they load on
-// first Get). A no-op without a recoverable backend (remote tiers
-// validate per read instead).
+// first Get). A no-op without a recoverable backend.
 func (c *Cache[V]) RecoverDisk() RecoverStats {
 	rb, ok := c.backend.(RecoverableBackend)
 	if !ok {

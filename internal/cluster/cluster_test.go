@@ -15,9 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"uafcheck/internal/cache"
 	"uafcheck/internal/client"
-	"uafcheck/internal/fault"
 	"uafcheck/internal/server"
 )
 
@@ -403,73 +401,6 @@ func TestChaosClusterWorkerKillNoSurvivor(t *testing.T) {
 		if res.Status != "error" || !strings.Contains(res.Error, "worker lost mid-batch") {
 			t.Fatalf("line not flagged as worker-lost: %q", l)
 		}
-	}
-}
-
-// TestChaosClusterTornRemoteCacheRead: a replica warming from a peer
-// over the cache protocol reads a torn envelope. The checksum layer
-// must turn that into a quarantine + miss — never a wrong value, and
-// never a corrupt byte warmed into the local tier — and a recompute
-// lands cleanly afterwards.
-func TestChaosClusterTornRemoteCacheRead(t *testing.T) {
-	codec := cache.Codec[string]{
-		Encode: func(s string) ([]byte, error) { return []byte(s), nil },
-		Decode: func(b []byte) (string, error) { return string(b), nil },
-		Clone:  func(s string) string { return s },
-	}
-	k1, k2 := cache.KeyOf("cluster-entry-1"), cache.KeyOf("cluster-entry-2")
-
-	// The peer replica: a dir-backed cache with its backend mounted
-	// behind the /v1/cache peer protocol.
-	peerBE := cache.NewDirBackend(t.TempDir())
-	peerCache := cache.NewWithBackend(codec, 0, peerBE)
-	peerCache.Put(k1, "value-one")
-	peerCache.Put(k2, "value-two")
-	peer := newWorker(t, server.Config{CachePeer: peerBE})
-
-	hc := client.New(client.Config{MaxAttempts: 1, Budget: 5 * time.Second, NoStatusRetry: true})
-
-	// Clean path first: a cold replica warms k1 from the peer and the
-	// validated envelope lands in its local tier.
-	localA := cache.NewDirBackend(t.TempDir())
-	ca := cache.NewWithBackend(codec, 0, cache.NewTiered(localA, NewRemoteBackend([]string{peer.URL}, hc)))
-	if v, ok := ca.Get(k1); !ok || v != "value-one" {
-		t.Fatalf("warm from peer: got %q, %v", v, ok)
-	}
-	if _, err := localA.Fetch(k1); err != nil {
-		t.Fatalf("validated entry was not warmed into the local tier: %v", err)
-	}
-
-	// Torn path: the next remote read is mangled in flight.
-	restore := fault.Set(fault.New(7, fault.Rule{
-		Point: fault.ClusterRemoteTorn, Mode: fault.ModeTorn, Prob: 1, Count: 1,
-	}))
-	defer restore()
-
-	localB := cache.NewDirBackend(t.TempDir())
-	cb := cache.NewWithBackend(codec, 0, cache.NewTiered(localB, NewRemoteBackend([]string{peer.URL}, hc)))
-	if v, ok := cb.Get(k2); ok {
-		t.Fatalf("torn remote read served a value: %q", v)
-	}
-	if st := cb.Stats(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1 (stats: %+v)", st.Quarantined, st)
-	}
-	// The corrupt envelope must not have been warmed locally, and the
-	// discard fan-out must have evicted the peer's copy so it cannot
-	// re-propagate.
-	if _, err := localB.Fetch(k2); err == nil {
-		t.Fatal("corrupt envelope was warmed into the local tier")
-	}
-	if _, err := peerBE.Fetch(k2); err == nil {
-		t.Fatal("peer still serves the discarded entry")
-	}
-
-	// Recompute: the caller stores a fresh value locally; a restarted
-	// replica over the same local tier reads it back intact.
-	cb.Put(k2, "value-two")
-	cb2 := cache.NewWithBackend(codec, 0, localB)
-	if v, ok := cb2.Get(k2); !ok || v != "value-two" {
-		t.Fatalf("recomputed entry did not persist: got %q, %v", v, ok)
 	}
 }
 

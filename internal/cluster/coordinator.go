@@ -231,17 +231,13 @@ func (c *Coordinator) Probe() {
 func (c *Coordinator) aliveRing() *Ring { return c.ring.Load() }
 
 // Handler returns the coordinator's route table: the full /v1/ wire
-// contract proxied over the ring, the cache peer protocol routed to
-// entry owners, and the admin surfaces.
+// contract proxied over the ring, and the admin surfaces.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", c.proxySingle("analyze", "/v1/analyze"))
 	mux.HandleFunc("POST /v1/repair", c.proxySingle("repair", "/v1/repair"))
 	mux.HandleFunc("POST /v1/analyze-batch", c.handleBatch)
 	mux.HandleFunc("POST /v1/delta", c.handleDelta)
-	mux.HandleFunc("GET /v1/cache/{key}", c.handleCacheProxy)
-	mux.HandleFunc("PUT /v1/cache/{key}", c.handleCacheProxy)
-	mux.HandleFunc("DELETE /v1/cache/{key}", c.handleCacheProxy)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /livez", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -353,56 +349,6 @@ func (c *Coordinator) forwardByKey(w http.ResponseWriter, r *http.Request, key c
 			continue
 		}
 		c.rec.Add(CtrProxied, 1)
-		copyResponse(w, resp, id)
-		return
-	}
-	c.errorJSON(w, http.StatusBadGateway,
-		fmt.Sprintf("all candidate workers unreachable: %v", lastErr))
-}
-
-// handleCacheProxy routes cache peer requests by entry key: GET and
-// PUT go to the key's owner (with one failover hop for GET), DELETE
-// fans out to every worker so no replica can re-serve a discarded
-// entry.
-func (c *Coordinator) handleCacheProxy(w http.ResponseWriter, r *http.Request) {
-	k, err := cache.ParseKey(r.PathValue("key"))
-	if err != nil {
-		c.errorJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	path := "/v1/cache/" + k.String()
-	if r.Method == http.MethodDelete {
-		for _, id := range c.aliveRing().Members() {
-			resp, err := c.hc.Do(r.Context(), http.MethodDelete, c.urls[id]+path, "", nil)
-			if err == nil {
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-				resp.Body.Close()
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	body := []byte(nil)
-	if r.Method == http.MethodPut {
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-		if err != nil {
-			c.errorJSON(w, http.StatusRequestEntityTooLarge, "reading envelope: "+err.Error())
-			return
-		}
-	}
-	cands := c.aliveRing().LookupN(k, 2)
-	if len(cands) == 0 {
-		c.errorJSON(w, http.StatusServiceUnavailable, "no workers alive")
-		return
-	}
-	var lastErr error
-	for _, id := range cands {
-		resp, err := c.hc.DoWithHeaders(r.Context(), r.Method, c.urls[id]+path,
-			forwardHeaders(r), body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		copyResponse(w, resp, id)
 		return
 	}

@@ -91,13 +91,6 @@ func keyHash(k cache.Key) uint64 {
 	return binary.BigEndian.Uint64(k[:8])
 }
 
-// Members returns the sorted member IDs.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 

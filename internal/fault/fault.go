@@ -47,11 +47,6 @@ const (
 	AnalysisDelay = "analysis.delay"
 	// WatchRead fails source-file reads in the watch service's poll loop.
 	WatchRead = "watch.fs.read"
-	// ClusterRemoteTorn mangles envelope bytes read from a remote cache
-	// peer — a torn network read or a corrupt peer entry that the
-	// receiving cache's checksum must catch (and must never warm through
-	// to local disk).
-	ClusterRemoteTorn = "cluster.cache.torn"
 )
 
 // Mode says what a rule does when it fires.

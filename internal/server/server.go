@@ -103,12 +103,6 @@ type Config struct {
 	// mixed-role and mixed-version fleets are diagnosable from their
 	// health surfaces alone.
 	Mode string
-	// CachePeer, when non-nil, mounts the cache peer protocol
-	// (GET/PUT/DELETE /v1/cache/{key}) over this backend, letting other
-	// replicas warm their caches from this one. Typically the local
-	// directory backend of Cache — never a remote tier, which would
-	// turn a peer fetch into a fan-out.
-	CachePeer cache.Backend
 }
 
 // ComponentStatus is one component's health row in /healthz and
@@ -338,11 +332,6 @@ func (s *Server) Handler() http.Handler {
 		s.deprecatedAlias("/v1/analyze", s.traced("/analyze", s.handleAnalyze)))
 	mux.HandleFunc("POST /analyze-batch",
 		s.deprecatedAlias("/v1/analyze-batch", s.traced("/analyze-batch", s.handleBatch)))
-	if s.cfg.CachePeer != nil {
-		mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheFetch)
-		mux.HandleFunc("PUT /v1/cache/{key}", s.handleCacheStore)
-		mux.HandleFunc("DELETE /v1/cache/{key}", s.handleCacheDiscard)
-	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

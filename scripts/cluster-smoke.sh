@@ -11,12 +11,19 @@
 #      carries one well-formed line per file, with the unfinished
 #      files flagged as status "error" naming the lost worker —
 #      degraded visibly, never silently short or corrupt
+#   4. boot a worker with -cache-dir behind a coordinator, analyze a
+#      file with a real use-after-free, forge a zero-warning cache
+#      envelope for its key (valid checksum and all) and PUT it to the
+#      edge and to the worker: neither may answer 2xx. After a SIGTERM
+#      and a reboot over the same cache directory, the edge must still
+#      serve the first answer byte for byte — no client can plant a
+#      report in a worker's cache
 #
-# Run via `make cluster-smoke`. Requires curl and jq. See
+# Run via `make cluster-smoke`. Requires curl, jq and sha256sum. See
 # docs/CLUSTER.md.
 set -eu
 
-for tool in curl jq; do
+for tool in curl jq sha256sum; do
 	command -v "$tool" >/dev/null 2>&1 || {
 		echo "cluster-smoke: $tool not installed" >&2
 		exit 1
@@ -139,4 +146,74 @@ echo "cluster-smoke: after kill: $KLINES lines, $KNAMES distinct files, $ERRORS 
 	echo "cluster-smoke: FAIL — error lines do not name the lost worker" >&2
 	exit 1
 }
-echo "cluster-smoke: OK — identity holds and a mid-batch worker kill degrades visibly"
+
+# ---- phase 3: no client can plant a cache entry ------------------------
+
+CACHE="$WORK/cache"
+boot "$WORK/cw.log" -mode worker -inflight 1 -cache-dir "$CACHE"
+CW=$BOOT_ADDR
+CW_PID=$BOOT_PID
+boot "$WORK/ccoord.log" -mode coordinator -probe-interval 200ms \
+	-workers "worker-0=http://$CW"
+CCOORD=$BOOT_ADDR
+
+jq -n --rawfile src testdata/figure1.chpl '{name: "figure1.chpl", src: $src}' >"$WORK/fig1.json"
+curl -sf "http://$CCOORD/v1/analyze" -d @"$WORK/fig1.json" >"$WORK/first.json"
+WARNS=$(jq '.report.warnings | length' "$WORK/first.json")
+[ "$WARNS" -ge 1 ] || {
+	echo "cluster-smoke: FAIL — figure1 answered without a warning" >&2
+	exit 1
+}
+
+# The worker persists its report asynchronously; wait for the entry.
+ENTRY=""
+for _ in $(seq 1 50); do
+	ENTRY=$(ls "$CACHE" 2>/dev/null | grep '\.json$' | head -n1 || true)
+	[ -n "$ENTRY" ] && break
+	sleep 0.1
+done
+[ -n "$ENTRY" ] || {
+	echo "cluster-smoke: FAIL — no cache entry under $CACHE" >&2
+	exit 1
+}
+KEY=${ENTRY%.json}
+
+# Forge the envelope a hostile client would send: the same report with
+# its warnings dropped, under a checksum that matches it.
+tail -n +2 "$CACHE/$ENTRY" | jq -cj 'del(.warnings)' >"$WORK/forged.payload"
+SUM=$(sha256sum "$WORK/forged.payload" | cut -d' ' -f1)
+{ printf 'uafcache1 %s\n' "$SUM"; cat "$WORK/forged.payload"; } >"$WORK/forged.env"
+
+for target in "$CCOORD" "$CW"; do
+	CODE=$(curl -s -o /dev/null -w '%{http_code}' -X PUT \
+		--data-binary @"$WORK/forged.env" "http://$target/v1/cache/$KEY")
+	case $CODE in
+	2*)
+		echo "cluster-smoke: FAIL — PUT /v1/cache/$KEY on $target answered $CODE" >&2
+		exit 1
+		;;
+	esac
+	echo "cluster-smoke: forged PUT on $target answered $CODE"
+done
+
+kill -TERM "$CW_PID"
+wait "$CW_PID" || {
+	echo "cluster-smoke: FAIL — worker did not shut down cleanly" >&2
+	cat "$WORK/cw.log" >&2
+	exit 1
+}
+boot "$WORK/cw2.log" -mode worker -inflight 1 -cache-dir "$CACHE" -addr "$CW"
+
+# The coordinator re-admits the worker on its next good probe.
+for _ in $(seq 1 50); do
+	curl -sf "http://$CCOORD/v1/analyze" -d @"$WORK/fig1.json" >"$WORK/second.json" && break
+	sleep 0.2
+done
+if ! cmp -s "$WORK/first.json" "$WORK/second.json"; then
+	echo "cluster-smoke: FAIL — re-analysis after restart differs from the first answer:" >&2
+	diff "$WORK/first.json" "$WORK/second.json" >&2 || true
+	exit 1
+fi
+echo "cluster-smoke: restart over the same cache dir serves the first answer ($WARNS warning(s))"
+
+echo "cluster-smoke: OK — identity holds, a mid-batch worker kill degrades visibly, and no client can plant a cache entry"
