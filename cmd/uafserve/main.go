@@ -6,11 +6,18 @@
 //
 //	uafserve [flags]
 //
-// Flags:
+// Flags for every mode:
 //
-//	-addr A          listen address (default :8420; use 127.0.0.1:0
-//	                 for an ephemeral port — the bound address is
-//	                 printed on startup)
+//	-addr A            listen address (default :8420; use 127.0.0.1:0
+//	                   for an ephemeral port — the bound address is
+//	                   printed on startup)
+//	-max-body N        max request body bytes (default 8 MiB); a
+//	                   coordinator rejects larger bodies at the edge
+//	-drain-timeout D   max time to drain on SIGINT/SIGTERM (default 30s)
+//
+// Analysis flags (single and worker modes; a coordinator runs no
+// analysis and ignores them):
+//
 //	-inflight N      max concurrently running analyses (0 = GOMAXPROCS)
 //	-queue N         max requests waiting for a slot before 429 (default 64)
 //	-deadline D      default per-request analysis deadline (default 30s)
@@ -19,8 +26,8 @@
 //	-jobs N          file workers per batch request (0 = GOMAXPROCS)
 //	-cache-dir D     persist the content-addressed report cache under D
 //	-cache-size N    in-memory report cache entries (0 = default)
-//	-max-body N      max request body bytes (default 8 MiB)
-//	-flight-size N   request digests kept for /debug/requests (default 256)
+//	-flight-size N   request digests kept for /debug/requests (default
+//	                 256; a coordinator keeps the default)
 //	-pprof           mount net/http/pprof under /debug/pprof/
 //	-faults SPEC     arm deterministic fault injection for chaos drills
 //	                 (point=mode:prob rules; see internal/fault)
@@ -71,7 +78,10 @@
 //
 // Analysis endpoints accept and echo a W3C `traceparent` header; each
 // request's span tree (server -> analysis phases -> PPS waves) is
-// retrievable from /debug/requests by trace ID.
+// retrievable from /debug/requests by trace ID. Every mode serves the
+// same admin pages from the same code; a coordinator's /debug/requests
+// holds its own request spans, which are the parents of the spans its
+// workers record under the same trace ID.
 //
 // /v1/analyze and /v1/analyze-batch content-negotiate: requests with
 // `Accept: application/sarif+json` (or `?format=sarif`) receive the
@@ -120,8 +130,8 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 0, "in-memory report cache entries (0 = default)")
 		maxBody     = flag.Int64("max-body", 0, "max request body bytes (0 = 8 MiB)")
 		drainFor    = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight analyses on shutdown")
-		flightSize  = flag.Int("flight-size", 0, "request digests kept for GET /debug/requests (0 = 256)")
-		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		flightSize  = flag.Int("flight-size", 0, "request digests kept for GET /debug/requests (0 = 256) (single/worker only)")
+		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (single/worker only)")
 		faults      = flag.String("faults", "", "fault-injection spec for chaos drills, e.g. 'cache.fs.write=err:0.1;analysis.panic=panic:0.01' (see internal/fault)")
 		faultSeed   = flag.Int64("fault-seed", 1, "deterministic seed for -faults probability streams")
 		mode        = flag.String("mode", "single", "process role: single, worker, or coordinator")
@@ -147,42 +157,47 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uafserve: fault injection armed (seed %d): %s\n", *faultSeed, *faults)
 	}
 
+	// Both roles are an http.Handler plus a drain step, served through
+	// one listen/announce/signal/drain lifecycle.
+	var role interface {
+		Handler() http.Handler
+		Shutdown(context.Context) error
+	}
+	var srv *server.Server
 	if *mode == "coordinator" {
-		runCoordinator(*addr, *workers, *probeEvery, *drainFor)
-		return
+		specs, err := parseWorkers(*workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "uafserve: -workers: %v\n", err)
+			os.Exit(2)
+		}
+		if len(specs) == 0 {
+			fmt.Fprintln(os.Stderr, "uafserve: -mode coordinator requires -workers")
+			os.Exit(2)
+		}
+		// No analysis engine, no local cache: just the routing edge over
+		// the worker fleet.
+		role = cluster.New(cluster.Config{
+			Workers:       specs,
+			ProbeInterval: *probeEvery,
+			MaxBodyBytes:  *maxBody,
+		})
+		fmt.Fprintf(os.Stderr, "uafserve: coordinator over %d worker(s)\n", len(specs))
+	} else {
+		srv = server.New(server.Config{
+			MaxInflight:        *inflight,
+			QueueDepth:         *queue,
+			DefaultDeadline:    *deadline,
+			MaxDeadline:        *maxDeadline,
+			Parallelism:        *par,
+			BatchWorkers:       *jobs,
+			MaxBodyBytes:       *maxBody,
+			Cache:              newReportCache(*cacheDir, *cacheSize),
+			FlightRecorderSize: *flightSize,
+			EnablePprof:        *enablePprof,
+			Mode:               *mode,
+		})
+		role = srv
 	}
-
-	// The daemon always runs a report cache: repeated sources across
-	// requests are the common case for a shared service. Disk writes go
-	// through the async tier so cache persistence never sits on a
-	// request's latency path; Shutdown flushes it.
-	cacheCfg := uafcheck.CacheConfig{MaxEntries: *cacheSize, Dir: *cacheDir}
-	if *cacheDir != "" {
-		cacheCfg.AsyncDiskWrites = 256
-	}
-	reportCache := uafcheck.NewCache(cacheCfg)
-	if *cacheDir != "" {
-		// A previous process may have died mid-write: sweep stale temp
-		// files and quarantine entries whose checksum no longer matches
-		// before serving anything from disk.
-		rs := reportCache.Recover()
-		fmt.Fprintf(os.Stderr, "uafserve: cache recovery: %d scanned, %d ok, %d quarantined, %d temp file(s) swept\n",
-			rs.Scanned, rs.OK, rs.Quarantined, rs.TempFiles)
-	}
-
-	srv := server.New(server.Config{
-		MaxInflight:        *inflight,
-		QueueDepth:         *queue,
-		DefaultDeadline:    *deadline,
-		MaxDeadline:        *maxDeadline,
-		Parallelism:        *par,
-		BatchWorkers:       *jobs,
-		MaxBodyBytes:       *maxBody,
-		Cache:              reportCache,
-		FlightRecorderSize: *flightSize,
-		EnablePprof:        *enablePprof,
-		Mode:               *mode,
-	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -195,7 +210,7 @@ func main() {
 	fmt.Printf("uafserve: listening on %s\n", ln.Addr())
 
 	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
+		Handler:           role.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -214,21 +229,46 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
-	// Order matters: the analysis server drains first (gate closes,
+	// Order matters: the role drains first (a worker's gate closes,
 	// queued waiters get 503, admitted requests run to completion and
-	// write their responses), then the HTTP layer closes idle
-	// connections. The cache flush happens inside srv.Shutdown.
-	if err := srv.Shutdown(ctx); err != nil {
+	// write their responses, the cache is flushed; a coordinator stops
+	// probing), then the HTTP layer closes idle connections.
+	if err := role.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "uafserve: drain incomplete: %v\n", err)
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "uafserve: %v\n", err)
+	}
+	if srv == nil {
+		return
 	}
 	m := srv.MetricsSnapshot()
 	fmt.Fprintf(os.Stderr, "uafserve: served %d requests (%d analyses, %d delta files, %d dedup hits, %d rejects, %d deprecated-route hits)\n",
 		m.Counter("server.requests"), m.Counter("server.analyses"),
 		m.Counter("server.delta_files"), m.Counter("server.dedup_hits"),
 		m.Counter("server.rejects"), m.Counter("server.deprecated_requests"))
+}
+
+// newReportCache builds the report cache of the single and worker
+// modes. The daemon always runs one: repeated sources across requests
+// are the common case for a shared service. Disk writes go through the
+// async tier so cache persistence never sits on a request's latency
+// path; the server's Shutdown flushes it.
+func newReportCache(dir string, size int) *uafcheck.Cache {
+	cfg := uafcheck.CacheConfig{MaxEntries: size, Dir: dir}
+	if dir != "" {
+		cfg.AsyncDiskWrites = 256
+	}
+	c := uafcheck.NewCache(cfg)
+	if dir != "" {
+		// A previous process may have died mid-write: sweep stale temp
+		// files and quarantine entries whose checksum no longer matches
+		// before serving anything from disk.
+		rs := c.Recover()
+		fmt.Fprintf(os.Stderr, "uafserve: cache recovery: %d scanned, %d ok, %d quarantined, %d temp file(s) swept\n",
+			rs.Scanned, rs.OK, rs.Quarantined, rs.TempFiles)
+	}
+	return c
 }
 
 // splitList parses a comma-separated flag value, dropping empties.
@@ -264,60 +304,4 @@ func parseWorkers(list string) ([]cluster.WorkerSpec, error) {
 		specs = append(specs, cluster.WorkerSpec{ID: id, URL: strings.TrimRight(url, "/")})
 	}
 	return specs, nil
-}
-
-// runCoordinator is the -mode coordinator main loop: no analysis
-// engine, no local cache — just the routing edge over the worker
-// fleet, with the same listen/announce/drain lifecycle as a worker so
-// harnesses drive both identically.
-func runCoordinator(addr, workers string, probeEvery, drainFor time.Duration) {
-	specs, err := parseWorkers(workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uafserve: -workers: %v\n", err)
-		os.Exit(2)
-	}
-	if len(specs) == 0 {
-		fmt.Fprintln(os.Stderr, "uafserve: -mode coordinator requires -workers")
-		os.Exit(2)
-	}
-
-	coord := cluster.New(cluster.Config{
-		Workers:       specs,
-		ProbeInterval: probeEvery,
-	})
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uafserve: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("uafserve: listening on %s\n", ln.Addr())
-	fmt.Fprintf(os.Stderr, "uafserve: coordinator over %d worker(s)\n", len(specs))
-
-	httpSrv := &http.Server{
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "uafserve: %v: draining (up to %v)\n", sig, drainFor)
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "uafserve: %v\n", err)
-		os.Exit(1)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainFor)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "uafserve: %v\n", err)
-	}
-	if err := coord.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "uafserve: %v\n", err)
-	}
 }

@@ -7,12 +7,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"uafcheck"
 	"uafcheck/internal/cache"
 	"uafcheck/internal/client"
 	"uafcheck/internal/obs"
@@ -77,8 +75,8 @@ type Coordinator struct {
 	hc    *client.Client    // request path: retries transport errors only
 	probe *client.Client    // probe path: single fast attempt
 	rec   *obs.Recorder
+	front *server.Front
 	log   *slog.Logger
-	start time.Time
 
 	ring atomic.Pointer[Ring] // over currently-alive worker IDs
 
@@ -116,11 +114,21 @@ func New(cfg Config) *Coordinator {
 		probe:  client.New(client.Config{MaxAttempts: 1, Budget: 3 * time.Second, NoStatusRetry: true}),
 		rec:    obs.New(),
 		log:    cfg.Logger,
-		start:  time.Now(),
 		health: make(map[string]*workerHealth, len(cfg.Workers)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	c.front = server.NewFront(server.Role{
+		Mode:         "coordinator",
+		Rec:          c.rec,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Components:   c.workerRows,
+		Metrics:      c.rec.Snapshot,
+		// A turned-away client should come back once the next probe
+		// round has had a chance to re-admit a worker.
+		RetryAfter: func() int { return int(cfg.ProbeInterval/time.Second) + 1 },
+		Statusz:    c.statuszExtras,
+	})
 	for _, w := range cfg.Workers {
 		c.urls[w.ID] = w.URL
 		c.order = append(c.order, w.ID)
@@ -231,36 +239,38 @@ func (c *Coordinator) Probe() {
 func (c *Coordinator) aliveRing() *Ring { return c.ring.Load() }
 
 // Handler returns the coordinator's route table: the full /v1/ wire
-// contract proxied over the ring, and the admin surfaces.
+// contract proxied over the ring, behind the same HTTP front — tracing,
+// errors, admin pages — a worker mounts.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", c.proxySingle("analyze", "/v1/analyze"))
-	mux.HandleFunc("POST /v1/repair", c.proxySingle("repair", "/v1/repair"))
-	mux.HandleFunc("POST /v1/analyze-batch", c.handleBatch)
-	mux.HandleFunc("POST /v1/delta", c.handleDelta)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /livez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{\"status\":\"alive\"}\n")) //nolint:errcheck
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.PromSink{W: w}.Emit(c.rec.Snapshot()) //nolint:errcheck
-	})
-	mux.HandleFunc("GET /statusz", c.handleStatusz)
+	mux.HandleFunc("POST /v1/analyze", c.front.Traced("/v1/analyze", c.proxySingle("analyze", "/v1/analyze")))
+	mux.HandleFunc("POST /v1/repair", c.front.Traced("/v1/repair", c.proxySingle("repair", "/v1/repair")))
+	mux.HandleFunc("POST /v1/analyze-batch", c.front.Traced("/v1/analyze-batch", c.handleBatch))
+	mux.HandleFunc("POST /v1/delta", c.front.Traced("/v1/delta", c.handleDelta))
+	c.front.Mount(mux)
 	return mux
 }
 
-// forwardHeaders picks the request headers that must reach the worker:
-// content negotiation (SARIF), tracing, and body typing.
-func forwardHeaders(r *http.Request) http.Header {
+// post sends one request to a worker's path, carrying the edge
+// request's query string (content negotiation rides on ?format=) and
+// the headers that must reach the worker: content negotiation, body
+// typing, and a traceparent naming the edge's request span as the
+// worker's parent under the caller's trace ID.
+func (c *Coordinator) post(ctx context.Context, r *http.Request, worker, path string, body []byte) (*http.Response, error) {
+	url := c.urls[worker] + path
+	if r.URL.RawQuery != "" {
+		url += "?" + r.URL.RawQuery
+	}
 	h := http.Header{}
-	for _, k := range []string{"Accept", "Content-Type", "Traceparent"} {
+	for _, k := range []string{"Accept", "Content-Type"} {
 		if v := r.Header.Get(k); v != "" {
 			h.Set(k, v)
 		}
 	}
-	return h
+	if sid, ok := obs.CurrentSpanID(r.Context()); ok {
+		h.Set("Traceparent", obs.FormatTraceparent(obs.TraceFrom(r.Context()).ID(), sid))
+	}
+	return c.hc.DoWithHeaders(ctx, http.MethodPost, url, h, body)
 }
 
 // copyResponse relays a worker response to the edge verbatim: status,
@@ -268,8 +278,7 @@ func forwardHeaders(r *http.Request) http.Header {
 // chunk so NDJSON consumers see lines as workers produce them.
 func copyResponse(w http.ResponseWriter, resp *http.Response, workerID string) {
 	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "Retry-After", "Traceparent",
-		"X-Uafserve-Dedup", "X-Uafserve-Cache", "Sunset"} {
+	for _, k := range []string{"Content-Type", "Retry-After", "X-Uafserve-Dedup", "X-Uafserve-Cache", "Sunset"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -292,37 +301,17 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, workerID string) {
 	}
 }
 
-// errorJSON writes the same error envelope shape the worker tier uses.
-func (c *Coordinator) errorJSON(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests || code >= 500 {
-		w.Header().Set("Retry-After", "2")
-	}
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"error\":%s}\n", mustQuote(msg))
-}
-
-func mustQuote(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
 // proxySingle forwards one body-addressed request (analyze, repair) to
 // the content-key owner, with one failover hop to the ring successor
 // when the owner is unreachable. Any HTTP answer from a worker — 200,
 // 429 with Retry-After, 503 — is definitive and relayed unchanged.
 func (c *Coordinator) proxySingle(kind, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-		if err != nil {
-			c.errorJSON(w, http.StatusRequestEntityTooLarge, "reading body: "+err.Error())
-			return
-		}
 		var req server.AnalyzeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			c.errorJSON(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
+		if !c.front.DecodeBody(w, r, &req) {
 			return
 		}
+		body, _ := json.Marshal(req) // plain strings and numbers: cannot fail
 		key := server.RouteKey(kind, req.Name, req.Src, req.Options)
 		c.forwardByKey(w, r, key, path, body)
 	}
@@ -333,7 +322,7 @@ func (c *Coordinator) proxySingle(kind, path string) http.HandlerFunc {
 func (c *Coordinator) forwardByKey(w http.ResponseWriter, r *http.Request, key cache.Key, path string, body []byte) {
 	cands := c.aliveRing().LookupN(key, 2)
 	if len(cands) == 0 {
-		c.errorJSON(w, http.StatusServiceUnavailable, "no workers alive")
+		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
 		return
 	}
 	var lastErr error
@@ -341,8 +330,7 @@ func (c *Coordinator) forwardByKey(w http.ResponseWriter, r *http.Request, key c
 		if i > 0 {
 			c.rec.Add(CtrReroutes, 1)
 		}
-		resp, err := c.hc.DoWithHeaders(r.Context(), http.MethodPost,
-			c.urls[id]+path, forwardHeaders(r), body)
+		resp, err := c.post(r.Context(), r, id, path, body)
 		if err != nil {
 			lastErr = err
 			c.rec.Add(CtrWorkerLost, 1)
@@ -352,20 +340,24 @@ func (c *Coordinator) forwardByKey(w http.ResponseWriter, r *http.Request, key c
 		copyResponse(w, resp, id)
 		return
 	}
-	c.errorJSON(w, http.StatusBadGateway,
+	c.front.WriteError(w, http.StatusBadGateway,
 		fmt.Sprintf("all candidate workers unreachable: %v", lastErr))
 }
 
 // ----------------------------------------------------------- admin
 
-// workerRows builds the per-worker component rows for /healthz and
+// workerRows builds the coordinator's component rows for /healthz and
 // /statusz: "worker:<id>" with liveness ("ok" / "dead") and probe
 // failure streaks — the coordinator-side mirror of each worker's own
-// health surface.
-func (c *Coordinator) workerRows() (rows map[string]server.ComponentStatus, aliveCount int) {
+// health surface — and "ring", which is "unready" while no worker is
+// alive. The front's fold turns a dead worker into "degraded" (still
+// serving, capacity and cache locality impaired) and an empty ring into
+// 503 unready.
+func (c *Coordinator) workerRows() map[string]server.ComponentStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows = make(map[string]server.ComponentStatus, len(c.order)+1)
+	rows := make(map[string]server.ComponentStatus, len(c.order)+1)
+	alive := 0
 	for _, id := range c.order {
 		h := c.health[id]
 		st := server.ComponentStatus{State: "ok", Detail: map[string]int64{
@@ -374,65 +366,28 @@ func (c *Coordinator) workerRows() (rows map[string]server.ComponentStatus, aliv
 		if !h.alive {
 			st.State = "dead"
 		} else {
-			aliveCount++
+			alive++
 		}
 		rows["worker:"+id] = st
 	}
-	rows["ring"] = server.ComponentStatus{State: "ok", Detail: map[string]int64{
-		"members":    int64(aliveCount),
+	ring := server.ComponentStatus{State: "ok", Detail: map[string]int64{
+		"members":    int64(alive),
 		"configured": int64(len(c.order)),
 	}}
-	return rows, aliveCount
-}
-
-// clusterState folds worker liveness into the coordinator verdict:
-// every worker alive is "ok", a partial fleet is "degraded" (still
-// serving, capacity and cache locality impaired), an empty ring is
-// unready (503 — nothing can serve analyses).
-func (c *Coordinator) clusterState() (rows map[string]server.ComponentStatus, status string, code int) {
-	rows, alive := c.workerRows()
-	switch {
-	case alive == 0:
-		return rows, "unready", http.StatusServiceUnavailable
-	case alive < len(c.order):
-		return rows, "degraded", http.StatusOK
-	default:
-		return rows, "ok", http.StatusOK
+	if alive == 0 {
+		ring.State = "unready"
 	}
+	rows["ring"] = ring
+	return rows
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rows, status, code := c.clusterState()
-	body, _ := json.Marshal(map[string]any{
-		"status":     status,
-		"mode":       "coordinator",
-		"version":    uafcheck.Version,
-		"components": rows,
-	})
-	if code != http.StatusOK {
-		w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.ProbeInterval/time.Second)+1))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(body, '\n')) //nolint:errcheck
-}
-
-func (c *Coordinator) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	rows, status, _ := c.clusterState()
+// statuszExtras adds the coordinator's own counters and the worker
+// client's circuit-breaker states to /statusz.
+func (c *Coordinator) statuszExtras() map[string]any {
 	m := c.rec.Snapshot()
 	counters := make(map[string]int64)
 	for _, name := range m.CounterNames() {
 		counters[name] = m.Counter(name)
 	}
-	body, _ := json.Marshal(map[string]any{
-		"version":    uafcheck.Version,
-		"mode":       "coordinator",
-		"uptime_s":   int64(time.Since(c.start).Seconds()),
-		"status":     status,
-		"components": rows,
-		"counters":   counters,
-		"breakers":   c.hc.HostStates(),
-	})
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n')) //nolint:errcheck
+	return map[string]any{"counters": counters, "breakers": c.hc.HostStates()}
 }

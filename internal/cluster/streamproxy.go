@@ -112,18 +112,12 @@ type batchGroup struct {
 // (which defaults names the same way); lines arrive in completion
 // order, exactly as they do from one process's worker pool.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		c.errorJSON(w, http.StatusRequestEntityTooLarge, "reading body: "+err.Error())
-		return
-	}
 	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		c.errorJSON(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
+	if !c.front.DecodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Files) == 0 {
-		c.errorJSON(w, http.StatusBadRequest, "missing files")
+	if err := req.Validate(); err != nil {
+		c.front.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	for i := range req.Files {
@@ -133,7 +127,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ring := c.aliveRing()
 	if ring.Len() == 0 {
-		c.errorJSON(w, http.StatusServiceUnavailable, "no workers alive")
+		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
 		return
 	}
 
@@ -153,7 +147,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// SARIF is one aggregate document, not a line stream: route the
 	// whole batch to a single worker (keyed by the full content) so the
 	// cluster serves the identical document a single process would.
-	if wantsSARIF(r) {
+	if server.WantsSARIF(r) {
 		var sb strings.Builder
 		for _, f := range req.Files {
 			sb.WriteString(f.Name)
@@ -260,8 +254,7 @@ func (c *Coordinator) postSubBatch(ctx context.Context, r *http.Request, worker 
 	if err != nil {
 		return nil, err
 	}
-	return c.hc.DoWithHeaders(ctx, http.MethodPost,
-		c.urls[worker]+"/v1/analyze-batch", forwardHeaders(r), body)
+	return c.post(ctx, r, worker, "/v1/analyze-batch", body)
 }
 
 // streamGroup relays one sub-batch's NDJSON lines to the edge. If the
@@ -340,11 +333,6 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 	}
 }
 
-// wantsSARIF mirrors the worker-side content negotiation trigger.
-func wantsSARIF(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/sarif+json")
-}
-
 // ------------------------------------------------------------- delta
 
 // handleDelta proxies the incremental NDJSON stream line by line.
@@ -357,7 +345,7 @@ func wantsSARIF(r *http.Request) bool {
 // would answer them.
 func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if c.aliveRing().Len() == 0 {
-		c.errorJSON(w, http.StatusServiceUnavailable, "no workers alive")
+		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
 		return
 	}
 	em := newEmitter(w)
@@ -385,8 +373,7 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 			if i > 0 {
 				c.rec.Add(CtrReroutes, 1)
 			}
-			resp, err := c.hc.DoWithHeaders(r.Context(), http.MethodPost,
-				c.urls[id]+"/v1/delta", forwardHeaders(r), append(append([]byte(nil), line...), '\n'))
+			resp, err := c.post(r.Context(), r, id, "/v1/delta", append(append([]byte(nil), line...), '\n'))
 			if err != nil {
 				lastErr = err
 				c.rec.Add(CtrWorkerLost, 1)

@@ -10,10 +10,12 @@
 //
 // Determinism: trace IDs are either ingested from the caller's
 // traceparent header or derived by hashing stable content
-// (DeriveTraceID), and span IDs are a per-trace sequence counter — no
-// RNG anywhere, so replaying the same input through the same build
-// yields the same tree shape and the same IDs (only wall-clock offsets
-// differ).
+// (DeriveTraceID), and span IDs are a per-trace sequence counter, so
+// replaying the same input through the same build yields the same tree
+// shape and the same IDs (only wall-clock offsets differ). The one
+// exception is NewDistributedTrace: a trace several processes record
+// spans into under one trace ID gets a random per-trace prefix on its
+// span IDs, so the processes' sequences do not collide.
 //
 // Everything is nil-safe the same way the Recorder is: StartSpan on a
 // context without a trace returns a nil *ActiveSpan whose methods are
@@ -26,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 	"sync"
@@ -165,6 +168,8 @@ type Trace struct {
 	id   TraceID
 	t0   time.Time
 	next atomic.Uint64
+	// salt fills the high half of every span ID (0 for NewTrace).
+	salt uint64
 
 	mu      sync.Mutex
 	spans   []TraceSpan
@@ -176,6 +181,18 @@ type Trace struct {
 // DefaultTraceSpans spans.
 func NewTrace(id TraceID) *Trace {
 	return &Trace{id: id, t0: time.Now(), max: DefaultTraceSpans}
+}
+
+// NewDistributedTrace is NewTrace for one process's share of a trace
+// that other processes also record spans into — a request served by a
+// cluster edge and the workers it fans out to. Each span ID carries a
+// random 32-bit prefix drawn once per trace above the sequence number,
+// so span IDs stay unique across the processes of one trace and still
+// sort in creation order within each.
+func NewDistributedTrace(id TraceID) *Trace {
+	t := NewTrace(id)
+	t.salt = uint64(rand.Uint32()) << 32
+	return t
 }
 
 // ID returns the trace's identifier.
@@ -215,10 +232,11 @@ func (t *Trace) Spans() []TraceSpan {
 	return out
 }
 
-// newSpanID hands out the next sequential span ID (1, 2, 3, ...).
+// newSpanID hands out the next sequential span ID (1, 2, 3, ...,
+// under the salt).
 func (t *Trace) newSpanID() SpanID {
 	var id SpanID
-	binary.BigEndian.PutUint64(id[:], t.next.Add(1))
+	binary.BigEndian.PutUint64(id[:], t.salt|t.next.Add(1))
 	return id
 }
 

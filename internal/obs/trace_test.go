@@ -87,6 +87,40 @@ func TestSpanTreeStructure(t *testing.T) {
 	}
 }
 
+// TestDistributedTraceSpanIDs: two processes' shares of one trace hand
+// out span IDs that do not collide and still sort in creation order,
+// while a library trace keeps its plain sequence 1, 2, 3, ...
+func TestDistributedTraceSpanIDs(t *testing.T) {
+	id := DeriveTraceID("distributed")
+	ids := func(tr *Trace) []string {
+		ctx := ContextWithTrace(context.Background(), tr)
+		var out []string
+		for i := 0; i < 3; i++ {
+			_, sp := StartSpan(ctx, "s")
+			out = append(out, sp.SpanID().String())
+			sp.End()
+		}
+		return out
+	}
+	lib := ids(NewTrace(id))
+	if strings.Join(lib, ",") != "0000000000000001,0000000000000002,0000000000000003" {
+		t.Errorf("library trace span IDs = %v, want the plain sequence", lib)
+	}
+	a, b := ids(NewDistributedTrace(id)), ids(NewDistributedTrace(id))
+	seen := map[string]bool{}
+	for _, s := range append(a, b...) {
+		if seen[s] {
+			t.Fatalf("span ID %s handed out twice across %v and %v", s, a, b)
+		}
+		seen[s] = true
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			t.Errorf("distributed span IDs %v do not sort in creation order", a)
+		}
+	}
+}
+
 func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 	ctx, sp := StartSpan(context.Background(), "orphan")
 	if sp != nil {

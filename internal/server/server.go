@@ -33,6 +33,10 @@
 // but mark their responses deprecated (Deprecation/Link/Sunset
 // headers) and count server.deprecated_requests; see docs/SERVER.md
 // for the versioning and removal policy.
+//
+// The HTTP layer around the handlers — tracing, error envelope, body
+// decoding, admin pages — is Front (front.go), which the cluster
+// coordinator mounts as well.
 package server
 
 import (
@@ -44,10 +48,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,8 +97,8 @@ type Config struct {
 	// /statusz, keyed by component name — how an embedding process (a
 	// watch supervisor, a replication layer) plugs its own state into
 	// readiness without this package importing it. Probes must be safe
-	// for concurrent use. A probe reporting state "wedged" fails
-	// readiness; any non-"ok"/"off" state marks it degraded.
+	// for concurrent use. A probe reporting state "wedged" or "unready"
+	// fails readiness; any other non-"ok"/"off" state marks it degraded.
 	Components map[string]func() ComponentStatus
 	// Mode labels this process's cluster role on /healthz and /statusz
 	// ("single", "worker" or "coordinator"; "" = "single") so
@@ -107,8 +109,8 @@ type Config struct {
 
 // ComponentStatus is one component's health row in /healthz and
 // /statusz. State is one of "ok", "off" (not configured), "degraded",
-// "disabled", "draining" or "wedged"; Detail carries component-specific
-// numbers (queue depths, error counts).
+// "disabled", "dead", "draining", "wedged" or "unready"; Detail carries
+// component-specific numbers (queue depths, error counts).
 type ComponentStatus struct {
 	State  string           `json:"state"`
 	Detail map[string]int64 `json:"detail,omitempty"`
@@ -230,15 +232,6 @@ func (d *DeltaRequest) moduleMode() bool {
 	return d.Module != "" || len(d.Files) > 0
 }
 
-// errorBody is the JSON error envelope of non-200 responses. Code,
-// when set, is a stable machine-readable refusal class (e.g.
-// "repair_degraded") so clients branch on identity instead of matching
-// message strings — the HTTP mirror of the library's typed sentinels.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
 // Error codes carried by errorBody.Code.
 const (
 	// CodeRepairDegraded: the repair was refused because an analysis
@@ -259,18 +252,13 @@ const (
 // Server is the daemon's request-independent state. Create with New,
 // expose via Handler, stop with Shutdown.
 type Server struct {
-	cfg       Config
-	gate      *gate
-	flights   *flightGroup
-	rec       *obs.Recorder
-	start     time.Time
-	flightrec *flightRecorder
-	logger    *slog.Logger
+	cfg     Config
+	gate    *gate
+	flights *flightGroup
+	rec     *obs.Recorder
+	front   *Front
+	logger  *slog.Logger
 
-	// traceSeq numbers requests that arrive without a traceparent; the
-	// derived trace IDs are unique per request and reproducible within
-	// one server run.
-	traceSeq atomic.Uint64
 	// deprOnce gates the one-time deprecation warning: the log line
 	// fires on the first unversioned-alias hit only, the counter on all.
 	deprOnce sync.Once
@@ -306,16 +294,27 @@ func New(cfg Config) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Server{
+	s := &Server{
 		cfg:       cfg,
 		gate:      newGate(cfg.MaxInflight, cfg.QueueDepth),
 		flights:   newFlightGroup(),
 		rec:       obs.New(),
-		start:     time.Now(),
-		flightrec: newFlightRecorder(cfg.FlightRecorderSize),
 		logger:    logger,
 		analyzers: make(map[string]*uafcheck.Analyzer),
 	}
+	s.front = NewFront(Role{
+		Mode:               cfg.Mode,
+		Rec:                s.rec,
+		MaxBodyBytes:       cfg.MaxBodyBytes,
+		FlightRecorderSize: cfg.FlightRecorderSize,
+		Pprof:              cfg.EnablePprof,
+		Components:         s.componentHealth,
+		Metrics:            s.MetricsSnapshot,
+		RetryAfter:         s.retryAfterSeconds,
+		Healthz:            s.load,
+		Statusz:            s.load,
+	})
+	return s
 }
 
 // Handler returns the daemon's route table. Analysis endpoints live
@@ -324,135 +323,16 @@ func New(cfg Config) *Server {
 // /v1/delta have no unversioned form).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.traced("/v1/analyze", s.handleAnalyze))
-	mux.HandleFunc("POST /v1/analyze-batch", s.traced("/v1/analyze-batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/delta", s.traced("/v1/delta", s.handleDelta))
-	mux.HandleFunc("POST /v1/repair", s.traced("/v1/repair", s.handleRepair))
+	mux.HandleFunc("POST /v1/analyze", s.front.Traced("/v1/analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /v1/analyze-batch", s.front.Traced("/v1/analyze-batch", s.handleBatch))
+	mux.HandleFunc("POST /v1/delta", s.front.Traced("/v1/delta", s.handleDelta))
+	mux.HandleFunc("POST /v1/repair", s.front.Traced("/v1/repair", s.handleRepair))
 	mux.HandleFunc("POST /analyze",
-		s.deprecatedAlias("/v1/analyze", s.traced("/analyze", s.handleAnalyze)))
+		s.deprecatedAlias("/v1/analyze", s.front.Traced("/analyze", s.handleAnalyze)))
 	mux.HandleFunc("POST /analyze-batch",
-		s.deprecatedAlias("/v1/analyze-batch", s.traced("/analyze-batch", s.handleBatch)))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /livez", s.handleLivez)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+		s.deprecatedAlias("/v1/analyze-batch", s.front.Traced("/analyze-batch", s.handleBatch)))
+	s.front.Mount(mux)
 	return mux
-}
-
-// traced wraps an analysis route with the request-scoped observability
-// layer: it adopts the caller's W3C traceparent (or derives a fresh
-// trace ID), roots the request's span tree, carries both on the request
-// context so the library stack attaches its phase and wave spans,
-// echoes the traceparent on the response, records the request latency
-// on the per-route histogram, and files a digest with the flight
-// recorder when the request completes.
-func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tid, remoteParent, hasRemote := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		if !hasRemote {
-			tid = obs.DeriveTraceID("uafserve/request",
-				strconv.FormatInt(s.start.UnixNano(), 36),
-				strconv.FormatUint(s.traceSeq.Add(1), 36))
-		}
-		tr := obs.NewTrace(tid)
-		ctx := obs.ContextWithTrace(r.Context(), tr)
-		if hasRemote {
-			ctx = obs.ContextWithParentSpan(ctx, remoteParent)
-		}
-		ctx, root := obs.StartSpan(ctx, "request")
-		root.SetAttr("route", route)
-		st := &reqState{}
-		ctx = context.WithValue(ctx, reqStateKey{}, st)
-
-		w.Header().Set("traceparent", obs.FormatTraceparent(tid, root.SpanID()))
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		h(sw, r.WithContext(ctx))
-		dur := time.Since(t0)
-		root.SetAttrInt("status", int64(sw.status()))
-		root.End()
-
-		s.rec.Observe(obs.HistKey(obs.HistRequestNS, "route", route), dur.Nanoseconds())
-		spans := tr.Spans()
-		st.mu.Lock()
-		d := RequestDigest{
-			TraceID:   tid.String(),
-			Route:     route,
-			Status:    sw.status(),
-			Start:     t0,
-			DurMS:     dur.Milliseconds(),
-			Outcome:   st.outcome,
-			Degraded:  st.degraded,
-			Dedup:     st.dedup,
-			CacheHit:  st.cacheHit,
-			Phases:    digestPhases(spans),
-			SpanCount: len(spans),
-			Spans:     spans,
-		}
-		st.mu.Unlock()
-		if d.Outcome == "" {
-			d.Outcome = outcomeForStatus(d.Status)
-		}
-		s.flightrec.add(d)
-	}
-}
-
-// outcomeForStatus is the fallback classification when the handler
-// recorded nothing richer.
-func outcomeForStatus(code int) string {
-	switch {
-	case code == http.StatusUnprocessableEntity:
-		return "parse-error"
-	case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
-		return "rejected"
-	case code >= 500:
-		return "error"
-	default:
-		return "ok"
-	}
-}
-
-// statusWriter records the status code written through it. It passes
-// http.Flusher through so the NDJSON streaming endpoints keep flushing
-// per line.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (sw *statusWriter) status() int {
-	if sw.code == 0 {
-		return http.StatusOK
-	}
-	return sw.code
 }
 
 // UnversionedSunset is the RFC 8594 Sunset date of the deprecated
@@ -571,25 +451,31 @@ func ModuleRouteKey(module string, o RequestOptions) cache.Key {
 			o.Trace, o.ModelAtomics, o.CountAtomics, o.Retries, o.Metrics))
 }
 
-// ModuleLabel resolves the routing label of a module-mode batch
-// request: the explicit Module field, else the first file's name.
-func (b *BatchRequest) ModuleLabel() string {
-	if b.Module != "" {
-		return b.Module
+// Validate checks what a batch request must satisfy before any file is
+// analyzed; a worker and the cluster edge both answer its error as 400.
+func (b *BatchRequest) Validate() error {
+	if len(b.Files) == 0 {
+		return errors.New("missing files")
 	}
-	if len(b.Files) > 0 {
-		return b.Files[0].Name
+	if b.Mode != "" && b.Mode != "files" && b.Mode != "module" {
+		return fmt.Errorf("unknown mode %q", b.Mode)
 	}
-	return "module"
+	return nil
 }
 
+// ModuleLabel resolves the routing label of a module-mode batch
+// request: the explicit Module field, else the first file's name.
+func (b *BatchRequest) ModuleLabel() string { return moduleLabel(b.Module, b.Files) }
+
 // ModuleLabel resolves the routing label of a module-mode delta line.
-func (d *DeltaRequest) ModuleLabel() string {
-	if d.Module != "" {
-		return d.Module
-	}
-	if len(d.Files) > 0 {
-		return d.Files[0].Name
+func (d *DeltaRequest) ModuleLabel() string { return moduleLabel(d.Module, d.Files) }
+
+func moduleLabel(module string, files []BatchFile) string {
+	switch {
+	case module != "":
+		return module
+	case len(files) > 0:
+		return files[0].Name
 	}
 	return "module"
 }
@@ -625,33 +511,40 @@ func (s *Server) libraryOptions(o RequestOptions) []uafcheck.Option {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	// The negotiated format is part of the content address — a SARIF
+	// response and a canonical-JSON response are different bytes, so
+	// they must never share a flight.
+	sarif := WantsSARIF(r)
+	kind := "analyze"
+	if sarif {
+		kind = "analyze-sarif"
+	}
+	s.serveShared(w, r, kind, func(req AnalyzeRequest) flightResult { return s.analyzeLeader(r, req, sarif) })
+}
+
+// serveShared answers a request with the AnalyzeRequest body (analyze,
+// repair) through the singleflight layer: identical concurrent requests
+// share one leader computation and reuse its bytes verbatim. The claim
+// happens before admission: followers piggyback on the leader's slot
+// instead of consuming queue capacity, so a burst of identical requests
+// costs one computation and one slot.
+func (s *Server) serveShared(w http.ResponseWriter, r *http.Request, kind string, lead func(AnalyzeRequest) flightResult) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	s.rec.Add(obs.CtrServerRequests, 1)
 
 	var req AnalyzeRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Src == "" {
-		s.writeError(w, http.StatusBadRequest, "missing src")
+		s.front.WriteError(w, http.StatusBadRequest, "missing src")
 		return
 	}
 	if req.Name == "" {
 		req.Name = "input.chpl"
 	}
 
-	// Singleflight claim happens before admission: followers piggyback
-	// on the leader's slot instead of consuming queue capacity, so a
-	// burst of identical requests costs one analysis and one slot. The
-	// negotiated format is part of the content address — a SARIF
-	// response and a canonical-JSON response are different bytes, so
-	// they must never share a flight.
-	sarif := wantsSARIF(r)
-	kind := "analyze"
-	if sarif {
-		kind = "analyze-sarif"
-	}
 	key := s.requestKey(kind, req.Name, req.Src, req.Options)
 	f, leader := s.flights.claim(key)
 	if !leader {
@@ -670,19 +563,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stateFrom(r.Context()).setDedup("leader")
-	res := s.analyzeLeader(r, req, sarif)
+	res := lead(req)
 	s.flights.finish(key, f, res)
 	s.writeResult(w, res, "leader")
-}
-
-// wantsSARIF is the content negotiation for the analyze endpoints:
-// either `?format=sarif` or an Accept header naming
-// application/sarif+json selects the SARIF 2.1.0 projection.
-func wantsSARIF(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "sarif" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/sarif+json")
 }
 
 // analyzeLeader runs the deduplicated computation: admission, analysis,
@@ -703,7 +586,7 @@ func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) 
 	// trace and parent span so the analysis spans stay in the tree.
 	rep, err := uafcheck.AnalyzeContext(obs.Detach(r.Context()), req.Name, req.Src,
 		append(s.libraryOptions(req.Options), uafcheck.WithDeadline(s.effectiveDeadline(req.Options)))...)
-	s.observeAnalysis(t0, rep)
+	s.observeAnalysis(t0, 1, metricsOf(rep))
 
 	st := stateFrom(r.Context())
 	code := statusCodeFor(err)
@@ -768,18 +651,62 @@ func statusCodeFor(err error) int {
 	}
 }
 
-// observeAnalysis folds one finished analysis into the latency EWMA and
-// the aggregate telemetry.
-func (s *Server) observeAnalysis(t0 time.Time, rep *uafcheck.Report) {
-	s.rec.Add(obs.CtrServerAnalyses, 1)
-	ms := time.Since(t0).Milliseconds()
+// observeAnalysis folds n analyses that finished together since t0
+// into the latency EWMA (per file) and their telemetry m into the
+// aggregate.
+func (s *Server) observeAnalysis(t0 time.Time, n int, m obs.Metrics) {
+	s.rec.Add(obs.CtrServerAnalyses, int64(n))
+	ms := time.Since(t0).Milliseconds() / int64(n)
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
-	if rep != nil {
-		s.mu.Lock()
-		s.agg.MergeTotals(rep.Metrics)
-		s.mu.Unlock()
+	s.mu.Lock()
+	s.agg.MergeTotals(m)
+	s.mu.Unlock()
+}
+
+// metricsOf is a report's telemetry (none for a failed analysis).
+func metricsOf(rep *uafcheck.Report) obs.Metrics {
+	if rep == nil {
+		return obs.Metrics{}
 	}
+	return rep.Metrics
+}
+
+// resultLine encodes one file's canonical wire line.
+func resultLine(name string, rep *uafcheck.Report, err error, metrics bool) []byte {
+	line, encErr := wire.NewResult(name, rep, err, metrics).Encode()
+	if encErr != nil {
+		return mustJSON(errorBody{Error: encErr.Error()})
+	}
+	return line
+}
+
+// startNDJSON answers 200 with an NDJSON stream and returns its line
+// writer, which serializes concurrent callers and flushes every line so
+// clients see progress, not a burst.
+func startNDJSON(w http.ResponseWriter) func(line []byte) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	var mu sync.Mutex
+	return func(line []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		_, err := w.Write(append(line, '\n'))
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return err
+	}
+}
+
+// batchName is the name a batch file is reported under: its own, or
+// its position's default.
+func batchName(f BatchFile, i int) string {
+	if f.Name != "" {
+		return f.Name
+	}
+	return fmt.Sprintf("input-%d.chpl", i)
 }
 
 // -------------------------------------------------------------- batch
@@ -790,15 +717,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add(obs.CtrServerRequests, 1)
 
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.DecodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Files) == 0 {
-		s.writeError(w, http.StatusBadRequest, "missing files")
-		return
-	}
-	if req.Mode != "" && req.Mode != "files" && req.Mode != "module" {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q", req.Mode))
+	if err := req.Validate(); err != nil {
+		s.front.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := s.gate.acquire(r.Context()); err != nil {
@@ -816,40 +739,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	files := make([]uafcheck.FileInput, len(req.Files))
 	for i, f := range req.Files {
-		name := f.Name
-		if name == "" {
-			name = fmt.Sprintf("input-%d.chpl", i)
-		}
-		files[i] = uafcheck.FileInput{Name: name, Src: f.Src}
+		files[i] = uafcheck.FileInput{Name: batchName(f, i), Src: f.Src}
 	}
 
 	// Negotiated SARIF: one aggregate document instead of an NDJSON
 	// stream (SARIF has no line-oriented form). Results are collected
 	// as workers finish and projected once at the end; per-file repair
 	// runs afterwards so fixes embed next to the warnings they fix.
-	if wantsSARIF(r) {
+	if WantsSARIF(r) {
 		s.batchSARIF(w, r, files, req.Options)
 		return
 	}
 
 	// NDJSON stream: one canonical result line per file, written from
-	// the worker that finished it. The mutex serializes lines; the
-	// flusher pushes each one out so clients see progress, not a burst.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
+	// the worker that finished it. A dead client just discards the
+	// stream.
+	write := startNDJSON(w)
 	emit := func(i int, fr uafcheck.FileReport) {
-		line, err := wire.NewResult(fr.Name, fr.Report, fr.Err, req.Options.Metrics).Encode()
-		if err != nil {
-			line = mustJSON(errorBody{Error: err.Error()})
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		w.Write(append(line, '\n')) //nolint:errcheck — a dead client just discards the stream
-		if flusher != nil {
-			flusher.Flush()
-		}
+		write(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck
 	}
 
 	t0 := time.Now()
@@ -862,13 +769,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The request context drives the batch: a disconnected client
 	// cancels remaining files (they degrade and stream to nowhere).
 	batchRep := uafcheck.AnalyzeFilesContext(r.Context(), files, opts...)
-	s.rec.Add(obs.CtrServerAnalyses, int64(len(req.Files)))
-	ms := time.Since(t0).Milliseconds() / int64(len(req.Files))
-	old := s.ewmaMS.Load()
-	s.ewmaMS.Store((old*3 + ms) / 4)
-	s.mu.Lock()
-	s.agg.MergeTotals(batchRep.Metrics)
-	s.mu.Unlock()
+	s.observeAnalysis(t0, len(files), batchRep.Metrics)
 }
 
 // batchModule serves mode "module" of /v1/analyze-batch: the files are
@@ -881,11 +782,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRequest) {
 	files := make([]uafcheck.ModuleFile, len(req.Files))
 	for i, f := range req.Files {
-		name := f.Name
-		if name == "" {
-			name = fmt.Sprintf("input-%d.chpl", i)
-		}
-		files[i] = uafcheck.ModuleFile{Name: name, Src: f.Src}
+		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
 	}
 	// Detached from the request context like the single-file leader: the
 	// wall-clock bound is the request deadline, degrading rather than
@@ -897,26 +794,10 @@ func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRe
 		s.writeModuleError(w, err)
 		return
 	}
-	s.rec.Add(obs.CtrServerAnalyses, int64(len(files)))
-	ms := time.Since(t0).Milliseconds() / int64(len(files))
-	old := s.ewmaMS.Load()
-	s.ewmaMS.Store((old*3 + ms) / 4)
-	s.mu.Lock()
-	s.agg.MergeTotals(mrep.Metrics)
-	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	s.observeAnalysis(t0, len(files), mrep.Metrics)
+	write := startNDJSON(w)
 	for _, fr := range mrep.Files {
-		line, encErr := wire.NewResult(fr.Name, fr.Report, fr.Err, req.Options.Metrics).Encode()
-		if encErr != nil {
-			line = mustJSON(errorBody{Error: encErr.Error()})
-		}
-		w.Write(append(line, '\n')) //nolint:errcheck — a dead client just discards the stream
-		if flusher != nil {
-			flusher.Flush()
-		}
+		write(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck — a dead client just discards the stream
 	}
 }
 
@@ -958,40 +839,7 @@ func moduleErrorCode(err error) string {
 // Retry-After — degraded evidence can neither accept nor reject a
 // candidate, so no patch is ever served from it.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	s.rec.Add(obs.CtrServerRequests, 1)
-
-	var req AnalyzeRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Src == "" {
-		s.writeError(w, http.StatusBadRequest, "missing src")
-		return
-	}
-	if req.Name == "" {
-		req.Name = "input.chpl"
-	}
-
-	key := s.requestKey("repair", req.Name, req.Src, req.Options)
-	f, leader := s.flights.claim(key)
-	if !leader {
-		s.rec.Add(obs.CtrServerDedupHits, 1)
-		stateFrom(r.Context()).setDedup("follower")
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			return // client went away while waiting; nothing to write
-		}
-		s.writeResult(w, f.res, "follower")
-		return
-	}
-
-	stateFrom(r.Context()).setDedup("leader")
-	res := s.repairLeader(r, req)
-	s.flights.finish(key, f, res)
-	s.writeResult(w, res, "leader")
+	s.serveShared(w, r, "repair", func(req AnalyzeRequest) flightResult { return s.repairLeader(r, req) })
 }
 
 // repairLeader runs the deduplicated repair: admission, the
@@ -1010,7 +858,7 @@ func (s *Server) repairLeader(r *http.Request, req AnalyzeRequest) flightResult 
 	t0 := time.Now()
 	rr, err := uafcheck.Repair(obs.Detach(r.Context()), req.Name, req.Src,
 		append(s.libraryOptions(req.Options), uafcheck.WithDeadline(s.effectiveDeadline(req.Options)))...)
-	s.observeAnalysis(t0, nil)
+	s.observeAnalysis(t0, 1, obs.Metrics{})
 
 	st := stateFrom(r.Context())
 	switch {
@@ -1072,13 +920,7 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 		uafcheck.WithOnFile(collect),
 	)
 	batchRep := uafcheck.AnalyzeFilesContext(r.Context(), files, opts...)
-	s.rec.Add(obs.CtrServerAnalyses, int64(len(files)))
-	ms := time.Since(t0).Milliseconds() / int64(len(files))
-	old := s.ewmaMS.Load()
-	s.ewmaMS.Store((old*3 + ms) / 4)
-	s.mu.Lock()
-	s.agg.MergeTotals(batchRep.Metrics)
-	s.mu.Unlock()
+	s.observeAnalysis(t0, len(files), batchRep.Metrics)
 
 	// Best-effort per-file repair, same eligibility as the single-shot
 	// endpoint: only clean (non-degraded) evidence may carry a fix. A
@@ -1101,7 +943,7 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 
 	body, err := wire.SARIFWithFixes(results, repairs).EncodeIndent()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.front.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/sarif+json")
@@ -1152,16 +994,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	write := startNDJSON(w)
 	var emitErr error
-	emit := func(line []byte) {
-		_, emitErr = w.Write(append(line, '\n'))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	emit := func(line []byte) { emitErr = write(line) }
 
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes))
@@ -1197,12 +1032,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		rep, err := s.analyzerFor(req.Options).AnalyzeDelta(ctx, req.Name, req.Src)
 		cancel()
-		s.observeAnalysis(t0, rep)
-		line, encErr := wire.NewResult(req.Name, rep, err, req.Options.Metrics).Encode()
-		if encErr != nil {
-			line = mustJSON(errorBody{Error: encErr.Error()})
-		}
-		emit(line)
+		s.observeAnalysis(t0, 1, metricsOf(rep))
+		emit(resultLine(req.Name, rep, err, req.Options.Metrics))
 	}
 	if err := sc.Err(); err != nil && emitErr == nil && r.Context().Err() == nil {
 		emit(mustJSON(errorBody{Error: "reading delta stream: " + err.Error()}))
@@ -1223,11 +1054,7 @@ func (s *Server) deltaModule(r *http.Request, req *DeltaRequest, emit func([]byt
 	}
 	files := make([]uafcheck.ModuleFile, len(req.Files))
 	for i, f := range req.Files {
-		name := f.Name
-		if name == "" {
-			name = fmt.Sprintf("input-%d.chpl", i)
-		}
-		files[i] = uafcheck.ModuleFile{Name: name, Src: f.Src}
+		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
 	}
 	s.rec.Add(obs.CtrServerDeltaFiles, int64(len(files)))
 	ctx, cancel := context.WithTimeout(obs.Detach(r.Context()), s.effectiveDeadline(req.Options))
@@ -1238,19 +1065,9 @@ func (s *Server) deltaModule(r *http.Request, req *DeltaRequest, emit func([]byt
 		emit(mustJSON(errorBody{Error: err.Error(), Code: moduleErrorCode(err)}))
 		return
 	}
-	s.rec.Add(obs.CtrServerAnalyses, int64(len(files)))
-	ms := time.Since(t0).Milliseconds() / int64(len(files))
-	old := s.ewmaMS.Load()
-	s.ewmaMS.Store((old*3 + ms) / 4)
-	s.mu.Lock()
-	s.agg.MergeTotals(mrep.Metrics)
-	s.mu.Unlock()
+	s.observeAnalysis(t0, len(files), mrep.Metrics)
 	for _, fr := range mrep.Files {
-		line, encErr := wire.NewResult(fr.Name, fr.Report, fr.Err, req.Options.Metrics).Encode()
-		if encErr != nil {
-			line = mustJSON(errorBody{Error: encErr.Error()})
-		}
-		emit(line)
+		emit(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics))
 	}
 }
 
@@ -1302,158 +1119,7 @@ func (s *Server) componentHealth() map[string]ComponentStatus {
 	return comps
 }
 
-// healthState folds component rows into the overall readiness verdict:
-// "ok" (200), "degraded" (200 — still serving, capacity impaired), or
-// unready (503) when draining or any component is wedged.
-func healthState(comps map[string]ComponentStatus) (status string, code int) {
-	status, code = "ok", http.StatusOK
-	for _, c := range comps {
-		switch c.State {
-		case "wedged", "draining":
-			return c.State, http.StatusServiceUnavailable
-		case "ok", "off":
-		default:
-			status = "degraded"
-		}
-	}
-	return status, code
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	inflight, queued := s.gate.load()
-	comps := s.componentHealth()
-	status, code := healthState(comps)
-	body := map[string]any{
-		"status":     status,
-		"mode":       s.cfg.Mode,
-		"inflight":   inflight,
-		"queued":     queued,
-		"version":    uafcheck.Version,
-		"components": comps,
-	}
-	if code != http.StatusOK {
-		// Overload guidance on every unready answer (draining or a
-		// wedged component): a probe or naive client should come back,
-		// not give up — and no 5xx leaves without Retry-After.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(mustJSON(body), '\n')) //nolint:errcheck
-}
-
-func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte("{\"status\":\"alive\"}\n")) //nolint:errcheck
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.PromSink{W: w}.Emit(s.MetricsSnapshot()) //nolint:errcheck
-}
-
-// handleDebugRequests serves the flight recorder. Without parameters it
-// lists recent request digests newest-first (span trees elided to a
-// count); ?trace=<hex id> returns the matching digest with its full
-// span tree inlined; ?limit=N truncates the listing.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if id := r.URL.Query().Get("trace"); id != "" {
-		d, ok := s.flightrec.byTrace(id)
-		if !ok {
-			s.writeError(w, http.StatusNotFound, "no recorded request with trace "+id)
-			return
-		}
-		w.Write(append(mustJSON(d), '\n')) //nolint:errcheck
-		return
-	}
-	digests := s.flightrec.snapshot()
-	if lim, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && lim >= 0 && lim < len(digests) {
-		digests = digests[:lim]
-	}
-	for i := range digests {
-		digests[i].Spans = nil // listing stays light; fetch one by ?trace=
-	}
-	w.Write(append(mustJSON(map[string]any{
-		"requests": digests,
-		"capacity": len(s.flightrec.ring),
-	}), '\n')) //nolint:errcheck
-}
-
-// routeStatus is one per-route row of /statusz.
-type routeStatus struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P90MS float64 `json:"p90_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// handleStatusz serves a one-page operational summary: version, uptime,
-// load, and per-route latency quantiles derived from the
-// server.request_ns histograms.
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	m := s.MetricsSnapshot()
-	routes := make(map[string]routeStatus)
-	for _, name := range m.HistNames() {
-		family, labels := obs.SplitHistKey(name)
-		if family != obs.HistRequestNS {
-			continue
-		}
-		route := ""
-		for _, kv := range labels {
-			if kv[0] == "route" {
-				route = kv[1]
-			}
-		}
-		h := m.Hist(name)
-		const ms = 1e6
-		routes[route] = routeStatus{
-			Count: h.Count,
-			P50MS: h.Quantile(0.50) / ms,
-			P90MS: h.Quantile(0.90) / ms,
-			P99MS: h.Quantile(0.99) / ms,
-		}
-	}
-	inflight, queued := s.gate.load()
-	recorded := len(s.flightrec.snapshot())
-	comps := s.componentHealth()
-	status, _ := healthState(comps)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(mustJSON(map[string]any{ //nolint:errcheck
-		"version":    uafcheck.Version,
-		"mode":       s.cfg.Mode,
-		"uptime_s":   int64(time.Since(s.start).Seconds()),
-		"status":     status,
-		"inflight":   inflight,
-		"queued":     queued,
-		"routes":     routes,
-		"components": comps,
-		"flight_recorder": map[string]int{
-			"recorded": recorded,
-			"capacity": len(s.flightrec.ring),
-		},
-		"pprof": s.cfg.EnablePprof,
-	}), '\n'))
-}
-
 // ------------------------------------------------------------ plumbing
-
-// decodeBody parses the JSON request body into dst, answering 400/413
-// itself on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
 
 // rejection maps an admission error onto the shared flight result, so
 // followers of a rejected leader reuse the same 429/503.
@@ -1499,6 +1165,12 @@ func (s *Server) writeResult(w http.ResponseWriter, res flightResult, role strin
 	}
 }
 
+// load is the admission load the worker adds to /healthz and /statusz.
+func (s *Server) load() map[string]any {
+	inflight, queued := s.gate.load()
+	return map[string]any{"inflight": inflight, "queued": queued}
+}
+
 // retryAfterSeconds estimates when a rejected client should come back:
 // the queue's expected drain time under the recent average analysis
 // latency, clamped to [1, 30] seconds.
@@ -1516,23 +1188,4 @@ func (s *Server) retryAfterSeconds() int {
 		secs = 30
 	}
 	return secs
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests || code >= 500 {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	w.WriteHeader(code)
-	w.Write(append(mustJSON(errorBody{Error: msg}), '\n')) //nolint:errcheck
-}
-
-// mustJSON marshals values that cannot fail (plain structs and maps of
-// marshalable types).
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return []byte(fmt.Sprintf("{\"error\":%q}", err.Error()))
-	}
-	return b
 }

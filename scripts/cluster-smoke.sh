@@ -5,7 +5,10 @@
 #      reference server
 #   2. drive the same batch through the cluster edge and assert the
 #      NDJSON line set is byte-identical to the single process
-#      (order-insensitive: lines stream in completion order)
+#      (order-insensitive: lines stream in completion order), that the
+#      ?format=sarif batch has the single process's sha256, and that a
+#      traceparent sent to the edge finds the request on the edge's
+#      /debug/requests
 #   3. boot a second fleet with injected per-analysis latency, kill
 #      both workers mid-batch, and assert the edge stream still
 #      carries one well-formed line per file, with the unfinished
@@ -97,6 +100,28 @@ LINES=$(wc -l <"$WORK/cluster.sorted")
 	exit 1
 }
 echo "cluster-smoke: edge batch byte-identical to single process ($LINES lines)"
+
+# SARIF is one aggregate document: the edge must negotiate it from the
+# query string exactly like a single process does.
+SUM_SINGLE=$(curl -sf "http://$SINGLE/v1/analyze-batch?format=sarif" -d @"$WORK/req.json" | sha256sum)
+SUM_CLUSTER=$(curl -sf "http://$COORD/v1/analyze-batch?format=sarif" -d @"$WORK/req.json" | sha256sum)
+[ "$SUM_SINGLE" = "$SUM_CLUSTER" ] || {
+	echo "cluster-smoke: FAIL — ?format=sarif batch through the edge differs from single process" >&2
+	exit 1
+}
+echo "cluster-smoke: edge ?format=sarif batch has the single-process sha256"
+
+# The edge is an observed hop: its flight recorder keeps the request
+# under the caller's trace ID.
+TRACE=4bf92f3577b34da6a3ce929d0e0e4736
+curl -sf -H "traceparent: 00-$TRACE-00f067aa0ba902b7-01" \
+	"http://$COORD/v1/analyze-batch" -d @"$WORK/req.json" >/dev/null
+ROUTE=$(curl -sf "http://$COORD/debug/requests?trace=$TRACE" | jq -r '.route') || ROUTE=""
+[ "$ROUTE" = "/v1/analyze-batch" ] || {
+	echo "cluster-smoke: FAIL — trace $TRACE not on the edge's /debug/requests (route '$ROUTE')" >&2
+	exit 1
+}
+echo "cluster-smoke: edge /debug/requests holds trace $TRACE ($ROUTE)"
 
 # ---- phase 2: kill the workers mid-batch -----------------------------
 
@@ -216,4 +241,4 @@ if ! cmp -s "$WORK/first.json" "$WORK/second.json"; then
 fi
 echo "cluster-smoke: restart over the same cache dir serves the first answer ($WARNS warning(s))"
 
-echo "cluster-smoke: OK — identity holds, a mid-batch worker kill degrades visibly, and no client can plant a cache entry"
+echo "cluster-smoke: OK — identity holds (NDJSON and SARIF), the edge records traces, a mid-batch worker kill degrades visibly, and no client can plant a cache entry"
