@@ -32,7 +32,7 @@ loadtest:
 # recovery, watch-mode wedge/recovery) under the race detector. See
 # docs/RECOVERY.md for the failure catalog these tests enforce.
 chaos:
-	$(GO) test -race ./internal/fault/ ./internal/client/
+	$(GO) test -race ./internal/fault/
 	$(GO) test -race -run 'Chaos|Recover|Quarantine|Torn|Wedge|Degraded|HealthzComponents|WriteFailure' \
 		./internal/cache/ ./internal/watch/ ./internal/server/ ./internal/repair/ ./internal/cluster/
 

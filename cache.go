@@ -38,31 +38,6 @@ type CacheConfig struct {
 	// call Flush to checkpoint and Close at shutdown. Ignored when Dir
 	// is empty.
 	AsyncDiskWrites int
-	// Backend, when non-nil, replaces the persistence tier: the Cache
-	// keeps its LRU, envelope checksums and quarantine, and moves entry
-	// bytes through Backend instead of the plain Dir tier. Takes
-	// precedence over Dir.
-	Backend CacheBackend
-}
-
-// CacheBackend is the pluggable persistence tier behind a Cache: a
-// blob store for checksummed entry envelopes. The built-in local
-// directory tier is the one implementation. See internal/cache.Backend
-// for the contract.
-type CacheBackend = cache.Backend
-
-// NewDirCacheBackend creates the local-directory backend the plain
-// disk tier uses.
-func NewDirCacheBackend(dir string) CacheBackend { return cache.NewDirBackend(dir) }
-
-// NewTieredCacheBackend returns local unchanged; remote is ignored.
-//
-// Deprecated: the peer cache tier is gone; use local directly. A
-// content-addressed tier never changes a result, only whether a report
-// is recomputed, so dropping remote changes no report. It will be
-// removed in 0.9.0.
-func NewTieredCacheBackend(local, remote CacheBackend) CacheBackend {
-	return local
 }
 
 // CacheStats counts cache traffic (hits, disk hits, misses, stores,
@@ -87,24 +62,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		},
 		Clone: (*Report).Clone,
 	}
-	var cc *Cache
-	if cfg.Backend != nil {
-		cc = &Cache{c: cache.NewWithBackend(codec, cfg.MaxEntries, cfg.Backend)}
-	} else {
-		cc = &Cache{c: cache.New(codec, cfg.MaxEntries, cfg.Dir)}
-	}
+	cc := &Cache{c: cache.New(codec, cfg.MaxEntries, cfg.Dir)}
 	if cfg.AsyncDiskWrites > 0 {
 		cc.c.StartAsyncDisk(cfg.AsyncDiskWrites)
 	}
 	return cc
 }
-
-// Backend returns the persistence backend (nil for memory-only
-// caches).
-//
-// Deprecated: its only use was serving the peer cache endpoints, which
-// are gone. It will be removed in 0.9.0.
-func (c *Cache) Backend() CacheBackend { return c.c.Backend() }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cache) Stats() CacheStats { return c.c.Stats() }

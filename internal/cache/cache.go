@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"sync"
 )
@@ -97,11 +98,11 @@ type Stats struct {
 }
 
 // Cache is a bounded LRU keyed by content address, with an optional
-// write-through persistence backend. Safe for concurrent use.
+// write-through disk tier. Safe for concurrent use.
 type Cache[V any] struct {
 	codec      Codec[V]
 	maxEntries int
-	backend    Backend // nil disables the persistence layer
+	dir        string // "" disables the disk tier
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -141,34 +142,20 @@ type entry[V any] struct {
 const DefaultMaxEntries = 1024
 
 // New creates a cache. maxEntries bounds the in-memory LRU (<= 0 means
-// DefaultMaxEntries); dir, when non-empty, enables a local-directory
-// persistence backend, created on first store.
+// DefaultMaxEntries); dir, when non-empty, enables the disk tier in
+// that directory, created on first store.
 func New[V any](codec Codec[V], maxEntries int, dir string) *Cache[V] {
-	var be Backend
-	if dir != "" {
-		be = NewDirBackend(dir)
-	}
-	return NewWithBackend(codec, maxEntries, be)
-}
-
-// NewWithBackend creates a cache over an arbitrary persistence backend
-// (nil for memory-only), with the same LRU, envelope validation and
-// self-disabling failure accounting as the plain disk tier.
-func NewWithBackend[V any](codec Codec[V], maxEntries int, be Backend) *Cache[V] {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
 	return &Cache[V]{
 		codec:      codec,
 		maxEntries: maxEntries,
-		backend:    be,
+		dir:        dir,
 		ll:         list.New(),
 		items:      make(map[Key]*list.Element),
 	}
 }
-
-// Backend returns the persistence backend (nil for memory-only caches).
-func (c *Cache[V]) Backend() Backend { return c.backend }
 
 // Get returns a clone of the value stored under k. A memory miss falls
 // through to the disk layer (when configured) and promotes the decoded
@@ -216,7 +203,7 @@ func (c *Cache[V]) Put(k Key, v V) {
 	c.mu.Lock()
 	c.insertLocked(k, v)
 	c.stats.Stores++
-	disk := c.backend != nil && !c.diskDisabled
+	disk := c.dir != "" && !c.diskDisabled
 	enqueued := false
 	if disk && c.async != nil {
 		enqueued = true
@@ -257,15 +244,15 @@ func (c *Cache[V]) noteWrite(err error) {
 	c.consecFails++
 	if c.consecFails >= MaxConsecutiveDiskFailures && !c.diskDisabled {
 		c.diskDisabled = true
-		slog.Warn("cache: persistence tier disabled after consecutive write failures",
-			"failures", c.consecFails, "backend", c.backend.Name(), "err", err)
+		slog.Warn("cache: disk tier disabled after consecutive write failures",
+			"failures", c.consecFails, "dir", c.dir, "err", err)
 	}
 }
 
-// diskActive reports whether the persistence tier exists and has not
-// disabled itself.
+// diskActive reports whether the disk tier exists and has not disabled
+// itself.
 func (c *Cache[V]) diskActive() bool {
-	if c.backend == nil {
+	if c.dir == "" {
 		return false
 	}
 	c.mu.Lock()
@@ -273,11 +260,11 @@ func (c *Cache[V]) diskActive() bool {
 	return !c.diskDisabled
 }
 
-// DiskState classifies the persistence tier for health surfaces: "off"
-// (no backend configured), "ok", or "disabled" (too many consecutive
+// DiskState classifies the disk tier for health surfaces: "off" (no
+// directory configured), "ok", or "disabled" (too many consecutive
 // write failures; see MaxConsecutiveDiskFailures).
 func (c *Cache[V]) DiskState() string {
-	if c.backend == nil {
+	if c.dir == "" {
 		return "off"
 	}
 	c.mu.Lock()
@@ -288,16 +275,14 @@ func (c *Cache[V]) DiskState() string {
 	return "ok"
 }
 
-// writeDisk serializes v into the checksummed envelope and hands it to
-// the persistence backend. The envelope is built here — above the
-// backend seam — so every backend's entries carry the same crash-safety
-// checksum.
+// writeDisk serializes v into the checksummed envelope and writes it to
+// the disk tier.
 func (c *Cache[V]) writeDisk(k Key, v V) error {
 	data, err := c.codec.Encode(v)
 	if err != nil {
 		return err
 	}
-	return c.backend.Store(k, encodeEntry(data))
+	return c.writeEntry(k, encodeEntry(data))
 }
 
 // ------------------------------------------------- disk entry envelope
@@ -344,14 +329,14 @@ func decodeEntry(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// readDisk loads and validates one backend entry. I/O errors count as
-// DiskErrors; validation or decode failures quarantine the entry
-// (Backend.Discard). Both degrade to a miss.
+// readDisk loads and validates one disk entry. I/O errors other than a
+// missing file count as DiskErrors; validation or decode failures
+// quarantine the entry. Both degrade to a miss.
 func (c *Cache[V]) readDisk(k Key) (V, bool) {
 	var zero V
-	raw, err := c.backend.Fetch(k)
+	raw, err := c.readEntry(k)
 	if err != nil {
-		if !errors.Is(err, ErrNotFound) {
+		if !errors.Is(err, fs.ErrNotExist) {
 			c.mu.Lock()
 			c.stats.DiskErrors++
 			c.mu.Unlock()
@@ -366,12 +351,12 @@ func (c *Cache[V]) readDisk(k Key) (V, bool) {
 		}
 		err = derr
 	}
-	c.backend.Discard(k, err)
+	c.quarantine(c.entryPath(k))
 	c.mu.Lock()
 	c.stats.Quarantined++
 	c.mu.Unlock()
 	slog.Warn("cache: quarantined corrupt entry",
-		"entry", k.String(), "backend", c.backend.Name(), "cause", err)
+		"entry", k.String(), "dir", c.dir, "cause", err)
 	return zero, false
 }
 
@@ -392,17 +377,16 @@ type RecoverStats struct {
 	TempFiles int
 }
 
-// RecoverDisk validates every entry in the persistence tier — the
-// startup crash-recovery scan. Corrupt entries are quarantined,
-// orphaned temp files from interrupted writes are removed, and valid
-// entries are left in place (not promoted to memory; they load on
-// first Get). A no-op without a recoverable backend.
+// RecoverDisk validates every entry in the disk tier — the startup
+// crash-recovery scan. Corrupt entries are quarantined, orphaned temp
+// files from interrupted writes are removed, and valid entries are left
+// in place (not promoted to memory; they load on first Get). A no-op
+// without a disk tier.
 func (c *Cache[V]) RecoverDisk() RecoverStats {
-	rb, ok := c.backend.(RecoverableBackend)
-	if !ok {
+	if c.dir == "" {
 		return RecoverStats{}
 	}
-	rs := rb.Recover(func(env []byte) error {
+	rs := c.scanDir(func(env []byte) error {
 		payload, err := decodeEntry(env)
 		if err != nil {
 			return err
@@ -417,7 +401,7 @@ func (c *Cache[V]) RecoverDisk() RecoverStats {
 		c.stats.Quarantined += int64(rs.Quarantined)
 		c.mu.Unlock()
 		slog.Warn("cache: recovery quarantined corrupt entries",
-			"backend", c.backend.Name(), "quarantined", rs.Quarantined)
+			"dir", c.dir, "quarantined", rs.Quarantined)
 	}
 	return rs
 }
@@ -432,7 +416,7 @@ func (c *Cache[V]) RecoverDisk() RecoverStats {
 // after New). No-op when the cache has no disk tier or async mode is
 // already on. Pair with Flush at checkpoints and Close at shutdown.
 func (c *Cache[V]) StartAsyncDisk(depth int) {
-	if c.backend == nil {
+	if c.dir == "" {
 		return
 	}
 	if depth <= 0 {

@@ -1,21 +1,23 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"uafcheck/internal/client"
 	"uafcheck/internal/server"
 )
 
@@ -56,7 +58,6 @@ func newCoordinator(t *testing.T, workers ...WorkerSpec) (*Coordinator, *httptes
 	t.Helper()
 	c := New(Config{
 		Workers:       workers,
-		Client:        client.Config{MaxAttempts: 1, Budget: 2 * time.Minute},
 		ProbeInterval: -1,
 	})
 	ts := httptest.NewServer(c.Handler())
@@ -473,7 +474,7 @@ func TestClusterMembershipProbe(t *testing.T) {
 }
 
 // TestClusterStatuszSurface: /statusz carries the version, the
-// coordinator mode, per-worker rows and the breaker map — the
+// coordinator mode, per-worker rows and the edge counters — the
 // operator's one-stop view of the fleet.
 func TestClusterStatuszSurface(t *testing.T) {
 	w0 := newWorker(t, server.Config{})
@@ -498,11 +499,125 @@ func TestClusterStatuszSurface(t *testing.T) {
 	if _, ok := m["components"].(map[string]any)["worker:w0"]; !ok {
 		t.Fatalf("missing worker row: %v", m["components"])
 	}
-	if _, ok := m["breakers"]; !ok {
-		t.Fatal("missing breakers map")
-	}
 	counters := m["counters"].(map[string]any)
 	if counters[CtrProxied].(float64) < 1 {
 		t.Fatalf("proxied counter not incremented: %v", counters)
+	}
+}
+
+// deadWorker stands in for a worker whose process is gone while its
+// address still accepts connections. It answers /healthz, so the
+// start-up probe puts it on the ring; every other connection is
+// counted and closed unanswered.
+type deadWorker struct {
+	ln      net.Listener
+	accepts atomic.Int64
+}
+
+func newDeadWorker(t *testing.T) *deadWorker {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	d := &deadWorker{ln: ln}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go d.serve(conn)
+		}
+	}()
+	return d
+}
+
+func (d *deadWorker) serve(conn net.Conn) {
+	defer conn.Close()
+	req, err := http.ReadRequest(bufio.NewReader(conn))
+	if err == nil && req.URL.Path == "/healthz" {
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n") //nolint:errcheck
+		return
+	}
+	d.accepts.Add(1)
+}
+
+// TestEdgeDeadOwnerFailsOverOnce: with the default Config, a request
+// whose owner is dead costs exactly one connection attempt there and
+// then gets its answer from the ring successor — on the analyze,
+// batch and delta paths alike. Nothing retries the dead owner, backs
+// off or waits for a breaker.
+func TestEdgeDeadOwnerFailsOverOnce(t *testing.T) {
+	live := newWorker(t, server.Config{})
+	dead := newDeadWorker(t)
+	c := New(Config{
+		Workers: []WorkerSpec{
+			{ID: "live", URL: live.URL},
+			{ID: "dead", URL: "http://" + dead.ln.Addr().String()},
+		},
+		// No probe round after the start-up one: the ring keeps the
+		// dead owner, as it does between two rounds.
+		ProbeInterval: -1,
+	})
+	edge := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		edge.Close()
+		c.Shutdown(context.Background()) //nolint:errcheck
+	})
+	if c.aliveRing().Len() != 2 {
+		t.Fatalf("ring has %d members, want both workers", c.aliveRing().Len())
+	}
+
+	var owned, deltaOwned []server.BatchFile
+	for _, f := range loadSuite(t) {
+		if c.aliveRing().Lookup(server.RouteKey("analyze", f.Name, f.Src, server.RequestOptions{})) == "dead" {
+			owned = append(owned, f)
+		}
+		if c.aliveRing().Lookup(server.RouteKey("delta", f.Name, "", server.RequestOptions{})) == "dead" {
+			deltaOwned = append(deltaOwned, f)
+		}
+	}
+	if len(owned) < 3 || len(deltaOwned) < 2 {
+		t.Fatalf("dead worker owns %d analyze and %d delta files, want at least 3 and 2", len(owned), len(deltaOwned))
+	}
+
+	// once sends one request and checks it cost one connection attempt
+	// at the dead owner and was answered 200 with the given number of
+	// result lines, none of them an error.
+	once := func(what, path string, body []byte, lines int) {
+		t.Helper()
+		before := dead.accepts.Load()
+		resp, out := postAccept(t, edge.URL+path, "", body)
+		if n := dead.accepts.Load() - before; n != 1 {
+			t.Errorf("%s: %d connection attempts at the dead owner, want 1", what, n)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, resp.StatusCode, out)
+		}
+		if w := resp.Header.Get("X-Uafserve-Worker"); w != "" && w != "live" {
+			t.Errorf("%s: answered by %q, want the successor", what, w)
+		}
+		got := sortedLines(out)
+		if len(got) != lines {
+			t.Fatalf("%s: %d result lines, want %d: %s", what, len(got), lines, out)
+		}
+		for _, l := range got {
+			if strings.Contains(l, `"status":"error"`) || strings.HasPrefix(l, `{"error"`) {
+				t.Errorf("%s: error line %s", what, l)
+			}
+		}
+	}
+	for _, f := range owned[:2] {
+		once("analyze "+f.Name, "/v1/analyze", mustMarshal(t, server.AnalyzeRequest{Name: f.Name, Src: f.Src}), 1)
+	}
+	once("batch", "/v1/analyze-batch", mustMarshal(t, server.BatchRequest{Files: owned}), len(owned))
+	for _, f := range deltaOwned[:2] {
+		once("delta "+f.Name, "/v1/delta", mustMarshal(t, server.DeltaRequest{Name: f.Name, Src: f.Src}), 1)
+	}
+	counters := c.rec.Snapshot()
+	if lost, hops := counters.Counter(CtrWorkerLost), counters.Counter(CtrReroutes); lost != 5 || hops != 5 {
+		t.Errorf("worker_lost %d, reroutes %d; want 5 each", lost, hops)
 	}
 }

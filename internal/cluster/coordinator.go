@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"uafcheck/internal/cache"
-	"uafcheck/internal/client"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/server"
 )
@@ -32,6 +33,17 @@ const (
 	CtrMembershipChanges = "cluster.membership_changes"
 )
 
+// The coordinator's two worker-facing timeouts. A sub-request carries a
+// whole batch stream, so it gets room; a probe answers /healthz or the
+// worker counts as down.
+const (
+	requestTimeout = 5 * time.Minute
+	probeTimeout   = 3 * time.Second
+)
+
+// errNoWorkers answers a request whose ring has no live worker.
+var errNoWorkers = errors.New("no workers alive")
+
 // WorkerSpec names one worker replica: a stable logical ID (the ring
 // hashes IDs, so routing survives every port changing across a fleet
 // restart) and the base URL it currently answers on.
@@ -45,9 +57,6 @@ type Config struct {
 	// Workers is the configured fleet. Liveness within it is managed by
 	// health probes; membership of the routing ring follows liveness.
 	Workers []WorkerSpec
-	// Client tunes the worker-facing HTTP client. NoStatusRetry is
-	// forced on: worker backpressure must reach the edge, not retries.
-	Client client.Config
 	// ProbeInterval paces the health prober (0 = 2s; negative disables
 	// background probing — tests drive Probe explicitly).
 	ProbeInterval time.Duration
@@ -72,8 +81,8 @@ type Coordinator struct {
 	cfg   Config
 	urls  map[string]string // worker ID -> base URL
 	order []string          // configured worker IDs, in config order
-	hc    *client.Client    // request path: retries transport errors only
-	probe *client.Client    // probe path: single fast attempt
+	hc    *http.Client      // request path: one attempt per worker
+	probe *http.Client      // health probes
 	rec   *obs.Recorder
 	front *server.Front
 	log   *slog.Logger
@@ -100,18 +109,12 @@ func New(cfg Config) *Coordinator {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	ccfg := cfg.Client
-	ccfg.NoStatusRetry = true
-	if ccfg.Budget <= 0 {
-		// Sub-requests carry whole batch streams; give them room.
-		ccfg.Budget = 5 * time.Minute
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		urls:   make(map[string]string, len(cfg.Workers)),
 		order:  make([]string, 0, len(cfg.Workers)),
-		hc:     client.New(ccfg),
-		probe:  client.New(client.Config{MaxAttempts: 1, Budget: 3 * time.Second, NoStatusRetry: true}),
+		hc:     &http.Client{Timeout: requestTimeout},
+		probe:  &http.Client{Timeout: probeTimeout},
 		rec:    obs.New(),
 		log:    cfg.Logger,
 		health: make(map[string]*workerHealth, len(cfg.Workers)),
@@ -191,7 +194,7 @@ func (c *Coordinator) Probe() {
 		go func(i int, id string) {
 			defer wg.Done()
 			v := verdict{id: id}
-			resp, err := c.probe.Get(context.Background(), c.urls[id]+"/healthz")
+			resp, err := c.probe.Get(c.urls[id] + "/healthz")
 			switch {
 			case err != nil:
 				v.err = err.Error()
@@ -261,16 +264,52 @@ func (c *Coordinator) post(ctx context.Context, r *http.Request, worker, path st
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	h := http.Header{}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
 	for _, k := range []string{"Accept", "Content-Type"} {
 		if v := r.Header.Get(k); v != "" {
-			h.Set(k, v)
+			req.Header.Set(k, v)
 		}
 	}
 	if sid, ok := obs.CurrentSpanID(r.Context()); ok {
-		h.Set("Traceparent", obs.FormatTraceparent(obs.TraceFrom(r.Context()).ID(), sid))
+		req.Header.Set("Traceparent", obs.FormatTraceparent(obs.TraceFrom(r.Context()).ID(), sid))
 	}
-	return c.hc.DoWithHeaders(ctx, http.MethodPost, url, h, body)
+	return c.hc.Do(req)
+}
+
+// failover is the edge's one failover policy: send goes to the ring
+// owner of key and, if the owner cannot be reached, once to the next
+// live worker on the ring. Any HTTP answer, 429 and 503 included, is
+// final; liveness is the prober's job, so nothing retries or backs
+// off. Each transport failure counts as cluster.worker_lost and each
+// hop as cluster.reroutes. A worker this request already lost
+// mid-stream is passed as lost and counts as the failed owner. The
+// worker returned answered, or on failure was the last one tried.
+func (c *Coordinator) failover(key cache.Key, lost string, send func(worker string) (*http.Response, error)) (string, *http.Response, error) {
+	var cands []string
+	for _, id := range c.aliveRing().LookupN(key, 2) {
+		if id != lost {
+			cands = append(cands, id)
+		}
+	}
+	if lost != "" && len(cands) > 1 {
+		cands = cands[:1]
+	}
+	last, err := "", errNoWorkers
+	for i, id := range cands {
+		if i > 0 || lost != "" {
+			c.rec.Add(CtrReroutes, 1)
+		}
+		resp, serr := send(id)
+		if serr == nil {
+			return id, resp, nil
+		}
+		last, err = id, serr
+		c.rec.Add(CtrWorkerLost, 1)
+	}
+	return last, nil, err
 }
 
 // copyResponse relays a worker response to the edge verbatim: status,
@@ -317,31 +356,22 @@ func (c *Coordinator) proxySingle(kind, path string) http.HandlerFunc {
 	}
 }
 
-// forwardByKey routes body to the key owner's /v1 path, trying up to
-// two ring candidates on transport failure.
+// forwardByKey routes body to the key owner's /v1 path under the
+// failover policy.
 func (c *Coordinator) forwardByKey(w http.ResponseWriter, r *http.Request, key cache.Key, path string, body []byte) {
-	cands := c.aliveRing().LookupN(key, 2)
-	if len(cands) == 0 {
-		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
-		return
-	}
-	var lastErr error
-	for i, id := range cands {
-		if i > 0 {
-			c.rec.Add(CtrReroutes, 1)
-		}
-		resp, err := c.post(r.Context(), r, id, path, body)
-		if err != nil {
-			lastErr = err
-			c.rec.Add(CtrWorkerLost, 1)
-			continue
-		}
+	id, resp, err := c.failover(key, "", func(id string) (*http.Response, error) {
+		return c.post(r.Context(), r, id, path, body)
+	})
+	switch {
+	case errors.Is(err, errNoWorkers):
+		c.front.WriteError(w, http.StatusServiceUnavailable, err.Error())
+	case err != nil:
+		c.front.WriteError(w, http.StatusBadGateway,
+			fmt.Sprintf("all candidate workers unreachable: %v", err))
+	default:
 		c.rec.Add(CtrProxied, 1)
 		copyResponse(w, resp, id)
-		return
 	}
-	c.front.WriteError(w, http.StatusBadGateway,
-		fmt.Sprintf("all candidate workers unreachable: %v", lastErr))
 }
 
 // ----------------------------------------------------------- admin
@@ -381,13 +411,12 @@ func (c *Coordinator) workerRows() map[string]server.ComponentStatus {
 	return rows
 }
 
-// statuszExtras adds the coordinator's own counters and the worker
-// client's circuit-breaker states to /statusz.
+// statuszExtras adds the coordinator's own counters to /statusz.
 func (c *Coordinator) statuszExtras() map[string]any {
 	m := c.rec.Snapshot()
 	counters := make(map[string]int64)
 	for _, name := range m.CounterNames() {
 		counters[name] = m.Counter(name)
 	}
-	return map[string]any{"counters": counters, "breakers": c.hc.HostStates()}
+	return map[string]any{"counters": counters}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"uafcheck/internal/client"
 	"uafcheck/internal/server"
 )
 
@@ -48,25 +47,51 @@ func postAccept(t *testing.T, url, accept string, body []byte) (*http.Response, 
 	return resp, out
 }
 
+// conformancePair is one worker and a 1-worker edge over it, both
+// under the same body limit.
+type conformancePair struct{ worker, edge string }
+
+func newConformancePair(t *testing.T, limit int64) conformancePair {
+	t.Helper()
+	worker := newWorker(t, server.Config{MaxBodyBytes: limit})
+	c := New(Config{
+		Workers:       []WorkerSpec{{ID: "w0", URL: worker.URL}},
+		ProbeInterval: -1,
+		MaxBodyBytes:  limit,
+	})
+	edge := httptest.NewServer(c.Handler())
+	t.Cleanup(edge.Close)
+	return conformancePair{worker: worker.URL, edge: edge.URL}
+}
+
+// deltaLine renders one single-file /v1/delta line padded with a
+// trailing comment to exactly size bytes, newline included.
+func deltaLine(t *testing.T, name string, size int) []byte {
+	t.Helper()
+	src := "proc a() { }\n//"
+	n := len(mustMarshal(t, server.DeltaRequest{Name: name, Src: src})) + 1
+	line := append(mustMarshal(t, server.DeltaRequest{Name: name, Src: src + strings.Repeat("x", size-n)}), '\n')
+	if len(line) != size {
+		t.Fatalf("delta line is %d bytes, want %d", len(line), size)
+	}
+	return line
+}
+
 // TestEdgeWorkerConformance: a 1-worker edge answers every row with the
 // worker's own status, Content-Type and body bytes. The coordinator
 // mounts the worker's HTTP front, so content negotiation, request
-// validation and error envelopes cannot drift between the two.
+// validation, error envelopes and the /v1/delta line reader cannot
+// drift between the two.
 func TestEdgeWorkerConformance(t *testing.T) {
 	const limit = 64 << 10
 	fig1, err := os.ReadFile("../../testdata/figure1.chpl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := newWorker(t, server.Config{MaxBodyBytes: limit})
-	c := New(Config{
-		Workers:       []WorkerSpec{{ID: "w0", URL: worker.URL}},
-		Client:        client.Config{MaxAttempts: 1, Budget: time.Minute},
-		ProbeInterval: -1,
-		MaxBodyBytes:  limit,
-	})
-	edge := httptest.NewServer(c.Handler())
-	t.Cleanup(edge.Close)
+	wide := newConformancePair(t, limit)
+	// Three 560-byte delta lines against a 1000-byte limit: the first
+	// is answered, the limit cuts the second.
+	narrow := newConformancePair(t, 1000)
 
 	analyze := mustMarshal(t, server.AnalyzeRequest{Name: "figure1.chpl", Src: string(fig1)})
 	batch := mustMarshal(t, server.BatchRequest{Files: append(loadSuite(t)[:3],
@@ -77,30 +102,50 @@ func TestEdgeWorkerConformance(t *testing.T) {
 		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  mid(x);\n}\n"},
 	}})
 	oversized := mustMarshal(t, server.AnalyzeRequest{Name: "big.chpl", Src: strings.Repeat("x", limit)})
+	malformedDelta := append(append(mustMarshal(t, server.DeltaRequest{Name: "a.chpl", Src: "proc a() { }"}),
+		'\n'), `{"name":"b.chpl","src":`+"\n"...)
+	var overLimitDelta []byte
+	for _, name := range []string{"a.chpl", "b.chpl", "c.chpl"} {
+		overLimitDelta = append(overLimitDelta, deltaLine(t, name, 560)...)
+	}
 
 	rows := []struct {
 		name, path, accept string
 		body               []byte
 		status             int
 		sorted             bool // NDJSON lines arrive in completion order
+		at                 conformancePair
 	}{
-		{"analyze json", "/v1/analyze", "", analyze, http.StatusOK, false},
-		{"analyze sarif accept", "/v1/analyze", "application/sarif+json", analyze, http.StatusOK, false},
-		{"analyze sarif query", "/v1/analyze?format=sarif", "", analyze, http.StatusOK, false},
-		{"batch ndjson", "/v1/analyze-batch", "", batch, http.StatusOK, true},
-		{"batch sarif query", "/v1/analyze-batch?format=sarif", "", batch, http.StatusOK, false},
-		{"batch module", "/v1/analyze-batch", "", module, http.StatusOK, false},
-		{"bogus mode", "/v1/analyze-batch", "", []byte(`{"mode":"bogus","files":[{"name":"a.chpl","src":"proc a() { }"}]}`), http.StatusBadRequest, false},
-		{"malformed json", "/v1/analyze-batch", "", []byte(`{"files":[`), http.StatusBadRequest, false},
-		{"missing files", "/v1/analyze-batch", "", []byte(`{"files":[]}`), http.StatusBadRequest, false},
-		{"body over limit", "/v1/analyze", "", oversized, http.StatusRequestEntityTooLarge, false},
+		{"analyze json", "/v1/analyze", "", analyze, http.StatusOK, false, wide},
+		{"analyze sarif accept", "/v1/analyze", "application/sarif+json", analyze, http.StatusOK, false, wide},
+		{"analyze sarif query", "/v1/analyze?format=sarif", "", analyze, http.StatusOK, false, wide},
+		{"batch ndjson", "/v1/analyze-batch", "", batch, http.StatusOK, true, wide},
+		{"batch sarif query", "/v1/analyze-batch?format=sarif", "", batch, http.StatusOK, false, wide},
+		{"batch module", "/v1/analyze-batch", "", module, http.StatusOK, false, wide},
+		{"bogus mode", "/v1/analyze-batch", "", []byte(`{"mode":"bogus","files":[{"name":"a.chpl","src":"proc a() { }"}]}`), http.StatusBadRequest, false, wide},
+		{"malformed json", "/v1/analyze-batch", "", []byte(`{"files":[`), http.StatusBadRequest, false, wide},
+		{"missing files", "/v1/analyze-batch", "", []byte(`{"files":[]}`), http.StatusBadRequest, false, wide},
+		{"body over limit", "/v1/analyze", "", oversized, http.StatusRequestEntityTooLarge, false, wide},
+		{"delta malformed line", "/v1/delta", "", malformedDelta, http.StatusOK, false, wide},
+		{"delta over limit", "/v1/delta", "", overLimitDelta, http.StatusOK, false, narrow},
+	}
+	// The worker answers each delta row's first line, then one error
+	// envelope: no spurious "malformed" line for the line the limit cut.
+	deltaTails := map[string]string{
+		"delta malformed line": `{"error":"malformed delta line: unexpected end of JSON input"}`,
+		"delta over limit":     `{"error":"reading delta stream: http: request body too large"}`,
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			wresp, want := postAccept(t, worker.URL+row.path, row.accept, row.body)
-			eresp, got := postAccept(t, edge.URL+row.path, row.accept, row.body)
+			wresp, want := postAccept(t, row.at.worker+row.path, row.accept, row.body)
+			eresp, got := postAccept(t, row.at.edge+row.path, row.accept, row.body)
 			if wresp.StatusCode != row.status {
 				t.Fatalf("worker answered %d, want %d: %s", wresp.StatusCode, row.status, want)
+			}
+			if tail, ok := deltaTails[row.name]; ok {
+				if lines := strings.Split(strings.TrimSpace(string(want)), "\n"); len(lines) != 2 || lines[1] != tail {
+					t.Fatalf("worker answered %q, want one result line and then %s", want, tail)
+				}
 			}
 			if eresp.StatusCode != wresp.StatusCode {
 				t.Fatalf("status: edge %d, worker %d\nedge: %s", eresp.StatusCode, wresp.StatusCode, got)

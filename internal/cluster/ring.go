@@ -1,8 +1,10 @@
 // Package cluster shards uafserve across replicas: a coordinator
 // terminates HTTP, computes the same content-addressed keys the cache
 // uses, and routes each request over a consistent-hash ring to one of N
-// workers through the retrying, per-host-circuit-breaking
-// internal/client. Workers are the unmodified single-process server
+// workers with plain net/http. There is one failover policy: a request
+// the owner cannot take goes once to its ring successor, and health
+// probes take a dead worker off the ring; nothing retries, backs off or
+// breaks circuits. Workers are the unmodified single-process server
 // core behind the same /v1/ wire contract, so every byte the cluster
 // serves is byte-identical to what one process would have served —
 // the determinism contract extends from cache keys to routing.

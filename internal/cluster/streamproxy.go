@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,8 +28,8 @@ import (
 //     to a ring successor, and whatever still cannot be computed is
 //     emitted as a status "error" wire line naming the failure.
 
-// scanBuf sizes NDJSON line scanners: start at 64 KiB, allow lines up
-// to the body cap.
+// lineScanner sizes NDJSON line scanners: start at 64 KiB, allow lines
+// up to the body cap.
 func lineScanner(r io.Reader, max int64) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), int(max))
@@ -83,17 +84,6 @@ func errorLine(name string, err error) []byte {
 		return b
 	}
 	return line
-}
-
-// altWorker picks the first alive ring member that is not exclude —
-// the reroute target for a group whose worker died.
-func (c *Coordinator) altWorker(key cache.Key, exclude string) (string, bool) {
-	for _, id := range c.aliveRing().LookupN(key, len(c.order)) {
-		if id != exclude {
-			return id, true
-		}
-	}
-	return "", false
 }
 
 // ------------------------------------------------------------- batch
@@ -167,8 +157,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Fire every sub-batch, then barrier on response *headers* (not
 	// bodies): a sub-batch rejected with 429/503 must forward to the
-	// edge unchanged before any line streams. Workers that are
-	// unreachable get one reroute hop here, before the barrier.
+	// edge unchanged before any line streams. A shard whose worker is
+	// unreachable takes the failover hop here, before the barrier.
 	type subResp struct {
 		resp *http.Response
 		err  error
@@ -179,15 +169,11 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.postSubBatch(ctx, r, groups[i].worker, groups[i].files, req.Options)
-			if err != nil {
-				c.rec.Add(CtrWorkerLost, 1)
-				if alt, ok := c.altWorker(groups[i].key, groups[i].worker); ok {
-					c.rec.Add(CtrReroutes, 1)
-					groups[i].worker = alt
-					resp, err = c.postSubBatch(ctx, r, alt, groups[i].files, req.Options)
-				}
-			}
+			g := &groups[i]
+			id, resp, err := c.failover(g.key, "", func(id string) (*http.Response, error) {
+				return c.postSubBatch(ctx, r, id, g.files, req.Options)
+			})
+			g.worker = id
 			resps[i] = subResp{resp: resp, err: err}
 		}(i)
 	}
@@ -313,19 +299,19 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 	}
 
 	if mayReroute && ctx.Err() == nil {
-		if alt, ok := c.altWorker(g.key, g.worker); ok {
-			c.rec.Add(CtrReroutes, 1)
-			if rresp, err := c.postSubBatch(ctx, r, alt, remaining, opts); err == nil {
-				if rresp.StatusCode == http.StatusOK {
-					c.streamGroup(ctx, r, em, batchGroup{worker: alt, key: g.key, files: remaining}, rresp, opts, false)
-					return
-				}
-				io.Copy(io.Discard, rresp.Body) //nolint:errcheck
-				rresp.Body.Close()
-				scanErr = fmt.Errorf("reroute to %s rejected: %s (original: %v)", alt, rresp.Status, scanErr)
-			} else {
-				scanErr = fmt.Errorf("reroute to %s failed: %v (original: %v)", alt, err, scanErr)
-			}
+		alt, rresp, err := c.failover(g.key, g.worker, func(id string) (*http.Response, error) {
+			return c.postSubBatch(ctx, r, id, remaining, opts)
+		})
+		switch {
+		case err == nil && rresp.StatusCode == http.StatusOK:
+			c.streamGroup(ctx, r, em, batchGroup{worker: alt, key: g.key, files: remaining}, rresp, opts, false)
+			return
+		case err == nil:
+			io.Copy(io.Discard, rresp.Body) //nolint:errcheck
+			rresp.Body.Close()
+			scanErr = fmt.Errorf("reroute to %s rejected: %s (original: %v)", alt, rresp.Status, scanErr)
+		case !errors.Is(err, errNoWorkers):
+			scanErr = fmt.Errorf("reroute to %s failed: %v (original: %v)", alt, err, scanErr)
 		}
 	}
 	for _, f := range remaining {
@@ -335,64 +321,47 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 
 // ------------------------------------------------------------- delta
 
-// handleDelta proxies the incremental NDJSON stream line by line.
-// Routing is by (name, options) — not content — so re-sends of an
-// edited file land on the worker holding that file's memo store, and
-// the incremental speedup survives sharding. The worker-side analyzer
-// pool lives across requests, so forwarding each line as its own
-// single-line /v1/delta call preserves both per-file ordering and
-// memoization; lines answer in input order exactly as one process
-// would answer them.
+// handleDelta proxies the incremental NDJSON stream line by line,
+// reading it with the worker's own reader so malformed and over-limit
+// streams answer with the worker's bytes. Routing is by (name,
+// options) — not content — so re-sends of an edited file land on the
+// worker holding that file's memo store, and the incremental speedup
+// survives sharding. The worker-side analyzer pool lives across
+// requests, so forwarding each line as its own single-line /v1/delta
+// call preserves both per-file ordering and memoization; lines answer
+// in input order exactly as one process would answer them.
 func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if c.aliveRing().Len() == 0 {
 		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
 		return
 	}
 	em := newEmitter(w)
-	sc := lineScanner(r.Body, c.cfg.MaxBodyBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var dr server.DeltaRequest
-		if err := json.Unmarshal(line, &dr); err != nil {
-			em.emit(errorLine(dr.Name, fmt.Errorf("malformed delta line: %v", err)))
-			continue
-		}
+	emit := func(line []byte) error { em.emit(line); return nil }
+	err := c.front.ReadDelta(w, r, emit, func(line []byte, dr *server.DeltaRequest) error {
 		key := server.RouteKey("delta", dr.Name, "", dr.Options)
 		if dr.Module != "" || len(dr.Files) > 0 {
 			// Module lines route by module label, matching the batch
 			// module path: the memo affinity is per module, not per file.
 			key = server.ModuleRouteKey(dr.ModuleLabel(), dr.Options)
 		}
-		cands := c.aliveRing().LookupN(key, 2)
-		var lastErr error
-		relayed := false
-		for i, id := range cands {
-			if i > 0 {
-				c.rec.Add(CtrReroutes, 1)
-			}
-			resp, err := c.post(r.Context(), r, id, "/v1/delta", append(append([]byte(nil), line...), '\n'))
-			if err != nil {
-				lastErr = err
-				c.rec.Add(CtrWorkerLost, 1)
-				continue
-			}
-			if resp.StatusCode != http.StatusOK {
-				if !em.started {
-					// Backpressure before the stream began: relay the
-					// 429/503 verbatim, Retry-After and all.
-					copyResponse(w, resp, id)
-					return
-				}
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-				resp.Body.Close()
-				em.emit(errorLine(dr.Name, fmt.Errorf("cluster: worker %s answered %s: %s",
-					id, resp.Status, bytes.TrimSpace(b))))
-				relayed = true
-				break
-			}
+		body := append(line, '\n')
+		id, resp, err := c.failover(key, "", func(id string) (*http.Response, error) {
+			return c.post(r.Context(), r, id, "/v1/delta", body)
+		})
+		switch {
+		case err != nil:
+			em.emit(errorLine(dr.Name, fmt.Errorf("cluster: no worker reachable: %v", err)))
+		case resp.StatusCode != http.StatusOK && !em.started:
+			// Backpressure before the stream began: relay the 429/503
+			// verbatim, Retry-After and all.
+			copyResponse(w, resp, id)
+			return errBackpressure
+		case resp.StatusCode != http.StatusOK:
+			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+			resp.Body.Close()
+			em.emit(errorLine(dr.Name, fmt.Errorf("cluster: worker %s answered %s: %s",
+				id, resp.Status, bytes.TrimSpace(b))))
+		default:
 			rs := lineScanner(resp.Body, c.cfg.MaxBodyBytes)
 			for rs.Scan() {
 				out := bytes.TrimSpace(rs.Bytes())
@@ -403,15 +372,14 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Body.Close()
 			c.rec.Add(CtrProxied, 1)
-			relayed = true
-			break
 		}
-		if !relayed {
-			em.emit(errorLine(dr.Name, fmt.Errorf("cluster: no worker reachable: %v", lastErr)))
-		}
+		return nil
+	})
+	if err == nil {
+		em.start() // an empty input still answers 200 with an empty stream
 	}
-	if err := sc.Err(); err != nil && r.Context().Err() == nil {
-		em.emit(errorLine("", fmt.Errorf("reading delta stream: %v", err)))
-	}
-	em.start() // an empty input still answers 200 with an empty stream
 }
+
+// errBackpressure ends a delta stream whose worker refused it before
+// the first line was answered.
+var errBackpressure = errors.New("cluster: worker backpressure relayed")

@@ -1,8 +1,8 @@
 package server
 
-// The chaos suite drives uafserve through the resilient internal/client
-// under deterministic fault injection (internal/fault) and checks the
-// robustness contract from docs/RECOVERY.md:
+// The chaos suite drives uafserve through a retrying test client
+// (chaosPost) under deterministic fault injection (internal/fault) and
+// checks the robustness contract from docs/RECOVERY.md:
 //
 //  1. the server never returns a 5xx (or 429) without Retry-After
 //     guidance — verified at the transport layer, so retried attempts
@@ -29,20 +29,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"uafcheck"
-	"uafcheck/internal/client"
 	"uafcheck/internal/fault"
 	"uafcheck/internal/wire"
 )
 
 // recordingTransport observes every individual HTTP attempt — including
-// the ones the retrying client absorbs — so invariants about response
-// headers can be asserted over the full wire history.
+// the ones chaosPost retries — so invariants about response headers
+// can be asserted over the full wire history.
 type recordingTransport struct {
 	next http.RoundTripper
 
@@ -95,20 +95,43 @@ func (rt *recordingTransport) count(status int) int {
 	return n
 }
 
-// chaosClient builds an internal/client with a test-sized retry
-// schedule over the recording transport. Retry-After floors are capped
-// by MaxBackoff so honoring the server's 1s guidance does not slow the
-// suite down.
-func chaosClient(rt *recordingTransport, seed int64) *client.Client {
-	return client.New(client.Config{
-		HTTP:        &http.Client{Transport: rt},
-		Seed:        seed,
-		MaxAttempts: 8,
-		Budget:      time.Minute,
-		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  25 * time.Millisecond,
-		BreakAfter:  1 << 20, // the matrix asserts on responses, not breaker behavior
-	})
+// The chaos client's retry schedule: a fixed attempt count, and a
+// backoff that doubles from chaosBackoff and is capped at
+// chaosMaxBackoff. The cap also bounds an honored Retry-After, so the
+// server's 1s guidance does not slow the suite down.
+const (
+	chaosAttempts   = 8
+	chaosBackoff    = 2 * time.Millisecond
+	chaosMaxBackoff = 25 * time.Millisecond
+)
+
+// chaosPost posts a JSON body to url over rt and retries a transport
+// error, a 429 or a 5xx on the chaos schedule, waiting for the
+// server's Retry-After when it sends one. It returns the first other
+// response, or the last failure once the attempts run out.
+func chaosPost(rt *recordingTransport, url string, body []byte) (*http.Response, error) {
+	hc := &http.Client{Transport: rt, Timeout: time.Minute}
+	var err error
+	for attempt := 0; attempt < chaosAttempts; attempt++ {
+		wait := min(chaosBackoff<<attempt, chaosMaxBackoff)
+		var resp *http.Response
+		resp, err = hc.Post(url, "application/json", bytes.NewReader(body))
+		if err == nil {
+			if resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
+				return resp, nil
+			}
+			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
+				wait = min(time.Duration(secs)*time.Second, chaosMaxBackoff)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			err = fmt.Errorf("%s: %s", url, resp.Status)
+		}
+		if attempt+1 < chaosAttempts {
+			time.Sleep(wait)
+		}
+	}
+	return nil, fmt.Errorf("after %d attempts: %w", chaosAttempts, err)
 }
 
 // chaosCorpus is a deterministic slice of the acceptance corpus — big
@@ -259,8 +282,6 @@ func TestChaosMatrix(t *testing.T) {
 				defer restore()
 
 				rt := &recordingTransport{next: http.DefaultTransport}
-				cl := chaosClient(rt, seed)
-				ctx := context.Background()
 
 				// Two passes, two server generations over one cache dir.
 				for pass := 0; pass < 2; pass++ {
@@ -271,7 +292,7 @@ func TestChaosMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						resp, err := cl.Post(ctx, ts.URL+"/v1/analyze", "application/json", body)
+						resp, err := chaosPost(rt, ts.URL+"/v1/analyze", body)
 						if err != nil {
 							t.Fatalf("pass %d: %s: %v", pass, f.Name, err)
 						}
@@ -325,7 +346,6 @@ func TestChaosAdmissionStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := chaosClient(rt, int64(i+1))
 			// Distinct proc names defeat the dedup layer and the report
 			// cache, so every caller really competes for the one slot.
 			src := fanoutSrc(fmt.Sprintf("storm%d", i), 2)
@@ -334,7 +354,7 @@ func TestChaosAdmissionStorm(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			resp, err := cl.Post(context.Background(), ts.URL+"/v1/analyze", "application/json", body)
+			resp, err := chaosPost(rt, ts.URL+"/v1/analyze", body)
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -217,6 +220,42 @@ func (f *Front) DecodeBody(w http.ResponseWriter, r *http.Request, dst any) bool
 		return false
 	}
 	return true
+}
+
+// ReadDelta reads a /v1/delta request stream under the body limit and
+// hands each non-blank line to line, raw and decoded, in order. A
+// malformed line is answered on emit with the error envelope instead.
+// A failed read (a body over the limit, a broken connection) ends the
+// stream with one envelope naming it; the line it cut short is dropped,
+// not reported as malformed. Reading stops early when emit or line
+// returns an error, which ReadDelta returns, or when the request ends.
+func (f *Front) ReadDelta(w http.ResponseWriter, r *http.Request, emit func([]byte) error, line func(raw []byte, req *DeltaRequest) error) error {
+	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, f.role.MaxBodyBytes))
+	for r.Context().Err() == nil {
+		raw, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			if r.Context().Err() == nil {
+				return emit(mustJSON(errorBody{Error: "reading delta stream: " + err.Error()}))
+			}
+			return nil
+		}
+		if raw = bytes.TrimSpace(raw); len(raw) > 0 {
+			var req DeltaRequest
+			lerr := json.Unmarshal(raw, &req)
+			if lerr != nil {
+				lerr = emit(mustJSON(errorBody{Error: "malformed delta line: " + lerr.Error()}))
+			} else {
+				lerr = line(raw, &req)
+			}
+			if lerr != nil {
+				return lerr
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+	}
+	return nil
 }
 
 // WriteError answers with the JSON error envelope. Every rejection or

@@ -40,10 +40,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -998,46 +995,38 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var emitErr error
 	emit := func(line []byte) { emitErr = write(line) }
 
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes))
-	for sc.Scan() && emitErr == nil && r.Context().Err() == nil {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var req DeltaRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			emit(mustJSON(errorBody{Error: "malformed delta line: " + err.Error()}))
-			continue
-		}
-		if req.moduleMode() {
-			s.deltaModule(r, &req, emit)
-			continue
-		}
-		if req.Src == "" {
-			emit(mustJSON(errorBody{Error: "missing src"}))
-			continue
-		}
-		if req.Name == "" {
-			req.Name = "input.chpl"
-		}
-		s.rec.Add(obs.CtrServerDeltaFiles, 1)
+	s.front.ReadDelta(w, r, write, func(_ []byte, req *DeltaRequest) error {
+		s.deltaLine(r, req, emit)
+		return emitErr
+	})
+}
 
-		// Per-line deadline: the analysis context expires and the run
-		// degrades, exactly like the versioned single-shot endpoint. The
-		// request context is deliberately not the cancellation parent — a
-		// disconnect is detected between lines, never mid-analysis — but
-		// its trace rides along so each line's spans join the tree.
-		ctx, cancel := context.WithTimeout(obs.Detach(r.Context()), s.effectiveDeadline(req.Options))
-		t0 := time.Now()
-		rep, err := s.analyzerFor(req.Options).AnalyzeDelta(ctx, req.Name, req.Src)
-		cancel()
-		s.observeAnalysis(t0, 1, metricsOf(rep))
-		emit(resultLine(req.Name, rep, err, req.Options.Metrics))
+// deltaLine answers one /v1/delta line.
+func (s *Server) deltaLine(r *http.Request, req *DeltaRequest, emit func([]byte)) {
+	if req.moduleMode() {
+		s.deltaModule(r, req, emit)
+		return
 	}
-	if err := sc.Err(); err != nil && emitErr == nil && r.Context().Err() == nil {
-		emit(mustJSON(errorBody{Error: "reading delta stream: " + err.Error()}))
+	if req.Src == "" {
+		emit(mustJSON(errorBody{Error: "missing src"}))
+		return
 	}
+	if req.Name == "" {
+		req.Name = "input.chpl"
+	}
+	s.rec.Add(obs.CtrServerDeltaFiles, 1)
+
+	// Per-line deadline: the analysis context expires and the run
+	// degrades, exactly like the versioned single-shot endpoint. The
+	// request context is deliberately not the cancellation parent — a
+	// disconnect is detected between lines, never mid-analysis — but
+	// its trace rides along so each line's spans join the tree.
+	ctx, cancel := context.WithTimeout(obs.Detach(r.Context()), s.effectiveDeadline(req.Options))
+	t0 := time.Now()
+	rep, err := s.analyzerFor(req.Options).AnalyzeDelta(ctx, req.Name, req.Src)
+	cancel()
+	s.observeAnalysis(t0, 1, metricsOf(rep))
+	emit(resultLine(req.Name, rep, err, req.Options.Metrics))
 }
 
 // deltaModule answers one module-mode delta line: the full module

@@ -143,15 +143,6 @@ func WithCache(cc *Cache) Option {
 	return func(c *config) { c.cache = cc }
 }
 
-// WithInlineLowering has no effect: nested-procedure calls are always
-// inlined per call site, which is what this option used to select.
-//
-// Deprecated: the alternative lowering it switched away from is gone,
-// and the two never differed in any result.
-func WithInlineLowering(on bool) Option {
-	return func(*config) {}
-}
-
 // WithTracing records a hierarchical span tree for each analysis run
 // (frontend, per-procedure lowering, PPS waves, cache consults) on
 // Report.Metrics.Trace. When the caller's context already carries an

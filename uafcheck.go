@@ -51,7 +51,7 @@ import (
 // content addresses (the report cache and the Analyzer's per-procedure
 // memo store), so results cached by one version are never served by
 // another.
-const Version = "0.8.0"
+const Version = "0.9.0"
 
 // ------------------------------------------------------------- telemetry
 
@@ -929,14 +929,6 @@ func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option
 	table, det := eval.RunTableI(cases, in)
 	return table, det.FormatPatternBreakdown()
 }
-
-// CorpusTelemetry is the aggregate evaluation telemetry: per-pattern
-// analysis timing and PPS state-count aggregates with power-of-two
-// histograms.
-//
-// Deprecated: no function of this package has returned it since
-// 0.8.0; it will be removed in 0.9.0.
-type CorpusTelemetry = eval.Telemetry
 
 // BaselineComparison runs the §VI baselines over the corpus's begin-task
 // cases under ctx and formats the comparison, taking the same
