@@ -443,33 +443,29 @@ func BenchmarkRaceDetection(b *testing.B) {
 // ----------------------------------------------------------- telemetry
 
 // BenchmarkObsOverhead measures the telemetry tax on the full pass:
-// no sinks (Report.Metrics still populated), a text sink, and a JSONL
-// trace sink. The hot PPS loop accumulates into plain integers and
-// flushes once per phase, so the spread should be flush-sized, not
-// per-state.
+// the analysis alone (Report.Metrics still populated), then the
+// analysis with its report rendered as text and as a JSONL trace. The
+// hot PPS loop accumulates into plain integers and flushes once per
+// phase, so the spread should be render-sized, not per-state.
 func BenchmarkObsOverhead(b *testing.B) {
 	src := mustRead(b, "testdata/figure1.chpl")
-	sinks := []struct {
-		name string
-		mk   func() []uafcheck.MetricsSink
+	renders := []struct {
+		name   string
+		render func(uafcheck.Metrics)
 	}{
-		{"nil-sink", func() []uafcheck.MetricsSink { return nil }},
-		{"text-sink", func() []uafcheck.MetricsSink {
-			return []uafcheck.MetricsSink{uafcheck.TextMetricsSink(io.Discard)}
-		}},
-		{"jsonl-sink", func() []uafcheck.MetricsSink {
-			return []uafcheck.MetricsSink{uafcheck.JSONLinesMetricsSink(io.Discard)}
-		}},
+		{"no-render", func(uafcheck.Metrics) {}},
+		{"text", func(m uafcheck.Metrics) { _ = m.FormatText() }},
+		{"jsonl", func(m uafcheck.Metrics) { m.WriteJSONL(io.Discard) }}, //nolint:errcheck
 	}
-	for _, s := range sinks {
-		b.Run(s.name, func(b *testing.B) {
-			sinks := uafcheck.WithMetricsSinks(s.mk()...)
+	for _, r := range renders {
+		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := uafcheck.AnalyzeContext(context.Background(), "figure1.chpl", src, sinks)
+				rep, err := uafcheck.AnalyzeContext(context.Background(), "figure1.chpl", src)
 				if err != nil || len(rep.Warnings) != 1 {
 					b.Fatalf("warnings=%d err=%v", len(rep.Warnings), err)
 				}
+				r.render(rep.Metrics)
 			}
 		})
 	}

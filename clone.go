@@ -1,7 +1,5 @@
 package uafcheck
 
-import "uafcheck/internal/obs"
-
 // Clone returns a deep copy of the report: mutating the copy (or the
 // original) never affects the other. The analysis cache round-trips
 // every stored report through Clone, so batch and single-file callers
@@ -31,37 +29,7 @@ func (r *Report) Clone() *Report {
 			cp.PPSTraces[k] = v
 		}
 	}
-	cp.Metrics.Spans = append([]obs.Span(nil), r.Metrics.Spans...)
-	if r.Metrics.Counters != nil {
-		cp.Metrics.Counters = make(map[string]int64, len(r.Metrics.Counters))
-		for k, v := range r.Metrics.Counters {
-			cp.Metrics.Counters[k] = v
-		}
-	}
-	if r.Metrics.Gauges != nil {
-		cp.Metrics.Gauges = make(map[string]int64, len(r.Metrics.Gauges))
-		for k, v := range r.Metrics.Gauges {
-			cp.Metrics.Gauges[k] = v
-		}
-	}
-	if r.Metrics.Hists != nil {
-		cp.Metrics.Hists = make(map[string]obs.Histogram, len(r.Metrics.Hists))
-		for k, v := range r.Metrics.Hists {
-			cp.Metrics.Hists[k] = v
-		}
-	}
-	if r.Metrics.Trace != nil {
-		cp.Metrics.Trace = append([]obs.TraceSpan(nil), r.Metrics.Trace...)
-		for i := range cp.Metrics.Trace {
-			if a := cp.Metrics.Trace[i].Attrs; a != nil {
-				ac := make(map[string]string, len(a))
-				for k, v := range a {
-					ac[k] = v
-				}
-				cp.Metrics.Trace[i].Attrs = ac
-			}
-		}
-	}
+	cp.Metrics = r.Metrics.Clone()
 	if r.Degraded != nil {
 		d := *r.Degraded
 		d.Procs = append([]string(nil), r.Degraded.Procs...)

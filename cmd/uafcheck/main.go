@@ -288,7 +288,7 @@ func main() {
 			} else {
 				fmt.Fprintf(traceFile, "{\"type\":\"run\",\"file\":%q}\n", path)
 			}
-			if err := uafcheck.JSONLinesMetricsSink(traceFile).Emit(rep.Metrics); err != nil {
+			if err := rep.Metrics.WriteJSONL(traceFile); err != nil {
 				fmt.Fprintf(os.Stderr, "uafcheck: trace-out: %v\n", err)
 			}
 		}
@@ -378,7 +378,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "uafcheck: %v\n", err)
 			os.Exit(3)
 		}
-		if err := uafcheck.PrometheusMetricsSink(f).Emit(agg); err != nil {
+		if err := agg.WritePrometheus(f); err != nil {
 			fmt.Fprintf(os.Stderr, "uafcheck: %v\n", err)
 			ioErrors = true
 		}

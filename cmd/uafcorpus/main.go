@@ -17,12 +17,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"uafcheck"
@@ -30,31 +28,6 @@ import (
 	"uafcheck/internal/batch"
 	"uafcheck/internal/eval"
 )
-
-// benchArtifact is the schema of the BENCH_corpus.json file: the run
-// configuration, wall-clock phase times, Table I, and the per-pattern
-// telemetry (timing and state-count histograms).
-type benchArtifact struct {
-	Host         hostInfo        `json:"host"`
-	Seed         int64           `json:"seed"`
-	Tests        int             `json:"tests"`
-	GenerationMS int64           `json:"generation_ms"`
-	AnalysisMS   int64           `json:"analysis_ms"`
-	Table        eval.TableI     `json:"table"`
-	Telemetry    *eval.Telemetry `json:"telemetry"`
-}
-
-// hostInfo records the hardware shape BENCH_corpus.json carries, so
-// numbers from different machines are never compared as if they came
-// from the same one.
-type hostInfo struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-func currentHost() hostInfo {
-	return hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-}
 
 func main() {
 	var (
@@ -66,7 +39,6 @@ func main() {
 		modelAtomics = flag.Bool("model-atomics", false, "enable the atomics extension (§VII future work) and rerun the table")
 		countAtomics = flag.Bool("count-atomics", false, "enable the counting refinement of the atomics extension and rerun the table")
 		dump         = flag.String("dump", "", "write the generated corpus to this directory")
-		benchOut     = flag.String("bench-out", "BENCH_corpus.json", "write the aggregate telemetry artifact to this file (\"\" disables)")
 		jobs         = flag.Int("jobs", 0, "parallel analysis workers (0 = GOMAXPROCS)")
 		caseTimeout  = flag.Duration("case-timeout", 0, "per-case analysis deadline (0 = none); expired cases degrade to conservative warnings")
 		retries      = flag.Int("retries", 0, "extra attempts for a timed-out case, each with a 4x smaller state budget")
@@ -122,29 +94,8 @@ func main() {
 	fmt.Println("Per-pattern breakdown:")
 	fmt.Print(breakdown)
 
-	tel := det.Telemetry()
 	fmt.Println("\nAggregate telemetry (per-pattern timing and state counts):")
-	fmt.Print(tel.Format())
-	if *benchOut != "" {
-		art := benchArtifact{
-			Host:         currentHost(),
-			Seed:         *seed,
-			Tests:        *tests,
-			GenerationMS: genTime.Milliseconds(),
-			AnalysisMS:   anaTime.Milliseconds(),
-			Table:        table,
-			Telemetry:    tel,
-		}
-		buf, err := json.MarshalIndent(art, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote telemetry artifact to %s\n", *benchOut)
-	}
+	fmt.Print(det.FormatTelemetry())
 
 	if *modelAtomics {
 		start = time.Now()

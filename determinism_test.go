@@ -17,16 +17,12 @@ import (
 )
 
 // canonicalReport serializes a report with the only legitimately
-// nondeterministic data zeroed out: span wall-clock timings,
-// wall-clock histogram families (`*_ns`, see obs.HistNondeterministic),
-// and the trace span tree.
+// nondeterministic data removed: wall-clock histogram families (`*_ns`,
+// phase timings among them, see obs.HistNondeterministic) and the trace
+// span tree.
 func canonicalReport(t *testing.T, rep *uafcheck.Report) []byte {
 	t.Helper()
 	cp := rep.Clone()
-	for i := range cp.Metrics.Spans {
-		cp.Metrics.Spans[i].Start = 0
-		cp.Metrics.Spans[i].Dur = 0
-	}
 	for name := range cp.Metrics.Hists {
 		if obs.HistNondeterministic(name) {
 			delete(cp.Metrics.Hists, name)

@@ -106,17 +106,14 @@ type Options struct {
 	Obs *obs.Recorder
 	// PerFileObs, when set, supplies a telemetry recorder per file; it
 	// is attached to the file's analysis options (all attempts of the
-	// file share it) and flushed by the worker when the file finishes —
-	// so sinks shared across files must be wrapped with
-	// obs.Synchronized. Flush errors are best-effort-ignored.
+	// file share it).
 	PerFileObs func(i int, f File) *obs.Recorder
 	// OnResult, when set, receives each file's classified result on the
 	// worker goroutine that finished it, immediately after the result
-	// slot is written and the per-file recorder flushed. Callbacks for
-	// different files may run concurrently; the callee must be safe for
-	// concurrent use. Streaming consumers (the uafserve batch endpoint)
-	// emit per-file responses from this hook instead of waiting for the
-	// whole batch.
+	// slot is written. Callbacks for different files may run
+	// concurrently; the callee must be safe for concurrent use.
+	// Streaming consumers (the uafserve batch endpoint) emit per-file
+	// responses from this hook instead of waiting for the whole batch.
 	OnResult func(r Result)
 }
 
@@ -226,7 +223,6 @@ func runFile(f File, idx int, opts Options) Result {
 	aopts := opts.Analysis
 	if opts.PerFileObs != nil {
 		aopts.Obs = opts.PerFileObs(idx, f)
-		defer aopts.Obs.Flush() //nolint:errcheck — telemetry is best-effort
 	}
 	budget := aopts.PPS.MaxStates
 	maxAttempts := 1 + opts.Retries

@@ -8,13 +8,13 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"uafcheck/internal/analysis"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/mhp"
+	"uafcheck/internal/obs"
 	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/pst"
@@ -84,7 +84,7 @@ type Details struct {
 }
 
 // PatternStats aggregates one generator pattern, including the
-// telemetry aggregates the corpus benchmark report serializes.
+// timing and state-count telemetry FormatTelemetry prints.
 type PatternStats struct {
 	Cases    int
 	Warnings int
@@ -92,12 +92,10 @@ type PatternStats struct {
 	// TotalTime / MaxTime aggregate per-case analysis wall time.
 	TotalTime time.Duration
 	MaxTime   time.Duration
-	// TotalStates / MaxStates aggregate per-case PPS states created.
-	TotalStates int64
-	MaxStates   int64
-	// StateHist is a power-of-two histogram of per-case states created
-	// (see HistBucket).
-	StateHist [HistBuckets]int
+	// States is the log2 histogram of per-case PPS states created;
+	// MaxStates is its exact maximum.
+	States    obs.Histogram
+	MaxStates int64
 }
 
 // RunTableI analyzes every case and assembles the table.
@@ -153,11 +151,10 @@ func (ps *PatternStats) absorb(out CaseOutcome) {
 	if out.Duration > ps.MaxTime {
 		ps.MaxTime = out.Duration
 	}
-	ps.TotalStates += int64(out.StatesCreated)
+	ps.States.Observe(int64(out.StatesCreated))
 	if int64(out.StatesCreated) > ps.MaxStates {
 		ps.MaxStates = int64(out.StatesCreated)
 	}
-	ps.StateHist[HistBucket(out.StatesCreated)]++
 }
 
 func analyzeCase(tc *corpus.TestCase, opts analysis.Options) CaseOutcome {
@@ -204,14 +201,9 @@ func outcomeFrom(tc *corpus.TestCase, res *analysis.Result, dur time.Duration) C
 
 // FormatPatternBreakdown renders the per-pattern table for EXPERIMENTS.md.
 func (d *Details) FormatPatternBreakdown() string {
-	names := make([]string, 0, len(d.PerPattern))
-	for n := range d.PerPattern {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %7s %9s %10s\n", "pattern", "cases", "warnings", "true-hits")
-	for _, n := range names {
+	for _, n := range d.patternNames() {
 		ps := d.PerPattern[n]
 		fmt.Fprintf(&b, "%-22s %7d %9d %10d\n", n, ps.Cases, ps.Warnings, ps.TrueHits)
 	}

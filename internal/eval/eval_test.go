@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strings"
 	"testing"
 
 	"uafcheck/internal/analysis"
@@ -158,5 +159,37 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	if rep.FinishWouldBlock <= 0 {
 		t.Errorf("finish discipline blocked no safe case; sync-chain patterns should trip it")
+	}
+}
+
+// FormatTelemetry keeps the per-pattern columns and gives every
+// populated log2 bucket its own exact row, past 4096 states too.
+func TestFormatTelemetryBuckets(t *testing.T) {
+	var det Details
+	det.PerPattern = map[string]*PatternStats{}
+	for _, c := range []struct {
+		pattern string
+		states  int
+	}{{"seq", 0}, {"seq", 0}, {"fan", 1}, {"fan", 5}, {"fan", 5000}} {
+		ps := det.PerPattern[c.pattern]
+		if ps == nil {
+			ps = &PatternStats{}
+			det.PerPattern[c.pattern] = ps
+		}
+		ps.absorb(CaseOutcome{StatesCreated: c.states})
+	}
+	out := det.FormatTelemetry()
+	for _, want := range []string{
+		"pattern                  cases   total-ms    mean-us mean-states max-states\n",
+		"fan                          3        0.0        0.0      1668.7       5000\n",
+		"TOTAL                        5        0.0\n",
+		"  0               2 ",
+		"  1               1 ",
+		"  4-7             1 ",
+		"  4096-8191       1 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("telemetry missing %q:\n%s", want, out)
+		}
 	}
 }

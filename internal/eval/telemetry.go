@@ -2,145 +2,62 @@ package eval
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
+
+	"uafcheck/internal/obs"
 )
 
-// HistBuckets is the number of power-of-two state-count histogram
-// buckets: bucket 0 counts cases that created 0 PPS states, bucket i
-// (1 ≤ i < HistBuckets-1) counts cases in [2^(i-1), 2^i - 1], and the
-// last bucket is the overflow.
-const HistBuckets = 14
-
-// HistBucket maps a per-case state count to its bucket index.
-func HistBucket(states int) int {
-	if states <= 0 {
-		return 0
-	}
-	b := bits.Len(uint(states))
-	if b >= HistBuckets {
-		return HistBuckets - 1
-	}
-	return b
-}
-
-// HistBucketLabel renders a bucket's value range.
-func HistBucketLabel(i int) string {
-	switch {
-	case i <= 0:
-		return "0"
-	case i == 1:
-		return "1"
-	case i >= HistBuckets-1:
-		return fmt.Sprintf("%d+", 1<<(HistBuckets-2))
-	default:
-		return fmt.Sprintf("%d-%d", 1<<(i-1), 1<<i-1)
-	}
-}
-
-// PatternTelemetry is the per-pattern slice of the corpus benchmark
-// artifact (BENCH_corpus.json).
-type PatternTelemetry struct {
-	Pattern     string  `json:"pattern"`
-	Cases       int     `json:"cases"`
-	Warnings    int     `json:"warnings"`
-	TrueHits    int     `json:"true_hits"`
-	TotalMicros int64   `json:"total_us"`
-	MeanMicros  float64 `json:"mean_us"`
-	MaxMicros   int64   `json:"max_us"`
-	TotalStates int64   `json:"total_states"`
-	MeanStates  float64 `json:"mean_states"`
-	MaxStates   int64   `json:"max_states"`
-	// StateHist is indexed like HistBucketLabel.
-	StateHist []int `json:"state_hist"`
-}
-
-// Telemetry is the aggregate corpus telemetry report: per-pattern
-// timing and state-count aggregates plus the shared histogram schema.
-type Telemetry struct {
-	Cases       int                `json:"cases"`
-	TotalMicros int64              `json:"total_us"`
-	TotalStates int64              `json:"total_states"`
-	HistLabels  []string           `json:"state_hist_labels"`
-	Patterns    []PatternTelemetry `json:"patterns"`
-}
-
-// Telemetry assembles the aggregate report from the per-pattern stats.
-func (d *Details) Telemetry() *Telemetry {
-	t := &Telemetry{}
-	for i := 0; i < HistBuckets; i++ {
-		t.HistLabels = append(t.HistLabels, HistBucketLabel(i))
-	}
+// patternNames returns the generator patterns in sorted order.
+func (d *Details) patternNames() []string {
 	names := make([]string, 0, len(d.PerPattern))
 	for n := range d.PerPattern {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		ps := d.PerPattern[n]
-		pt := PatternTelemetry{
-			Pattern:     n,
-			Cases:       ps.Cases,
-			Warnings:    ps.Warnings,
-			TrueHits:    ps.TrueHits,
-			TotalMicros: ps.TotalTime.Microseconds(),
-			MaxMicros:   ps.MaxTime.Microseconds(),
-			TotalStates: ps.TotalStates,
-			MaxStates:   ps.MaxStates,
-			StateHist:   append([]int(nil), ps.StateHist[:]...),
-		}
-		if ps.Cases > 0 {
-			pt.MeanMicros = float64(pt.TotalMicros) / float64(ps.Cases)
-			pt.MeanStates = float64(ps.TotalStates) / float64(ps.Cases)
-		}
-		t.Cases += ps.Cases
-		t.TotalMicros += pt.TotalMicros
-		t.TotalStates += ps.TotalStates
-		t.Patterns = append(t.Patterns, pt)
-	}
-	return t
+	return names
 }
 
-// Format renders the human-readable aggregate telemetry report: one row
-// per pattern with timing and state aggregates, then the state-count
-// histogram across all cases.
-func (t *Telemetry) Format() string {
+// FormatTelemetry renders the aggregate corpus telemetry: one row per
+// pattern with timing and state aggregates, then the states-created
+// histogram across all cases, one row per populated log2 bucket.
+func (d *Details) FormatTelemetry() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %7s %10s %10s %11s %10s\n",
 		"pattern", "cases", "total-ms", "mean-us", "mean-states", "max-states")
-	for _, p := range t.Patterns {
+	var cases int
+	var totalMicros int64
+	var all obs.Histogram
+	for _, n := range d.patternNames() {
+		ps := d.PerPattern[n]
+		micros := ps.TotalTime.Microseconds()
+		var meanMicros, meanStates float64
+		if ps.Cases > 0 {
+			meanMicros = float64(micros) / float64(ps.Cases)
+			meanStates = float64(ps.States.Sum) / float64(ps.Cases)
+		}
 		fmt.Fprintf(&b, "%-22s %7d %10.1f %10.1f %11.1f %10d\n",
-			p.Pattern, p.Cases, float64(p.TotalMicros)/1000, p.MeanMicros,
-			p.MeanStates, p.MaxStates)
+			n, ps.Cases, float64(micros)/1000, meanMicros, meanStates, ps.MaxStates)
+		cases += ps.Cases
+		totalMicros += micros
+		all.Merge(ps.States)
 	}
-	fmt.Fprintf(&b, "%-22s %7d %10.1f\n", "TOTAL", t.Cases, float64(t.TotalMicros)/1000)
+	fmt.Fprintf(&b, "%-22s %7d %10.1f\n", "TOTAL", cases, float64(totalMicros)/1000)
 
-	// Cross-pattern histogram.
-	var hist [HistBuckets]int
-	for _, p := range t.Patterns {
-		for i, c := range p.StateHist {
-			if i < HistBuckets {
-				hist[i] += c
-			}
-		}
-	}
 	b.WriteString("states-created histogram (cases per bucket):\n")
-	maxCount := 0
-	for _, c := range hist {
-		if c > maxCount {
-			maxCount = c
-		}
+	var maxCount int64
+	for _, c := range all.Buckets {
+		maxCount = max(maxCount, c)
 	}
-	for i, c := range hist {
+	for i, c := range all.Buckets {
 		if c == 0 {
 			continue
 		}
-		bar := ""
-		if maxCount > 0 {
-			bar = strings.Repeat("#", 1+c*40/maxCount)
+		label := fmt.Sprint(obs.HistBucketUpper(i))
+		if i > 1 {
+			label = fmt.Sprintf("%d-%d", obs.HistBucketUpper(i-1)+1, obs.HistBucketUpper(i))
 		}
-		fmt.Fprintf(&b, "  %-10s %6d %s\n", HistBucketLabel(i), c, bar)
+		fmt.Fprintf(&b, "  %-10s %6d %s\n", label, c, strings.Repeat("#", int(1+c*40/maxCount)))
 	}
 	return b.String()
 }

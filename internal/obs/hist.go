@@ -154,8 +154,8 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 // Histogram name constants. Keys follow the counter convention (dotted
 // families, dots become underscores in Prometheus) with one extension:
 // a key may carry labels after a '|' separator as comma-joined k=v
-// pairs, e.g. "server.request_ns|route=/v1/analyze". The Prometheus
-// sink folds every key of one family into a single labeled histogram
+// pairs, e.g. "server.request_ns|route=/v1/analyze". WritePrometheus
+// folds every key of one family into a single labeled histogram
 // family.
 //
 // Families ending in "_ns" record wall-clock durations in nanoseconds

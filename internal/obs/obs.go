@@ -1,9 +1,10 @@
-// Package obs is the pipeline's telemetry layer: span-based phase
-// tracing, typed counters and gauges, and pluggable sinks.
+// Package obs is the pipeline's telemetry layer: phase timings, typed
+// counters, gauges and histograms, and request tracing.
 //
 // Every stage of the analysis pipeline (parse, resolve, lower, CCFG
-// build, prune, PPS exploration, dynamic oracle) opens a Span on a
-// Recorder and bumps counters for the state-space work it performs. The
+// build, prune, PPS exploration, dynamic oracle) times itself with
+// Recorder.Span, which observes the phase_ns histogram, and bumps
+// counters for the state-space work it performs. The
 // Recorder is nil-safe: a nil *Recorder turns every call into a no-op,
 // so library code records unconditionally and pays nothing when
 // telemetry is off. Counters that live on hot loops (one bump per PPS
@@ -13,18 +14,20 @@
 //
 // A Snapshot of a Recorder, or the state Finish hands over at the end
 // of a run, is a Metrics value — a plain, serializable struct — which
-// the sinks render: TextSink for humans, JSONLSink as a
-// JSON-lines trace file, PromSink in Prometheus text exposition format.
+// renders itself: FormatText for humans, WriteJSONL as a JSON-lines
+// trace file, WritePrometheus in Prometheus text exposition format.
 package obs
 
 import (
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
 
-// Phase names used by the pipeline spans.
+// Phase names used by the pipeline's phase timings.
 const (
 	PhaseParse     = "parse"
 	PhaseResolve   = "resolve"
@@ -37,8 +40,8 @@ const (
 	PhaseBatch     = "batch"
 )
 
-// Counter names. The dotted names are stable identifiers; the Prometheus
-// sink rewrites dots to underscores.
+// Counter names. The dotted names are stable identifiers; WritePrometheus
+// rewrites dots to underscores.
 const (
 	// CCFG construction.
 	CtrCCFGNodes         = "ccfg.nodes"
@@ -160,27 +163,24 @@ const (
 	GaugeWatchFiles = "watch.files"
 )
 
-// Span is one timed phase execution. Start is the offset from the
-// Recorder's creation, so spans order and nest naturally.
-type Span struct {
-	Name  string        `json:"name"`
-	Start time.Duration `json:"start_ns"`
-	Dur   time.Duration `json:"dur_ns"`
-}
+// phaseOrder is the pipeline order of the phases; FormatText lists
+// phase timings in it.
+var phaseOrder = []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
+	PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch}
 
-// Metrics is a plain snapshot of a Recorder: what the sinks render and
-// what the public API attaches to reports.
+// Metrics is a plain snapshot of a Recorder: what the public API
+// attaches to reports, rendered by FormatText, WriteJSONL and
+// WritePrometheus.
 type Metrics struct {
-	Spans    []Span           `json:"spans,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// Hists holds fixed-bucket log2 histograms keyed by
-	// "family|label=value,..." (see HistKey). Families ending in "_ns"
-	// are wall-clock and nondeterministic; all others are
+	// "family|label=value,..." (see HistKey). Phase timings are the
+	// phase_ns family, one observation per phase run. Families ending
+	// in "_ns" are wall-clock and nondeterministic; all others are
 	// schedule-independent.
 	Hists map[string]Histogram `json:"hists,omitempty"`
-	// Trace is the span tree of the run when request tracing was on —
-	// hierarchical TraceSpans, unlike the flat aggregate Spans above.
+	// Trace is the span tree of the run when request tracing was on.
 	Trace []TraceSpan `json:"trace,omitempty"`
 }
 
@@ -190,15 +190,29 @@ func (m Metrics) Counter(name string) int64 { return m.Counters[name] }
 // Gauge returns the named gauge, or 0.
 func (m Metrics) Gauge(name string) int64 { return m.Gauges[name] }
 
-// PhaseTotal sums the durations of every span with the given name.
+// PhaseTotal is the summed wall time of every run of the named phase:
+// the Sum of its phase_ns histogram.
 func (m Metrics) PhaseTotal(name string) time.Duration {
-	var d time.Duration
-	for _, s := range m.Spans {
-		if s.Name == name {
-			d += s.Dur
+	return time.Duration(m.Hists[phaseHistKey(name)].Sum)
+}
+
+// phaseNames returns the phases m holds phase_ns timings for: pipeline
+// phases in pipeline order, then any other phase by name.
+func (m Metrics) phaseNames() []string {
+	var names []string
+	for _, key := range m.HistNames() {
+		if name, ok := strings.CutPrefix(key, HistPhaseNS+"|phase="); ok {
+			names = append(names, name)
 		}
 	}
-	return d
+	rank := func(name string) int {
+		if i := slices.Index(phaseOrder, name); i >= 0 {
+			return i
+		}
+		return len(phaseOrder)
+	}
+	sort.SliceStable(names, func(i, j int) bool { return rank(names[i]) < rank(names[j]) })
+	return names
 }
 
 // CounterNames returns the counter names in sorted order.
@@ -221,59 +235,13 @@ func (m Metrics) GaugeNames() []string {
 	return names
 }
 
-// phaseAgg is one aggregated span line of FormatText.
-type phaseAgg struct {
-	name  string
-	count int
-	total time.Duration
-	first time.Duration
-}
-
-// aggregateSpans folds spans by name, ordered by first start.
-func (m Metrics) aggregateSpans() []phaseAgg {
-	idx := make(map[string]int)
-	var out []phaseAgg
-	for _, s := range m.Spans {
-		i, ok := idx[s.Name]
-		if !ok {
-			i = len(out)
-			idx[s.Name] = i
-			out = append(out, phaseAgg{name: s.Name, first: s.Start})
-		}
-		out[i].count++
-		out[i].total += s.Dur
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].first < out[j].first })
-	return out
-}
-
-// Merge folds other into m: spans and trace spans are concatenated,
-// counters summed, gauges kept at their maximum, histograms summed
-// bucket-wise. Counter, gauge and histogram merging is commutative and
-// associative, so aggregate runs (corpus evaluation, a batch report)
-// produce the same totals in any merge order.
+// Merge folds other into m: trace spans are concatenated, counters
+// summed, gauges kept at their maximum, histograms summed bucket-wise.
+// Counter, gauge and histogram merging is commutative and associative,
+// so aggregate runs (corpus evaluation, a batch report) produce the
+// same totals in any merge order.
 func (m *Metrics) Merge(other Metrics) {
-	m.Spans = append(m.Spans, other.Spans...)
 	m.Trace = append(m.Trace, other.Trace...)
-	m.mergeValues(other)
-}
-
-// MergeTotals folds other into m like Merge, for an aggregate that
-// lives as long as its process (the uafserve and watch telemetry
-// totals): its size stays bounded however many reports it absorbs.
-// Spans fold into one per phase, which keeps the first start seen and
-// sums the durations, and trace spans are dropped. FormatText and
-// PromSink therefore render every phase with the order and total that
-// Merge would give; only FormatText's span count is lost.
-func (m *Metrics) MergeTotals(other Metrics) {
-	for _, sp := range other.Spans {
-		i := slices.IndexFunc(m.Spans, func(t Span) bool { return t.Name == sp.Name })
-		if i < 0 {
-			m.Spans = append(m.Spans, sp)
-			continue
-		}
-		m.Spans[i].Dur += sp.Dur
-	}
 	m.mergeValues(other)
 }
 
@@ -303,40 +271,61 @@ func (m *Metrics) mergeValues(other Metrics) {
 	}
 }
 
+// Clone returns a deep copy of m. Nil maps stay nil, an empty trace
+// becomes nil, and every trace span gets its own Attrs map.
+func (m Metrics) Clone() Metrics {
+	c := Metrics{Counters: maps.Clone(m.Counters), Gauges: maps.Clone(m.Gauges), Hists: maps.Clone(m.Hists)}
+	if len(m.Trace) > 0 {
+		c.Trace = make([]TraceSpan, len(m.Trace))
+		for i, sp := range m.Trace {
+			sp.Attrs = maps.Clone(sp.Attrs)
+			c.Trace[i] = sp
+		}
+	}
+	return c
+}
+
+// withMaps gives m the non-nil Counters and Gauges every snapshot has,
+// so callers may write into them.
+func (m Metrics) withMaps() Metrics {
+	if m.Counters == nil {
+		m.Counters = make(map[string]int64)
+	}
+	if m.Gauges == nil {
+		m.Gauges = make(map[string]int64)
+	}
+	return m
+}
+
 // ---------------------------------------------------------------- recorder
 
-// Recorder accumulates spans, counters and gauges. All methods are safe
-// on a nil receiver (no-ops) and safe for concurrent use otherwise.
+// Recorder accumulates counters, gauges, histograms and a trace. All
+// methods are safe on a nil receiver (no-ops) and safe for concurrent
+// use otherwise.
 //
 // A recorder serves one of two owners. A long-lived one (a server, a
-// batch) reads it with Snapshot and Flush as often as it likes. A
-// single run ends it with Finish, which hands the state over instead of
-// copying it.
+// watch session) reads it with Snapshot as often as it likes and folds
+// finished runs into it with Absorb. A single run ends it with Finish,
+// which hands the state over instead of copying it.
 type Recorder struct {
-	t0    time.Time
-	sinks []Sink
-
 	// The maps are allocated on first write: most single-file runs
-	// record two phase spans and nothing else.
+	// record two phase timings and nothing else.
 	mu       sync.Mutex
-	spans    []Span
 	counters map[string]int64
 	gauges   map[string]int64
 	hists    map[string]Histogram
 	trace    []TraceSpan
 }
 
-// New creates a Recorder emitting to the given sinks on Flush and
-// Finish.
-func New(sinks ...Sink) *Recorder {
-	return &Recorder{t0: time.Now(), sinks: sinks}
-}
+// New creates an empty Recorder.
+func New() *Recorder { return &Recorder{} }
 
 // noopEnd is returned by Span on a nil Recorder so the caller's
 // `defer end()` costs nothing and allocates nothing.
 var noopEnd = func() {}
 
-// Span opens a named phase span and returns its closer.
+// Span times one run of a named phase and returns its closer, which
+// observes the duration into the phase's phase_ns histogram.
 //
 //	end := rec.Span(obs.PhaseParse)
 //	defer end()
@@ -344,13 +333,9 @@ func (r *Recorder) Span(name string) (end func()) {
 	if r == nil {
 		return noopEnd
 	}
-	start := time.Since(r.t0)
+	start := time.Now()
 	return func() {
-		dur := time.Since(r.t0) - start
-		r.mu.Lock()
-		r.spans = append(r.spans, Span{Name: name, Start: start, Dur: dur})
-		r.observeLocked(phaseHistKey(name), dur.Nanoseconds())
-		r.mu.Unlock()
+		r.Observe(phaseHistKey(name), time.Since(start).Nanoseconds())
 	}
 }
 
@@ -358,14 +343,13 @@ func (r *Recorder) Span(name string) (end func()) {
 // built once so closing one of their spans builds no string.
 var phaseKeys = func() map[string]string {
 	keys := make(map[string]string)
-	for _, name := range []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
-		PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch} {
+	for _, name := range phaseOrder {
 		keys[name] = HistKey(HistPhaseNS, "phase", name)
 	}
 	return keys
 }()
 
-// phaseHistKey returns the phase_ns histogram key of a phase span.
+// phaseHistKey returns the phase_ns histogram key of a phase.
 func phaseHistKey(name string) string {
 	if k, ok := phaseKeys[name]; ok {
 		return k
@@ -438,8 +422,23 @@ func (r *Recorder) Max(name string, v int64) {
 	r.mu.Unlock()
 }
 
+// Absorb folds a finished run's telemetry into the recorder: counters
+// summed, gauges kept at their maximum, histograms merged. The run's
+// trace is dropped, so a long-lived recorder stays the same size
+// however many runs it absorbs.
+func (r *Recorder) Absorb(m Metrics) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	agg := Metrics{Counters: r.counters, Gauges: r.gauges, Hists: r.hists}
+	agg.mergeValues(m)
+	r.counters, r.gauges, r.hists = agg.Counters, agg.Gauges, agg.Hists
+	r.mu.Unlock()
+}
+
 // SetTrace attaches a completed span tree to the recorder; Snapshot
-// carries it as Metrics.Trace, so sinks (the JSONL trace file) and
+// and Finish carry it as Metrics.Trace, so the JSONL trace file and
 // Report.Metrics pick it up without extra plumbing. The per-file
 // analysis entry points call this when they own the run's trace.
 func (r *Recorder) SetTrace(spans []TraceSpan) {
@@ -451,88 +450,34 @@ func (r *Recorder) SetTrace(spans []TraceSpan) {
 	r.mu.Unlock()
 }
 
-// Snapshot returns a deep copy of the current state.
+// Snapshot returns a deep copy of the current state, with non-nil
+// Counters and Gauges.
 func (r *Recorder) Snapshot() Metrics {
 	if r == nil {
 		return Metrics{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Metrics{Spans: r.spans, Counters: r.counters, Gauges: r.gauges,
-		Hists: r.hists, Trace: r.trace}.clone()
+	m := Metrics{Counters: r.counters, Gauges: r.gauges, Hists: r.hists, Trace: r.trace}.Clone()
+	r.mu.Unlock()
+	return m.withMaps()
 }
 
-// clone returns a deep copy of m in Snapshot's shape: non-nil Counters
-// and Gauges; nil Spans, Hists and Trace when there are none.
-func (m Metrics) clone() Metrics {
-	c := Metrics{
-		Spans:    append([]Span(nil), m.Spans...),
-		Counters: make(map[string]int64, len(m.Counters)),
-		Gauges:   make(map[string]int64, len(m.Gauges)),
-	}
-	for k, v := range m.Counters {
-		c.Counters[k] = v
-	}
-	for k, v := range m.Gauges {
-		c.Gauges[k] = v
-	}
-	if len(m.Hists) > 0 {
-		c.Hists = make(map[string]Histogram, len(m.Hists))
-		for k, h := range m.Hists {
-			c.Hists[k] = h
-		}
-	}
-	c.Trace = append([]TraceSpan(nil), m.Trace...)
-	return c
-}
-
-// Flush emits a snapshot to every sink; the first error wins.
-func (r *Recorder) Flush() error {
-	if r == nil || len(r.sinks) == 0 {
-		return nil
-	}
-	return r.emit(r.Snapshot())
-}
-
-// Finish ends a single-owner run. It hands the recorder's spans,
-// counters, gauges, histograms and trace to the caller without copying
-// and leaves the recorder empty, so later writes never reach the
-// returned value. The result has the shape Snapshot gives: non-nil
-// Counters and Gauges, nil Hists and Trace when there are none. When
-// the recorder has sinks, each receives a deep copy of the result, so
-// a sink that keeps it shares nothing with the caller; the first sink
-// error wins. Call Finish once, after every writer of the run is done.
-func (r *Recorder) Finish() (Metrics, error) {
+// Finish ends a single-owner run. It hands the recorder's counters,
+// gauges, histograms and trace to the caller without copying and
+// leaves the recorder empty, so later writes never reach the returned
+// value. The result has the shape Snapshot gives: non-nil Counters and
+// Gauges, nil Hists and Trace when there are none. Call Finish once,
+// after every writer of the run is done.
+func (r *Recorder) Finish() Metrics {
 	if r == nil {
-		return Metrics{}, nil
+		return Metrics{}
 	}
 	r.mu.Lock()
-	m := Metrics{Spans: r.spans, Counters: r.counters, Gauges: r.gauges,
-		Hists: r.hists, Trace: r.trace}
-	r.spans, r.counters, r.gauges, r.hists, r.trace = nil, nil, nil, nil, nil
+	m := Metrics{Counters: r.counters, Gauges: r.gauges, Hists: r.hists, Trace: r.trace}
+	r.counters, r.gauges, r.hists, r.trace = nil, nil, nil, nil
 	r.mu.Unlock()
-	if m.Counters == nil {
-		m.Counters = make(map[string]int64)
-	}
-	if m.Gauges == nil {
-		m.Gauges = make(map[string]int64)
-	}
 	if len(m.Trace) == 0 {
 		m.Trace = nil
 	}
-	if len(r.sinks) == 0 {
-		return m, nil
-	}
-	return m, r.emit(m.clone())
-}
-
-// emit sends m to every sink; the first error wins.
-func (r *Recorder) emit(m Metrics) error {
-	var first error
-	for _, s := range r.sinks {
-		if err := s.Emit(m); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return m.withMaps()
 }

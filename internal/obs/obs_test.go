@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,11 +16,9 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	end()
 	r.Add(CtrCCFGNodes, 5)
 	r.Max(GaugePeakFrontier, 9)
-	if m := r.Snapshot(); len(m.Spans) != 0 || len(m.Counters) != 0 || len(m.Gauges) != 0 {
+	r.Absorb(Metrics{Counters: map[string]int64{CtrWarnings: 1}})
+	if m := r.Snapshot(); len(m.Hists) != 0 || len(m.Counters) != 0 || len(m.Gauges) != 0 {
 		t.Fatalf("nil recorder produced data: %+v", m)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatalf("nil flush: %v", err)
 	}
 }
 
@@ -46,8 +43,8 @@ func TestRecorderCountersGaugesSpans(t *testing.T) {
 	if got := m.Gauge(GaugePeakFrontier); got != 7 {
 		t.Errorf("peak_frontier = %d, want 7", got)
 	}
-	if len(m.Spans) != 1 || m.Spans[0].Name != PhaseParse {
-		t.Errorf("spans = %+v", m.Spans)
+	if names := m.HistNames(); len(names) != 1 || names[0] != "phase_ns|phase=parse" || m.Hists[names[0]].Count != 1 {
+		t.Errorf("hists = %+v, want one phase_ns|phase=parse observation", m.Hists)
 	}
 }
 
@@ -58,6 +55,19 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	m.Counters[CtrWarnings] = 99
 	if got := r.Snapshot().Counter(CtrWarnings); got != 1 {
 		t.Fatalf("snapshot aliases recorder state: %d", got)
+	}
+}
+
+// A snapshot's trace spans own their Attrs maps: mutating one leaves
+// the recorder's next snapshot unchanged.
+func TestSnapshotCopiesTraceAttrs(t *testing.T) {
+	r := New()
+	r.SetTrace([]TraceSpan{{Name: "file", Attrs: map[string]string{"name": "a.chpl"}}})
+	m := r.Snapshot()
+	m.Trace[0].Attrs["name"] = "changed"
+	m.Trace[0].Attrs["extra"] = "added"
+	if got := r.Snapshot().Trace[0].Attrs; len(got) != 1 || got["name"] != "a.chpl" {
+		t.Errorf("recorder trace attrs = %v after mutating a snapshot, want map[name:a.chpl]", got)
 	}
 }
 
@@ -72,6 +82,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 				end := r.Span(PhaseExplore)
 				r.Add(CtrStatesProcessed, 1)
 				r.Max(GaugePeakFrontier, int64(j))
+				r.Absorb(Metrics{Counters: map[string]int64{CtrWarnings: 1}})
 				end()
 			}
 		}()
@@ -81,9 +92,21 @@ func TestRecorderConcurrentUse(t *testing.T) {
 	if got := m.Counter(CtrStatesProcessed); got != 800 {
 		t.Errorf("states_processed = %d, want 800", got)
 	}
-	if len(m.Spans) != 800 {
-		t.Errorf("spans = %d, want 800", len(m.Spans))
+	if got := m.Counter(CtrWarnings); got != 800 {
+		t.Errorf("absorbed warnings = %d, want 800", got)
 	}
+	if got := m.Hist(phaseHistKey(PhaseExplore)).Count; got != 800 {
+		t.Errorf("pps-explore timings = %d, want 800", got)
+	}
+}
+
+// phaseHist is a phase_ns histogram of the given run durations.
+func phaseHist(durs ...time.Duration) Histogram {
+	var h Histogram
+	for _, d := range durs {
+		h.Observe(d.Nanoseconds())
+	}
+	return h
 }
 
 func TestMetricsMerge(t *testing.T) {
@@ -91,12 +114,12 @@ func TestMetricsMerge(t *testing.T) {
 	agg.Merge(Metrics{
 		Counters: map[string]int64{CtrWarnings: 2},
 		Gauges:   map[string]int64{GaugePeakFrontier: 5},
-		Spans:    []Span{{Name: PhaseParse, Dur: time.Millisecond}},
+		Hists:    map[string]Histogram{phaseHistKey(PhaseParse): phaseHist(time.Millisecond)},
 	})
 	agg.Merge(Metrics{
 		Counters: map[string]int64{CtrWarnings: 3},
 		Gauges:   map[string]int64{GaugePeakFrontier: 4},
-		Spans:    []Span{{Name: PhaseParse, Dur: 2 * time.Millisecond}},
+		Hists:    map[string]Histogram{phaseHistKey(PhaseParse): phaseHist(2 * time.Millisecond)},
 	})
 	if agg.Counter(CtrWarnings) != 5 {
 		t.Errorf("merged counter = %d, want 5", agg.Counter(CtrWarnings))
@@ -109,81 +132,21 @@ func TestMetricsMerge(t *testing.T) {
 	}
 }
 
-// TestMergeTotalsRendersLikeMerge folds the same reports with Merge and
-// with MergeTotals. The folded aggregate keeps one span per phase and
-// no trace spans, and PromSink renders both byte for byte alike.
-func TestMergeTotalsRendersLikeMerge(t *testing.T) {
-	var hist Histogram
-	hist.Observe(3)
-	reports := []Metrics{
-		{
-			Spans: []Span{
-				{Name: PhaseParse, Start: 5 * time.Microsecond, Dur: 120 * time.Microsecond},
-				{Name: PhaseExplore, Start: 300 * time.Microsecond, Dur: time.Millisecond},
-				{Name: PhaseExplore, Start: 2 * time.Millisecond, Dur: 700 * time.Microsecond},
-			},
-			Counters: map[string]int64{CtrStatesCreated: 11},
-			Hists:    map[string]Histogram{HistWaveSize: hist},
-			Trace:    []TraceSpan{{TraceID: "t1", SpanID: "s1", Name: "request"}},
-		},
-		{
-			// A later report whose phases start in another order: the
-			// first start seen still decides each phase's position.
-			Spans: []Span{
-				{Name: PhaseResolve, Start: 0, Dur: 90 * time.Microsecond},
-				{Name: PhaseExplore, Start: time.Microsecond, Dur: 333 * time.Microsecond},
-				{Name: PhaseParse, Start: 2 * time.Microsecond, Dur: 77 * time.Microsecond},
-			},
-			Counters: map[string]int64{CtrStatesCreated: 4, CtrWarnings: 1},
-			Gauges:   map[string]int64{GaugePeakFrontier: 6},
-			Hists:    map[string]Histogram{HistWaveSize: hist},
-			Trace:    []TraceSpan{{TraceID: "t2", SpanID: "s2", Name: "request"}},
-		},
-	}
-	var unfolded, folded Metrics
-	for i := 0; i < 50; i++ {
-		for _, r := range reports {
-			unfolded.Merge(r)
-			folded.MergeTotals(r)
-		}
-	}
-	if len(folded.Spans) != 3 {
-		t.Errorf("folded aggregate holds %d spans, want one per phase (3): %v", len(folded.Spans), folded.Spans)
-	}
-	if folded.Trace != nil {
-		t.Errorf("folded aggregate keeps %d trace spans", len(folded.Trace))
-	}
-	if got, want := folded.PhaseTotal(PhaseExplore), unfolded.PhaseTotal(PhaseExplore); got != want {
-		t.Errorf("folded explore total = %v, want %v", got, want)
-	}
-	var a, b bytes.Buffer
-	PromSink{W: &a}.Emit(unfolded) //nolint:errcheck
-	PromSink{W: &b}.Emit(folded)   //nolint:errcheck
-	if a.String() != b.String() {
-		t.Errorf("PromSink output differs\nMerge:\n%s\nMergeTotals:\n%s", a.String(), b.String())
-	}
-}
-
 func sampleMetrics() Metrics {
 	return Metrics{
-		Spans: []Span{
-			{Name: PhaseParse, Start: 0, Dur: 120 * time.Microsecond},
-			{Name: PhaseExplore, Start: 200 * time.Microsecond, Dur: time.Millisecond},
-			{Name: PhaseExplore, Start: 2 * time.Millisecond, Dur: time.Millisecond},
-		},
 		Counters: map[string]int64{CtrStatesCreated: 11, CtrCCFGNodes: 12},
 		Gauges:   map[string]int64{GaugePeakFrontier: 4},
+		Hists: map[string]Histogram{
+			phaseHistKey(PhaseParse):   phaseHist(120 * time.Microsecond),
+			phaseHistKey(PhaseExplore): phaseHist(time.Millisecond, time.Millisecond),
+		},
 	}
 }
 
 func TestTextSink(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (TextSink{W: &buf}).Emit(sampleMetrics()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := sampleMetrics().FormatText()
 	for _, want := range []string{
-		"phase timings:", "parse", "pps-explore", "(2 spans)",
+		"phase timings:", "parse", "pps-explore", "2ms  (2 runs)",
 		"counters:", "ccfg.nodes", "pps.states_created",
 		"gauges:", "pps.peak_frontier",
 	} {
@@ -197,14 +160,35 @@ func TestTextSink(t *testing.T) {
 	}
 }
 
+// FormatText lists phase timings in pipeline order, whatever their
+// names' sort order; a phase outside the pipeline follows by name.
+func TestFormatTextPhaseOrder(t *testing.T) {
+	m := Metrics{Hists: map[string]Histogram{}}
+	for _, name := range append([]string{"zeta-phase", "alpha-phase"}, phaseOrder...) {
+		m.Hists[phaseHistKey(name)] = phaseHist(time.Microsecond)
+	}
+	m.Hists[HistWaveSize] = phaseHist(3) // not a phase
+	text, _, _ := strings.Cut(m.FormatText(), "histograms:")
+	var got []string
+	for _, line := range strings.Split(text, "\n")[1:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			got = append(got, f[0])
+		}
+	}
+	want := append(append([]string(nil), phaseOrder...), "alpha-phase", "zeta-phase")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("phase timings listed as %v, want %v", got, want)
+	}
+}
+
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (JSONLSink{W: &buf}).Emit(sampleMetrics()); err != nil {
+	if err := sampleMetrics().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 { // 3 spans + 2 counters + 1 gauge
-		t.Fatalf("lines = %d, want 6:\n%s", len(lines), buf.String())
+	if len(lines) != 5 { // 2 counters + 1 gauge + 2 phase_ns histograms
+		t.Fatalf("lines = %d, want 5:\n%s", len(lines), buf.String())
 	}
 	types := map[string]int{}
 	for _, ln := range lines {
@@ -214,19 +198,24 @@ func TestJSONLSink(t *testing.T) {
 		}
 		types[rec["type"].(string)]++
 	}
-	if types["span"] != 3 || types["counter"] != 2 || types["gauge"] != 1 {
+	if types["counter"] != 2 || types["gauge"] != 1 || types["hist"] != 2 || len(types) != 3 {
 		t.Errorf("record types = %v", types)
+	}
+	if want := `{"type":"hist","name":"phase_ns|phase=pps-explore","count":2,`; !strings.Contains(buf.String(), want) {
+		t.Errorf("JSONL output missing %s:\n%s", want, buf.String())
 	}
 }
 
 func TestPromSink(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (PromSink{W: &buf}).Emit(sampleMetrics()); err != nil {
+	if err := sampleMetrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`uafcheck_phase_seconds{phase="parse"}`,
+		"# TYPE uafcheck_phase_ns histogram",
+		`uafcheck_phase_ns_count{phase="parse"} 1`,
+		`uafcheck_phase_ns_sum{phase="pps-explore"} 2000000`,
 		"# TYPE uafcheck_pps_states_created counter",
 		"uafcheck_pps_states_created 11",
 		"uafcheck_pps_peak_frontier 4",
@@ -234,6 +223,12 @@ func TestPromSink(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "phase_seconds") {
+		t.Errorf("prom output still has a phase_seconds family:\n%s", out)
+	}
+	if err := ValidatePromText(buf.Bytes()); err != nil {
+		t.Errorf("prometheus lint failed: %v", err)
 	}
 }
 
@@ -243,15 +238,16 @@ func TestSpanTimesAreSane(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	end()
 	m := r.Snapshot()
-	if len(m.Spans) != 1 || m.Spans[0].Dur < time.Millisecond {
-		t.Fatalf("span duration too small: %+v", m.Spans)
+	h := m.Hist(phaseHistKey(PhaseOracle))
+	if h.Count != 1 || time.Duration(h.Sum) < time.Millisecond {
+		t.Fatalf("oracle timing too small: %+v", h)
 	}
-	if m.PhaseTotal(PhaseOracle) != m.Spans[0].Dur {
+	if m.PhaseTotal(PhaseOracle) != time.Duration(h.Sum) {
 		t.Fatalf("PhaseTotal mismatch")
 	}
 }
 
-// finishedRun records a small run: two phase spans, a counter, a
+// finishedRun records a small run: two phase timings, a counter, a
 // gauge, a histogram and a trace.
 func finishedRun(r *Recorder) {
 	r.Span(PhaseParse)()
@@ -267,12 +263,9 @@ func finishedRun(r *Recorder) {
 func TestFinishHandsStateOver(t *testing.T) {
 	r := New()
 	finishedRun(r)
-	m, err := r.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := r.Finish()
 	want := fmt.Sprintf("%+v", m)
-	if len(m.Spans) != 2 || m.Counter(CtrWarnings) != 2 || m.Gauge(GaugePeakFrontier) != 3 ||
+	if len(m.Hists) != 3 || m.Counter(CtrWarnings) != 2 || m.Gauge(GaugePeakFrontier) != 3 ||
 		m.Hists[HistWaveSize].Count != 1 || m.Hists[phaseHistKey(PhaseParse)].Count != 1 ||
 		len(m.Trace) != 1 {
 		t.Fatalf("Finish returned %s", want)
@@ -285,19 +278,16 @@ func TestFinishHandsStateOver(t *testing.T) {
 		t.Errorf("writes after Finish changed its result:\n%s\nwant\n%s", got, want)
 	}
 	// The recorder restarted from empty: the second run is all it holds.
-	if s := r.Snapshot(); len(s.Spans) != 2 || s.Counter(CtrWarnings) != 2 || s.Hists[HistWaveSize].Count != 2 {
+	if s := r.Snapshot(); s.Hists[phaseHistKey(PhaseParse)].Count != 1 || s.Counter(CtrWarnings) != 2 || s.Hists[HistWaveSize].Count != 2 {
 		t.Errorf("second run snapshot = %+v", s)
 	}
 }
 
 // Finish on an empty recorder gives Snapshot's shape: non-nil, empty
-// Counters and Gauges; nil Spans, Hists and Trace.
+// Counters and Gauges; nil Hists and Trace.
 func TestFinishEmptyMatchesSnapshot(t *testing.T) {
 	r := New()
-	m, err := r.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := r.Finish()
 	if got, want := fmt.Sprintf("%#v", m), fmt.Sprintf("%#v", New().Snapshot()); got != want {
 		t.Errorf("Finish = %s, want %s", got, want)
 	}
@@ -305,60 +295,14 @@ func TestFinishEmptyMatchesSnapshot(t *testing.T) {
 		t.Error("empty Finish returned nil Counters or Gauges")
 	}
 	var nilRec *Recorder
-	if m, err := nilRec.Finish(); err != nil || m.Counters != nil || m.Spans != nil {
-		t.Errorf("nil Finish = %+v, %v", m, err)
-	}
-}
-
-// recordingSink keeps every Metrics it is given.
-type recordingSink struct{ got []Metrics }
-
-func (s *recordingSink) Emit(m Metrics) error {
-	s.got = append(s.got, m)
-	return nil
-}
-
-type failingSink struct{ err error }
-
-func (s failingSink) Emit(Metrics) error { return s.err }
-
-// Every sink receives exactly the Metrics the caller got, once, as its
-// own copy, and the first sink error is returned.
-func TestFinishEmitsCallersMetrics(t *testing.T) {
-	a, b := &recordingSink{}, &recordingSink{}
-	boom := errors.New("boom")
-	r := New(a, failingSink{boom}, b, failingSink{errors.New("second")})
-	finishedRun(r)
-	m, err := r.Finish()
-	if err != boom {
-		t.Errorf("Finish error = %v, want the first sink error", err)
-	}
-	want := fmt.Sprintf("%+v", m)
-	for i, s := range []*recordingSink{a, b} {
-		if len(s.got) != 1 {
-			t.Fatalf("sink %d received %d emits, want 1", i, len(s.got))
-		}
-		if got := fmt.Sprintf("%+v", s.got[0]); got != want {
-			t.Errorf("sink %d received\n%s\nwant\n%s", i, got, want)
-		}
-	}
-	// The caller owns its Metrics: changing them leaves the sinks' alone.
-	m.Counters[CtrWarnings] = 99
-	m.Gauges[GaugePeakFrontier] = 99
-	m.Hists[HistWaveSize] = Histogram{}
-	m.Spans[0].Name = "changed"
-	m.Trace[0].Name = "changed"
-	for i, s := range []*recordingSink{a, b} {
-		if got := fmt.Sprintf("%+v", s.got[0]); got != want {
-			t.Errorf("sink %d's Metrics changed with the caller's:\n%s\nwant\n%s", i, got, want)
-		}
+	if m := nilRec.Finish(); m.Counters != nil || m.Hists != nil {
+		t.Errorf("nil Finish = %+v", m)
 	}
 }
 
 // The precomputed phase keys are exactly what HistKey builds.
 func TestPhaseHistKey(t *testing.T) {
-	for _, name := range []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
-		PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch, "custom-phase"} {
+	for _, name := range append([]string{"custom-phase"}, phaseOrder...) {
 		if got, want := phaseHistKey(name), HistKey(HistPhaseNS, "phase", name); got != want {
 			t.Errorf("phaseHistKey(%q) = %q, want %q", name, got, want)
 		}

@@ -6,72 +6,26 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Sink renders a Metrics snapshot somewhere.
-type Sink interface {
-	Emit(m Metrics) error
-}
-
-// ---------------------------------------------------------------- sync
-
-// syncSink serializes Emit calls to a wrapped sink with a mutex.
-type syncSink struct {
-	mu   sync.Mutex
-	sink Sink
-}
-
-// Synchronized wraps a sink so concurrent Emit calls serialize — the
-// stock sinks write whole snapshots to one io.Writer and are not safe
-// to share between goroutines bare. The batch driver wraps every sink
-// it fans out to workers. Wrapping an already-synchronized sink returns
-// it unchanged.
-func Synchronized(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	if _, ok := s.(*syncSink); ok {
-		return s
-	}
-	return &syncSink{sink: s}
-}
-
-// Emit implements Sink, holding the mutex across the wrapped emit so
-// interleaved snapshots can never corrupt each other's output lines.
-func (s *syncSink) Emit(m Metrics) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sink.Emit(m)
-}
-
 // ---------------------------------------------------------------- text
 
-// TextSink renders a human-readable report: phase timings aggregated by
-// name (in first-start order), then counters and gauges sorted by name.
-type TextSink struct {
-	W io.Writer
-}
-
-// Emit implements Sink.
-func (s TextSink) Emit(m Metrics) error {
-	_, err := io.WriteString(s.W, m.FormatText())
-	return err
-}
-
-// FormatText renders the snapshot as the TextSink prints it.
+// FormatText renders the snapshot for humans: phase timings from the
+// phase_ns histograms (pipeline order, with a run count when a phase
+// ran more than once), then counters, gauges and histograms sorted by
+// name.
 func (m Metrics) FormatText() string {
 	var b strings.Builder
-	aggs := m.aggregateSpans()
-	if len(aggs) > 0 {
+	if phases := m.phaseNames(); len(phases) > 0 {
 		b.WriteString("phase timings:\n")
-		for _, a := range aggs {
+		for _, name := range phases {
+			h := m.Hists[phaseHistKey(name)]
 			count := ""
-			if a.count > 1 {
-				count = fmt.Sprintf("  (%d spans)", a.count)
+			if h.Count > 1 {
+				count = fmt.Sprintf("  (%d runs)", h.Count)
 			}
-			fmt.Fprintf(&b, "  %-14s %12s%s\n", a.name, formatDur(a.total), count)
+			fmt.Fprintf(&b, "  %-14s %12s%s\n", name, formatDur(time.Duration(h.Sum)), count)
 		}
 	}
 	if len(m.Counters) > 0 {
@@ -111,18 +65,9 @@ func formatDur(d time.Duration) string {
 
 // ---------------------------------------------------------------- jsonl
 
-// JSONLSink writes one JSON object per line: each span as
-// {"type":"span",...}, then each counter and gauge. Lines from
-// successive Emit calls append, making the output a trace file that
-// accumulates across analyzed inputs.
-type JSONLSink struct {
-	W io.Writer
-}
-
-// jsonlRecord is the line schema of JSONLSink. Flat recorder spans are
-// "span" lines; hierarchical request-tree spans are "trace_span" lines
-// carrying their trace/span/parent IDs; histograms are "hist" lines
-// with sparse [bucket, count] pairs.
+// jsonlRecord is the line schema of WriteJSONL. Request-tree spans are
+// "trace_span" lines carrying their trace/span/parent IDs; histograms
+// are "hist" lines with sparse [bucket, count] pairs.
 type jsonlRecord struct {
 	Type    string            `json:"type"`
 	Name    string            `json:"name"`
@@ -138,9 +83,12 @@ type jsonlRecord struct {
 	Buckets [][2]int64        `json:"buckets,omitempty"`
 }
 
-// Emit implements Sink.
-func (s JSONLSink) Emit(m Metrics) error {
-	enc := json.NewEncoder(s.W)
+// WriteJSONL writes one JSON object per line: each trace span, then
+// each counter, gauge and histogram. Successive calls on one writer
+// append, making the output a trace file that accumulates across
+// analyzed inputs.
+func (m Metrics) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
 	for _, sp := range m.Trace {
 		rec := jsonlRecord{
 			Type:    "trace_span",
@@ -151,17 +99,6 @@ func (s JSONLSink) Emit(m Metrics) error {
 			SpanID:  sp.SpanID,
 			Parent:  sp.Parent,
 			Attrs:   sp.Attrs,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for _, sp := range m.Spans {
-		rec := jsonlRecord{
-			Type:    "span",
-			Name:    sp.Name,
-			StartUS: sp.Start.Microseconds(),
-			DurUS:   sp.Dur.Microseconds(),
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err
@@ -194,39 +131,21 @@ func (s JSONLSink) Emit(m Metrics) error {
 
 // ---------------------------------------------------------------- prom
 
-// PromSink writes Prometheus text exposition format. Metric names are
-// prefixed (default "uafcheck") and dots become underscores; phase
-// durations are exported as <prefix>_phase_seconds{phase="..."}.
-type PromSink struct {
-	W io.Writer
-	// Prefix defaults to "uafcheck".
-	Prefix string
-}
-
-// Emit implements Sink.
-func (s PromSink) Emit(m Metrics) error {
-	prefix := s.Prefix
-	if prefix == "" {
-		prefix = "uafcheck"
-	}
+// WritePrometheus writes Prometheus text exposition format. Metric
+// names are prefixed "uafcheck_" and dots become underscores; phase
+// timings are the uafcheck_phase_ns{phase="..."} histogram family.
+func (m Metrics) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	aggs := m.aggregateSpans()
-	if len(aggs) > 0 {
-		fmt.Fprintf(&b, "# TYPE %s_phase_seconds gauge\n", prefix)
-		for _, a := range aggs {
-			fmt.Fprintf(&b, "%s_phase_seconds{phase=%q} %g\n", prefix, a.name, a.total.Seconds())
-		}
-	}
 	for _, n := range m.CounterNames() {
-		pn := promName(prefix, n)
+		pn := promName(n)
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", pn, pn, m.Counters[n])
 	}
 	for _, n := range m.GaugeNames() {
-		pn := promName(prefix, n)
+		pn := promName(n)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", pn, pn, m.Gauges[n])
 	}
-	writePromHists(&b, prefix, m)
-	_, err := io.WriteString(s.W, b.String())
+	writePromHists(&b, m)
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -236,7 +155,7 @@ func (s PromSink) Emit(m Metrics) error {
 // log2 buckets become cumulative `le` series with exact power-of-two
 // bounds (le="2^i - 1"). Output order is deterministic: families
 // sorted, label sets sorted within a family.
-func writePromHists(b *strings.Builder, prefix string, m Metrics) {
+func writePromHists(b *strings.Builder, m Metrics) {
 	if len(m.Hists) == 0 {
 		return
 	}
@@ -251,7 +170,7 @@ func writePromHists(b *strings.Builder, prefix string, m Metrics) {
 	}
 	sort.Strings(families)
 	for _, family := range families {
-		pn := promName(prefix, family)
+		pn := promName(family)
 		fmt.Fprintf(b, "# TYPE %s histogram\n", pn)
 		for _, key := range byFamily[family] {
 			h := m.Hists[key]
@@ -328,6 +247,8 @@ func promEscape(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
-func promName(prefix, name string) string {
-	return prefix + "_" + strings.ReplaceAll(name, ".", "_")
+// promName prefixes a metric name with "uafcheck_" and turns its dots
+// into underscores.
+func promName(name string) string {
+	return "uafcheck_" + strings.ReplaceAll(name, ".", "_")
 }

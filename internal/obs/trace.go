@@ -2,8 +2,8 @@
 // deterministic IDs, carried through context.Context, interoperable
 // with W3C traceparent at HTTP boundaries.
 //
-// Traces complement the Recorder's flat phase spans: a Recorder span is
-// an aggregate timing bucket, a TraceSpan belongs to one request (or
+// Traces complement the Recorder's phase_ns histogram: a Recorder span
+// is an aggregate timing observation, a TraceSpan belongs to one request (or
 // one CLI run) and knows its parent, so a single /v1/analyze request
 // can be reconstructed as a tree — server handler → file analysis →
 // per-procedure phases → PPS waves → cache lookups.
@@ -410,8 +410,8 @@ func (sp *ActiveSpan) End() {
 
 // StartPhase opens a Recorder span and a trace span with the same name
 // and returns a single closer for both — the one-liner the pipeline's
-// phase boundaries use so flat aggregates and the request tree stay in
-// sync. Either side may be absent (nil Recorder, traceless ctx).
+// phase boundaries use so the phase_ns histogram and the request tree
+// stay in sync. Either side may be absent (nil Recorder, traceless ctx).
 func StartPhase(ctx context.Context, r *Recorder, name string) (context.Context, func()) {
 	endSpan := r.Span(name)
 	ctx, sp := StartSpan(ctx, name)

@@ -185,7 +185,7 @@ func TestJSONLSinkEmitsTraceSpans(t *testing.T) {
 	r.SetTrace(tr.Spans())
 
 	var buf bytes.Buffer
-	if err := (JSONLSink{W: &buf}).Emit(r.Snapshot()); err != nil {
+	if err := r.Snapshot().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -207,7 +207,7 @@ func TestPromSinkOutputLints(t *testing.T) {
 	r.Observe(HistWaveSize, 4)
 
 	var buf bytes.Buffer
-	if err := (PromSink{W: &buf}).Emit(r.Snapshot()); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidatePromText(buf.Bytes()); err != nil {

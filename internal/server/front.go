@@ -348,7 +348,7 @@ func handleLivez(w http.ResponseWriter, r *http.Request) {
 
 func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.PromSink{W: w}.Emit(f.role.Metrics()) //nolint:errcheck
+	f.role.Metrics().WritePrometheus(w) //nolint:errcheck
 }
 
 // handleDebugRequests serves the flight recorder. Without parameters it

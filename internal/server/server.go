@@ -267,12 +267,6 @@ type Server struct {
 	// Retry-After estimate on 429s.
 	ewmaMS atomic.Int64
 
-	mu sync.Mutex
-	// agg totals the per-request report telemetry: one span per phase,
-	// no trace spans (MergeTotals), so it stays the same size however
-	// many requests the server answers.
-	agg obs.Metrics
-
 	// amu guards the /v1/delta analyzer pool: one incremental Analyzer
 	// per distinct option fingerprint, bounded by maxAnalyzers.
 	amu       sync.Mutex
@@ -382,20 +376,14 @@ poll:
 	return err
 }
 
-// MetricsSnapshot returns the server counters merged with the
-// aggregated per-request analysis telemetry — what /metrics renders.
-// The aggregate holds per-phase span totals and no trace spans, so a
-// scrape copies a bounded value however many requests came before.
+// MetricsSnapshot returns the server's recorder — its own counters
+// plus every absorbed analysis's telemetry — with the live load and
+// disk-cache gauges: what /metrics renders. Absorb drops trace spans,
+// so a scrape copies a bounded value however many requests came
+// before.
 func (s *Server) MetricsSnapshot() obs.Metrics {
-	var m obs.Metrics
-	s.mu.Lock()
-	m.Merge(s.agg)
-	s.mu.Unlock()
-	m.Merge(s.rec.Snapshot())
+	m := s.rec.Snapshot()
 	inflight, queued := s.gate.load()
-	if m.Gauges == nil {
-		m.Gauges = make(map[string]int64)
-	}
 	m.Gauges[obs.GaugeServerInflight] = int64(inflight)
 	m.Gauges[obs.GaugeServerQueueDepth] = int64(queued)
 	s.amu.Lock()
@@ -650,15 +638,13 @@ func statusCodeFor(err error) int {
 
 // observeAnalysis folds n analyses that finished together since t0
 // into the latency EWMA (per file) and their telemetry m into the
-// aggregate.
+// server's recorder.
 func (s *Server) observeAnalysis(t0 time.Time, n int, m obs.Metrics) {
 	s.rec.Add(obs.CtrServerAnalyses, int64(n))
 	ms := time.Since(t0).Milliseconds() / int64(n)
 	old := s.ewmaMS.Load()
 	s.ewmaMS.Store((old*3 + ms) / 4)
-	s.mu.Lock()
-	s.agg.MergeTotals(m)
-	s.mu.Unlock()
+	s.rec.Absorb(m)
 }
 
 // metricsOf is a report's telemetry (none for a failed analysis).

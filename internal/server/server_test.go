@@ -342,8 +342,9 @@ func TestBatchNDJSON(t *testing.T) {
 
 // TestMetricsAggregateStaysBounded sends batch requests with fresh
 // content and checks that the per-request telemetry aggregate behind
-// /metrics totals them: one span per phase, no trace spans, and no
-// growth between the 4th and the 12th request.
+// /metrics totals them: no trace spans, the same histogram keys after
+// the 4th and the 12th request, and a pps-explore timing count that
+// grows.
 func TestMetricsAggregateStaysBounded(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	batch := func(i int) {
@@ -355,17 +356,11 @@ func TestMetricsAggregateStaysBounded(t *testing.T) {
 			t.Fatalf("batch %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
+	explore := obs.HistKey(obs.HistPhaseNS, "phase", obs.PhaseExplore)
 	check := func(m obs.Metrics) {
 		t.Helper()
-		seen := make(map[string]bool)
-		for _, sp := range m.Spans {
-			if seen[sp.Name] {
-				t.Errorf("phase %q has more than one aggregate span", sp.Name)
-			}
-			seen[sp.Name] = true
-		}
-		if !seen[obs.PhaseExplore] {
-			t.Errorf("aggregate has no %q span: %v", obs.PhaseExplore, m.Spans)
+		if m.Hist(explore).Empty() {
+			t.Errorf("aggregate has no %s histogram: %v", explore, m.HistNames())
 		}
 		if m.Trace != nil {
 			t.Errorf("aggregate keeps %d trace spans", len(m.Trace))
@@ -381,12 +376,11 @@ func TestMetricsAggregateStaysBounded(t *testing.T) {
 	}
 	late := srv.MetricsSnapshot()
 	check(late)
-	if len(late.Spans) != len(early.Spans) {
-		t.Errorf("aggregate spans grew from %d to %d", len(early.Spans), len(late.Spans))
+	if e, l := fmt.Sprint(early.HistNames()), fmt.Sprint(late.HistNames()); e != l {
+		t.Errorf("aggregate histogram keys grew from\n%s\nto\n%s", e, l)
 	}
-	if late.PhaseTotal(obs.PhaseExplore) <= early.PhaseTotal(obs.PhaseExplore) {
-		t.Errorf("explore total did not grow: %v then %v",
-			early.PhaseTotal(obs.PhaseExplore), late.PhaseTotal(obs.PhaseExplore))
+	if e, l := early.Hist(explore).Count, late.Hist(explore).Count; l <= e {
+		t.Errorf("%s count did not grow: %d then %d", explore, e, l)
 	}
 	if got := late.Counter(obs.CtrServerBatchFiles); got != 24 {
 		t.Errorf("server.batch_files = %d, want 24", got)

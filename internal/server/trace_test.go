@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -244,11 +245,18 @@ func TestPprofGate(t *testing.T) {
 }
 
 // TestMetricsPromFormat: /metrics output passes the text-format linter
-// and carries the per-route request latency histogram.
+// and carries the per-route request latency histogram, and the phase
+// timings only as the uafcheck_phase_ns histogram: one series per
+// phase a single-file, a batch and a module request run.
 func TestMetricsPromFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post(t, ts, "/v1/analyze", AnalyzeRequest{Name: "a.chpl", Src: buggySrc})
 	post(t, ts, "/analyze", AnalyzeRequest{Name: "a.chpl", Src: buggySrc})
+	post(t, ts, "/v1/analyze-batch", BatchRequest{Files: []BatchFile{{Name: "b.chpl", Src: buggySrc}}})
+	post(t, ts, "/v1/analyze-batch", BatchRequest{Mode: "module", Files: []BatchFile{
+		{Name: "leaf.chpl", Src: "proc leaf(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
+		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  leaf(x);\n}\n"},
+	}})
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -268,10 +276,20 @@ func TestMetricsPromFormat(t *testing.T) {
 		`uafcheck_server_request_ns_bucket{route="/v1/analyze",le="+Inf"}`,
 		`uafcheck_server_request_ns_count{route="/analyze"}`,
 		"# TYPE uafcheck_pps_wave_size histogram",
+		"# TYPE uafcheck_phase_ns histogram",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	for _, phase := range []string{obs.PhaseParse, obs.PhaseResolve, obs.PhaseSummaries, obs.PhaseLower,
+		obs.PhaseCCFG, obs.PhasePrune, obs.PhaseExplore, obs.PhaseBatch} {
+		if want := fmt.Sprintf("uafcheck_phase_ns_count{phase=%q}", phase); !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %s", want)
+		}
+	}
+	if strings.Contains(text, "phase_seconds") {
+		t.Errorf("/metrics still exports phase_seconds:\n%s", text)
 	}
 }
 

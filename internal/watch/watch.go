@@ -141,7 +141,6 @@ type Service struct {
 	restarts  int64
 	abandoned int64
 	lastErr   string
-	agg       uafcheck.Metrics
 }
 
 // New creates a Service; Run starts it.
@@ -204,17 +203,11 @@ func (s *Service) Warnings(path string) ([]string, bool) {
 	return append([]string(nil), st.warnings...), true
 }
 
-// Metrics returns the session aggregate: every analyzed report's
-// telemetry totalled per phase (no trace spans) and merged with the
-// watch loop's own counters and gauges. The result is a copy; later
-// passes do not change it.
+// Metrics returns the session aggregate: the watch loop's own counters
+// and gauges plus every analyzed report's telemetry (absorbed, so no
+// trace spans). The result is a copy; later passes do not change it.
 func (s *Service) Metrics() uafcheck.Metrics {
-	var agg uafcheck.Metrics
-	s.mu.Lock()
-	agg.Merge(s.agg)
-	s.mu.Unlock()
-	agg.Merge(s.rec.Snapshot())
-	return agg
+	return s.rec.Snapshot()
 }
 
 // pass is one poll: rescan the tree, drop deleted files, re-analyze
@@ -374,8 +367,8 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 
 	s.mu.Lock()
 	st.src = src
-	s.agg.MergeTotals(rep.Metrics)
 	s.mu.Unlock()
+	s.rec.Absorb(rep.Metrics)
 	uafcheck.SortWarnings(rep.Warnings)
 	next := make([]string, len(rep.Warnings))
 	for i, w := range rep.Warnings {

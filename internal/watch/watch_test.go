@@ -12,6 +12,7 @@ import (
 
 	"uafcheck"
 	"uafcheck/internal/fault"
+	"uafcheck/internal/obs"
 )
 
 // syncBuf is a mutex-guarded output buffer: the service writes from
@@ -337,8 +338,10 @@ func TestDiffWarnings(t *testing.T) {
 }
 
 // TestMetricsAggregateStaysBounded re-analyzes an edited file over many
-// polls. The session aggregate totals the reports (one span per phase,
-// no trace spans), and reading it is a copy: reading it twice gives
+// polls, each edit a body the unit memo has not seen. The session
+// aggregate totals the reports: no trace spans, the
+// same histogram keys after 4 and after 10 edits, and a pps-explore
+// timing count that grows. Reading it is a copy: reading it twice gives
 // the same counters.
 func TestMetricsAggregateStaysBounded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.chpl")
@@ -349,24 +352,21 @@ func TestMetricsAggregateStaysBounded(t *testing.T) {
 	})
 	ctx := context.Background()
 	svc.pass(ctx, true)
+	var early uafcheck.Metrics
 	for i := 0; i < 10; i++ {
-		src := buggySrc
-		if i%2 == 0 {
-			src = editedSrc
-		}
-		replaceFile(t, path, src)
+		replaceFile(t, path, strings.Replace(buggySrc, "x = 1;", fmt.Sprintf("x = %d;", i+2), 1))
 		svc.pass(ctx, false)
+		if i == 3 {
+			early = svc.Metrics()
+		}
 	}
 	m := svc.Metrics()
-	seen := make(map[string]bool)
-	for _, sp := range m.Spans {
-		if seen[sp.Name] {
-			t.Errorf("phase %q has more than one aggregate span", sp.Name)
-		}
-		seen[sp.Name] = true
+	if e, l := fmt.Sprint(early.HistNames()), fmt.Sprint(m.HistNames()); e != l {
+		t.Errorf("aggregate histogram keys grew from\n%s\nto\n%s", e, l)
 	}
-	if len(seen) == 0 {
-		t.Error("aggregate has no phase spans")
+	explore := obs.HistKey(obs.HistPhaseNS, "phase", obs.PhaseExplore)
+	if e, l := early.Hist(explore).Count, m.Hist(explore).Count; e == 0 || l <= e {
+		t.Errorf("%s count did not grow: %d then %d", explore, e, l)
 	}
 	if m.Trace != nil {
 		t.Errorf("aggregate keeps %d trace spans", len(m.Trace))

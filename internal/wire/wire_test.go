@@ -79,7 +79,7 @@ func TestNewResultCanonical(t *testing.T) {
 	if res.Status != "ok" || res.Metrics != nil {
 		t.Fatalf("canonical result: status=%q metrics=%v", res.Status, res.Metrics)
 	}
-	if len(res.Report.Metrics.Counters) != 0 || len(res.Report.Metrics.Spans) != 0 {
+	if len(res.Report.Metrics.Counters) != 0 || len(res.Report.Metrics.Hists) != 0 {
 		t.Error("canonical report still carries volatile metrics")
 	}
 	if rep.Metrics.Counters == nil {

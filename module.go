@@ -139,7 +139,7 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *a
 			err = nil
 		}
 	}()
-	rec := obs.New(cfg.metricsSinks...)
+	rec := obs.New()
 	in := cfg.internal()
 	in.KeepGraphs = cfg.trace
 	in.Obs = rec
@@ -171,12 +171,7 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *a
 			Report: rep,
 		})
 	}
-	var ferr error
-	mr.Metrics, ferr = rec.Finish()
-	if ferr != nil && len(mr.Files) > 0 {
-		mr.Files[0].Report.Notes = append(mr.Files[0].Report.Notes,
-			fmt.Sprintf("metrics sink error: %v", ferr))
-	}
+	mr.Metrics = rec.Finish()
 	return mr, stats, nil
 }
 

@@ -28,7 +28,6 @@ type config struct {
 	parallelism  int
 	tracing      bool
 	cache        *Cache
-	metricsSinks []MetricsSink
 	deadline     time.Duration
 
 	// Batch runs only.
@@ -106,14 +105,6 @@ func WithAtomicsModel(on bool) Option {
 // fetchAdds before a waitFor(n)) verify as well.
 func WithAtomicsCounting(on bool) Option {
 	return func(c *config) { c.countAtomics = on }
-}
-
-// WithMetricsSinks attaches telemetry sinks; each receives one Metrics
-// snapshot per analyzed file. The snapshot is attached to
-// Report.Metrics regardless. Batch runs share the sinks across workers,
-// serializing concurrent emits.
-func WithMetricsSinks(sinks ...MetricsSink) Option {
-	return func(c *config) { c.metricsSinks = append(c.metricsSinks, sinks...) }
 }
 
 // WithDeadline bounds one analysis's wall clock (0 = none). When it

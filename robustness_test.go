@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -173,7 +172,7 @@ func TestAnalyzeFilesExitCodes(t *testing.T) {
 }
 
 // TestAnalyzeFilesConcurrent drives a mixed batch through several
-// workers with shared metrics sinks — the scenario the -race run
+// workers, each file on its own recorder — the scenario the -race run
 // certifies (see Makefile test-race).
 func TestAnalyzeFilesConcurrent(t *testing.T) {
 	var files []FileInput
@@ -187,7 +186,6 @@ func TestAnalyzeFilesConcurrent(t *testing.T) {
 		FileInput{"broken.chpl", "proc ( nope"})
 
 	rep := AnalyzeFilesContext(context.Background(), files,
-		WithMetricsSinks(TextMetricsSink(io.Discard), JSONLinesMetricsSink(io.Discard)),
 		WithWorkers(4),
 		WithFileTimeout(40*time.Millisecond))
 

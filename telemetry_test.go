@@ -210,21 +210,24 @@ func TestWarningProvenance(t *testing.T) {
 	}
 }
 
-// TestMetricsSinksReceiveSnapshot: every attached sink gets the same
-// snapshot that lands on Report.Metrics.
+// TestMetricsSinksReceiveSnapshot renders one report's Metrics through
+// its three renderers: text, JSON lines and Prometheus.
 func TestMetricsSinksReceiveSnapshot(t *testing.T) {
 	src := loadTestdata(t, "figure1.chpl")
-	var text, jsonl, prom bytes.Buffer
-	rep, err := AnalyzeContext(context.Background(), "figure1.chpl", src, WithMetricsSinks(
-		TextMetricsSink(&text),
-		JSONLinesMetricsSink(&jsonl),
-		PrometheusMetricsSink(&prom),
-	))
+	rep, err := AnalyzeContext(context.Background(), "figure1.chpl", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "pps.states_created") {
-		t.Errorf("text sink missing counter section:\n%s", text.String())
+	var jsonl, prom bytes.Buffer
+	if err := rep.Metrics.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	text := rep.Metrics.FormatText()
+	if !strings.Contains(text, "pps.states_created") || !strings.Contains(text, "pps-explore") {
+		t.Errorf("text rendering missing a counter or phase timing:\n%s", text)
 	}
 	// Each JSONL line must be a standalone JSON object.
 	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
@@ -243,21 +246,23 @@ func TestMetricsSinksReceiveSnapshot(t *testing.T) {
 		}
 	}
 	if !sawCreated {
-		t.Error("JSONL sink never emitted pps.states_created")
+		t.Error("JSONL rendering never emitted pps.states_created")
 	}
 	if !strings.Contains(prom.String(), "uafcheck_pps_states_created 8") {
-		t.Errorf("prom sink missing exact counter:\n%s", prom.String())
+		t.Errorf("prom rendering missing exact counter:\n%s", prom.String())
+	}
+	if err := obs.ValidatePromText(prom.Bytes()); err != nil {
+		t.Errorf("prom rendering fails the lint: %v", err)
 	}
 }
 
 // TestReportMetricsShape pins the whole shape of a single run's
-// Report.Metrics: counter names and values, gauges, span names in
-// order, and histogram keys with their observation counts. A begin-free
+// Report.Metrics: counter names and values, gauges, and histogram keys
+// (phase timings among them) with their observation counts. A begin-free
 // file still gets non-nil, empty Counters and Gauges maps, so callers
 // may write into them.
 func TestReportMetricsShape(t *testing.T) {
 	type shape struct {
-		spans    []string
 		counters map[string]int64
 		gauges   map[string]int64
 		hists    map[string]int64
@@ -267,7 +272,6 @@ func TestReportMetricsShape(t *testing.T) {
 		want      shape
 	}{
 		{"figure1.chpl", loadTestdata(t, "figure1.chpl"), shape{
-			spans: []string{"parse", "resolve", "lower", "prune", "ccfg-build", "pps-explore"},
 			counters: map[string]int64{
 				"analysis.procs": 1, "analysis.warnings": 1,
 				"ccfg.nodes": 11, "ccfg.sync_vars": 2, "ccfg.tasks": 4, "ccfg.tracked_accesses": 4,
@@ -285,7 +289,6 @@ func TestReportMetricsShape(t *testing.T) {
 			},
 		}},
 		{"plain.chpl", "proc main() {\n  var x: int = 1;\n  writeln(x);\n}\n", shape{
-			spans:    []string{"parse", "resolve"},
 			counters: map[string]int64{},
 			gauges:   map[string]int64{},
 			hists:    map[string]int64{"phase_ns|phase=parse": 1, "phase_ns|phase=resolve": 1},
@@ -299,9 +302,6 @@ func TestReportMetricsShape(t *testing.T) {
 			}
 			m := rep.Metrics
 			got := shape{counters: m.Counters, gauges: m.Gauges, hists: map[string]int64{}}
-			for _, sp := range m.Spans {
-				got.spans = append(got.spans, sp.Name)
-			}
 			for k, h := range m.Hists {
 				got.hists[k] = h.Count
 			}
@@ -310,9 +310,6 @@ func TestReportMetricsShape(t *testing.T) {
 			}
 			if m.Trace != nil {
 				t.Errorf("Trace = %v, want nil without tracing", m.Trace)
-			}
-			if g, w := fmt.Sprint(got.spans), fmt.Sprint(tc.want.spans); g != w {
-				t.Errorf("spans = %s, want %s", g, w)
 			}
 			for _, c := range []struct {
 				what      string
@@ -333,19 +330,22 @@ func TestReportMetricsShape(t *testing.T) {
 
 // TestModuleMetricsSummariesSpan: a module run bills its summary
 // fixpoint to its own "summaries" span and phase_ns histogram, between
-// the module-wide resolve and the first lowering; resolve keeps one
-// span.
+// the module-wide resolve and the first lowering; resolve runs once.
 func TestModuleMetricsSummariesSpan(t *testing.T) {
-	mr, err := AnalyzeModuleContext(context.Background(), []ModuleFile{
+	tr := obs.NewTrace(obs.DeriveTraceID("module-summaries"))
+	ctx := obs.ContextWithTrace(context.Background(), tr)
+	mr, err := AnalyzeModuleContext(ctx, []ModuleFile{
 		{Name: "leaf.chpl", Src: "proc leaf(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
 		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  leaf(x);\n}\n"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans []string
-	for _, sp := range mr.Metrics.Spans {
-		spans = append(spans, sp.Name)
+	var spans []string // the phase spans, in start order
+	for _, sp := range tr.Spans() {
+		if _, ok := mr.Metrics.Hists[obs.HistKey(obs.HistPhaseNS, "phase", sp.Name)]; ok {
+			spans = append(spans, sp.Name)
+		}
 	}
 	if got, want := fmt.Sprint(spans[:min(len(spans), 5)]), "[parse parse resolve summaries lower]"; got != want {
 		t.Errorf("leading spans = %s, want %s (all: %v)", got, want, spans)
@@ -358,17 +358,17 @@ func TestModuleMetricsSummariesSpan(t *testing.T) {
 	}
 }
 
-// TestMergeTotalsOnReports folds the traced reports of the suite
-// programs, each twice, the way a long-lived aggregate (uafserve,
-// watch) does. MergeTotals keeps one span per phase and no trace
-// spans, and PromSink renders it exactly as it renders the unfolded
-// Merge of the same reports.
-func TestMergeTotalsOnReports(t *testing.T) {
+// TestAbsorbOnReports folds the traced reports of the suite programs,
+// each twice, into a recorder the way a long-lived aggregate (uafserve,
+// watch) does. In either order the recorder's counters, gauges and
+// histograms equal those of Merge over the same reports, and it keeps
+// no trace.
+func TestAbsorbOnReports(t *testing.T) {
 	paths, err := filepath.Glob("testdata/suite/*.chpl")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no suite programs: %v", err)
 	}
-	var unfolded, folded Metrics
+	var reps []Metrics
 	for round := 0; round < 2; round++ {
 		for _, p := range paths {
 			src, err := os.ReadFile(p)
@@ -379,31 +379,32 @@ func TestMergeTotalsOnReports(t *testing.T) {
 			if err != nil {
 				continue // the suite keeps a few frontend-error programs
 			}
-			unfolded.Merge(rep.Metrics)
-			folded.MergeTotals(rep.Metrics)
+			reps = append(reps, rep.Metrics)
 		}
 	}
-	if len(unfolded.Trace) == 0 {
+	var merged Metrics
+	for _, m := range reps {
+		merged.Merge(m)
+	}
+	if len(merged.Trace) == 0 {
 		t.Fatal("traced reports carried no trace spans")
 	}
-	if folded.Trace != nil {
-		t.Errorf("folded aggregate keeps %d trace spans", len(folded.Trace))
-	}
-	phases := make(map[string]bool)
-	for _, sp := range folded.Spans {
-		if phases[sp.Name] {
-			t.Errorf("phase %q folded into more than one span", sp.Name)
+	want := fmt.Sprint(merged.Counters, merged.Gauges, merged.Hists)
+	for _, reverse := range []bool{false, true} {
+		rec := obs.New()
+		for i := range reps {
+			if reverse {
+				i = len(reps) - 1 - i
+			}
+			rec.Absorb(reps[i])
 		}
-		phases[sp.Name] = true
-	}
-	if len(folded.Spans) >= len(unfolded.Spans) {
-		t.Errorf("folding kept %d of %d spans", len(folded.Spans), len(unfolded.Spans))
-	}
-	var a, b bytes.Buffer
-	obs.PromSink{W: &a}.Emit(unfolded) //nolint:errcheck
-	obs.PromSink{W: &b}.Emit(folded)   //nolint:errcheck
-	if a.String() != b.String() {
-		t.Errorf("PromSink output differs\nMerge:\n%s\nMergeTotals:\n%s", a.String(), b.String())
+		got := rec.Snapshot()
+		if s := fmt.Sprint(got.Counters, got.Gauges, got.Hists); s != want {
+			t.Errorf("reverse=%v: Absorb gave\n%s\nwant (Merge)\n%s", reverse, s, want)
+		}
+		if got.Trace != nil {
+			t.Errorf("reverse=%v: recorder keeps %d trace spans", reverse, len(got.Trace))
+		}
 	}
 }
 

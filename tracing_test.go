@@ -113,10 +113,6 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 	canon := func(rep *Report) []byte {
 		cp := rep.Clone()
-		for i := range cp.Metrics.Spans {
-			cp.Metrics.Spans[i].Start = 0
-			cp.Metrics.Spans[i].Dur = 0
-		}
 		stripNondeterministic(&cp.Metrics)
 		b, err := json.Marshal(cp)
 		if err != nil {
@@ -198,12 +194,11 @@ func TestHistogramDeterminism(t *testing.T) {
 			agg.Merge(rep.Metrics)
 		}
 		stripNondeterministic(&agg)
-		agg.Spans = nil // wall-clock phase timings; not under test here
 		if agg.Hist(obs.HistWaveSize).Empty() {
 			t.Fatal("corpus produced no wave-size observations")
 		}
 		var buf bytes.Buffer
-		if err := (obs.PromSink{W: &buf}).Emit(agg); err != nil {
+		if err := agg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

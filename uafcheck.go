@@ -28,7 +28,6 @@ package uafcheck
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -55,27 +54,15 @@ const Version = "0.9.0"
 
 // ------------------------------------------------------------- telemetry
 
-// Metrics is a telemetry snapshot of one pipeline run: phase spans
-// (parse, resolve, lower, ccfg-build, prune, pps-explore, oracle),
-// counters (CCFG nodes, tasks pruned per rule, PPS states created /
-// merged / forked, sync transitions by kind, oracle schedules) and
-// gauges (peak exploration frontier). Every AnalyzeContext and
-// ExploreSchedules call populates one on its report.
+// Metrics is a telemetry snapshot of one pipeline run: phase timings
+// (the phase_ns histogram, one observation per run of parse, resolve,
+// lower, ccfg-build, prune, pps-explore, oracle), counters (CCFG
+// nodes, tasks pruned per rule, PPS states created / merged / forked,
+// sync transitions by kind, oracle schedules), gauges (peak
+// exploration frontier) and, with WithTracing, the run's span tree.
+// Every AnalyzeContext and ExploreSchedules call populates one on its
+// report; FormatText, WriteJSONL and WritePrometheus render it.
 type Metrics = obs.Metrics
-
-// MetricsSink receives Metrics snapshots; attach sinks with
-// WithMetricsSinks.
-type MetricsSink = obs.Sink
-
-// TextMetricsSink renders metrics human-readably.
-func TextMetricsSink(w io.Writer) MetricsSink { return obs.TextSink{W: w} }
-
-// JSONLinesMetricsSink appends one JSON object per span/counter/gauge —
-// a machine-readable trace file that accumulates across runs.
-func JSONLinesMetricsSink(w io.Writer) MetricsSink { return obs.JSONLSink{W: w} }
-
-// PrometheusMetricsSink writes Prometheus text exposition format.
-func PrometheusMetricsSink(w io.Writer) MetricsSink { return obs.PromSink{W: w} }
 
 // Warning is one potentially dangerous outer-variable access.
 //
@@ -258,7 +245,8 @@ type Report struct {
 	// WithTrace is set.
 	PPSTraces map[string]string `json:"pps_traces,omitempty"`
 	// Metrics is the run's telemetry snapshot: phase timings, pipeline
-	// counters and gauges (see the obs sink flags of cmd/uafcheck).
+	// counters and gauges (rendered by the -metrics, -trace-out and
+	// -prom-out flags of cmd/uafcheck).
 	Metrics Metrics `json:"metrics"`
 	// Degraded is non-nil when the analysis stopped before exhausting
 	// the state space (budget, deadline, cancellation or a recovered
@@ -296,7 +284,7 @@ func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analy
 			err = nil
 		}
 	}()
-	rec := obs.New(cfg.metricsSinks...)
+	rec := obs.New()
 	in := cfg.internal()
 	in.KeepGraphs = cfg.trace
 	in.Obs = rec
@@ -307,7 +295,7 @@ func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analy
 		key = reportKey(filename, src, in)
 		hit, ok, lookupNS := cacheLookup(ctx, cfg.cache, key, rec)
 		if ok {
-			return cacheHit(hit, cfg.metricsSinks, lookupNS), nil
+			return cacheHit(hit, lookupNS), nil
 		}
 		rec.Add(obs.CtrCacheMisses, 1)
 	}
@@ -325,11 +313,7 @@ func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analy
 	if cfg.cache != nil && rep.Degraded == nil {
 		rec.Add(obs.CtrCacheStores, 1)
 	}
-	var sinkErr error
-	rep.Metrics, sinkErr = rec.Finish()
-	if sinkErr != nil {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("metrics sink error: %v", sinkErr))
-	}
+	rep.Metrics = rec.Finish()
 	// Only complete results are cached: a degraded report depends on the
 	// budget/deadline race of this particular run, so serving it later
 	// could mask a complete result the caller's options would produce.
@@ -373,12 +357,12 @@ func cachePut(c *Cache, key cache.Key, rep *Report) {
 }
 
 // cacheHit finalizes a report served from the cache: the clone keeps the
-// original run's telemetry (spans, pipeline counters, its own cache.misses
-// rung), gains a cache.hits mark plus this consult's lookup latency, and
-// is emitted to this call's sinks. The lookup histogram is replaced, not
-// merged — the stored report's own (miss) lookup belongs to the run that
-// produced it, not to this hit.
-func cacheHit(rep *Report, sinks []MetricsSink, lookupNS int64) *Report {
+// original run's telemetry (phase timings, pipeline counters, its own
+// cache.misses rung) and gains a cache.hits mark plus this consult's
+// lookup latency. The lookup histogram is replaced, not merged — the
+// stored report's own (miss) lookup belongs to the run that produced
+// it, not to this hit.
+func cacheHit(rep *Report, lookupNS int64) *Report {
 	if rep.Metrics.Counters == nil {
 		rep.Metrics.Counters = make(map[string]int64)
 	}
@@ -389,11 +373,6 @@ func cacheHit(rep *Report, sinks []MetricsSink, lookupNS int64) *Report {
 	var h obs.Histogram
 	h.Observe(lookupNS)
 	rep.Metrics.Hists[obs.HistCacheLookupNS] = h
-	for _, s := range sinks {
-		if err := s.Emit(rep.Metrics); err != nil {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("metrics sink error: %v", err))
-		}
-	}
 	return rep
 }
 
@@ -548,17 +527,11 @@ func (b *BatchReport) ExitCode() int {
 // isolation: one pathological or crashing input degrades that file's
 // report and never takes down the batch. Results are index-aligned with
 // files. Cancelling ctx degrades unfinished files to conservative
-// results instead of dropping them.
-//
-// Metrics sinks are shared across workers (wrapped to serialize
-// concurrent emits) and receive one snapshot per file; BatchReport.
-// Metrics carries the merged aggregate.
+// results instead of dropping them. Each file's Report.Metrics is its
+// own run's telemetry; BatchReport.Metrics carries the merged
+// aggregate.
 func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Option) *BatchReport {
 	cfg := newConfig(options...)
-	shared := make([]MetricsSink, len(cfg.metricsSinks))
-	for i, s := range cfg.metricsSinks {
-		shared[i] = obs.Synchronized(s)
-	}
 	in := cfg.internal()
 	in.KeepGraphs = cfg.trace
 
@@ -575,7 +548,7 @@ func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Opti
 		if cfg.cache != nil {
 			keys[i] = reportKey(f.Name, f.Src, in)
 			if rep, ok, lookupNS := cacheLookup(ctx, cfg.cache, keys[i], rec); ok {
-				hits[i] = cacheHit(rep, cfg.metricsSinks, lookupNS)
+				hits[i] = cacheHit(rep, lookupNS)
 				continue
 			}
 		}
@@ -654,7 +627,7 @@ func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Opti
 		Ctx:         ctx,
 		Obs:         rec,
 		PerFileObs: func(j int, f batch.File) *obs.Recorder {
-			r := obs.New(shared...)
+			r := obs.New()
 			if cfg.cache != nil {
 				r.Add(obs.CtrCacheMisses, 1)
 			}
