@@ -125,7 +125,7 @@ func TestExploreSchedulesAPI(t *testing.T) {
 }
 
 func TestRunProgramOutput(t *testing.T) {
-	out, err := uafcheck.RunProgram("p.chpl", `
+	out, _, err := uafcheck.ExecuteTraced("p.chpl", `
 proc main() {
   var x: int = 6;
   writeln("x=", x * 7);

@@ -18,6 +18,7 @@ import (
 
 	"uafcheck"
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/ccfg"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/eval"
@@ -132,7 +133,7 @@ func BenchmarkTableICorpus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, _ := eval.RunTableI(cases, analysis.DefaultOptions())
+		table, _, _ := eval.RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: 1})
 		if table.TruePositives != 63 || table.WarningsReported != 437 {
 			b.Fatalf("table drifted: %+v", table)
 		}
@@ -147,13 +148,13 @@ func BenchmarkScheduleExplorers(b *testing.B) {
 	mod := info.Module
 	b.Run("random-100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runtime.ExploreRandom(mod, info, "outerVarUse", 100, int64(i))
+			runtime.ExploreRandom(context.Background(), mod, info, "outerVarUse", 100, int64(i))
 		}
 	})
 	b.Run("bounded-2", func(b *testing.B) {
 		var runs int
 		for i := 0; i < b.N; i++ {
-			er := runtime.ExploreBounded(mod, info, "outerVarUse", 5000, 2)
+			er := runtime.Explore(context.Background(), mod, info, "outerVarUse", 5000, 2)
 			if len(er.UAF) == 0 {
 				b.Fatal("bounded missed the bug")
 			}
@@ -163,7 +164,7 @@ func BenchmarkScheduleExplorers(b *testing.B) {
 	})
 	b.Run("exhaustive-5000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runtime.ExploreExhaustive(mod, info, "outerVarUse", 5000)
+			runtime.Explore(context.Background(), mod, info, "outerVarUse", 5000, -1)
 		}
 	})
 }
@@ -336,7 +337,7 @@ func BenchmarkAtomicsExtension(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				table, _ := eval.RunTableI(cases, mode.opts)
+				table, _, _ := eval.RunTableI(cases, mode.opts, batch.Options{Workers: 1})
 				if table.WarningsReported != mode.wantW {
 					b.Fatalf("warnings = %d, want %d", table.WarningsReported, mode.wantW)
 				}

@@ -9,10 +9,12 @@
 //	uafcorpus [-seed N] [-tests N] [-oracle N] [-baselines] [-dump dir]
 //	          [-jobs N] [-case-timeout D] [-retries N]
 //
-// The evaluation runs on the fault-isolated batch driver: every generated
-// case gets its own deadline and panic isolation, so one pathological
-// program degrades only itself. The robustness summary after Table I
-// accounts for every case (ok / degraded / timed out / crashed).
+// Every Table I run (the base table and the -model-atomics and
+// -count-atomics reruns) uses the fault-isolated batch driver: each
+// generated case gets its own deadline and panic isolation, so one
+// pathological program degrades only itself. The robustness summary
+// after the base Table I accounts for every case (ok / degraded / timed
+// out / crashed).
 package main
 
 import (
@@ -76,8 +78,12 @@ func main() {
 		fmt.Printf("wrote %d test programs to %s\n", len(cases), *dump)
 	}
 
+	// -jobs, -case-timeout and -retries apply to every Table I run.
+	batchOpts := []uafcheck.Option{
+		uafcheck.WithWorkers(*jobs), uafcheck.WithFileTimeout(*caseTimeout), uafcheck.WithRetries(*retries),
+	}
 	start = time.Now()
-	table, det, robust := eval.RunTableIBatch(cases, analysis.DefaultOptions(), batch.Options{
+	table, det, robust := eval.RunTableI(cases, analysis.DefaultOptions(), batch.Options{
 		Workers:     *jobs,
 		FileTimeout: *caseTimeout,
 		Retries:     *retries,
@@ -100,7 +106,7 @@ func main() {
 	if *modelAtomics {
 		start = time.Now()
 		extTable, extBreakdown := uafcheck.RunTableIContext(context.Background(), cases,
-			uafcheck.WithAtomicsModel(true))
+			append(batchOpts, uafcheck.WithAtomicsModel(true))...)
 		fmt.Printf("\nTable I with the atomics extension enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(extTable.Format())
@@ -114,7 +120,7 @@ func main() {
 	if *countAtomics {
 		start = time.Now()
 		cntTable, cntBreakdown := uafcheck.RunTableIContext(context.Background(), cases,
-			uafcheck.WithAtomicsCounting(true))
+			append(batchOpts, uafcheck.WithAtomicsCounting(true))...)
 		fmt.Printf("\nTable I with the counting refinement enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(cntTable.Format())
@@ -137,7 +143,7 @@ func main() {
 
 	if *oracle > 0 {
 		start = time.Now()
-		rep := eval.ValidateWithOracle(cases, 0, *oracle, *seed)
+		rep := eval.ValidateWithOracle(context.Background(), cases, 0, *oracle, *seed)
 		fmt.Printf("\nDynamic oracle (%d schedules/case, %v):\n", *oracle, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("  cases validated:        %d\n", rep.CasesValidated)
 		fmt.Printf("  true sites confirmed:   %d/%d\n", rep.ConfirmedTrue, rep.TotalTrue)

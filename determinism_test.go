@@ -8,8 +8,10 @@ package uafcheck_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"uafcheck"
@@ -164,5 +166,50 @@ func TestReportCloneIsDeep(t *testing.T) {
 
 	if got := canonicalReport(t, rep); string(got) != string(want) {
 		t.Error("mutating the clone changed the original report")
+	}
+}
+
+// TestDynamicReportOrder: the oracle's site lists come out sorted, so
+// repeated identical calls return one order, however the explorer's
+// maps iterate.
+func TestDynamicReportOrder(t *testing.T) {
+	const src = `proc main() {
+  var a: int = 1;
+  var b: int = 2;
+  var c: int = 3;
+  begin with (ref a, ref b, ref c) {
+    writeln(a);
+    writeln(b);
+    writeln(c);
+    a = 4;
+    b = 5;
+    c = 6;
+  }
+  a = 7;
+  b = 8;
+  c = 9;
+}
+`
+	var first *uafcheck.DynamicReport
+	for i := 0; i < 50; i++ {
+		dyn, err := uafcheck.ExploreSchedules("order.chpl", src, "main", 5000, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = dyn
+			if len(dyn.UAFSites) < 3 || len(dyn.RaceSites) < 3 {
+				t.Fatalf("want >= 3 UAF and race sites, got %v and %v", dyn.UAFSites, dyn.RaceSites)
+			}
+			continue
+		}
+		if fmt.Sprint(dyn.UAFSites) != fmt.Sprint(first.UAFSites) ||
+			fmt.Sprint(dyn.RaceSites) != fmt.Sprint(first.RaceSites) {
+			t.Fatalf("call %d: sites %v / %v, first call %v / %v",
+				i, dyn.UAFSites, dyn.RaceSites, first.UAFSites, first.RaceSites)
+		}
+	}
+	if !sort.StringsAreSorted(first.UAFSites) || !sort.StringsAreSorted(first.RaceSites) {
+		t.Errorf("sites not sorted: %v / %v", first.UAFSites, first.RaceSites)
 	}
 }

@@ -15,34 +15,47 @@ package eval
 // subsuming them is not sound by construction.
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"uafcheck/internal/analysis"
 	"uafcheck/internal/ast"
-	"uafcheck/internal/parser"
 	"uafcheck/internal/progen"
 	"uafcheck/internal/runtime"
-	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
+
+// diffShards is how many parallel subtests split a differential seed
+// loop; seed s runs in shard s mod diffShards.
+const diffShards = 4
+
+// shardSeeds runs check on every seed in [0, n), split across parallel
+// subtests, and returns once all of them have finished.
+func shardSeeds(t *testing.T, n int64, check func(t *testing.T, seed int64)) {
+	t.Run("shards", func(t *testing.T) {
+		for shard := int64(0); shard < diffShards; shard++ {
+			t.Run(fmt.Sprint(shard), func(t *testing.T) {
+				t.Parallel()
+				for seed := shard; seed < n; seed += diffShards {
+					check(t, seed)
+				}
+			})
+		}
+	})
+}
 
 // TestDifferentialSoundness is the repo's strongest end-to-end check:
 // across hundreds of random programs, no dynamically observed
 // use-after-free may escape the static analysis.
 func TestDifferentialSoundness(t *testing.T) {
 	const programs = 250
-	checked, uafPrograms := 0, 0
-	for seed := int64(0); seed < programs; seed++ {
+	var checked, uafPrograms atomic.Int64
+	shardSeeds(t, programs, func(t *testing.T, seed int64) {
 		src := progen.Generate(seed, progen.Options{})
-		diags := &source.Diagnostics{}
-		mod := parser.ParseSource("fuzz.chpl", src, diags)
+		mod, info, diags := runtime.Load("fuzz.chpl", src)
 		if diags.HasErrors() {
 			t.Fatalf("seed %d: generator produced invalid program:\n%s\n%s", seed, diags, src)
-		}
-		info := sym.Resolve(mod, diags)
-		if diags.HasErrors() {
-			t.Fatalf("seed %d: resolve failed:\n%s\n%s", seed, diags, src)
 		}
 
 		res := analysis.AnalyzeSource("fuzz.chpl", src, analysis.DefaultOptions())
@@ -51,10 +64,10 @@ func TestDifferentialSoundness(t *testing.T) {
 			staticSites[fmt.Sprintf("%s:%d", w.Var, w.AccessLine)] = true
 		}
 
-		er := runtime.ExploreExhaustive(mod, info, "fuzz", 3000)
-		checked++
+		er := runtime.Explore(context.Background(), mod, info, "fuzz", 3000, -1)
+		checked.Add(1)
 		if len(er.UAF) > 0 {
-			uafPrograms++
+			uafPrograms.Add(1)
 		}
 		for key, ev := range er.UAF {
 			if !staticSites[key] {
@@ -63,12 +76,12 @@ func TestDifferentialSoundness(t *testing.T) {
 					seed, key, ev.Task, staticSites, src)
 			}
 		}
-	}
-	if uafPrograms == 0 {
-		t.Fatalf("fuzzer degenerate: none of %d programs produced a dynamic UAF", checked)
+	})
+	if uafPrograms.Load() == 0 {
+		t.Fatalf("fuzzer degenerate: none of %d programs produced a dynamic UAF", checked.Load())
 	}
 	t.Logf("differential check: %d programs, %d with real UAFs, 0 soundness violations",
-		checked, uafPrograms)
+		checked.Load(), uafPrograms.Load())
 }
 
 // TestDifferentialDeadlockAgreement: when the exhaustive dynamic explorer
@@ -76,28 +89,23 @@ func TestDifferentialSoundness(t *testing.T) {
 // stuck state too (or the program has tasks the analysis pruned away —
 // pruned tasks never deadlock since they contain no shared sync ops).
 func TestDifferentialDeadlockAgreement(t *testing.T) {
-	found := 0
-	for seed := int64(0); seed < 150; seed++ {
+	var found atomic.Int64
+	shardSeeds(t, 150, func(t *testing.T, seed int64) {
 		src := progen.Generate(seed+10000, progen.Options{})
-		diags := &source.Diagnostics{}
-		mod := parser.ParseSource("fuzz.chpl", src, diags)
+		mod, info, diags := runtime.Load("fuzz.chpl", src)
 		if diags.HasErrors() {
-			continue
-		}
-		info := sym.Resolve(mod, diags)
-		if diags.HasErrors() {
-			continue
+			return
 		}
 		if !ast.HasBegin(mod) {
 			// The paper's pass only analyzes procedures containing begin
 			// tasks (§III); a sequential self-deadlock is out of scope.
-			continue
+			return
 		}
-		er := runtime.ExploreExhaustive(mod, info, "fuzz", 2000)
+		er := runtime.Explore(context.Background(), mod, info, "fuzz", 2000, -1)
 		if er.Deadlocks == 0 {
-			continue
+			return
 		}
-		found++
+		found.Add(1)
 		opts := analysis.DefaultOptions()
 		opts.KeepGraphs = true
 		res := analysis.AnalyzeSource("fuzz.chpl", src, opts)
@@ -113,9 +121,9 @@ func TestDifferentialDeadlockAgreement(t *testing.T) {
 			t.Fatalf("seed %d: dynamic deadlock not predicted statically\nprogram:\n%s",
 				seed+10000, src)
 		}
-	}
-	if found == 0 {
+	})
+	if found.Load() == 0 {
 		t.Skip("no deadlocking programs generated in this window")
 	}
-	t.Logf("deadlock agreement: %d deadlocking programs all predicted", found)
+	t.Logf("deadlock agreement: %d deadlocking programs all predicted", found.Load())
 }

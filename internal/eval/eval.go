@@ -8,19 +8,17 @@ package eval
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
-	"uafcheck/internal/mhp"
 	"uafcheck/internal/obs"
-	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/pst"
 	"uafcheck/internal/runtime"
-	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 // TableI mirrors the paper's Table I rows.
@@ -98,25 +96,27 @@ type PatternStats struct {
 	MaxStates int64
 }
 
-// RunTableI analyzes every case and assembles the table.
-func RunTableI(cases []corpus.TestCase, opts analysis.Options) (TableI, *Details) {
-	outcomes := make([]CaseOutcome, len(cases))
+// RunTableI analyzes every case on the fault-isolated batch driver and
+// assembles the table: a worker pool with per-case deadlines,
+// retry-with-smaller-budget and panic isolation, so one pathological
+// generated program can slow or crash only itself, never the
+// evaluation. bopts sets the pool, deadline and retries; opts is the
+// per-case analysis. The Summary is the robustness accounting (cases OK
+// / degraded / timed out / crashed). Results are index-aligned with
+// cases, so the table and details do not depend on the worker count.
+func RunTableI(cases []corpus.TestCase, opts analysis.Options, bopts batch.Options) (TableI, *Details, batch.Summary) {
+	files := make([]batch.File, len(cases))
 	for i := range cases {
-		outcomes[i] = analyzeCase(&cases[i], opts)
+		files[i] = batch.File{Name: cases[i].Name + ".chpl", Src: cases[i].Source}
 	}
-	return aggregate(cases, outcomes)
-}
+	bopts.Analysis = opts
+	results, sum := batch.Run(files, bopts)
 
-// aggregate folds per-case outcomes into the table and details; shared
-// by RunTableI and RunTableIBatch so both stay deterministic and can
-// never diverge.
-func aggregate(cases []corpus.TestCase, outcomes []CaseOutcome) (TableI, *Details) {
-	var table TableI
+	table := TableI{TotalTests: len(cases)}
 	det := &Details{PerPattern: make(map[string]*PatternStats)}
-	table.TotalTests = len(cases)
 	for i := range cases {
 		tc := &cases[i]
-		out := outcomes[i]
+		out := outcomeFrom(tc, results[i].Res, results[i].Duration)
 		if tc.HasBegin {
 			table.TestsWithBegin++
 		}
@@ -139,7 +139,7 @@ func aggregate(cases []corpus.TestCase, outcomes []CaseOutcome) (TableI, *Detail
 		}
 		det.Outcomes = append(det.Outcomes, out)
 	}
-	return table, det
+	return table, det, sum
 }
 
 // absorb folds one case outcome into the pattern aggregates.
@@ -155,12 +155,6 @@ func (ps *PatternStats) absorb(out CaseOutcome) {
 	if int64(out.StatesCreated) > ps.MaxStates {
 		ps.MaxStates = int64(out.StatesCreated)
 	}
-}
-
-func analyzeCase(tc *corpus.TestCase, opts analysis.Options) CaseOutcome {
-	start := time.Now()
-	res := analysis.AnalyzeSource(tc.Name+".chpl", tc.Source, opts)
-	return outcomeFrom(tc, res, time.Since(start))
 }
 
 // outcomeFrom scores one analysis result against the case's ground-truth
@@ -227,16 +221,11 @@ type OracleReport struct {
 
 // ValidateWithOracle replays flagged cases under many schedules and
 // checks the ground-truth labels dynamically. maxCases bounds the work
-// (0 = all flagged cases); runsPerCase bounds schedules per case.
-func ValidateWithOracle(cases []corpus.TestCase, maxCases, runsPerCase int, seed int64) OracleReport {
-	return ValidateWithOracleContext(context.Background(), cases, maxCases, runsPerCase, seed)
-}
-
-// ValidateWithOracleContext is ValidateWithOracle under a cancellation
-// context: the schedule explorer polls ctx between runs, so a deadline or
-// cancellation stops the validation promptly with the cases validated so
-// far (Cancelled marks the cut).
-func ValidateWithOracleContext(ctx context.Context, cases []corpus.TestCase, maxCases, runsPerCase int, seed int64) OracleReport {
+// (0 = all flagged cases); runsPerCase bounds schedules per case. The
+// schedule sampler polls ctx between runs, so a deadline or cancellation
+// stops the validation promptly with the cases validated so far
+// (Cancelled marks the cut).
+func ValidateWithOracle(ctx context.Context, cases []corpus.TestCase, maxCases, runsPerCase int, seed int64) OracleReport {
 	rep := OracleReport{}
 	for i := range cases {
 		tc := &cases[i]
@@ -251,31 +240,19 @@ func ValidateWithOracleContext(ctx context.Context, cases []corpus.TestCase, max
 			break
 		}
 		rep.CasesValidated++
-		diags := &source.Diagnostics{}
-		mod := parser.ParseSource(tc.Name+".chpl", tc.Source, diags)
+		mod, info, diags := runtime.Load(tc.Name+".chpl", tc.Source)
 		if diags.HasErrors() {
 			continue
 		}
-		info := sym.Resolve(mod, diags)
-		if diags.HasErrors() {
-			continue
-		}
-		er := runtime.ExploreRandomContext(ctx, mod, info, tc.EntryProc, runsPerCase, seed+int64(i))
+		er := runtime.ExploreRandom(ctx, mod, info, tc.EntryProc, runsPerCase, seed+int64(i))
 		if er.Cancelled {
 			rep.Cancelled = true
 		}
-		oracle := runtime.NewOracle(er)
 		rep.TotalTrue += len(tc.TrueSites)
 		for _, s := range tc.TrueSites {
-			var v string
-			var line int
-			fmt.Sscanf(s, "%1s:%d", &v, &line) // sites are "x:NN"
-			parts := strings.SplitN(s, ":", 2)
-			if len(parts) == 2 {
-				v = parts[0]
-				fmt.Sscanf(parts[1], "%d", &line)
-			}
-			if oracle.TruePositive(v, line) {
+			v, line, _ := strings.Cut(s, ":") // sites are "var:line"
+			n, _ := strconv.Atoi(line)
+			if er.Observed(v, n) {
 				rep.ConfirmedTrue++
 			}
 		}
@@ -291,6 +268,10 @@ func ValidateWithOracleContext(ctx context.Context, cases []corpus.TestCase, max
 type BaselineReport struct {
 	Cases         int
 	PaperWarnings int
+	// NaiveMHPFlags counts the accesses a may-happen-in-parallel oracle
+	// with no model of point-to-point sync flags; FinishFlags counts
+	// those the X10/Habanero-Java finish discipline rejects (every begin
+	// that touches outer memory sits in a sync block).
 	NaiveMHPFlags int
 	FinishFlags   int
 	// PSTFlags counts accesses flagged by the Program Structure Tree MHP
@@ -321,29 +302,27 @@ func RunBaselines(cases []corpus.TestCase, opts analysis.Options) BaselineReport
 			continue
 		}
 		rep.Cases++
-		paper := 0
-		naive := 0
-		finish := 0
-		pstFlags := 0
+		paper, tracked := 0, 0
 		for _, pr := range res.Procs {
 			paper += len(pr.Warnings)
 			if pr.Graph != nil {
-				naive += len(mhp.NaiveMHP(pr.Graph))
-				finish += len(mhp.FinishEnforcement(pr.Graph))
-			}
-			if res.Info != nil {
-				tree := pst.Build(res.Info, pr.Proc)
-				pstFlags += len(tree.CheckUAF())
-			}
-			if pr.Graph != nil {
+				tracked += len(pr.Graph.Accesses)
 				rep.PPSMHPFlags += len(pps.CheckUAFViaMHP(pr.Graph, pps.Options{}))
 			}
+			if res.Info != nil {
+				rep.PSTFlags += len(pst.Build(res.Info, pr.Proc).CheckUAF())
+			}
 		}
+		// Both baselines flag every tracked access, so they report the
+		// same count. The CCFG builder already dropped the accesses a
+		// sync block or the synced-scope list protects, which are all
+		// that finish discipline allows; and with no model of
+		// point-to-point sync, a variable's scope end may happen in
+		// parallel with every access that is left.
 		rep.PaperWarnings += paper
-		rep.NaiveMHPFlags += naive
-		rep.FinishFlags += finish
-		rep.PSTFlags += pstFlags
-		if paper == 0 && finish > 0 {
+		rep.NaiveMHPFlags += tracked
+		rep.FinishFlags += tracked
+		if paper == 0 && tracked > 0 {
 			rep.FinishWouldBlock++
 		}
 	}

@@ -1,15 +1,16 @@
 package eval
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
-	"uafcheck/internal/parser"
 	"uafcheck/internal/runtime"
-	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 // smallParams shrink the suite for fast unit testing while preserving the
@@ -32,7 +33,7 @@ func smallParams(seed int64) corpus.Params {
 // follow the construction.
 func TestCorpusSmallShape(t *testing.T) {
 	cases := corpus.Generate(smallParams(7))
-	table, det := RunTableI(cases, analysis.DefaultOptions())
+	table, det, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{})
 
 	if det.FrontendFailures != 0 {
 		t.Fatalf("%d corpus programs failed the frontend", det.FrontendFailures)
@@ -60,12 +61,38 @@ func TestCorpusSmallShape(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: the Table I driver produces the exact
+// same table, per-pattern breakdown and outcomes at every worker-pool
+// size, one worker included.
+func TestParallelMatchesSequential(t *testing.T) {
+	cases := corpus.Generate(smallParams(17))
+	seqTable, seqDet, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: 1})
+	for _, workers := range []int{1, 2, 8} {
+		parTable, parDet, sum := RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: workers})
+		if parTable != seqTable {
+			t.Fatalf("workers=%d: table differs: %+v vs %+v", workers, parTable, seqTable)
+		}
+		if parDet.FormatPatternBreakdown() != seqDet.FormatPatternBreakdown() {
+			t.Fatalf("workers=%d: breakdown differs", workers)
+		}
+		if sum.Files != len(cases) || sum.OK != len(cases) {
+			t.Fatalf("workers=%d: summary %+v, want all %d cases ok", workers, sum, len(cases))
+		}
+		for i := range parDet.Outcomes {
+			if parDet.Outcomes[i].Case.Name != seqDet.Outcomes[i].Case.Name ||
+				len(parDet.Outcomes[i].Warnings) != len(seqDet.Outcomes[i].Warnings) {
+				t.Fatalf("workers=%d: outcome %d differs", workers, i)
+			}
+		}
+	}
+}
+
 // TestOracleConfirmsGroundTruth cross-validates generator labels with the
 // dynamic scheduler: every true site must be dynamically observable and
 // no atomic-pattern case may ever trigger a real use-after-free.
 func TestOracleConfirmsGroundTruth(t *testing.T) {
 	cases := corpus.Generate(smallParams(11))
-	rep := ValidateWithOracle(cases, 0, 400, 3)
+	rep := ValidateWithOracle(context.Background(), cases, 0, 400, 3)
 	if rep.TotalTrue == 0 {
 		t.Fatalf("oracle validated no sites")
 	}
@@ -111,16 +138,11 @@ func TestSafePatternsLifetimeVsRaces(t *testing.T) {
 		if !known {
 			t.Fatalf("pattern %s missing from the race expectation table", tc.Pattern)
 		}
-		diags := &source.Diagnostics{}
-		mod := parser.ParseSource(tc.Name, tc.Source, diags)
+		mod, info, diags := runtime.Load(tc.Name, tc.Source)
 		if diags.HasErrors() {
 			t.Fatalf("%s: %s", tc.Name, diags)
 		}
-		info := sym.Resolve(mod, diags)
-		if diags.HasErrors() {
-			t.Fatalf("%s: %s", tc.Name, diags)
-		}
-		er := runtime.ExploreExhaustive(mod, info, tc.EntryProc, 3000)
+		er := runtime.Explore(context.Background(), mod, info, tc.EntryProc, 3000, -1)
 		checked++
 		if wantFree && len(er.Races) != 0 {
 			t.Errorf("%s (%s): expected race-free, got %v\n%s",
@@ -159,6 +181,80 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	if rep.FinishWouldBlock <= 0 {
 		t.Errorf("finish discipline blocked no safe case; sync-chain patterns should trip it")
+	}
+}
+
+// baselineCase wraps one begin-task program as a corpus case.
+func baselineCase(name, src string) []corpus.TestCase {
+	return []corpus.TestCase{{Name: name, Source: src, HasBegin: true}}
+}
+
+// TestBaselinesFlagWaitChainedCode: the sync-variable wait chain makes
+// the access safe under the paper's analysis, but both baselines still
+// flag it — the precision gap §VI argues about.
+func TestBaselinesFlagWaitChainedCode(t *testing.T) {
+	rep := RunBaselines(baselineCase("waitchain", `proc f() {
+	  var x: int = 1;
+	  var done$: sync bool;
+	  begin with (ref x) {
+	    x = 2;
+	    done$ = true;
+	  }
+	  done$;
+	}`), analysis.DefaultOptions())
+	if rep.Cases != 1 || rep.PaperWarnings != 0 {
+		t.Fatalf("paper analysis flagged the wait chain: %+v", rep)
+	}
+	if rep.NaiveMHPFlags != 1 {
+		t.Errorf("naive MHP flags = %d, want 1", rep.NaiveMHPFlags)
+	}
+	if rep.FinishFlags != 1 {
+		t.Errorf("finish enforcement flags = %d, want 1", rep.FinishFlags)
+	}
+	if rep.ClearedByPPS != 1 || rep.FinishWouldBlock != 1 {
+		t.Errorf("ClearedByPPS = %d, FinishWouldBlock = %d, want 1 and 1",
+			rep.ClearedByPPS, rep.FinishWouldBlock)
+	}
+}
+
+// TestBaselinesAcceptSyncBlock: a finish-style block satisfies all three
+// analyses — no flags anywhere.
+func TestBaselinesAcceptSyncBlock(t *testing.T) {
+	rep := RunBaselines(baselineCase("syncblock", `proc f() {
+	  var x: int = 1;
+	  sync {
+	    begin with (ref x) { x = 2; }
+	  }
+	}`), analysis.DefaultOptions())
+	if rep.Cases != 1 || rep.PaperWarnings != 0 || rep.NaiveMHPFlags != 0 || rep.FinishFlags != 0 {
+		t.Errorf("baselines flagged sync-block-protected code: %+v", rep)
+	}
+}
+
+// TestFigure1Baselines: on the paper's Figure 1 the paper analysis warns
+// once while the baselines flag every tracked access.
+func TestFigure1Baselines(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "figure1.chpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := analysis.DefaultOptions()
+	rep := RunBaselines(baselineCase("figure1", string(data)), opts)
+	opts.KeepGraphs = true
+	tracked := 0
+	for _, pr := range analysis.AnalyzeSource("figure1.chpl", string(data), opts).Procs {
+		tracked += len(pr.Graph.Accesses)
+	}
+	if rep.PaperWarnings != 1 {
+		t.Fatalf("paper warnings = %d", rep.PaperWarnings)
+	}
+	if rep.NaiveMHPFlags != tracked || rep.FinishFlags != tracked {
+		t.Errorf("naive MHP = %d, finish = %d, want all %d tracked",
+			rep.NaiveMHPFlags, rep.FinishFlags, tracked)
+	}
+	if rep.NaiveMHPFlags <= rep.PaperWarnings {
+		t.Errorf("baseline (%d) should flag strictly more than the paper (%d)",
+			rep.NaiveMHPFlags, rep.PaperWarnings)
 	}
 }
 

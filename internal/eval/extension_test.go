@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
 )
 
@@ -15,8 +16,8 @@ import (
 func TestAtomicsExtensionTableI(t *testing.T) {
 	cases := corpus.Generate(smallParams(31))
 
-	base, _ := RunTableI(cases, analysis.DefaultOptions())
-	ext, extDet := RunTableI(cases, analysis.Options{Prune: true, ModelAtomics: true})
+	base, _, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{})
+	ext, extDet, _ := RunTableI(cases, analysis.Options{Prune: true, ModelAtomics: true}, batch.Options{})
 
 	if ext.TruePositives != base.TruePositives {
 		t.Errorf("extension changed true positives: %d -> %d",

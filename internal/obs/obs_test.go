@@ -146,13 +146,17 @@ func sampleMetrics() Metrics {
 func TestTextSink(t *testing.T) {
 	out := sampleMetrics().FormatText()
 	for _, want := range []string{
-		"phase timings:", "parse", "pps-explore", "2ms  (2 runs)",
+		"phase timings:", "parse", "pps-explore", "2ms  (2 runs)  p50=", " p90=",
 		"counters:", "ccfg.nodes", "pps.states_created",
 		"gauges:", "pps.peak_frontier",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output missing %q:\n%s", want, out)
 		}
+	}
+	// Phase timings are not repeated among the histograms.
+	if strings.Contains(out, HistPhaseNS) {
+		t.Errorf("phase_ns family listed among the histograms:\n%s", out)
 	}
 	// Counters render sorted: ccfg.nodes before pps.states_created.
 	if strings.Index(out, "ccfg.nodes") > strings.Index(out, "pps.states_created") {

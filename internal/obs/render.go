@@ -12,20 +12,22 @@ import (
 // ---------------------------------------------------------------- text
 
 // FormatText renders the snapshot for humans: phase timings from the
-// phase_ns histograms (pipeline order, with a run count when a phase
-// ran more than once), then counters, gauges and histograms sorted by
-// name.
+// phase_ns histograms (pipeline order; a phase that ran more than once
+// adds its run count and bucket p50 and p90), then counters, gauges and
+// the other histograms sorted by name. Each phase appears once: the
+// phase_ns family is not repeated among the histograms.
 func (m Metrics) FormatText() string {
 	var b strings.Builder
 	if phases := m.phaseNames(); len(phases) > 0 {
 		b.WriteString("phase timings:\n")
 		for _, name := range phases {
 			h := m.Hists[phaseHistKey(name)]
-			count := ""
+			runs := ""
 			if h.Count > 1 {
-				count = fmt.Sprintf("  (%d runs)", h.Count)
+				runs = fmt.Sprintf("  (%d runs)  p50=%s p90=%s", h.Count,
+					formatDur(time.Duration(h.Quantile(0.5))), formatDur(time.Duration(h.Quantile(0.9))))
 			}
-			fmt.Fprintf(&b, "  %-14s %12s%s\n", name, formatDur(time.Duration(h.Sum)), count)
+			fmt.Fprintf(&b, "  %-14s %12s%s\n", name, formatDur(time.Duration(h.Sum)), runs)
 		}
 	}
 	if len(m.Counters) > 0 {
@@ -40,9 +42,15 @@ func (m Metrics) FormatText() string {
 			fmt.Fprintf(&b, "  %-28s %10d\n", n, m.Gauges[n])
 		}
 	}
-	if len(m.Hists) > 0 {
+	var hists []string
+	for _, n := range m.HistNames() {
+		if family, _ := SplitHistKey(n); family != HistPhaseNS {
+			hists = append(hists, n)
+		}
+	}
+	if len(hists) > 0 {
 		b.WriteString("histograms:\n")
-		for _, n := range m.HistNames() {
+		for _, n := range hists {
 			h := m.Hists[n]
 			fmt.Fprintf(&b, "  %-28s count=%d sum=%d p50=%.0f p90=%.0f p99=%.0f\n",
 				n, h.Count, h.Sum, h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))

@@ -26,6 +26,7 @@
 package repair
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -36,7 +37,6 @@ import (
 	"uafcheck/internal/pps"
 	"uafcheck/internal/runtime"
 	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 // ErrDegraded is returned (wrapped) when the baseline analysis or a
@@ -170,16 +170,11 @@ type dynState struct {
 }
 
 func exploreDyn(src, proc string) dynState {
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource("dyn.chpl", src, diags)
+	mod, info, diags := runtime.Load("dyn.chpl", src)
 	if diags.HasErrors() {
 		return dynState{}
 	}
-	info := sym.Resolve(mod, diags)
-	if diags.HasErrors() {
-		return dynState{}
-	}
-	er := runtime.ExploreExhaustive(mod, info, proc, dynBudget)
+	er := runtime.Explore(context.TODO(), mod, info, proc, dynBudget, -1)
 	st := dynState{uaf: make(map[string]bool), deadlock: er.Deadlocks > 0, valid: true}
 	for _, ev := range er.UAF {
 		// Key by (variable, task): patches shift line numbers (the

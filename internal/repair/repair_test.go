@@ -1,16 +1,14 @@
 package repair
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/parser"
 	"uafcheck/internal/runtime"
-	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 func analysisDefaults() analysis.Options { return analysis.DefaultOptions() }
@@ -29,16 +27,11 @@ func repairOK(t *testing.T, src string) *Result {
 // to silence the analysis.
 func dynClean(t *testing.T, src, entry string) {
 	t.Helper()
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource("fixed.chpl", src, diags)
+	mod, info, diags := runtime.Load("fixed.chpl", src)
 	if diags.HasErrors() {
 		t.Fatalf("repaired source invalid:\n%s\n%s", diags, src)
 	}
-	info := sym.Resolve(mod, diags)
-	if diags.HasErrors() {
-		t.Fatalf("repaired source invalid:\n%s\n%s", diags, src)
-	}
-	er := runtime.ExploreExhaustive(mod, info, entry, 50000)
+	er := runtime.Explore(context.Background(), mod, info, entry, 50000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("repaired program still races: %v\n%s", er.UAF, src)
 	}
@@ -265,9 +258,10 @@ func TestRepairPreservesOutput(t *testing.T) {
 	if !res.Clean() {
 		t.Fatalf("not repaired:\n%s", res.Fixed)
 	}
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource("fixed.chpl", res.Fixed, diags)
-	info := sym.Resolve(mod, diags)
+	mod, info, diags := runtime.Load("fixed.chpl", res.Fixed)
+	if diags.HasErrors() {
+		t.Fatalf("repaired source invalid:\n%s", diags)
+	}
 	r := runtime.Run(mod, info, runtime.Config{Entry: "f", CaptureOutput: true})
 	if len(r.Output) != 1 || r.Output[0] != "task:10" {
 		t.Errorf("repaired output = %v, want [task:10]", r.Output)

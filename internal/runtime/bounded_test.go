@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // fewer runs than full exhaustion needs.
 func TestBoundedFindsFigure1Bug(t *testing.T) {
 	mod, info := loadFile(t, "figure1.chpl")
-	er := ExploreBounded(mod, info, "outerVarUse", 5000, 2)
+	er := Explore(context.Background(), mod, info, "outerVarUse", 5000, 2)
 	if er.Truncated {
 		t.Logf("bounded exploration truncated at %d runs", er.Runs)
 	}
@@ -45,8 +46,8 @@ func TestBoundedSmallerThanExhaustive(t *testing.T) {
 	sb.WriteString("}\n")
 	mod, info := load(t, sb.String())
 
-	bounded := ExploreBounded(mod, info, "many", 200000, 1)
-	exhaustive := ExploreExhaustive(mod, info, "many", 200000)
+	bounded := Explore(context.Background(), mod, info, "many", 200000, 1)
+	exhaustive := Explore(context.Background(), mod, info, "many", 200000, -1)
 	if bounded.Truncated {
 		t.Fatalf("bound-1 space should be tiny, got truncated at %d", bounded.Runs)
 	}
@@ -77,7 +78,7 @@ proc main() {
   done$;
   writeln(x);
 }`)
-	er := ExploreBounded(mod, info, "main", 1000, 0)
+	er := Explore(context.Background(), mod, info, "main", 1000, 0)
 	if er.Truncated {
 		t.Fatalf("bound-0 should be tiny: %d runs", er.Runs)
 	}
@@ -115,8 +116,8 @@ func TestBoundedAgreesWithExhaustiveOnSmallPrograms(t *testing.T) {
 	}
 	for i, src := range srcs {
 		mod, info := load(t, src)
-		ex := ExploreExhaustive(mod, info, "p", 100000)
-		bd := ExploreBounded(mod, info, "p", 100000, 3)
+		ex := Explore(context.Background(), mod, info, "p", 100000, -1)
+		bd := Explore(context.Background(), mod, info, "p", 100000, 3)
 		if ex.Truncated || bd.Truncated {
 			t.Fatalf("case %d truncated", i)
 		}

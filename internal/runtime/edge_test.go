@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -111,7 +112,7 @@ proc worker(): int {
 proc main() {
   writeln(worker());
 }`)
-	er := ExploreExhaustive(mod, info, "main", 10000)
+	er := Explore(context.Background(), mod, info, "main", 10000, -1)
 	if len(er.UAF) != 1 {
 		t.Fatalf("return-path scope death not detected: %v", er.UAF)
 	}
@@ -132,7 +133,7 @@ proc f(): int {
 proc main() {
   writeln(f());
   }`)
-	er := ExploreExhaustive(mod, info, "main", 20000)
+	er := Explore(context.Background(), mod, info, "main", 20000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("sync fence skipped on early return: %v", er.UAF)
 	}

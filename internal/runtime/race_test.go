@@ -1,40 +1,18 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 )
 
-// raceExplore runs bounded exploration with race detection and collects
-// the distinct race keys observed across schedules.
+// raceExplore walks the full schedule tree with race detection and
+// collects the distinct race keys observed across schedules.
 func raceExplore(t *testing.T, src, entry string) map[string]bool {
 	t.Helper()
 	mod, info := load(t, src)
 	out := make(map[string]bool)
-	// Exhaustive DFS with race detection: replay prefixes like
-	// ExploreExhaustive but with DetectRaces on.
-	type job struct{ prefix []int }
-	stack := []job{{}}
-	runs := 0
-	for len(stack) > 0 && runs < 20000 {
-		j := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := Run(mod, info, Config{
-			Entry:       entry,
-			DetectRaces: true,
-			Policy:      &replayPolicy{prefix: j.prefix},
-		})
-		runs++
-		for _, e := range r.Races {
-			out[e.Key()] = true
-		}
-		for i := len(j.prefix); i < len(r.Decisions); i++ {
-			for alt := r.Decisions[i] + 1; alt < r.Alternatives[i]; alt++ {
-				np := make([]int, i+1)
-				copy(np, r.Decisions[:i])
-				np[i] = alt
-				stack = append(stack, job{prefix: np})
-			}
-		}
+	for k := range Explore(context.Background(), mod, info, entry, 20000, -1).Races {
+		out[k] = true
 	}
 	return out
 }

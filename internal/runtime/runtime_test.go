@@ -1,26 +1,20 @@
 package runtime
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"uafcheck/internal/ast"
-	"uafcheck/internal/parser"
-	"uafcheck/internal/source"
 	"uafcheck/internal/sym"
 )
 
 func load(t *testing.T, src string) (*ast.Module, *sym.Info) {
 	t.Helper()
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource("test.chpl", src, diags)
+	mod, info, diags := Load("test.chpl", src)
 	if diags.HasErrors() {
-		t.Fatalf("parse errors:\n%s", diags)
-	}
-	info := sym.Resolve(mod, diags)
-	if diags.HasErrors() {
-		t.Fatalf("resolve errors:\n%s", diags)
+		t.Fatalf("frontend errors:\n%s", diags)
 	}
 	return mod, info
 }
@@ -84,7 +78,7 @@ proc main() {
     writeln(x);
   }
 }`)
-	er := ExploreExhaustive(mod, info, "", 10000)
+	er := Explore(context.Background(), mod, info, "", 10000, -1)
 	if er.Truncated {
 		t.Fatalf("exploration truncated after %d runs", er.Runs)
 	}
@@ -106,7 +100,7 @@ proc main() {
     writeln(x);
   }
 }`)
-	er := ExploreExhaustive(mod, info, "", 10000)
+	er := Explore(context.Background(), mod, info, "", 10000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("in-intent copy produced UAF: %v", er.UAF)
 	}
@@ -123,7 +117,7 @@ proc main() {
   }
   writeln(x);
 }`)
-	er := ExploreExhaustive(mod, info, "", 20000)
+	er := Explore(context.Background(), mod, info, "", 20000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("sync block failed to protect: %v", er.UAF)
 	}
@@ -145,7 +139,7 @@ proc main() {
   }
   writeln(x);
 }`)
-	er := ExploreExhaustive(mod, info, "", 50000)
+	er := Explore(context.Background(), mod, info, "", 50000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("transitive sync fence failed: %v", er.UAF)
 	}
@@ -156,7 +150,7 @@ proc main() {
 // TASK A's accesses never do.
 func TestFigure1DynamicOracle(t *testing.T) {
 	mod, info := loadFile(t, "figure1.chpl")
-	er := ExploreExhaustive(mod, info, "outerVarUse", 200000)
+	er := Explore(context.Background(), mod, info, "outerVarUse", 200000, -1)
 	if er.Truncated {
 		t.Logf("exploration truncated after %d runs (still a valid lower bound)", er.Runs)
 	}
@@ -181,7 +175,7 @@ func TestFigure1DynamicOracle(t *testing.T) {
 // a use-after-free under any schedule.
 func TestFigure1SafeVariantDynamic(t *testing.T) {
 	mod, info := loadFile(t, "figure1_safe.chpl")
-	er := ExploreExhaustive(mod, info, "outerVarUseSafe", 200000)
+	er := Explore(context.Background(), mod, info, "outerVarUseSafe", 200000, -1)
 	if len(er.UAF) != 0 {
 		t.Fatalf("safe variant triggered UAF: %v", er.UAF)
 	}
@@ -252,7 +246,7 @@ proc main() {
     peek();
   }
 }`)
-	er := ExploreExhaustive(mod, info, "", 10000)
+	er := Explore(context.Background(), mod, info, "", 10000, -1)
 	if len(er.UAF) != 1 {
 		t.Fatalf("hidden nested-proc access not caught: %v", er.UAF)
 	}
@@ -260,8 +254,8 @@ proc main() {
 
 func TestExploreRandomReproducible(t *testing.T) {
 	mod, info := loadFile(t, "figure1.chpl")
-	a := ExploreRandom(mod, info, "outerVarUse", 50, 1)
-	b := ExploreRandom(mod, info, "outerVarUse", 50, 1)
+	a := ExploreRandom(context.Background(), mod, info, "outerVarUse", 50, 1)
+	b := ExploreRandom(context.Background(), mod, info, "outerVarUse", 50, 1)
 	if len(a.UAF) != len(b.UAF) {
 		t.Fatalf("same seed diverged: %d vs %d UAF sites", len(a.UAF), len(b.UAF))
 	}

@@ -5,8 +5,25 @@ import (
 	"math/rand"
 
 	"uafcheck/internal/ast"
+	"uafcheck/internal/parser"
+	"uafcheck/internal/source"
 	"uafcheck/internal/sym"
 )
+
+// Load parses and resolves one file for the interpreter. When the
+// returned diagnostics hold an error, mod and info are nil.
+func Load(filename, src string) (*ast.Module, *sym.Info, *source.Diagnostics) {
+	diags := &source.Diagnostics{}
+	mod := parser.ParseSource(filename, src, diags)
+	if diags.HasErrors() {
+		return nil, nil, diags
+	}
+	info := sym.Resolve(mod, diags)
+	if diags.HasErrors() {
+		return nil, nil, diags
+	}
+	return mod, info, diags
+}
 
 // RandomPolicy picks uniformly among runnable tasks with a seeded PRNG,
 // giving reproducible schedule sampling.
@@ -24,13 +41,11 @@ func (p *RandomPolicy) Choose(step int, runnable []int, cont int) int {
 	return p.rng.Intn(len(runnable))
 }
 
-// replayPolicy follows a fixed decision prefix, then always picks the
-// first runnable task. The exhaustive explorer uses it for systematic
-// depth-first schedule enumeration.
+// replayPolicy follows a fixed decision prefix, then a default: the
+// first runnable task, or with preferContinue the previously running
+// one. Explore uses it for depth-first schedule enumeration.
 type replayPolicy struct {
-	prefix []int
-	// preferContinue makes the post-prefix default follow the previously
-	// running task, spending no preemption budget (bounded exploration).
+	prefix         []int
 	preferContinue bool
 }
 
@@ -66,8 +81,17 @@ type ExploreResult struct {
 	Cancelled bool
 }
 
-// sawUAF merges one run's events.
-func (er *ExploreResult) absorb(r *RunResult) {
+// Observed reports whether some explored schedule hit a use-after-free
+// of varName at line: a static warning at that site is a true positive.
+func (er *ExploreResult) Observed(varName string, line int) bool {
+	_, ok := er.UAF[UAFEvent{Var: varName, Line: line}.Key()]
+	return ok
+}
+
+// run executes one schedule under policy and merges its events.
+func (er *ExploreResult) run(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, policy Policy) *RunResult {
+	r := Run(mod, info, Config{Entry: entry, DetectRaces: true, Policy: policy, Ctx: ctx})
+	er.Runs++
 	for _, e := range r.UAF {
 		if _, ok := er.UAF[e.Key()]; !ok {
 			er.UAF[e.Key()] = e
@@ -82,189 +106,95 @@ func (er *ExploreResult) absorb(r *RunResult) {
 		er.Deadlocks++
 	}
 	er.TotalSteps += r.Steps
+	if r.Cancelled {
+		er.Cancelled = true
+	}
+	return r
 }
 
-// ExploreRandom runs n seeded random schedules.
-func ExploreRandom(mod *ast.Module, info *sym.Info, entry string, n int, seed int64) *ExploreResult {
-	return ExploreRandomContext(context.Background(), mod, info, entry, n, seed)
+func newExploreResult() *ExploreResult {
+	return &ExploreResult{UAF: make(map[string]UAFEvent), Races: make(map[string]RaceEvent)}
 }
 
-// ExploreRandomContext is ExploreRandom under a deadline: the context is
+// ExploreRandom runs n seeded random schedules under ctx. The context is
 // polled between runs and inside each run's scheduler loop, so a
 // pathological program cannot hold the oracle past its budget.
-func ExploreRandomContext(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, n int, seed int64) *ExploreResult {
-	er := &ExploreResult{UAF: make(map[string]UAFEvent), Races: make(map[string]RaceEvent)}
-	for i := 0; i < n; i++ {
+func ExploreRandom(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, n int, seed int64) *ExploreResult {
+	er := newExploreResult()
+	for i := 0; i < n && !er.Cancelled; i++ {
 		if ctx.Err() != nil {
 			er.Cancelled = true
-			return er
+			break
 		}
-		r := Run(mod, info, Config{
-			Entry:       entry,
-			DetectRaces: true,
-			Policy:      NewRandomPolicy(seed + int64(i)),
-			Ctx:         ctx,
-		})
-		er.Runs++
-		er.absorb(r)
-		if r.Cancelled {
-			er.Cancelled = true
-			return er
-		}
+		er.run(ctx, mod, info, entry, NewRandomPolicy(seed+int64(i)))
 	}
 	return er
 }
 
-// ExploreExhaustive enumerates schedules depth-first up to maxRuns
-// executions. Each run replays a decision prefix and then follows the
-// first-runnable default; after the run, every decision point at or past
-// the prefix with unexplored alternatives spawns a sibling prefix.
+// Explore enumerates schedules depth-first, up to maxRuns executions.
+// Each run replays a decision prefix and then follows a default policy;
+// afterwards every decision at or past the prefix spawns a sibling
+// prefix for each alternative the run did not take.
 //
-// For small programs (the paper's figures, corpus unit patterns) this
-// covers the complete schedule space and is a sound oracle: an access is
-// a true use-after-free iff some schedule triggers it.
-func ExploreExhaustive(mod *ast.Module, info *sym.Info, entry string, maxRuns int) *ExploreResult {
-	return ExploreExhaustiveContext(context.Background(), mod, info, entry, maxRuns)
-}
-
-// ExploreExhaustiveContext is ExploreExhaustive under a deadline; when
-// the context fires the enumeration stops with Cancelled (and Truncated,
-// since the tree was not exhausted).
-func ExploreExhaustiveContext(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, maxRuns int) *ExploreResult {
-	er := &ExploreResult{UAF: make(map[string]UAFEvent), Races: make(map[string]RaceEvent)}
-	type job struct{ prefix []int }
-	stack := []job{{prefix: nil}}
-	for len(stack) > 0 {
-		if er.Runs >= maxRuns {
-			er.Truncated = true
-			return er
-		}
-		if ctx.Err() != nil {
-			er.Cancelled = true
-			er.Truncated = true
-			return er
-		}
-		j := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := Run(mod, info, Config{
-			Entry:       entry,
-			DetectRaces: true,
-			Policy:      &replayPolicy{prefix: j.prefix},
-			Ctx:         ctx,
-		})
-		er.Runs++
-		er.absorb(r)
-		if r.Cancelled {
-			er.Cancelled = true
-			er.Truncated = true
-			return er
-		}
-		// Spawn siblings for unexplored alternatives discovered beyond
-		// the prefix (standard stateless-DFS enumeration).
-		for i := len(j.prefix); i < len(r.Decisions); i++ {
-			for alt := r.Decisions[i] + 1; alt < r.Alternatives[i]; alt++ {
-				np := make([]int, i+1)
-				copy(np, r.Decisions[:i])
-				np[i] = alt
-				stack = append(stack, job{prefix: np})
-			}
-		}
-	}
-	return er
-}
-
-// ExploreBounded enumerates schedules depth-first like ExploreExhaustive
-// but limits PREEMPTIONS per schedule (iterative context bounding, the
-// CHESS insight): a decision only counts against the bound when it
-// switches away from a task that could have continued. Most concurrency
-// bugs — including every use-after-free pattern in the paper — manifest
-// within one or two preemptions, so the bounded space is exponentially
-// smaller while retaining almost all bug-finding power.
-func ExploreBounded(mod *ast.Module, info *sym.Info, entry string, maxRuns, bound int) *ExploreResult {
-	return ExploreBoundedContext(context.Background(), mod, info, entry, maxRuns, bound)
-}
-
-// ExploreBoundedContext is ExploreBounded under a deadline.
-func ExploreBoundedContext(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, maxRuns, bound int) *ExploreResult {
-	er := &ExploreResult{UAF: make(map[string]UAFEvent), Races: make(map[string]RaceEvent)}
+// With bound < 0 it walks the full tree: the default picks the first
+// runnable task. For small programs (the paper's figures, corpus unit
+// patterns) this covers the complete schedule space and is a sound
+// oracle: an access is a true use-after-free iff some schedule
+// triggers it.
+//
+// With bound >= 0 it allows at most bound PREEMPTIONS per schedule
+// (iterative context bounding, the CHESS insight): the default continues
+// the previously running task, and a decision costs one unit only when
+// it switches away from a task that could have continued. Most
+// concurrency bugs, including every use-after-free pattern in the
+// paper, manifest within one or two preemptions, so the bounded space
+// is exponentially smaller while keeping almost all bug-finding power.
+//
+// When ctx fires the enumeration stops with Cancelled and Truncated set.
+func Explore(ctx context.Context, mod *ast.Module, info *sym.Info, entry string, maxRuns, bound int) *ExploreResult {
+	er := newExploreResult()
 	type job struct {
-		prefix     []int
-		preemptive int
+		prefix      []int
+		preemptions int // along prefix
 	}
-	stack := []job{{prefix: nil}}
+	// preempts is the cost of taking alternative alt at decision i of r.
+	preempts := func(r *RunResult, i, alt int) int {
+		if bound >= 0 && r.ContIdx[i] >= 0 && alt != r.ContIdx[i] {
+			return 1
+		}
+		return 0
+	}
+	stack := []job{{}}
 	for len(stack) > 0 {
 		if er.Runs >= maxRuns {
 			er.Truncated = true
 			return er
 		}
 		if ctx.Err() != nil {
-			er.Cancelled = true
-			er.Truncated = true
+			er.Cancelled, er.Truncated = true, true
 			return er
 		}
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := Run(mod, info, Config{
-			Entry:       entry,
-			DetectRaces: true,
-			Policy:      &replayPolicy{prefix: j.prefix, preferContinue: true},
-			Ctx:         ctx,
-		})
-		er.Runs++
-		er.absorb(r)
+		r := er.run(ctx, mod, info, entry, &replayPolicy{prefix: j.prefix, preferContinue: bound >= 0})
 		if r.Cancelled {
-			er.Cancelled = true
 			er.Truncated = true
 			return er
 		}
-		// Preemptions along the replayed prefix are j.preemptive; beyond
-		// the prefix the default policy continues the previous task when
-		// possible (choice 0 may still preempt if the previous task
-		// blocked — that's free).
-		used := j.preemptive
+		used := j.preemptions
 		for i := len(j.prefix); i < len(r.Decisions); i++ {
-			// The default (taken) choice is the continuation, not
-			// necessarily index 0 — enumerate every OTHER alternative.
 			for alt := 0; alt < r.Alternatives[i]; alt++ {
-				if alt == r.Decisions[i] {
-					continue
-				}
-				cost := 0
-				if r.ContIdx[i] >= 0 && alt != r.ContIdx[i] {
-					cost = 1
-				}
-				if used+cost > bound {
+				cost := preempts(r, i, alt)
+				if alt == r.Decisions[i] || (bound >= 0 && used+cost > bound) {
 					continue
 				}
 				np := make([]int, i+1)
 				copy(np, r.Decisions[:i])
 				np[i] = alt
-				stack = append(stack, job{prefix: np, preemptive: used + cost})
+				stack = append(stack, job{prefix: np, preemptions: used + cost})
 			}
-			// Following the default path: did step i itself preempt?
-			if r.ContIdx[i] >= 0 && r.Decisions[i] != r.ContIdx[i] {
-				used++
-			}
+			used += preempts(r, i, r.Decisions[i])
 		}
 	}
 	return er
 }
-
-// Oracle classifies a static warning site (variable name + access line):
-// true positive iff some explored schedule observed a use-after-free at
-// that site.
-type Oracle struct {
-	er *ExploreResult
-}
-
-// NewOracle builds an oracle from exploration results.
-func NewOracle(er *ExploreResult) *Oracle { return &Oracle{er: er} }
-
-// TruePositive reports whether the site was dynamically confirmed.
-func (o *Oracle) TruePositive(varName string, line int) bool {
-	_, ok := o.er.UAF[UAFEvent{Var: varName, Line: line}.Key()]
-	return ok
-}
-
-// Events returns all observed events.
-func (o *Oracle) Events() map[string]UAFEvent { return o.er.UAF }

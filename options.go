@@ -12,8 +12,10 @@ import (
 // AnalyzeFilesContext, AnalyzeModuleContext, NewAnalyzer, Repair,
 // RunTableIContext, BaselineComparison). Options compose left to right;
 // unset knobs keep the defaults (pruning on, everything else off or
-// library-sized). Batch-only options (WithWorkers, WithFileTimeout,
-// WithRetries, WithAnalyzer, WithOnFile) are ignored elsewhere.
+// library-sized). Batch options (WithWorkers, WithFileTimeout,
+// WithRetries) apply to AnalyzeFilesContext and RunTableIContext, which
+// both run on the batch driver; WithAnalyzer and WithOnFile apply to
+// AnalyzeFilesContext only. Each is ignored elsewhere.
 type Option func(*config)
 
 // config is the one configuration every entry point reads; the With*
@@ -145,20 +147,21 @@ func WithTracing(on bool) Option {
 }
 
 // WithWorkers sets the batch worker-pool size (0 = GOMAXPROCS). Batch
-// runs only.
+// runs and RunTableIContext only.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
 // WithFileTimeout bounds each per-file attempt's wall clock. Batch runs
-// only.
+// and RunTableIContext only.
 func WithFileTimeout(d time.Duration) Option {
 	return func(c *config) { c.fileTimeout = d }
 }
 
 // WithRetries grants extra attempts after a per-file deadline hit, each
 // with a 4×-smaller state budget, converging on a deterministic
-// budget-degraded result instead of a flaky timeout. Batch runs only.
+// budget-degraded result instead of a flaky timeout. Batch runs and
+// RunTableIContext only.
 func WithRetries(n int) Option {
 	return func(c *config) { c.retries = n }
 }

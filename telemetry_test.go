@@ -533,3 +533,31 @@ func TestExploreParallelObsNoExtraAllocs(t *testing.T) {
 		t.Errorf("parallel recorder added %.0f allocs/run (base %.0f), want <= 96", delta, base)
 	}
 }
+
+// TestFormatTextPhaseOnce: the text rendering of a real run names each
+// pipeline phase on one row, as its phase timing; the phase_ns histogram
+// family is not listed again. A phase that ran twice (a two-file batch)
+// shows its run count and quantiles on that row.
+func TestFormatTextPhaseOnce(t *testing.T) {
+	src := loadTestdata(t, "figure1.chpl")
+	br := AnalyzeFilesContext(context.Background(), []FileInput{
+		{Name: "a.chpl", Src: src}, {Name: "b.chpl", Src: src},
+	})
+	text := br.Metrics.FormatText()
+	for _, phase := range []string{obs.PhaseParse, obs.PhaseResolve, obs.PhaseLower,
+		obs.PhaseCCFG, obs.PhasePrune, obs.PhaseExplore} {
+		var rows []string
+		for _, line := range strings.Split(text, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && (f[0] == phase || strings.Contains(f[0], "phase="+phase)) {
+				rows = append(rows, line)
+			}
+		}
+		if len(rows) != 1 {
+			t.Errorf("phase %q on %d rows, want 1:\n%s", phase, len(rows), text)
+			continue
+		}
+		if !strings.Contains(rows[0], "(2 runs)  p50=") || !strings.Contains(rows[0], " p90=") {
+			t.Errorf("phase row %q lacks its run count and quantiles", rows[0])
+		}
+	}
+}

@@ -34,12 +34,12 @@ import (
 	"time"
 
 	"uafcheck/internal/analysis"
+	"uafcheck/internal/ast"
 	"uafcheck/internal/batch"
 	"uafcheck/internal/cache"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/eval"
 	"uafcheck/internal/obs"
-	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/runtime"
 	"uafcheck/internal/source"
@@ -763,92 +763,52 @@ func (d *DynamicReport) ObservedUAF(varName string, line int) bool {
 // exhaustive=true it enumerates the schedule space depth-first up to runs
 // executions; otherwise it samples runs seeded random schedules.
 func ExploreSchedules(filename, src, entry string, runs int, seed int64, exhaustive bool) (*DynamicReport, error) {
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource(filename, src, diags)
-	if diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	info := sym.Resolve(mod, diags)
-	if diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	rec := obs.New()
-	endOracle := rec.Span(obs.PhaseOracle)
-	var er *runtime.ExploreResult
-	if exhaustive {
-		er = runtime.ExploreExhaustive(mod, info, entry, runs)
-	} else {
-		er = runtime.ExploreRandom(mod, info, entry, runs, seed)
-	}
-	endOracle()
-	rep := &DynamicReport{Runs: er.Runs, Deadlocks: er.Deadlocks, Exhausted: exhaustive && !er.Truncated}
-	for k := range er.UAF {
-		rep.UAFSites = append(rep.UAFSites, k)
-	}
-	for k := range er.Races {
-		rep.RaceSites = append(rep.RaceSites, k)
-	}
-	rep.Metrics = oracleMetrics(rec, er)
-	return rep, nil
-}
-
-// oracleMetrics records the oracle counters and snapshots the recorder.
-func oracleMetrics(rec *obs.Recorder, er *runtime.ExploreResult) Metrics {
-	rec.Add(obs.CtrOracleSchedules, int64(er.Runs))
-	rec.Add(obs.CtrOracleSteps, int64(er.TotalSteps))
-	rec.Add(obs.CtrOracleDeadlocks, int64(er.Deadlocks))
-	rec.Add(obs.CtrOracleUAFSites, int64(len(er.UAF)))
-	return rec.Snapshot()
+	return exploreSchedules(filename, src, exhaustive, func(mod *ast.Module, info *sym.Info) *runtime.ExploreResult {
+		if exhaustive {
+			return runtime.Explore(context.TODO(), mod, info, entry, runs, -1)
+		}
+		return runtime.ExploreRandom(context.TODO(), mod, info, entry, runs, seed)
+	})
 }
 
 // ExploreSchedulesBounded enumerates schedules with at most `bound`
 // preemptions each (iterative context bounding): exponentially fewer
 // schedules than full exhaustion while retaining almost all bug-finding
 // power — most use-after-free schedules need only one or two
-// preemptions.
+// preemptions. A negative bound enumerates the full tree.
 func ExploreSchedulesBounded(filename, src, entry string, maxRuns, bound int) (*DynamicReport, error) {
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource(filename, src, diags)
-	if diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	info := sym.Resolve(mod, diags)
+	return exploreSchedules(filename, src, true, func(mod *ast.Module, info *sym.Info) *runtime.ExploreResult {
+		return runtime.Explore(context.TODO(), mod, info, entry, maxRuns, bound)
+	})
+}
+
+// exploreSchedules is the one oracle body: it loads the program, runs
+// explore under the oracle phase and builds the report. A systematic
+// exploration that did not hit its run budget exhausted the space.
+func exploreSchedules(filename, src string, systematic bool, explore func(*ast.Module, *sym.Info) *runtime.ExploreResult) (*DynamicReport, error) {
+	mod, info, diags := runtime.Load(filename, src)
 	if diags.HasErrors() {
 		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
 	}
 	rec := obs.New()
 	endOracle := rec.Span(obs.PhaseOracle)
-	er := runtime.ExploreBounded(mod, info, entry, maxRuns, bound)
+	er := explore(mod, info)
 	endOracle()
-	rep := &DynamicReport{Runs: er.Runs, Deadlocks: er.Deadlocks, Exhausted: !er.Truncated}
+	rep := &DynamicReport{Runs: er.Runs, Deadlocks: er.Deadlocks, Exhausted: systematic && !er.Truncated}
 	for k := range er.UAF {
 		rep.UAFSites = append(rep.UAFSites, k)
 	}
 	for k := range er.Races {
 		rep.RaceSites = append(rep.RaceSites, k)
 	}
-	rep.Metrics = oracleMetrics(rec, er)
+	sort.Strings(rep.UAFSites)
+	sort.Strings(rep.RaceSites)
+	rec.Add(obs.CtrOracleSchedules, int64(er.Runs))
+	rec.Add(obs.CtrOracleSteps, int64(er.TotalSteps))
+	rec.Add(obs.CtrOracleDeadlocks, int64(er.Deadlocks))
+	rec.Add(obs.CtrOracleUAFSites, int64(len(er.UAF)))
+	rep.Metrics = rec.Snapshot()
 	return rep, nil
-}
-
-// RunProgram executes the program once under a seeded random schedule and
-// returns its writeln output (examples and demos).
-func RunProgram(filename, src, entry string, seed int64) ([]string, error) {
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource(filename, src, diags)
-	if diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	info := sym.Resolve(mod, diags)
-	if diags.HasErrors() {
-		return nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	r := runtime.Run(mod, info, runtime.Config{
-		Entry:         entry,
-		CaptureOutput: true,
-		Policy:        runtime.NewRandomPolicy(seed),
-	})
-	return r.Output, nil
 }
 
 // ExecuteTraced runs the program once under a seeded random schedule and
@@ -856,12 +816,7 @@ func RunProgram(filename, src, entry string, seed int64) ([]string, error) {
 // sync-variable transitions, blocking, scope deaths, use-after-free
 // hits) — the dynamic counterpart of the PPS table.
 func ExecuteTraced(filename, src, entry string, seed int64) (output, trace []string, err error) {
-	diags := &source.Diagnostics{}
-	mod := parser.ParseSource(filename, src, diags)
-	if diags.HasErrors() {
-		return nil, nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
-	}
-	info := sym.Resolve(mod, diags)
+	mod, info, diags := runtime.Load(filename, src)
 	if diags.HasErrors() {
 		return nil, nil, fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(diags))
 	}
@@ -893,13 +848,18 @@ func GenerateCorpus(p CorpusParams) []CorpusCase { return corpus.Generate(p) }
 type TableI = eval.TableI
 
 // RunTableIContext analyzes the corpus under ctx and assembles Table I,
-// taking the same functional options as AnalyzeContext. The returned
+// taking the same functional options as AnalyzeContext. The cases run on
+// the batch driver, so WithWorkers, WithFileTimeout and WithRetries
+// apply; the table does not depend on the worker count. The returned
 // string is the per-pattern breakdown.
 func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option) (TableI, string) {
 	cfg := newConfig(options...)
-	in := cfg.internal()
-	in.Ctx = ctx
-	table, det := eval.RunTableI(cases, in)
+	table, det, _ := eval.RunTableI(cases, cfg.internal(), batch.Options{
+		Workers:     cfg.workers,
+		FileTimeout: cfg.fileTimeout,
+		Retries:     cfg.retries,
+		Ctx:         ctx,
+	})
 	return table, det.FormatPatternBreakdown()
 }
 
