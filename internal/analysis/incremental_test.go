@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"uafcheck/internal/obs"
 	"uafcheck/internal/source"
 )
 
@@ -247,5 +250,33 @@ func TestIncrementalMemoHitOrder(t *testing.T) {
 	}
 	if g, w := strings.Join(gotWarnings, "\n"), strings.Join(wantWarnings, "\n"); g != w {
 		t.Errorf("memo-hit warnings differ from the fresh run\n got:\n%s\nwant:\n%s", g, w)
+	}
+}
+
+// TestTraceAttrsDoNotPinSource: the "proc" span's name and the
+// "unit-hit" span's proc are sliced out of the file's source by the
+// lexer. A retained trace must hold copies, not the whole source.
+func TestTraceAttrsDoNotPinSource(t *testing.T) {
+	src := "proc worker(ref x: int) {\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"
+	tr := obs.NewTrace(obs.DeriveTraceID("pin"))
+	opts := DefaultOptions()
+	opts.Ctx = obs.ContextWithTrace(context.Background(), tr)
+	units := NewUnits("test", 0)
+	AnalyzeSourceIncremental("t.chpl", src, opts, units)
+	if _, st := AnalyzeSourceIncremental("t.chpl", src, opts, units); st.UnitHits != 1 {
+		t.Fatalf("second run: %+v, want one unit hit", st)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	seen := map[string]bool{}
+	for _, sp := range tr.Spans() {
+		for k, v := range sp.Attrs {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); p >= lo && p < lo+uintptr(len(src)) {
+				t.Errorf("%s span's %s attribute %q points into the source", sp.Name, k, v)
+			}
+			seen[sp.Name+"."+k+"="+v] = true
+		}
+	}
+	if !seen["proc.name=worker"] || !seen["unit-hit.proc=worker"] {
+		t.Errorf("trace lacks the proc and unit-hit attributes: %v", seen)
 	}
 }

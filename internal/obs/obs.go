@@ -38,6 +38,10 @@ const (
 	PhaseExplore   = "pps-explore"
 	PhaseOracle    = "oracle"
 	PhaseBatch     = "batch"
+	// uafserve's serving layers: the wait for an analysis slot and the
+	// encoding of one result line.
+	PhaseAdmission  = "admission"
+	PhaseWireEncode = "wire-encode"
 )
 
 // Counter names. The dotted names are stable identifiers; WritePrometheus
@@ -165,8 +169,8 @@ const (
 
 // phaseOrder is the pipeline order of the phases; FormatText lists
 // phase timings in it.
-var phaseOrder = []string{PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
-	PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch}
+var phaseOrder = []string{PhaseAdmission, PhaseParse, PhaseResolve, PhaseSummaries, PhaseLower,
+	PhaseCCFG, PhasePrune, PhaseExplore, PhaseOracle, PhaseBatch, PhaseWireEncode}
 
 // Metrics is a plain snapshot of a Recorder: what the public API
 // attaches to reports, rendered by FormatText, WriteJSONL and

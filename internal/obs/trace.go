@@ -29,8 +29,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +140,10 @@ func FormatTraceparent(tid TraceID, sid SpanID) string {
 
 // ---------------------------------------------------------------- trace
 
-// TraceSpan is one completed span of a trace — the serializable form
+// TraceSpan is one completed span of a trace — the rendered form
 // flight-recorder digests, Metrics.Trace, and the JSONL trace file
-// carry.
+// carry. A Trace stores its spans compactly and builds TraceSpans only
+// when they are read.
 type TraceSpan struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -161,6 +164,31 @@ type TraceSpan struct {
 // input can run thousands of PPS waves).
 const DefaultTraceSpans = 4096
 
+// maxSpanAttrs is how many distinct attribute keys one span keeps.
+const maxSpanAttrs = 3
+
+// spanAttr is one typed span attribute: a string value, or an integer
+// kept as an integer until the span is rendered. Which of the two it is
+// lives in its span's spanRec.ints mask.
+type spanAttr struct {
+	key string
+	str string
+	num int64
+}
+
+// spanRec is one completed span as a trace stores it, in 56 bytes. Its
+// nattr attributes follow those of the spans recorded before it in the
+// trace's attribute slab. The trace ID is kept once per trace, and IDs
+// stay binary until the span is rendered.
+type spanRec struct {
+	id, parent SpanID
+	name       string
+	start, dur time.Duration
+	nattr      uint8
+	// ints has bit i set when attribute i is an integer.
+	ints uint8
+}
+
 // Trace collects the spans of one request or run. Safe for concurrent
 // use; span IDs are a sequence counter so they are deterministic given
 // a deterministic span creation order.
@@ -172,15 +200,15 @@ type Trace struct {
 	salt uint64
 
 	mu      sync.Mutex
-	spans   []TraceSpan
-	max     int
+	recs    []spanRec
+	attrs   []spanAttr
 	dropped int64
 }
 
 // NewTrace creates an empty trace with the given ID, retaining at most
 // DefaultTraceSpans spans.
 func NewTrace(id TraceID) *Trace {
-	return &Trace{id: id, t0: time.Now(), max: DefaultTraceSpans}
+	return &Trace{id: id, t0: time.Now()}
 }
 
 // NewDistributedTrace is NewTrace for one process's share of a trace
@@ -214,22 +242,21 @@ func (t *Trace) Dropped() int64 {
 	return t.dropped
 }
 
-// Spans returns a copy of the completed spans ordered by start offset
-// (ties broken by span ID, which encodes creation order).
+// Spans renders the completed spans ordered by start offset (ties
+// broken by span ID, which encodes creation order).
 func (t *Trace) Spans() []TraceSpan {
+	return t.Records().Spans()
+}
+
+// Records returns an exact-sized copy of the spans completed so far, in
+// their compact stored form. Spans that end later do not reach it.
+func (t *Trace) Records() SpanSet {
 	if t == nil {
-		return nil
+		return SpanSet{}
 	}
 	t.mu.Lock()
-	out := append([]TraceSpan(nil), t.spans...)
-	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].SpanID < out[j].SpanID
-	})
-	return out
+	defer t.mu.Unlock()
+	return SpanSet{id: t.id, recs: slices.Clone(t.recs), attrs: slices.Clone(t.attrs)}
 }
 
 // newSpanID hands out the next sequential span ID (1, 2, 3, ...,
@@ -241,14 +268,74 @@ func (t *Trace) newSpanID() SpanID {
 }
 
 // record appends a completed span, honoring the span cap.
-func (t *Trace) record(sp TraceSpan) {
+func (t *Trace) record(sp *ActiveSpan, dur time.Duration) {
 	t.mu.Lock()
-	if len(t.spans) >= t.max {
+	if len(t.recs) >= DefaultTraceSpans {
 		t.dropped++
 	} else {
-		t.spans = append(t.spans, sp)
+		t.recs = append(t.recs, spanRec{id: sp.id, parent: sp.parent, name: sp.name,
+			start: sp.start, dur: dur, nattr: sp.nattr, ints: sp.ints})
+		t.attrs = append(t.attrs, sp.attrs[:sp.nattr]...)
 	}
 	t.mu.Unlock()
+}
+
+// SpanSet is an immutable copy of a trace's completed spans in the
+// trace's compact form (see Trace.Records): what a long-lived holder,
+// such as uafserve's flight recorder, keeps instead of rendered spans.
+// The zero value is an empty set.
+type SpanSet struct {
+	id    TraceID
+	recs  []spanRec
+	attrs []spanAttr
+}
+
+// Len returns the number of spans in the set.
+func (s SpanSet) Len() int { return len(s.recs) }
+
+// Each calls fn with the name and duration of every span, in the order
+// they completed, without rendering them.
+func (s SpanSet) Each(fn func(name string, dur time.Duration)) {
+	for _, r := range s.recs {
+		fn(r.name, r.dur)
+	}
+}
+
+// Spans renders the set ordered by start offset (ties broken by span
+// ID, which encodes creation order). Every call builds fresh spans, so
+// a caller may modify what it gets.
+func (s SpanSet) Spans() []TraceSpan {
+	if len(s.recs) == 0 {
+		return nil
+	}
+	tid := s.id.String()
+	out := make([]TraceSpan, len(s.recs))
+	attrs := s.attrs
+	for i, r := range s.recs {
+		sp := TraceSpan{TraceID: tid, SpanID: r.id.String(), Name: r.name, Start: r.start, Dur: r.dur}
+		if !r.parent.IsZero() {
+			sp.Parent = r.parent.String()
+		}
+		if r.nattr > 0 {
+			sp.Attrs = make(map[string]string, r.nattr)
+			for j, a := range attrs[:r.nattr] {
+				if r.ints&(1<<j) != 0 {
+					sp.Attrs[a.key] = strconv.FormatInt(a.num, 10)
+				} else {
+					sp.Attrs[a.key] = a.str
+				}
+			}
+			attrs = attrs[r.nattr:]
+		}
+		out[i] = sp
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].SpanID < out[j].SpanID
+	})
+	return out
 }
 
 // ---------------------------------------------------------------- context
@@ -293,8 +380,15 @@ func CurrentSpanID(ctx context.Context) (SpanID, bool) {
 	if ctx == nil {
 		return SpanID{}, false
 	}
-	sid, ok := ctx.Value(spanCtxKey{}).(SpanID)
-	return sid, ok
+	// StartSpan stores the span itself, which costs no allocation to
+	// box; ContextWithParentSpan stores a bare ID.
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case *ActiveSpan:
+		return v.id, true
+	case SpanID:
+		return v, true
+	}
+	return SpanID{}, false
 }
 
 // Detach returns a fresh context (no deadline, no cancellation) that
@@ -325,13 +419,16 @@ type ActiveSpan struct {
 	start  time.Duration
 
 	mu    sync.Mutex
-	attrs map[string]string
 	done  bool
+	nattr uint8
+	ints  uint8
+	attrs [maxSpanAttrs]spanAttr
 }
 
-// StartSpan opens a span named name if ctx carries a trace. The
-// returned context parents subsequent StartSpan calls under the new
-// span. Without a trace it returns (ctx, nil) — and a nil *ActiveSpan's
+// StartSpan opens a span named name if ctx carries a trace. The name
+// should be a constant: the trace keeps it as given. The returned
+// context parents subsequent StartSpan calls under the new span.
+// Without a trace it returns (ctx, nil) — and a nil *ActiveSpan's
 // methods are no-ops.
 func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	tr := TraceFrom(ctx)
@@ -347,7 +444,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) 
 	if parent, ok := CurrentSpanID(ctx); ok {
 		sp.parent = parent
 	}
-	return context.WithValue(ctx, spanCtxKey{}, sp.id), sp
+	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
 // SpanID returns the span's ID (zero for a nil span).
@@ -358,25 +455,50 @@ func (sp *ActiveSpan) SpanID() SpanID {
 	return sp.id
 }
 
-// SetAttr attaches a string annotation to the span.
+// SetAttr attaches a string annotation to the span. The value is
+// copied, so a value sliced out of a larger string (a name out of a
+// source file) does not keep that string alive in a retained trace;
+// the key should be a constant. A span keeps at most three keys: a
+// fourth distinct key is ignored, and after End the span no longer
+// changes.
 func (sp *ActiveSpan) SetAttr(key, value string) {
 	if sp == nil {
 		return
 	}
-	sp.mu.Lock()
-	if sp.attrs == nil {
-		sp.attrs = make(map[string]string, 4)
-	}
-	sp.attrs[key] = value
-	sp.mu.Unlock()
+	sp.setAttr(spanAttr{key: key, str: strings.Clone(value)}, false)
 }
 
-// SetAttrInt attaches an integer annotation to the span.
+// SetAttrInt attaches an integer annotation to the span, on the terms
+// of SetAttr.
 func (sp *ActiveSpan) SetAttrInt(key string, value int64) {
 	if sp == nil {
 		return
 	}
-	sp.SetAttr(key, strconv.FormatInt(value, 10))
+	sp.setAttr(spanAttr{key: key, num: value}, true)
+}
+
+func (sp *ActiveSpan) setAttr(a spanAttr, isInt bool) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.done {
+		return
+	}
+	i := uint8(0)
+	for i < sp.nattr && sp.attrs[i].key != a.key {
+		i++
+	}
+	if i == maxSpanAttrs {
+		return
+	}
+	if i == sp.nattr {
+		sp.nattr++
+	}
+	sp.attrs[i] = a
+	if isInt {
+		sp.ints |= 1 << i
+	} else {
+		sp.ints &^= 1 << i
+	}
 }
 
 // End completes the span and records it on its trace. Calling End more
@@ -391,21 +513,9 @@ func (sp *ActiveSpan) End() {
 		return
 	}
 	sp.done = true
-	attrs := sp.attrs
 	sp.mu.Unlock()
-
-	out := TraceSpan{
-		TraceID: sp.tr.id.String(),
-		SpanID:  sp.id.String(),
-		Name:    sp.name,
-		Start:   sp.start,
-		Dur:     time.Since(sp.tr.t0) - sp.start,
-		Attrs:   attrs,
-	}
-	if !sp.parent.IsZero() {
-		out.Parent = sp.parent.String()
-	}
-	sp.tr.record(out)
+	// done is set, so no SetAttr changes the attributes record reads.
+	sp.tr.record(sp, time.Since(sp.tr.t0)-sp.start)
 }
 
 // StartPhase opens a Recorder span and a trace span with the same name

@@ -3,8 +3,13 @@ package obs
 import (
 	"bytes"
 	"context"
+	"maps"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestDeriveTraceIDDeterministic(t *testing.T) {
@@ -234,4 +239,271 @@ func TestValidatePromTextRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: lint accepted invalid input:\n%s", name, text)
 		}
 	}
+}
+
+// TestSpanRendering: the compact store renders what the spans recorded
+// — hex IDs, parent links (a remote parent included), names, string and
+// integer attributes — and the attributes of spans past the cap are not
+// kept.
+func TestSpanRendering(t *testing.T) {
+	tr := NewTrace(DeriveTraceID("render"))
+	remote := SpanID{0, 0xf0, 0x67, 0xaa, 0x0b, 0xa9, 0x02, 0xb7}
+	ctx := ContextWithParentSpan(ContextWithTrace(context.Background(), tr), remote)
+	ctx, root := StartSpan(ctx, "request")
+	root.SetAttr("route", "/v1/analyze")
+	wctx, wave := StartSpan(ctx, "pps-wave")
+	wave.SetAttrInt("wave", 3)
+	wave.SetAttrInt("size", -7)
+	wave.SetAttr("interrupted", "")
+	wave.SetAttrInt("fourth", 4) // a fourth key is not kept
+	wave.SetAttrInt("wave", 4)   // a known key is overwritten in place
+	_, leaf := StartSpan(wctx, "parse")
+	leaf.End()
+	wave.End()
+	root.SetAttrInt("status", 200)
+	root.End()
+
+	want := map[string]TraceSpan{
+		"request":  {SpanID: "0000000000000001", Parent: remote.String(), Attrs: map[string]string{"route": "/v1/analyze", "status": "200"}},
+		"pps-wave": {SpanID: "0000000000000002", Parent: "0000000000000001", Attrs: map[string]string{"wave": "4", "size": "-7", "interrupted": ""}},
+		"parse":    {SpanID: "0000000000000003", Parent: "0000000000000002"},
+	}
+	spans := tr.Spans()
+	if len(spans) != len(want) {
+		t.Fatalf("got %d spans, want %d", len(spans), len(want))
+	}
+	for i, sp := range spans {
+		w := want[sp.Name]
+		if sp.TraceID != tr.ID().String() || sp.SpanID != w.SpanID || sp.Parent != w.Parent {
+			t.Errorf("%s: ids (%s, %s, %s), want (%s, %s, %s)", sp.Name,
+				sp.TraceID, sp.SpanID, sp.Parent, tr.ID(), w.SpanID, w.Parent)
+		}
+		if !maps.Equal(sp.Attrs, w.Attrs) || (sp.Attrs == nil) != (w.Attrs == nil) {
+			t.Errorf("%s: attrs %v, want %v", sp.Name, sp.Attrs, w.Attrs)
+		}
+		if sp.Dur < 0 || (i > 0 && sp.Start < spans[i-1].Start) {
+			t.Errorf("%s: start %v dur %v out of order", sp.Name, sp.Start, sp.Dur)
+		}
+	}
+
+	// Equal start offsets order by span ID.
+	set := SpanSet{recs: []spanRec{
+		{id: SpanID{7: 2}, name: "b", start: 5},
+		{id: SpanID{7: 1}, name: "a", start: 5},
+		{id: SpanID{7: 3}, name: "c", start: 1},
+	}}
+	var order []string
+	for _, sp := range set.Spans() {
+		order = append(order, sp.Name)
+	}
+	if strings.Join(order, ",") != "c,a,b" {
+		t.Errorf("render order %v, want c,a,b", order)
+	}
+
+	// Past the cap neither the spans nor their attributes are kept, and
+	// the spans before it keep theirs.
+	capped := NewTrace(DeriveTraceID("cap-attrs"))
+	cctx := ContextWithTrace(context.Background(), capped)
+	for i := 0; i < DefaultTraceSpans+5; i++ {
+		_, sp := StartSpan(cctx, "s")
+		for k := 0; k < i%4; k++ {
+			sp.SetAttrInt(string(rune('a'+k)), int64(i))
+		}
+		sp.End()
+	}
+	if capped.Dropped() != 5 {
+		t.Errorf("dropped = %d, want 5", capped.Dropped())
+	}
+	for i, sp := range capped.Spans() {
+		if len(sp.Attrs) != i%4 {
+			t.Fatalf("span %d: attrs %v", i, sp.Attrs)
+		}
+		for _, v := range sp.Attrs {
+			if v != strconv.Itoa(i) {
+				t.Fatalf("span %d: attrs %v", i, sp.Attrs)
+			}
+		}
+	}
+}
+
+// TestSpanImmutableOnceRecorded: SetAttr after End leaves the recorded
+// span alone, and editing a rendered span's Attrs leaves the trace
+// alone.
+func TestSpanImmutableOnceRecorded(t *testing.T) {
+	tr := NewTrace(DeriveTraceID("immutable"))
+	_, sp := StartSpan(ContextWithTrace(context.Background(), tr), "s")
+	sp.SetAttr("k", "v")
+	sp.End()
+	sp.SetAttr("k", "changed")
+	sp.SetAttrInt("late", 1)
+	first := tr.Spans()
+	if !maps.Equal(first[0].Attrs, map[string]string{"k": "v"}) {
+		t.Fatalf("SetAttr after End changed the span: %v", first[0].Attrs)
+	}
+	first[0].Attrs["k"] = "edited"
+	first[0].Attrs["new"] = "x"
+	if again := tr.Spans(); !maps.Equal(again[0].Attrs, map[string]string{"k": "v"}) {
+		t.Errorf("editing a rendered span changed the trace: %v", again[0].Attrs)
+	}
+}
+
+// TestSpanAttrCopiesValue: a string attribute sliced out of a larger
+// string (a procedure name out of its file's source) is copied, so a
+// retained trace does not keep the whole source alive.
+func TestSpanAttrCopiesValue(t *testing.T) {
+	src := "proc worker() {\n  var x: int = 0;\n}\n"
+	name := src[5:11]
+	tr := NewTrace(DeriveTraceID("copy"))
+	_, sp := StartSpan(ContextWithTrace(context.Background(), tr), "proc")
+	sp.SetAttr("name", name)
+	sp.End()
+	got := tr.Records().Spans()[0].Attrs["name"]
+	if got != "worker" {
+		t.Fatalf("name attr = %q", got)
+	}
+	if pointsInto(got, src) {
+		t.Error("recorded attribute points into the source string")
+	}
+}
+
+// pointsInto reports whether s's bytes lie inside within's.
+func pointsInto(s, within string) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(within)))
+	return p >= lo && p < lo+uintptr(len(within))
+}
+
+// TestSpanFootprint caps what tracing costs: the heap a retained
+// SpanSet holds per span on a request-shaped mix of spans, and the
+// allocations per started span.
+func TestSpanFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap accounting in -short mode")
+	}
+	const (
+		maxBytesPerSpan = 128
+		// The span itself and its context. The record slices grow by
+		// doubling, and AllocsPerRun rounds their share away.
+		maxAllocsPerSpan = 2
+	)
+	// One request: a route and status on the root, then per file a
+	// file span, a cache lookup, the pipeline phases, one procedure
+	// with two PPS waves, and the result line's encoding.
+	src := strings.Repeat("proc worker_procedure() { }\n", 32)
+	request := func(i int) SpanSet {
+		tr := NewDistributedTrace(DeriveTraceID("footprint", strconv.Itoa(i)))
+		ctx, root := StartSpan(ContextWithTrace(context.Background(), tr), "request")
+		root.SetAttr("route", "/v1/analyze-batch")
+		for f := 0; f < 32; f++ {
+			fctx, file := StartSpan(ctx, "file")
+			file.SetAttr("name", "corpus_task_"+strconv.Itoa(f)+".chpl")
+			_, look := StartSpan(fctx, "cache-lookup")
+			look.SetAttr("outcome", "miss")
+			look.End()
+			for _, phase := range []string{PhaseParse, PhaseResolve} {
+				_, sp := StartSpan(fctx, phase)
+				sp.End()
+			}
+			pctx, proc := StartSpan(fctx, "proc")
+			proc.SetAttr("name", src[28*f+5:28*f+21])
+			for _, phase := range []string{PhaseLower, PhaseCCFG, PhasePrune} {
+				_, sp := StartSpan(pctx, phase)
+				sp.End()
+			}
+			ectx, explore := StartSpan(pctx, PhaseExplore)
+			for w := 0; w < 2; w++ {
+				_, wave := StartSpan(ectx, "pps-wave")
+				wave.SetAttrInt("wave", int64(w))
+				wave.SetAttrInt("size", 3)
+				wave.End()
+			}
+			explore.SetAttrInt("waves", 2)
+			explore.SetAttrInt("states", 9)
+			explore.End()
+			proc.End()
+			file.End()
+			_, enc := StartSpan(ctx, PhaseWireEncode)
+			enc.End()
+		}
+		root.SetAttrInt("status", 200)
+		root.End()
+		return tr.Records()
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := make([]SpanSet, 64)
+	spans := 0
+	for i := range kept {
+		kept[i] = request(i)
+		spans += kept[i].Len()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSpan := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(spans)
+	runtime.KeepAlive(kept)
+	t.Logf("%.1f bytes per retained span (%d spans)", perSpan, spans)
+	if perSpan > maxBytesPerSpan {
+		t.Errorf("%.1f bytes per retained span, ceiling %d", perSpan, maxBytesPerSpan)
+	}
+
+	ctx := ContextWithTrace(context.Background(), NewTrace(DeriveTraceID("allocs")))
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpan(ctx, PhaseParse)
+		sp.SetAttrInt("n", 1)
+		sp.End()
+	})
+	t.Logf("%.0f allocations per started span", allocs)
+	if allocs > maxAllocsPerSpan {
+		t.Errorf("%.0f allocations per started span, ceiling %d", allocs, maxAllocsPerSpan)
+	}
+}
+
+// TestSpanRecordingWhileRendering: spans end on several goroutines while
+// another renders the trace, as batch workers do while /debug/requests
+// reads a request. Run under -race.
+func TestSpanRecordingWhileRendering(t *testing.T) {
+	tr := NewTrace(DeriveTraceID("concurrent"))
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr), "request")
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				_, sp := StartSpan(ctx, "file")
+				sp.SetAttrInt("i", int64(i))
+				sp.SetAttr("name", "f.chpl")
+				sp.End()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	check := func(spans []TraceSpan) {
+		for _, sp := range spans {
+			if len(sp.Attrs) != 2 || sp.Attrs["name"] != "f.chpl" {
+				t.Fatalf("span %s rendered with attrs %v", sp.SpanID, sp.Attrs)
+			}
+		}
+	}
+	for rendering := true; rendering; {
+		select {
+		case <-done:
+			rendering = false
+		default:
+			check(tr.Spans())
+		}
+	}
+	root.End()
+	spans := tr.Spans()
+	if len(spans) != workers*perWorker+1 {
+		t.Fatalf("got %d spans, want %d", len(spans), workers*perWorker+1)
+	}
+	check(spans[1:])
 }

@@ -40,13 +40,18 @@ type RequestDigest struct {
 	Dedup string `json:"dedup,omitempty"`
 	// CacheHit reports whether the report cache served the result.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Phases breaks the request down by analysis phase, in
-	// milliseconds, summed over the trace's phase spans.
+	// Phases breaks the request down by phase — the analysis phases,
+	// admission and wire-encode — in milliseconds, summed over the
+	// trace's phase spans.
 	Phases map[string]int64 `json:"phases_ms,omitempty"`
 	// SpanCount is the size of the recorded span tree; Spans itself is
 	// only inlined when a single digest is requested by trace ID.
 	SpanCount int             `json:"span_count"`
 	Spans     []obs.TraceSpan `json:"spans,omitempty"`
+
+	// records is the span tree as the ring keeps it; Spans is rendered
+	// from it on request.
+	records obs.SpanSet
 }
 
 // flightRecorder is a bounded ring of request digests: the last N
@@ -149,24 +154,31 @@ func stateFrom(ctx context.Context) *reqState {
 	return st
 }
 
-// digestPhases sums span durations by phase name, in milliseconds,
-// keeping only the analysis phases (depth-independent: nested phase
-// spans each contribute their own duration).
-func digestPhases(spans []obs.TraceSpan) map[string]int64 {
-	phases := map[string]bool{
-		obs.PhaseParse: true, obs.PhaseResolve: true, obs.PhaseSummaries: true,
-		obs.PhaseCCFG: true, obs.PhasePrune: true, obs.PhaseLower: true,
-		obs.PhaseExplore: true,
+// digestPhases sums span durations by phase name, keeping only the
+// analysis phases, admission and wire-encode (depth-independent: nested
+// phase spans each contribute their own duration). each calls its
+// argument once per span. Totals are summed in nanoseconds and
+// converted to milliseconds once, so many short spans still add up.
+func digestPhases(each func(fn func(name string, dur time.Duration))) map[string]int64 {
+	var ns map[string]time.Duration
+	each(func(name string, dur time.Duration) {
+		switch name {
+		case obs.PhaseAdmission, obs.PhaseParse, obs.PhaseResolve, obs.PhaseSummaries,
+			obs.PhaseCCFG, obs.PhasePrune, obs.PhaseLower, obs.PhaseExplore, obs.PhaseWireEncode:
+		default:
+			return
+		}
+		if ns == nil {
+			ns = make(map[string]time.Duration)
+		}
+		ns[name] += dur
+	})
+	if ns == nil {
+		return nil
 	}
-	var out map[string]int64
-	for _, sp := range spans {
-		if !phases[sp.Name] {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]int64)
-		}
-		out[sp.Name] += sp.Dur.Milliseconds()
+	out := make(map[string]int64, len(ns))
+	for name, d := range ns {
+		out[name] = d.Milliseconds()
 	}
 	return out
 }

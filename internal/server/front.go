@@ -121,7 +121,7 @@ func (f *Front) Traced(route string, h http.HandlerFunc) http.HandlerFunc {
 		root.End()
 
 		f.role.Rec.Observe(obs.HistKey(obs.HistRequestNS, "route", route), dur.Nanoseconds())
-		spans := tr.Spans()
+		recs := tr.Records()
 		st.mu.Lock()
 		d := RequestDigest{
 			TraceID:   tid.String(),
@@ -133,9 +133,9 @@ func (f *Front) Traced(route string, h http.HandlerFunc) http.HandlerFunc {
 			Degraded:  st.degraded,
 			Dedup:     st.dedup,
 			CacheHit:  st.cacheHit,
-			Phases:    digestPhases(spans),
-			SpanCount: len(spans),
-			Spans:     spans,
+			Phases:    digestPhases(recs.Each),
+			SpanCount: recs.Len(),
+			records:   recs,
 		}
 		st.mu.Unlock()
 		if d.Outcome == "" {
@@ -363,15 +363,13 @@ func (f *Front) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 			f.WriteError(w, http.StatusNotFound, "no recorded request with trace "+id)
 			return
 		}
+		d.Spans = d.records.Spans()
 		w.Write(append(mustJSON(d), '\n')) //nolint:errcheck
 		return
 	}
 	digests := f.flightrec.snapshot()
 	if lim, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && lim >= 0 && lim < len(digests) {
 		digests = digests[:lim]
-	}
-	for i := range digests {
-		digests[i].Spans = nil // listing stays light; fetch one by ?trace=
 	}
 	w.Write(append(mustJSON(map[string]any{
 		"requests": digests,

@@ -558,7 +558,7 @@ func (s *Server) serveShared(w http.ResponseWriter, r *http.Request, kind string
 // the request negotiated it). Its flightResult is shared with every
 // follower.
 func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) flightResult {
-	if err := s.gate.acquire(r.Context()); err != nil {
+	if err := s.admit(r.Context()); err != nil {
 		return s.rejection(err)
 	}
 	defer s.gate.release()
@@ -584,7 +584,9 @@ func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) 
 		body, encErr = wire.SARIFWithFixes([]wire.Result{result}, repairs).EncodeIndent()
 		ctype = "application/sarif+json"
 	} else {
+		_, endEncode := obs.StartPhase(r.Context(), s.rec, obs.PhaseWireEncode)
 		body, encErr = result.Encode()
+		endEncode()
 	}
 	if encErr != nil {
 		return flightResult{code: http.StatusInternalServerError,
@@ -655,8 +657,19 @@ func metricsOf(rep *uafcheck.Report) obs.Metrics {
 	return rep.Metrics
 }
 
-// resultLine encodes one file's canonical wire line.
-func resultLine(name string, rep *uafcheck.Report, err error, metrics bool) []byte {
+// admit waits for an analysis slot, timed as the request's admission
+// phase: a trace span and a phase_ns observation.
+func (s *Server) admit(ctx context.Context) error {
+	_, end := obs.StartPhase(ctx, s.rec, obs.PhaseAdmission)
+	defer end()
+	return s.gate.acquire(ctx)
+}
+
+// resultLine encodes one file's canonical wire line, timed as a
+// wire-encode phase.
+func (s *Server) resultLine(ctx context.Context, name string, rep *uafcheck.Report, err error, metrics bool) []byte {
+	_, end := obs.StartPhase(ctx, s.rec, obs.PhaseWireEncode)
+	defer end()
 	line, encErr := wire.NewResult(name, rep, err, metrics).Encode()
 	if encErr != nil {
 		return mustJSON(errorBody{Error: encErr.Error()})
@@ -707,7 +720,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.front.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := s.gate.acquire(r.Context()); err != nil {
+	if err := s.admit(r.Context()); err != nil {
 		res := s.rejection(err)
 		s.writeResult(w, res, "")
 		return
@@ -739,7 +752,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// stream.
 	write := startNDJSON(w)
 	emit := func(i int, fr uafcheck.FileReport) {
-		write(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck
+		write(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck
 	}
 
 	t0 := time.Now()
@@ -780,7 +793,7 @@ func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRe
 	s.observeAnalysis(t0, len(files), mrep.Metrics)
 	write := startNDJSON(w)
 	for _, fr := range mrep.Files {
-		write(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck — a dead client just discards the stream
+		write(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck — a dead client just discards the stream
 	}
 }
 
@@ -832,7 +845,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 // into a typed refusal), and a leader's disconnect must not starve
 // followers.
 func (s *Server) repairLeader(r *http.Request, req AnalyzeRequest) flightResult {
-	if err := s.gate.acquire(r.Context()); err != nil {
+	if err := s.admit(r.Context()); err != nil {
 		return s.rejection(err)
 	}
 	defer s.gate.release()
@@ -971,7 +984,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	defer s.active.Add(-1)
 	s.rec.Add(obs.CtrServerRequests, 1)
 
-	if err := s.gate.acquire(r.Context()); err != nil {
+	if err := s.admit(r.Context()); err != nil {
 		s.writeResult(w, s.rejection(err), "")
 		return
 	}
@@ -1012,7 +1025,7 @@ func (s *Server) deltaLine(r *http.Request, req *DeltaRequest, emit func([]byte)
 	rep, err := s.analyzerFor(req.Options).AnalyzeDelta(ctx, req.Name, req.Src)
 	cancel()
 	s.observeAnalysis(t0, 1, metricsOf(rep))
-	emit(resultLine(req.Name, rep, err, req.Options.Metrics))
+	emit(s.resultLine(r.Context(), req.Name, rep, err, req.Options.Metrics))
 }
 
 // deltaModule answers one module-mode delta line: the full module
@@ -1042,7 +1055,7 @@ func (s *Server) deltaModule(r *http.Request, req *DeltaRequest, emit func([]byt
 	}
 	s.observeAnalysis(t0, len(files), mrep.Metrics)
 	for _, fr := range mrep.Files {
-		emit(resultLine(fr.Name, fr.Report, fr.Err, req.Options.Metrics))
+		emit(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics))
 	}
 }
 

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"uafcheck"
 	"uafcheck/internal/obs"
@@ -338,5 +341,135 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 	if d, ok := fr.byTrace("d"); !ok || d.TraceID != "d" {
 		t.Error("byTrace failed for retained digest")
+	}
+}
+
+// TestDigestPhasesSumsNanoseconds: phase totals are summed before they
+// are converted to milliseconds, so 32 parse spans of 0.4 ms report
+// 12 ms, not 32 truncated zeroes.
+func TestDigestPhasesSumsNanoseconds(t *testing.T) {
+	got := digestPhases(func(fn func(name string, dur time.Duration)) {
+		for i := 0; i < 32; i++ {
+			fn(obs.PhaseParse, 400*time.Microsecond)
+		}
+		fn("request", time.Second) // not a phase
+	})
+	if len(got) != 1 || got[obs.PhaseParse] != 12 {
+		t.Errorf("phases_ms = %v, want parse: 12", got)
+	}
+}
+
+// fetchDigest reads one request's digest, spans inlined, from the
+// flight recorder by the trace ID its response echoed.
+func fetchDigest(t *testing.T, ts *httptest.Server, resp *http.Response) RequestDigest {
+	t.Helper()
+	tid, _, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+	if !ok {
+		t.Fatalf("response traceparent %q does not parse", resp.Header.Get("traceparent"))
+	}
+	r, err := ts.Client().Get(ts.URL + "/debug/requests?trace=" + tid.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var d RequestDigest
+	if err := json.NewDecoder(r.Body).Decode(&d); err != nil {
+		t.Fatalf("digest decode: %v", err)
+	}
+	return d
+}
+
+// TestFlightRecorderServingPhases: a worker's analyze and batch digests
+// carry the admission wait and one wire-encode span per result line, in
+// the span tree and in phases_ms, and both reach the phase_ns
+// histogram.
+func TestFlightRecorderServingPhases(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Mode: "worker"})
+	batch := BatchRequest{Files: []BatchFile{{Name: "a.chpl", Src: buggySrc}, {Name: "b.chpl", Src: "proc p() { }"}}}
+	for _, c := range []struct {
+		path  string
+		body  any
+		lines int
+	}{
+		{"/v1/analyze", AnalyzeRequest{Name: "a.chpl", Src: buggySrc}, 1},
+		{"/v1/analyze-batch", batch, 2},
+	} {
+		resp, _ := post(t, ts, c.path, c.body)
+		d := fetchDigest(t, ts, resp)
+		count := map[string]int{}
+		for _, sp := range d.Spans {
+			count[sp.Name]++
+		}
+		if count[obs.PhaseAdmission] != 1 || count[obs.PhaseWireEncode] != c.lines {
+			t.Errorf("%s: %d admission and %d wire-encode spans, want 1 and %d",
+				c.path, count[obs.PhaseAdmission], count[obs.PhaseWireEncode], c.lines)
+		}
+		for _, phase := range []string{obs.PhaseAdmission, obs.PhaseWireEncode} {
+			if _, ok := d.Phases[phase]; !ok {
+				t.Errorf("%s: phases_ms %v has no %s", c.path, d.Phases, phase)
+			}
+		}
+	}
+	m := srv.MetricsSnapshot()
+	for phase, want := range map[string]int64{obs.PhaseAdmission: 2, obs.PhaseWireEncode: 3} {
+		if got := m.Hist(obs.HistKey(obs.HistPhaseNS, "phase", phase)).Count; got != want {
+			t.Errorf("phase_ns|phase=%s count = %d, want %d", phase, got, want)
+		}
+	}
+}
+
+// TestFlightRecorderRendersUnderLoad: /debug/requests renders recorded
+// span trees while batch requests run and record theirs. Run under
+// -race.
+func TestFlightRecorderRendersUnderLoad(t *testing.T) {
+	_, ts := newTestServer(t, Config{BatchWorkers: 4})
+	body, err := json.Marshal(BatchRequest{Files: []BatchFile{
+		{Name: "a.chpl", Src: buggySrc}, {Name: "b.chpl", Src: buggySrc},
+		{Name: "c.chpl", Src: "proc p() { }"}, {Name: "d.chpl", Src: buggySrc},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := post(t, ts, "/v1/analyze-batch", json.RawMessage(body))
+	first := fetchDigest(t, ts, resp).TraceID
+
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				r, err := ts.Client().Post(ts.URL+"/v1/analyze-batch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, r.Body) //nolint:errcheck
+				r.Body.Close()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, path := range []string{"/debug/requests", "/debug/requests?trace=" + first} {
+			r, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, r.Body) //nolint:errcheck
+			r.Body.Close()
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", path, r.StatusCode)
+			}
+		}
 	}
 }
