@@ -14,12 +14,16 @@ import (
 // workloads — uafcheck -watch and the uafserve /v1/delta endpoint are
 // both built on it.
 //
-// The handle is safe for concurrent use. Options are fixed at
-// construction; per-call variation belongs in the context (deadline,
-// cancellation). Reports are byte-identical — through the
-// internal/wire canonical encoding — to what a from-scratch
-// AnalyzeContext run with the same options produces; see
-// docs/INCREMENTAL.md for the fingerprinting and invalidation rules.
+// The handle is safe for concurrent use, and a call abandoned
+// mid-analysis (see internal/batch's Attempt) blocks no later call: the
+// memo store locks only around lookups and stores, and only complete
+// units are stored. AnalyzeDelta and AnalyzeModuleDelta use the options
+// fixed at construction; WithAnalyzer lends the same store to
+// AnalyzeContext, AnalyzeFilesContext and AnalyzeModuleContext under
+// the call's own options. Reports are byte-identical — through the
+// internal/wire canonical encoding — to what a from-scratch run with
+// the same options produces; see docs/INCREMENTAL.md for the
+// fingerprinting and invalidation rules.
 type Analyzer struct {
 	cfg   config
 	units *analysis.Units
@@ -31,9 +35,10 @@ type Analyzer struct {
 
 // AnalyzerStats is a snapshot of an Analyzer's incremental traffic.
 type AnalyzerStats struct {
-	// Files counts the files the handle analyzed: one per AnalyzeDelta
-	// call, one per batch file run through WithAnalyzer, and every file
-	// of each AnalyzeModuleDelta call.
+	// Files counts the files the handle analyzed: one per single-file
+	// call (AnalyzeDelta, or AnalyzeContext with WithAnalyzer), one per
+	// batch file attempt run through WithAnalyzer, and every file of
+	// each module call.
 	Files int64
 	// UnitHits / UnitMisses count analysis units (top-level procedures
 	// containing begin tasks) served from the memo store vs recomputed.
@@ -46,14 +51,13 @@ type AnalyzerStats struct {
 // NewAnalyzer creates an analysis handle. It accepts the same
 // functional options as AnalyzeContext (WithPrune, WithMaxStates,
 // WithAtomicsModel, WithCache, ...) plus WithUnitCacheEntries to bound
-// the per-procedure memo store. Batch-only options are honored when the
-// handle drives a batch via WithAnalyzer.
+// the per-procedure memo store; they are the options of AnalyzeDelta
+// and AnalyzeModuleDelta.
 func NewAnalyzer(options ...Option) *Analyzer {
-	cfg := newConfig(options...)
-	return &Analyzer{
-		cfg:   cfg,
-		units: analysis.NewUnits(Version, cfg.unitCacheEntries),
-	}
+	a := &Analyzer{cfg: newConfig(options...)}
+	a.cfg.analyzer = a
+	a.units = analysis.NewUnits(Version, a.cfg.unitCacheEntries)
+	return a
 }
 
 // Stats returns the handle's incremental traffic counters.
@@ -76,10 +80,10 @@ func (a *Analyzer) Stats() AnalyzerStats {
 // Frontend failures return an error matching ErrParse; resource
 // degradation surfaces through Report.Err as usual. Trace mode bypasses
 // the memo store (retained graphs are not serializable) and runs the
-// full pipeline.
+// full pipeline. It is AnalyzeContext with the handle's options plus
+// WithAnalyzer(a).
 func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (*Report, error) {
-	a.files.Add(1)
-	return analyzeWith(ctx, filename, src, a.cfg, a)
+	return analyzeWith(ctx, filename, src, a.cfg)
 }
 
 // analyzeForBatch is the per-attempt analysis hook WithAnalyzer plugs

@@ -44,7 +44,7 @@
 //	                ones incrementally (only edited procedures are
 //	                recomputed), and print warning diffs (+/-) instead
 //	                of full reports. A watchdog abandons hung analyses
-//	                and restarts the analyzer with backoff, serving
+//	                and retries them on the next poll, serving
 //	                last-known-good warnings meanwhile.
 //	-interval D     -watch poll interval (default 500ms)
 //	-hang-timeout D -watch per-analysis watchdog timeout (default 30s)
@@ -168,20 +168,17 @@ func main() {
 	if *watch {
 		// Resident mode: a supervised watch service over the raw args —
 		// directory roots stay directories so the tree is rescanned
-		// every poll (created files join, deleted files drop). Each
-		// analyzer generation keeps the per-procedure memo store across
-		// iterations; the watchdog rebuilds it if an analysis wedges.
-		// Runs until killed (or the -deadline expires).
-		newAnalyzer := func() *uafcheck.Analyzer {
-			return uafcheck.NewAnalyzer(
-				uafcheck.WithPrune(!*noPrune),
-				uafcheck.WithAtomicsModel(*atomics),
-				uafcheck.WithAtomicsCounting(*count),
-				uafcheck.WithParallelism(*par),
-				uafcheck.WithDeadline(*timeout),
-			)
-		}
-		runWatch(ctx, os.Stdout, newAnalyzer, flag.Args(), *interval, *hangTimeout, *metrics)
+		// every poll (created files join, deleted files drop). One
+		// analyzer keeps the per-procedure memo store for the whole
+		// session. Runs until killed (or the -deadline expires).
+		an := uafcheck.NewAnalyzer(
+			uafcheck.WithPrune(!*noPrune),
+			uafcheck.WithAtomicsModel(*atomics),
+			uafcheck.WithAtomicsCounting(*count),
+			uafcheck.WithParallelism(*par),
+			uafcheck.WithDeadline(*timeout),
+		)
+		runWatch(ctx, os.Stdout, an, flag.Args(), *interval, *hangTimeout, *metrics)
 		os.Exit(0)
 	}
 

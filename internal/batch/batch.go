@@ -280,14 +280,16 @@ func runAttempt(f File, aopts analysis.Options, opts Options) (*analysis.Result,
 	})
 }
 
-// Attempt is the analysis-hang supervisor shared by every multi-file
-// and watch path: it runs fn in its own goroutine under a context
-// derived from ctx (with timeout, when positive) and waits. The
-// cooperative path — by far the common one — returns fn's value
-// promptly after the context fires. If fn has not returned by the
-// timeout plus a grace of max(timeout, 100ms), Attempt abandons its
-// goroutine (which cannot be killed) and reports hung with the zero T;
-// callers must treat whatever fn was using as possibly wedged.
+// Attempt is the analysis-hang supervisor shared by the batch driver,
+// the watch service and uafserve's /v1/delta lines: it runs fn in its
+// own goroutine under a context derived from ctx (with timeout, when
+// positive) and waits. The cooperative path — by far the common one —
+// returns fn's value promptly after the context fires. If fn has not
+// returned by the timeout plus a grace of max(timeout, 100ms), Attempt
+// abandons its goroutine (which cannot be killed) and reports hung with
+// the zero T. The goroutine finishes on its own, so fn must hold
+// nothing a later call waits on; an Analyzer's memo store locks only
+// around its lookups and stores.
 func Attempt[T any](ctx context.Context, timeout time.Duration, fn func(context.Context) T) (v T, hung bool) {
 	cancel := context.CancelFunc(func() {})
 	if timeout > 0 {

@@ -135,13 +135,12 @@ const (
 
 	// Watch service (internal/watch) poll loop: polls performed, source
 	// files whose content hash changed between polls, files that
-	// disappeared between polls (warnings dropped), analyses the
-	// watchdog abandoned as hung, and analyzer restarts it performed.
+	// disappeared between polls (warnings dropped), and analyses the
+	// watchdog abandoned as hung.
 	CtrWatchPolls     = "watch.polls"
 	CtrWatchChanged   = "watch.changed_files"
 	CtrWatchDeleted   = "watch.deleted_files"
 	CtrWatchAbandoned = "watch.abandoned"
-	CtrWatchRestarts  = "watch.restarts"
 )
 
 // Gauge names.
@@ -152,9 +151,6 @@ const (
 	// /metrics scrape time.
 	GaugeServerInflight   = "server.inflight"
 	GaugeServerQueueDepth = "server.queue_depth"
-	// GaugeServerAnalyzerPool is the number of per-option-fingerprint
-	// incremental Analyzers currently alive in the /v1/delta pool.
-	GaugeServerAnalyzerPool = "server.analyzer_pool"
 	// Disk-cache health gauges, sampled from cache stats at /metrics
 	// scrape time: I/O failures, corrupt entries quarantined, and async
 	// writes dropped on a full queue.

@@ -20,6 +20,7 @@ package server
 // not use t.Parallel.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -447,61 +448,59 @@ func TestChaosKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestHealthzComponents checks the component-health fold: a wedged
-// registered probe makes /healthz unready (503 with Retry-After), a
-// merely degraded disk tier keeps serving at 200 "degraded".
+// TestHealthzComponents checks the component-health fold and the rows
+// a worker reports: ok/off rows answer 200 "ok", an impaired row keeps
+// serving at 200 "degraded", and draining or unready answers 503 — and
+// /healthz and /statusz both list the admission and disk_cache rows.
 func TestHealthzComponents(t *testing.T) {
-	var mu sync.Mutex
-	state := "ok"
-	probe := func() ComponentStatus {
-		mu.Lock()
-		defer mu.Unlock()
-		return ComponentStatus{State: state, Detail: map[string]int64{"restarts": 1}}
+	for _, tc := range []struct {
+		states []string
+		status string
+		code   int
+	}{
+		{[]string{"ok", "off"}, "ok", http.StatusOK},
+		{[]string{"ok", "degraded"}, "degraded", http.StatusOK},
+		{[]string{"disabled", "off"}, "degraded", http.StatusOK},
+		{[]string{"degraded", "draining"}, "draining", http.StatusServiceUnavailable},
+		{[]string{"ok", "unready"}, "unready", http.StatusServiceUnavailable},
+	} {
+		comps := make(map[string]ComponentStatus)
+		for i, st := range tc.states {
+			comps[fmt.Sprint("c", i)] = ComponentStatus{State: st}
+		}
+		if status, code := healthState(comps); status != tc.status || code != tc.code {
+			t.Errorf("healthState(%v) = %q %d, want %q %d", tc.states, status, code, tc.status, tc.code)
+		}
 	}
-	_, ts := newTestServer(t, Config{Components: map[string]func() ComponentStatus{"watchdog": probe}})
 
-	decode := func(body []byte) map[string]any {
-		var m map[string]any
+	srv, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/healthz", "/statusz"} {
+		resp, body := get(t, ts, path)
+		var m struct {
+			Status     string                     `json:"status"`
+			Components map[string]ComponentStatus `json:"components"`
+		}
 		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatalf("healthz body: %v", err)
+			t.Fatalf("%s body: %v", path, err)
 		}
-		return m
+		if resp.StatusCode != http.StatusOK || m.Status != "ok" {
+			t.Errorf("%s on a healthy server: status %d %q, want 200 ok", path, resp.StatusCode, m.Status)
+		}
+		for _, want := range []string{"admission", "disk_cache"} {
+			if _, ok := m.Components[want]; !ok {
+				t.Errorf("%s components missing %q: %s", path, want, body)
+			}
+		}
 	}
 
+	// Unready answers carry retry guidance.
+	srv.gate.drain()
 	resp, body := get(t, ts, "/healthz")
-	if resp.StatusCode != http.StatusOK || decode(body)["status"] != "ok" {
-		t.Fatalf("healthy server: status %d, body %s", resp.StatusCode, body)
-	}
-	comps, _ := decode(body)["components"].(map[string]any)
-	for _, want := range []string{"admission", "disk_cache", "analyzer_pool", "watchdog"} {
-		if _, ok := comps[want]; !ok {
-			t.Errorf("healthz components missing %q: %s", want, body)
-		}
-	}
-
-	mu.Lock()
-	state = "degraded"
-	mu.Unlock()
-	resp, body = get(t, ts, "/healthz")
-	if resp.StatusCode != http.StatusOK || decode(body)["status"] != "degraded" {
-		t.Errorf("degraded probe: status %d, body %s — want 200 'degraded' (still serving)", resp.StatusCode, body)
-	}
-
-	mu.Lock()
-	state = "wedged"
-	mu.Unlock()
-	resp, body = get(t, ts, "/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable || decode(body)["status"] != "wedged" {
-		t.Errorf("wedged probe: status %d, body %s — want 503 'wedged'", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `"draining"`) {
+		t.Errorf("draining server: status %d, body %s — want 503 draining", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("unready healthz answered without Retry-After")
-	}
-
-	// /statusz carries the same component rows for operators.
-	resp, body = get(t, ts, "/statusz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "\"watchdog\"") {
-		t.Errorf("statusz missing component rows: status %d, body %s", resp.StatusCode, body)
 	}
 }
 
@@ -587,4 +586,60 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestChaosDeltaWedge stalls one /v1/delta line far past its deadline:
+// batch.Attempt must abandon it after the grace and answer an error
+// line — never a report, since a made-up one would carry no warnings —
+// and the stream must go on to answer the next line byte-identically
+// to a fresh run, on the same server Analyzer.
+func TestChaosDeltaWedge(t *testing.T) {
+	restore := fault.Set(fault.New(11, fault.Rule{
+		Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Count: 1,
+		Delay: 30 * time.Second,
+	}))
+	defer restore()
+	_, ts := newTestServer(t, Config{})
+
+	const deadline = 20 * time.Millisecond
+	stalled := "proc p() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"
+	next := "proc q() {\n  var y: int = 0;\n  begin with (ref y) {\n    y = 2;\n  }\n}\n"
+	body := deltaBody(t,
+		DeltaRequest{Name: "stalled.chpl", Src: stalled,
+			Options: RequestOptions{DeadlineMS: deadline.Milliseconds()}},
+		DeltaRequest{Name: "next.chpl", Src: next},
+	)
+	start := time.Now()
+	resp, err := ts.Client().Post(ts.URL+"/v1/delta", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	first, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("first line: %v", err)
+	}
+	// Attempt's grace is at least 100ms; 1s of slack covers -race.
+	if took, limit := time.Since(start), 2*deadline+time.Second; took > limit {
+		t.Errorf("stalled line answered after %v, want within %v", took, limit)
+	}
+	var e map[string]any
+	if err := json.Unmarshal(first, &e); err != nil || e["error"] == nil || e["report"] != nil {
+		t.Errorf("stalled line: want an error envelope and no report, got %s", first)
+	}
+
+	second, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("second line: %v", err)
+	}
+	rep, aerr := uafcheck.AnalyzeContext(context.Background(), "next.chpl", next,
+		uafcheck.WithPrune(true), uafcheck.WithParallelism(1))
+	want, encErr := wire.NewResult("next.chpl", rep, aerr, false).Encode()
+	if encErr != nil {
+		t.Fatal(encErr)
+	}
+	if got := bytes.TrimSuffix(second, []byte("\n")); !bytes.Equal(got, want) {
+		t.Errorf("line after the abandoned one differs from a fresh run\n server: %s\nlibrary: %s", got, want)
+	}
 }

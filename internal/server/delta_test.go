@@ -103,6 +103,47 @@ func TestDeltaStreamByteIdentity(t *testing.T) {
 	}
 }
 
+// TestDeltaSharedAnalyzerMixedOptions interleaves two option sets in
+// one stream. Both run through the server's one Analyzer, so every line
+// must still match a fresh run under its own options, and the repeats
+// must be served from the shared memo store.
+func TestDeltaSharedAnalyzerMixedOptions(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	src := "proc p() {\n  var buf: int = 0;\n  var flag: atomic int;\n" +
+		"  begin with (ref buf) {\n    buf = 9;\n    flag.write(1);\n  }\n  flag.waitFor(1);\n}\n"
+	sets := []RequestOptions{{}, {ModelAtomics: true}}
+	var reqs []DeltaRequest
+	for i := 0; i < 4; i++ {
+		reqs = append(reqs, DeltaRequest{Name: "m.chpl", Src: src, Options: sets[i%2]})
+	}
+	resp, lines := postNDJSON(t, ts, "/v1/delta", deltaBody(t, reqs...))
+	if resp.StatusCode != http.StatusOK || len(lines) != len(reqs) {
+		t.Fatalf("status %d, %d lines; want 200, %d", resp.StatusCode, len(lines), len(reqs))
+	}
+	var wants [2][]byte
+	for i, o := range sets {
+		rep, err := uafcheck.AnalyzeContext(context.Background(), "m.chpl", src,
+			uafcheck.WithParallelism(1), uafcheck.WithAtomicsModel(o.ModelAtomics))
+		want, encErr := wire.NewResult("m.chpl", rep, err, false).Encode()
+		if encErr != nil {
+			t.Fatal(encErr)
+		}
+		wants[i] = want
+	}
+	if bytes.Equal(wants[0], wants[1]) {
+		t.Fatal("the two option sets give the same report; the test needs them to differ")
+	}
+	for i, line := range lines {
+		if !bytes.Equal(line, wants[i%2]) {
+			t.Errorf("line %d differs from a fresh run\n server: %s\nlibrary: %s", i, line, wants[i%2])
+		}
+	}
+	m := srv.MetricsSnapshot()
+	if hits, misses := m.Counter(obs.CtrUnitHits), m.Counter(obs.CtrUnitMisses); hits != 2 || misses != 2 {
+		t.Errorf("unit hits/misses = %d/%d, want 2/2 (one miss per option set)", hits, misses)
+	}
+}
+
 // TestDeltaStreamBadLines: malformed or empty lines answer with an
 // error line and the stream keeps going.
 func TestDeltaStreamBadLines(t *testing.T) {

@@ -42,12 +42,15 @@ type RequestDigest struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Phases breaks the request down by phase — the analysis phases,
 	// admission and wire-encode — in milliseconds, summed over the
-	// trace's phase spans.
+	// trace's kept phase spans: spans past the cap are not in it.
 	Phases map[string]int64 `json:"phases_ms,omitempty"`
 	// SpanCount is the size of the recorded span tree; Spans itself is
 	// only inlined when a single digest is requested by trace ID.
 	SpanCount int             `json:"span_count"`
 	Spans     []obs.TraceSpan `json:"spans,omitempty"`
+	// DroppedSpans counts the spans the trace discarded once it held
+	// obs.DefaultTraceSpans.
+	DroppedSpans int64 `json:"dropped_spans,omitempty"`
 
 	// records is the span tree as the ring keeps it; Spans is rendered
 	// from it on request.

@@ -124,18 +124,19 @@ func (f *Front) Traced(route string, h http.HandlerFunc) http.HandlerFunc {
 		recs := tr.Records()
 		st.mu.Lock()
 		d := RequestDigest{
-			TraceID:   tid.String(),
-			Route:     route,
-			Status:    sw.status(),
-			Start:     t0,
-			DurMS:     dur.Milliseconds(),
-			Outcome:   st.outcome,
-			Degraded:  st.degraded,
-			Dedup:     st.dedup,
-			CacheHit:  st.cacheHit,
-			Phases:    digestPhases(recs.Each),
-			SpanCount: recs.Len(),
-			records:   recs,
+			TraceID:      tid.String(),
+			Route:        route,
+			Status:       sw.status(),
+			Start:        t0,
+			DurMS:        dur.Milliseconds(),
+			Outcome:      st.outcome,
+			Degraded:     st.degraded,
+			Dedup:        st.dedup,
+			CacheHit:     st.cacheHit,
+			Phases:       digestPhases(recs.Each),
+			SpanCount:    recs.Len(),
+			DroppedSpans: tr.Dropped(),
+			records:      recs,
 		}
 		st.mu.Unlock()
 		if d.Outcome == "" {
@@ -294,13 +295,13 @@ func mustJSON(v any) []byte {
 
 // healthState folds component rows into the overall readiness verdict:
 // "ok" (200), "degraded" (200 — still serving, capacity impaired), or
-// unready (503) when draining, when any component is wedged, or when a
-// component reports "unready" (a coordinator with no live worker).
+// unready (503) when draining or when a component reports "unready" (a
+// coordinator with no live worker).
 func healthState(comps map[string]ComponentStatus) (status string, code int) {
 	status, code = "ok", http.StatusOK
 	for _, c := range comps {
 		switch c.State {
-		case "wedged", "draining", "unready":
+		case "draining", "unready":
 			return c.State, http.StatusServiceUnavailable
 		case "ok", "off":
 		default:

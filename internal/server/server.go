@@ -22,8 +22,8 @@
 //     flushes the disk cache tier.
 //
 // Endpoints: POST /v1/analyze, POST /v1/analyze-batch (NDJSON stream),
-// POST /v1/delta (NDJSON in and out, served by a pool of long-lived
-// incremental Analyzers), POST /v1/repair (NDJSON stream of verified
+// POST /v1/delta (NDJSON in and out, served by one long-lived
+// incremental Analyzer), POST /v1/repair (NDJSON stream of verified
 // unified-diff patches; degraded evidence answers a typed 503 refusal,
 // never a patch), GET /healthz, GET /livez, GET /metrics (Prometheus
 // text format). /v1/analyze and /v1/analyze-batch content-negotiate:
@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"uafcheck"
+	"uafcheck/internal/batch"
 	"uafcheck/internal/cache"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/wire"
@@ -90,13 +91,6 @@ type Config struct {
 	EnablePprof bool
 	// Logger receives operational log records (nil = slog.Default()).
 	Logger *slog.Logger
-	// Components registers extra health probes under /healthz and
-	// /statusz, keyed by component name — how an embedding process (a
-	// watch supervisor, a replication layer) plugs its own state into
-	// readiness without this package importing it. Probes must be safe
-	// for concurrent use. A probe reporting state "wedged" or "unready"
-	// fails readiness; any other non-"ok"/"off" state marks it degraded.
-	Components map[string]func() ComponentStatus
 	// Mode labels this process's cluster role on /healthz and /statusz
 	// ("single", "worker" or "coordinator"; "" = "single") so
 	// mixed-role and mixed-version fleets are diagnosable from their
@@ -106,7 +100,7 @@ type Config struct {
 
 // ComponentStatus is one component's health row in /healthz and
 // /statusz. State is one of "ok", "off" (not configured), "degraded",
-// "disabled", "dead", "draining", "wedged" or "unready"; Detail carries
+// "disabled", "dead", "draining" or "unready"; Detail carries
 // component-specific numbers (queue depths, error counts).
 type ComponentStatus struct {
 	State  string           `json:"state"`
@@ -203,22 +197,22 @@ type BatchRequest struct {
 }
 
 // DeltaRequest is one line of a POST /v1/delta NDJSON request stream:
-// a (possibly re-sent) file to analyze incrementally. Lines sharing an
-// option set share a long-lived Analyzer, so re-sending a file after an
-// edit only recomputes the procedures the edit touched. Retries and
-// Metrics are the only option fields without effect here (delta lines
-// are single-shot; metrics snapshots differ per call by design).
+// a (possibly re-sent) file to analyze incrementally. Every line runs
+// through the server's one long-lived Analyzer under its own options,
+// so re-sending a file after an edit only recomputes the procedures the
+// edit touched. Retries is the only option field without effect here
+// (delta lines are single-shot).
 type DeltaRequest struct {
 	Name    string         `json:"name"`
 	Src     string         `json:"src"`
 	Options RequestOptions `json:"options"`
 	// Module switches the line to module mode: Files carries the full
-	// module snapshot (not a diff) and Name/Src are ignored. Lines
-	// sharing an option set share the same pooled Analyzer as single-file
-	// lines, and its per-unit memo store keys module units on the
-	// call-graph view — editing one file recomputes only the units whose
-	// composed callee summaries changed. The response is one canonical
-	// line per file, in input order.
+	// module snapshot (not a diff) and Name/Src are ignored. Module
+	// lines share the server's Analyzer with single-file lines, and its
+	// per-unit memo store keys module units on the call-graph view —
+	// editing one file recomputes only the units whose composed callee
+	// summaries changed. The response is one canonical line per file, in
+	// input order.
 	Module string `json:"module,omitempty"`
 	// Files is the module snapshot for module-mode lines.
 	Files []BatchFile `json:"files,omitempty"`
@@ -267,16 +261,11 @@ type Server struct {
 	// Retry-After estimate on 429s.
 	ewmaMS atomic.Int64
 
-	// amu guards the /v1/delta analyzer pool: one incremental Analyzer
-	// per distinct option fingerprint, bounded by maxAnalyzers.
-	amu       sync.Mutex
-	analyzers map[string]*uafcheck.Analyzer
-	aorder    []string
+	// an lends its per-procedure memo store to every /v1/delta line,
+	// whatever the line's options: every option that can change a
+	// result is part of the unit fingerprint.
+	an *uafcheck.Analyzer
 }
-
-// maxAnalyzers bounds the delta pool: each Analyzer holds a memo store,
-// and option sets beyond this many evict the least recently created.
-const maxAnalyzers = 8
 
 // New builds a Server from cfg (zero values take documented defaults).
 func New(cfg Config) *Server {
@@ -286,12 +275,12 @@ func New(cfg Config) *Server {
 		logger = slog.Default()
 	}
 	s := &Server{
-		cfg:       cfg,
-		gate:      newGate(cfg.MaxInflight, cfg.QueueDepth),
-		flights:   newFlightGroup(),
-		rec:       obs.New(),
-		logger:    logger,
-		analyzers: make(map[string]*uafcheck.Analyzer),
+		cfg:     cfg,
+		gate:    newGate(cfg.MaxInflight, cfg.QueueDepth),
+		flights: newFlightGroup(),
+		rec:     obs.New(),
+		logger:  logger,
+		an:      uafcheck.NewAnalyzer(),
 	}
 	s.front = NewFront(Role{
 		Mode:               cfg.Mode,
@@ -386,9 +375,6 @@ func (s *Server) MetricsSnapshot() obs.Metrics {
 	inflight, queued := s.gate.load()
 	m.Gauges[obs.GaugeServerInflight] = int64(inflight)
 	m.Gauges[obs.GaugeServerQueueDepth] = int64(queued)
-	s.amu.Lock()
-	m.Gauges[obs.GaugeServerAnalyzerPool] = int64(len(s.analyzers))
-	s.amu.Unlock()
 	if s.cfg.Cache != nil {
 		st := s.cfg.Cache.Stats()
 		m.Gauges[obs.GaugeCacheDiskErrors] = st.DiskErrors
@@ -426,7 +412,7 @@ func RouteKey(kind, name, src string, o RequestOptions) cache.Key {
 // ModuleRouteKey is the cluster routing fingerprint of a module-mode
 // request: module label plus option set, deliberately NOT the file
 // contents. Successive snapshots of one module must land on the same
-// worker — that worker's pooled Analyzer holds the module's per-unit
+// worker — that worker's Analyzer holds the module's per-unit
 // memo store, and content-addressed routing would scatter every edit
 // to a cold worker. Mirrors RouteKey otherwise.
 func ModuleRouteKey(module string, o RequestOptions) cache.Key {
@@ -949,36 +935,22 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 
 // -------------------------------------------------------------- delta
 
-// analyzerFor returns the pooled incremental Analyzer for an option
-// set, creating it on first use. The fingerprint covers exactly the
-// options that participate in unit memoization; deadlines are per-line
-// (context) and metrics only affect encoding, so neither splits the
-// pool.
-func (s *Server) analyzerFor(o RequestOptions) *uafcheck.Analyzer {
-	fp := fmt.Sprintf("prune=%t max_states=%d trace=%t ma=%t ca=%t",
-		o.Prune == nil || *o.Prune, o.MaxStates, o.Trace, o.ModelAtomics, o.CountAtomics)
-	s.amu.Lock()
-	defer s.amu.Unlock()
-	if a, ok := s.analyzers[fp]; ok {
-		return a
-	}
-	if len(s.aorder) >= maxAnalyzers {
-		delete(s.analyzers, s.aorder[0])
-		s.aorder = s.aorder[1:]
-	}
-	a := uafcheck.NewAnalyzer(s.libraryOptions(o)...)
-	s.analyzers[fp] = a
-	s.aorder = append(s.aorder, fp)
-	return a
-}
-
 // handleDelta serves POST /v1/delta: an NDJSON request stream of
 // DeltaRequest lines answered by an NDJSON stream of canonical results,
-// one per line, in order. Lines run through the pooled Analyzers, so a
+// one per line, in order. Lines run through the server's Analyzer, so a
 // client that re-sends a file after each edit gets incremental
 // re-analysis — only the edited procedures are recomputed — with
 // responses byte-identical to /v1/analyze for the same input. The
 // stream holds one admission slot for its whole lifetime.
+//
+// Each line runs under batch.Attempt at its effective deadline: the
+// analysis context expires and the run degrades, exactly like the
+// single-shot endpoint, and an analysis that ignores even that is
+// abandoned after the grace and answered with an error line, so a
+// stalled line cannot hold the stream. The request context is
+// deliberately not the cancellation parent — a disconnect is detected
+// between lines, never mid-analysis — but its trace rides along so each
+// line's spans join the tree.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -991,81 +963,81 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.release()
 
 	write := startNDJSON(w)
-	var emitErr error
-	emit := func(line []byte) { emitErr = write(line) }
-
 	s.front.ReadDelta(w, r, write, func(_ []byte, req *DeltaRequest) error {
-		s.deltaLine(r, req, emit)
-		return emitErr
+		deadline := s.effectiveDeadline(req.Options)
+		lines, hung := batch.Attempt(obs.Detach(r.Context()), deadline, func(ctx context.Context) [][]byte {
+			return s.deltaLine(ctx, req)
+		})
+		if hung {
+			// No report: a made-up timed-out report would carry no
+			// warnings, not the conservative superset "degraded" promises.
+			lines = [][]byte{mustJSON(errorBody{Error: fmt.Sprintf(
+				"delta line abandoned: analysis did not return within %v plus grace", deadline)})}
+		}
+		for _, line := range lines {
+			if err := write(line); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
-// deltaLine answers one /v1/delta line.
-func (s *Server) deltaLine(r *http.Request, req *DeltaRequest, emit func([]byte)) {
+// deltaLine answers one /v1/delta line with its output lines.
+func (s *Server) deltaLine(ctx context.Context, req *DeltaRequest) [][]byte {
 	if req.moduleMode() {
-		s.deltaModule(r, req, emit)
-		return
+		return s.deltaModule(ctx, req)
 	}
 	if req.Src == "" {
-		emit(mustJSON(errorBody{Error: "missing src"}))
-		return
+		return [][]byte{mustJSON(errorBody{Error: "missing src"})}
 	}
 	if req.Name == "" {
 		req.Name = "input.chpl"
 	}
 	s.rec.Add(obs.CtrServerDeltaFiles, 1)
-
-	// Per-line deadline: the analysis context expires and the run
-	// degrades, exactly like the versioned single-shot endpoint. The
-	// request context is deliberately not the cancellation parent — a
-	// disconnect is detected between lines, never mid-analysis — but
-	// its trace rides along so each line's spans join the tree.
-	ctx, cancel := context.WithTimeout(obs.Detach(r.Context()), s.effectiveDeadline(req.Options))
 	t0 := time.Now()
-	rep, err := s.analyzerFor(req.Options).AnalyzeDelta(ctx, req.Name, req.Src)
-	cancel()
+	rep, err := uafcheck.AnalyzeContext(ctx, req.Name, req.Src,
+		append(s.libraryOptions(req.Options), uafcheck.WithAnalyzer(s.an))...)
 	s.observeAnalysis(t0, 1, metricsOf(rep))
-	emit(s.resultLine(r.Context(), req.Name, rep, err, req.Options.Metrics))
+	return [][]byte{s.resultLine(ctx, req.Name, rep, err, req.Options.Metrics)}
 }
 
 // deltaModule answers one module-mode delta line: the full module
-// snapshot runs through the pooled Analyzer's module engine, so only
-// the units whose call-graph view changed since the previous snapshot
-// recompute (editing a callee re-analyzes exactly its transitive
-// callers), and one canonical line per file streams back in input
-// order. Failures produce a single typed error line rather than an
-// HTTP error — the NDJSON stream is already flowing.
-func (s *Server) deltaModule(r *http.Request, req *DeltaRequest, emit func([]byte)) {
+// snapshot runs through the server's Analyzer, so only the units whose
+// call-graph view changed since the previous snapshot recompute
+// (editing a callee re-analyzes exactly its transitive callers), and
+// one canonical line per file comes back in input order. Failures
+// produce a single typed error line rather than an HTTP error — the
+// NDJSON stream is already flowing.
+func (s *Server) deltaModule(ctx context.Context, req *DeltaRequest) [][]byte {
 	if len(req.Files) == 0 {
-		emit(mustJSON(errorBody{Error: "module delta line missing files"}))
-		return
+		return [][]byte{mustJSON(errorBody{Error: "module delta line missing files"})}
 	}
 	files := make([]uafcheck.ModuleFile, len(req.Files))
 	for i, f := range req.Files {
 		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
 	}
 	s.rec.Add(obs.CtrServerDeltaFiles, int64(len(files)))
-	ctx, cancel := context.WithTimeout(obs.Detach(r.Context()), s.effectiveDeadline(req.Options))
-	defer cancel()
 	t0 := time.Now()
-	mrep, err := s.analyzerFor(req.Options).AnalyzeModuleDelta(ctx, files)
+	mrep, err := uafcheck.AnalyzeModuleContext(ctx, files,
+		append(s.libraryOptions(req.Options), uafcheck.WithAnalyzer(s.an))...)
 	if err != nil {
-		emit(mustJSON(errorBody{Error: err.Error(), Code: moduleErrorCode(err)}))
-		return
+		return [][]byte{mustJSON(errorBody{Error: err.Error(), Code: moduleErrorCode(err)})}
 	}
 	s.observeAnalysis(t0, len(files), mrep.Metrics)
-	for _, fr := range mrep.Files {
-		emit(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics))
+	lines := make([][]byte, len(mrep.Files))
+	for i, fr := range mrep.Files {
+		lines[i] = s.resultLine(ctx, fr.Name, fr.Report, fr.Err, req.Options.Metrics)
 	}
+	return lines
 }
 
 // -------------------------------------------------------------- admin
 
 // componentHealth assembles the per-component health rows: the
-// admission gate, the report cache's disk tier, the /v1/delta analyzer
-// pool, and every probe registered via Config.Components.
+// admission gate and the report cache's disk tier.
 func (s *Server) componentHealth() map[string]ComponentStatus {
-	comps := make(map[string]ComponentStatus, 3+len(s.cfg.Components))
+	comps := make(map[string]ComponentStatus, 2)
 
 	inflight, queued := s.gate.load()
 	admission := ComponentStatus{State: "ok", Detail: map[string]int64{
@@ -1092,18 +1064,6 @@ func (s *Server) componentHealth() map[string]ComponentStatus {
 		}
 	}
 	comps["disk_cache"] = disk
-
-	s.amu.Lock()
-	pool := int64(len(s.analyzers))
-	s.amu.Unlock()
-	comps["analyzer_pool"] = ComponentStatus{State: "ok", Detail: map[string]int64{
-		"analyzers": pool,
-		"capacity":  maxAnalyzers,
-	}}
-
-	for name, probe := range s.cfg.Components {
-		comps[name] = probe()
-	}
 	return comps
 }
 

@@ -473,3 +473,36 @@ func TestFlightRecorderRendersUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestCountsDroppedSpans: a batch whose span tree outgrows
+// obs.DefaultTraceSpans keeps the cap's worth of spans, and its digest
+// counts every span it lost, so kept plus dropped is the whole tree.
+func TestDigestCountsDroppedSpans(t *testing.T) {
+	_, ts := newTestServer(t, Config{Mode: "worker"})
+	spans := func(n int) RequestDigest {
+		files := make([]BatchFile, n)
+		for i := range files {
+			files[i] = BatchFile{Name: fmt.Sprintf("f%d.chpl", i), Src: buggySrc}
+		}
+		resp, _ := post(t, ts, "/v1/analyze-batch", BatchRequest{Files: files})
+		return fetchDigest(t, ts, resp)
+	}
+	// The tree grows by the same number of spans per identical file.
+	one, ten := spans(1), spans(10)
+	if one.DroppedSpans != 0 || ten.DroppedSpans != 0 {
+		t.Fatalf("small batches dropped spans: %d, %d", one.DroppedSpans, ten.DroppedSpans)
+	}
+	perFile := (ten.SpanCount - one.SpanCount) / 9
+	n := obs.DefaultTraceSpans/perFile + 40
+	want := one.SpanCount + (n-1)*perFile
+
+	d := spans(n)
+	if d.SpanCount != obs.DefaultTraceSpans || d.DroppedSpans == 0 {
+		t.Fatalf("%d-file batch: span_count %d, dropped_spans %d; want %d kept and some dropped",
+			n, d.SpanCount, d.DroppedSpans, obs.DefaultTraceSpans)
+	}
+	if got := d.SpanCount + int(d.DroppedSpans); got != want {
+		t.Errorf("kept %d + dropped %d = %d spans, want the whole tree of %d",
+			d.SpanCount, d.DroppedSpans, got, want)
+	}
+}

@@ -1,27 +1,27 @@
 // Package watch is the supervised repo-watch service behind
 // `uafcheck -watch`: it polls a set of files or whole project trees,
-// re-analyzes changed files through a long-lived incremental Analyzer,
-// and prints warning diffs — while a watchdog keeps the loop alive
-// when the analyzer itself misbehaves.
+// re-analyzes changed files through one long-lived incremental
+// Analyzer, and prints warning diffs — while a watchdog keeps the loop
+// alive when an analysis hangs.
 //
 // Supervision model. The service is always in one of three states:
 //
 //   - healthy: every file analyzed cleanly on the latest poll;
-//   - degraded: something went wrong this poll (an analysis errored,
-//     returned a degraded conservative-superset report, or the
-//     analyzer was just restarted) but the loop is running — the
-//     last-known-good warning set for each file keeps being served;
+//   - degraded: something went wrong this poll (an analysis errored or
+//     returned a degraded conservative-superset report) but the loop is
+//     running — the last-known-good warning set for each file keeps
+//     being served;
 //   - wedged: an analysis overran its hang timeout plus grace and was
 //     abandoned by batch.Attempt, the supervisor every multi-file path
-//     shares. The analyzer (which may be stuck holding its memo store's
-//     locks) is discarded; the service serves last-known-good warnings
-//     while it waits out an exponential backoff before building a fresh
-//     analyzer via the configured factory.
+//     shares. Last-known-good warnings keep being served, and the next
+//     poll retries the same content on the same Analyzer: an abandoned
+//     call holds none of the memo store's locks and stores no partial
+//     unit, so it blocks no later call.
 //
 // A clean pass returns the service to healthy from either degraded
 // state. Transitions, per-file diffs and watchdog actions all print to
 // Config.Out with the stable "watch: " prefix, and the obs counters
-// watch.polls/changed_files/deleted_files/abandoned/restarts plus the
+// watch.polls/changed_files/deleted_files/abandoned plus the
 // watch.state/watch.files gauges make the machine observable from
 // metrics alone.
 package watch
@@ -52,12 +52,10 @@ const (
 	// StateHealthy: the latest poll analyzed every changed file cleanly.
 	StateHealthy State = iota
 	// StateDegraded: the loop is serving, but the latest poll hit an
-	// analysis error, a degraded (conservative-superset) report, or the
-	// analyzer was just restarted and has not proven itself yet.
+	// analysis error or a degraded (conservative-superset) report.
 	StateDegraded
-	// StateWedged: a hung analysis was abandoned; the analyzer is gone
-	// and the service is backing off before building a fresh one.
-	// Last-known-good warnings keep being served meanwhile.
+	// StateWedged: a hung analysis was abandoned; the next poll retries
+	// it. Last-known-good warnings keep being served meanwhile.
 	StateWedged
 )
 
@@ -77,30 +75,25 @@ func (s State) String() string {
 // hung analysis.
 var ErrAbandoned = errors.New("watch: analysis abandoned by watchdog")
 
-// errBackingOff marks polls skipped because the service is wedged and
-// waiting out its restart backoff.
-var errBackingOff = errors.New("watch: analyzer restart pending")
-
-// Config configures a Service. Roots and NewAnalyzer are required.
+// Config configures a Service. Roots and Analyzer are required.
 type Config struct {
 	// Roots are the files and/or directory trees to watch. Directories
 	// are rescanned every poll (recursive) for .chpl files, picking up
 	// created files and dropping deleted ones; explicit file roots are
 	// watched whatever their extension.
 	Roots []string
-	// Interval is the poll period (default 500ms). The restart backoff
-	// is capped at 16 intervals, at least 1s.
+	// Interval is the poll period (default 500ms).
 	Interval time.Duration
 	// HangTimeout bounds one file's analysis. The analysis context is
 	// cancelled at HangTimeout; a worker that ignores even the
 	// cancellation is abandoned at HangTimeout plus batch.Attempt's
-	// grace and the analyzer is restarted. Default 30s.
+	// grace, and the file is retried on the next poll. Default 30s.
 	HangTimeout time.Duration
 	// Out receives diffs and supervision events; nil discards them.
 	Out io.Writer
-	// NewAnalyzer builds the incremental analyzer, at startup and after
-	// each watchdog restart. Must be non-nil.
-	NewAnalyzer func() *uafcheck.Analyzer
+	// Analyzer is the incremental analyzer every poll runs through, for
+	// the service's whole life. Must be non-nil.
+	Analyzer *uafcheck.Analyzer
 }
 
 // Status is a point-in-time snapshot of the supervision state, the
@@ -110,8 +103,6 @@ type Status struct {
 	State State
 	// Files is the number of files currently tracked.
 	Files int
-	// Restarts counts analyzer rebuilds forced by the watchdog.
-	Restarts int64
 	// Abandoned counts analyses the watchdog gave up on.
 	Abandoned int64
 	// LastError is the most recent analysis failure ("" when none).
@@ -127,7 +118,7 @@ type fileState struct {
 
 // Service is the supervised watch loop. Create with New, drive with
 // Run; Status, Warnings and Metrics are safe to call concurrently from
-// other goroutines (the wedge tests and a future /statusz handler do).
+// other goroutines (the tree-scan tests and a future /statusz handler do).
 type Service struct {
 	cfg Config
 	rec *obs.Recorder
@@ -135,10 +126,6 @@ type Service struct {
 	mu        sync.Mutex
 	state     State
 	files     map[string]*fileState
-	an        *uafcheck.Analyzer
-	restartAt time.Time // when wedged: earliest next analyzer rebuild
-	wedges    int       // consecutive wedges, drives the backoff exponent
-	restarts  int64
 	abandoned int64
 	lastErr   string
 }
@@ -158,7 +145,6 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		rec:   obs.New(),
 		files: make(map[string]*fileState),
-		an:    cfg.NewAnalyzer(),
 	}
 }
 
@@ -185,7 +171,6 @@ func (s *Service) Status() Status {
 	return Status{
 		State:     s.state,
 		Files:     len(s.files),
-		Restarts:  s.restarts,
 		Abandoned: s.abandoned,
 		LastError: s.lastErr,
 	}
@@ -230,11 +215,9 @@ func (s *Service) pass(ctx context.Context, first bool) {
 	}
 
 	s.mu.Lock()
-	// A clean pass with a live analyzer earns healthy back; a wedged
-	// service stays wedged until a restart succeeds.
-	if clean && s.an != nil {
+	// A clean pass earns healthy back from either degraded state.
+	if clean {
 		s.setStateLocked(StateHealthy)
-		s.wedges = 0
 	}
 	// Gauges are high-water marks: the aggregate answers "how bad did
 	// supervision get" and "how many files at peak", while Status gives
@@ -310,7 +293,7 @@ func (s *Service) dropDeleted(present []string) {
 
 // checkFile re-analyzes p when its content changed. Returns false when
 // this file left the pass less than clean (read error, analysis error,
-// degraded report, abandoned analysis, or skipped during backoff).
+// degraded report or abandoned analysis).
 func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 	s.mu.Lock()
 	st := s.files[p]
@@ -348,9 +331,8 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 		if errors.Is(err, context.Canceled) {
 			return true // shutdown, not a failure
 		}
-		if errors.Is(err, errBackingOff) || errors.Is(err, ErrAbandoned) {
-			// Transient supervision trouble: leave st.src alone so the
-			// restarted analyzer retries this content on a later poll.
+		if errors.Is(err, ErrAbandoned) {
+			// Leave st.src alone so the next poll retries this content.
 			return false
 		}
 		// Frontend failure mid-edit is normal; record the content so an
@@ -414,80 +396,36 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 // analyzeGuarded runs one analysis under batch.Attempt: the analysis
 // context is cancelled at HangTimeout, and a worker that ignores even
 // that is abandoned at HangTimeout plus grace — its goroutine is left
-// to die on its own, the analyzer it may have wedged is discarded, and
-// a replacement is scheduled after an exponential backoff.
+// to finish on its own, and the service goes wedged until a clean pass.
 func (s *Service) analyzeGuarded(ctx context.Context, path, src string) (*uafcheck.Report, error) {
-	an, err := s.analyzer()
-	if err != nil {
-		return nil, err
-	}
 	type result struct {
 		rep *uafcheck.Report
 		err error
 	}
 	r, hung := batch.Attempt(ctx, s.cfg.HangTimeout, func(actx context.Context) result {
-		rep, err := an.AnalyzeDelta(actx, path, src)
+		rep, err := s.cfg.Analyzer.AnalyzeDelta(actx, path, src)
 		return result{rep, err}
 	})
 	if ctx.Err() != nil {
 		return nil, ctx.Err() // shutdown, not a hang
 	}
 	if hung {
-		s.abandon(an, path)
+		s.abandon(path)
 		return nil, fmt.Errorf("%w: %s did not return within %v plus grace",
 			ErrAbandoned, path, s.cfg.HangTimeout)
 	}
 	return r.rep, r.err
 }
 
-// analyzer returns the live analyzer, rebuilding it when a wedge's
-// backoff has elapsed. During backoff it returns errBackingOff and the
-// caller skips the file (last-known-good keeps being served).
-func (s *Service) analyzer() (*uafcheck.Analyzer, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.an != nil {
-		return s.an, nil
-	}
-	if time.Now().Before(s.restartAt) {
-		return nil, errBackingOff
-	}
-	s.an = s.cfg.NewAnalyzer()
-	s.restarts++
-	s.rec.Add(obs.CtrWatchRestarts, 1)
-	// The rebuilt analyzer starts degraded; a clean pass earns healthy.
-	s.setStateLocked(StateDegraded)
-	fmt.Fprintf(s.cfg.Out, "watch: analyzer restarted (restart %d)\n", s.restarts)
-	return s.an, nil
-}
-
-// abandon gives up on a hung analysis: the analyzer is discarded (only
-// if it is still the current one — a concurrent abandon may have beaten
-// us) and the next rebuild is scheduled with exponential backoff.
-func (s *Service) abandon(an *uafcheck.Analyzer, path string) {
+// abandon records a hung analysis the watchdog gave up on.
+func (s *Service) abandon(path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.abandoned++
 	s.rec.Add(obs.CtrWatchAbandoned, 1)
 	s.lastErr = fmt.Sprintf("analysis of %s abandoned after %v", path, s.cfg.HangTimeout)
-	if s.an != an {
-		return
-	}
-	s.an = nil
-	s.wedges++
-	// Backoff scales from the hang timeout (a restart cheaper than one
-	// analysis worth of waiting buys nothing) and doubles per
-	// consecutive wedge, up to 16 poll intervals (at least 1s).
-	maxBackoff := max(16*s.cfg.Interval, time.Second)
-	backoff := max(s.cfg.HangTimeout, s.cfg.Interval)
-	for i := 1; i < s.wedges && backoff < maxBackoff; i++ {
-		backoff *= 2
-	}
-	backoff = min(backoff, maxBackoff)
-	s.restartAt = time.Now().Add(backoff)
 	s.setStateLocked(StateWedged)
-	fmt.Fprintf(s.cfg.Out, "watch: analysis of %s abandoned (hang watchdog); analyzer restart in %v\n",
-		path, backoff.Round(time.Millisecond))
+	fmt.Fprintf(s.cfg.Out, "watch: analysis of %s abandoned (hang watchdog); retrying on the next poll\n", path)
 }
 
 // noteError records a failure and degrades the state (never past

@@ -78,10 +78,10 @@ func (m *ModuleReport) ExitCode() int {
 // WithCache is ignored in module mode: the report cache's content
 // addresses cover one file's text, and a module report also depends on
 // every other file of the module. (The Analyzer's per-unit memo store
-// handles module mode precisely instead — see AnalyzeModuleDelta.)
+// handles module mode precisely instead — see WithAnalyzer and
+// AnalyzeModuleDelta.)
 func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
-	rep, _, err := analyzeModule(ctx, files, newConfig(options...), nil)
-	return rep, err
+	return analyzeModule(ctx, files, newConfig(options...))
 }
 
 // AnalyzeModuleDelta analyzes a module reusing every memoized unit
@@ -96,17 +96,22 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 //
 // The returned report is byte-identical (canonical wire encoding) to
 // AnalyzeModuleContext with this handle's options; single-file and
-// module units share the store without key collisions.
+// module units share the store without key collisions. It is
+// AnalyzeModuleContext with the handle's options plus WithAnalyzer(a).
 func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile) (*ModuleReport, error) {
-	a.files.Add(int64(len(files)))
-	rep, stats, err := analyzeModule(ctx, files, a.cfg, a.units)
-	a.count(stats)
-	return rep, err
+	return analyzeModule(ctx, files, a.cfg)
 }
 
 // analyzeModule is the shared whole-module driver behind
-// AnalyzeModuleContext (nil units) and Analyzer.AnalyzeModuleDelta.
-func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *analysis.Units) (mr *ModuleReport, stats analysis.IncrStats, err error) {
+// AnalyzeModuleContext and Analyzer.AnalyzeModuleDelta. Without a
+// handle in cfg it is a one-shot run; a handle lends its memo store
+// and counts the run.
+func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *ModuleReport, err error) {
+	var units *analysis.Units
+	if a := cfg.analyzer; a != nil {
+		a.files.Add(int64(len(files)))
+		units = a.units
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -150,16 +155,19 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *a
 		afiles[i] = analysis.ModuleFile{Name: f.Name, Src: f.Src}
 	}
 	res, stats := analysis.AnalyzeModule(afiles, in, units)
+	if units != nil {
+		cfg.analyzer.count(stats)
+	}
 	if res.FrontendFailed {
 		var b strings.Builder
 		for _, fr := range res.Files {
 			b.WriteString(frontendErrors(fr.Diags))
 		}
 		if len(res.Unresolved) > 0 {
-			return nil, stats, fmt.Errorf("%w (%w):\n%s",
+			return nil, fmt.Errorf("%w (%w):\n%s",
 				ErrUnresolvedCall, ErrParse, b.String())
 		}
-		return nil, stats, fmt.Errorf("%w:\n%s", ErrParse, b.String())
+		return nil, fmt.Errorf("%w:\n%s", ErrParse, b.String())
 	}
 
 	mr = &ModuleReport{}
@@ -172,7 +180,7 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config, units *a
 		})
 	}
 	mr.Metrics = rec.Finish()
-	return mr, stats, nil
+	return mr, nil
 }
 
 // reportStatus derives the batch-driver status vocabulary from one

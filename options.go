@@ -14,8 +14,10 @@ import (
 // unset knobs keep the defaults (pruning on, everything else off or
 // library-sized). Batch options (WithWorkers, WithFileTimeout,
 // WithRetries) apply to AnalyzeFilesContext and RunTableIContext, which
-// both run on the batch driver; WithAnalyzer and WithOnFile apply to
-// AnalyzeFilesContext only. Each is ignored elsewhere.
+// both run on the batch driver; WithOnFile applies to
+// AnalyzeFilesContext only; WithAnalyzer applies to AnalyzeContext,
+// AnalyzeFilesContext and AnalyzeModuleContext. Each is ignored
+// elsewhere.
 type Option func(*config)
 
 // config is the one configuration every entry point reads; the With*
@@ -37,9 +39,9 @@ type config struct {
 	fileTimeout time.Duration
 	retries     int
 	onFile      func(i int, fr FileReport)
-	// analyze, when set (via WithAnalyzer), replaces the per-attempt
-	// pipeline with an Analyzer handle's incremental engine.
-	analyze func(name, src string, in analysis.Options) *analysis.Result
+	// analyzer, when set (via WithAnalyzer, or by the handle itself),
+	// lends its memo store to the run and counts it.
+	analyzer *Analyzer
 
 	// unitCacheEntries bounds NewAnalyzer's per-procedure memo store.
 	unitCacheEntries int
@@ -174,18 +176,20 @@ func WithUnitCacheEntries(n int) Option {
 	return func(c *config) { c.unitCacheEntries = n }
 }
 
-// WithAnalyzer routes a batch's per-file analysis through the handle's
-// incremental engine: units memoized by earlier AnalyzeDelta calls (or
-// earlier batches) are reused, and fresh units are memoized for later
-// calls. The analysis options still come from the batch call, not from
-// the handle — the handle contributes only its memo store, which is
-// safe to share across differing options because every option that can
-// change a result participates in the unit fingerprint. Batch runs
-// only.
+// WithAnalyzer runs AnalyzeContext, AnalyzeModuleContext or each file
+// of AnalyzeFilesContext through the handle's incremental engine: units
+// memoized by earlier calls on the handle are reused, fresh units are
+// memoized for later calls, and the run counts in the handle's Stats.
+// The analysis options still come from the call, not from the handle —
+// the handle contributes only its memo store, which is safe to share
+// across differing options because every option that can change a
+// result participates in the unit fingerprint. The reports are
+// byte-identical to the same call without WithAnalyzer. A nil handle
+// is ignored.
 func WithAnalyzer(a *Analyzer) Option {
 	return func(c *config) {
 		if a != nil {
-			c.analyze = a.analyzeForBatch
+			c.analyzer = a
 		}
 	}
 }
@@ -211,5 +215,5 @@ func WithOnFile(fn func(i int, fr FileReport)) Option {
 // crash anywhere in the pipeline is recovered and reported through
 // Report.Degraded (reason DegradePanic).
 func AnalyzeContext(ctx context.Context, filename, src string, options ...Option) (*Report, error) {
-	return analyzeWith(ctx, filename, src, newConfig(options...), nil)
+	return analyzeWith(ctx, filename, src, newConfig(options...))
 }

@@ -257,9 +257,13 @@ type Report struct {
 }
 
 // analyzeWith is the shared single-file driver behind AnalyzeContext
-// and Analyzer.AnalyzeDelta. A nil handle means a one-shot run; a
-// handle lends its memo store and counts the run.
-func analyzeWith(ctx context.Context, filename, src string, cfg config, a *Analyzer) (rep *Report, err error) {
+// and Analyzer.AnalyzeDelta. Without a handle in cfg it is a one-shot
+// run; a handle lends its memo store and counts the run.
+func analyzeWith(ctx context.Context, filename, src string, cfg config) (rep *Report, err error) {
+	a := cfg.analyzer
+	if a != nil {
+		a.files.Add(1)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -618,12 +622,16 @@ func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Opti
 			cfg.onFile(i, fr)
 		}
 	}
+	var analyze func(name, src string, in analysis.Options) *analysis.Result
+	if cfg.analyzer != nil {
+		analyze = cfg.analyzer.analyzeForBatch
+	}
 	_, sum := batch.Run(bfiles, batch.Options{
 		Workers:     cfg.workers,
 		FileTimeout: cfg.fileTimeout,
 		Retries:     cfg.retries,
 		Analysis:    in,
-		Analyze:     cfg.analyze,
+		Analyze:     analyze,
 		Ctx:         ctx,
 		Obs:         rec,
 		PerFileObs: func(j int, f batch.File) *obs.Recorder {
