@@ -86,15 +86,6 @@ func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (*Rep
 	return analyzeWith(ctx, filename, src, a.cfg)
 }
 
-// analyzeForBatch is the per-attempt analysis hook WithAnalyzer plugs
-// into the batch driver: the incremental engine with this handle's memo
-// store, under the batch's per-attempt options (so retry budget shrinks
-// fingerprint separately and never serve a stale full-budget result).
-func (a *Analyzer) analyzeForBatch(name, src string, in analysis.Options) *analysis.Result {
-	a.files.Add(1)
-	return a.analyzeSource(name, src, in)
-}
-
 // analyzeSource runs the single-file pipeline through the handle's memo
 // store.
 func (a *Analyzer) analyzeSource(name, src string, in analysis.Options) *analysis.Result {

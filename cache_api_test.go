@@ -1,7 +1,7 @@
 // Public-API tests of the content-addressed report cache: hits for
 // unchanged inputs, misses for any change of source or effective
 // options, degraded results never cached, clone isolation, the disk
-// layer, and the batch pre-pass.
+// layer, and batch runs through the cache.
 package uafcheck_test
 
 import (

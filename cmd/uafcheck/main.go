@@ -29,7 +29,9 @@
 //	-no-prune       disable CCFG pruning rules A-D
 //	-oracle N       validate warnings dynamically with N random schedules
 //	-seed S         oracle schedule seed
-//	-timeout D      per-file analysis deadline (degrades, never truncates)
+//	-timeout D      per-file analysis deadline (degrades, never truncates);
+//	                bounds each batch attempt, the -module analysis and
+//	                each -fix repair alike
 //	-deadline D     wall-clock bound for the whole run
 //	-jobs N         parallel file workers for multi-file runs (0 = GOMAXPROCS)
 //	-par N          parallel PPS exploration workers inside each analysis
@@ -55,7 +57,8 @@
 //	1  warnings — at least one exact (non-degraded) warning
 //	2  degraded — some analysis was incomplete (budget, deadline,
 //	   cancellation or a recovered crash); warnings are conservative
-//	3  errors — unreadable inputs or frontend (parse/resolve) failures
+//	3  errors — unreadable inputs, frontend (parse/resolve) failures,
+//	   or analyses abandoned as hung past -timeout plus a grace period
 package main
 
 import (
@@ -91,7 +94,7 @@ func main() {
 		execProc    = flag.String("exec", "", "execute the named proc once under a random schedule and print its event trace")
 		oracle      = flag.Int("oracle", 0, "validate warnings with N random schedules (0 = off)")
 		seed        = flag.Int64("seed", 1, "oracle schedule seed")
-		timeout     = flag.Duration("timeout", 0, "per-file analysis deadline (0 = none); on expiry the file degrades to conservative warnings")
+		timeout     = flag.Duration("timeout", 0, "per-file analysis deadline (0 = none), honoured by batch, -module and -fix runs; on expiry the file degrades to conservative warnings")
 		deadline    = flag.Duration("deadline", 0, "wall-clock bound for the whole run (0 = none)")
 		jobs        = flag.Int("jobs", 0, "parallel file workers (0 = GOMAXPROCS)")
 		par         = flag.Int("par", 0, "parallel PPS exploration workers per analysis (0 = 1 in batch runs; total ≈ jobs × par)")
@@ -193,7 +196,7 @@ func main() {
 		uafcheck.WithAtomicsCounting(*count),
 		uafcheck.WithParallelism(*par),
 		uafcheck.WithWorkers(*jobs),
-		uafcheck.WithFileTimeout(*timeout),
+		uafcheck.WithDeadline(*timeout),
 		uafcheck.WithRetries(*retries),
 		// -trace-out implies span recording: each file's JSONL gets its
 		// full span tree (file -> phases -> per-proc -> PPS waves).
@@ -270,11 +273,6 @@ func main() {
 			continue
 		}
 		rep := fr.Report
-		if rep == nil {
-			fmt.Fprintf(os.Stderr, "uafcheck: %s: analysis %s after %d attempt(s) in %v\n",
-				path, fr.Status, fr.Attempts, fr.Duration.Round(time.Millisecond))
-			continue
-		}
 		if traceFile != nil {
 			// Header line so the JSONL trace attributes spans to inputs.
 			// Emitted here, after the parallel run, so multi-file traces

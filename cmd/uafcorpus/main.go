@@ -80,7 +80,7 @@ func main() {
 
 	// -jobs, -case-timeout and -retries apply to every Table I run.
 	batchOpts := []uafcheck.Option{
-		uafcheck.WithWorkers(*jobs), uafcheck.WithFileTimeout(*caseTimeout), uafcheck.WithRetries(*retries),
+		uafcheck.WithWorkers(*jobs), uafcheck.WithDeadline(*caseTimeout), uafcheck.WithRetries(*retries),
 	}
 	start = time.Now()
 	table, det, robust := eval.RunTableI(cases, analysis.DefaultOptions(), batch.Options{
@@ -95,7 +95,7 @@ func main() {
 	fmt.Print(table.Format())
 	fmt.Printf("\nPaper reference: 5127 / 218 / 38 / 437 / 63 / 14.4%%\n")
 	fmt.Printf("generation %v, analysis %v\n\n", genTime.Round(time.Millisecond), anaTime.Round(time.Millisecond))
-	fmt.Printf("Robustness: %d cases — %d ok, %d degraded, %d timed out, %d crashed, %d frontend errors (%d retries)\n\n",
+	fmt.Printf("Robustness: %d cases — %d ok, %d degraded, %d timed out, %d crashed, %d errors (%d retries)\n\n",
 		robust.Files, robust.OK, robust.Degraded, robust.TimedOut, robust.Crashed, robust.Errors, robust.Retries)
 	fmt.Println("Per-pattern breakdown:")
 	fmt.Print(breakdown)

@@ -7,7 +7,7 @@
 // The driver is the operational contract the resource governor was built
 // for: every input produces exactly one classified Result — OK, Degraded
 // (sound conservative over-approximation), TimedOut, Crashed or
-// FrontendError — so a corpus run over millions of files can always
+// Failed — so a corpus run over millions of files can always
 // account for every file, and a shell caller can always distinguish a
 // clean run from a degraded one.
 package batch
@@ -23,14 +23,6 @@ import (
 	"uafcheck/internal/pps"
 )
 
-// File is one batch input.
-type File struct {
-	// Name labels diagnostics and reports (usually a path).
-	Name string
-	// Src is the MiniChapel source text.
-	Src string
-}
-
 // Status classifies one file's final outcome, most severe last.
 type Status int
 
@@ -41,14 +33,15 @@ const (
 	// cancellation and fell back to conservative warnings. Sound, but
 	// over-approximate.
 	Degraded
-	// TimedOut: the per-file deadline fired on every attempt; the final
-	// result (when present) is the conservative fallback.
+	// TimedOut: the per-attempt deadline fired on every attempt; the
+	// final result is the conservative fallback.
 	TimedOut
-	// Crashed: a pipeline stage panicked. The panic was recovered into
-	// Result.Crashes and the rest of the batch was unaffected.
+	// Crashed: a pipeline stage panicked. The panic was recovered and
+	// the rest of the batch was unaffected.
 	Crashed
-	// FrontendError: the input failed to lex, parse or resolve.
-	FrontendError
+	// Failed: there is no result: the input failed to lex, parse or
+	// resolve, or its last attempt hung and was abandoned.
+	Failed
 )
 
 // String renders the status for reports and telemetry.
@@ -62,7 +55,7 @@ func (s Status) String() string {
 		return "timed-out"
 	case Crashed:
 		return "crashed"
-	case FrontendError:
+	case Failed:
 		return "error"
 	}
 	return "unknown"
@@ -73,9 +66,9 @@ type Options struct {
 	// Workers is the pool size; 0 means GOMAXPROCS.
 	Workers int
 	// FileTimeout bounds each attempt's wall clock (0 = unbounded). The
-	// per-file context it derives is polled inside the PPS hot loop, so
-	// a pathological file returns — degraded — within a few poll
-	// intervals of the deadline.
+	// attempt's context carries it and is polled inside the PPS hot
+	// loop, so a pathological file returns — degraded — within a few
+	// poll intervals of the deadline.
 	FileTimeout time.Duration
 	// Retries is how many extra attempts a deadline hit earns. Each
 	// retry divides the PPS MaxStates budget by BudgetShrink, trading
@@ -85,18 +78,11 @@ type Options struct {
 	Retries int
 	// BudgetShrink is the per-retry MaxStates divisor (default 4).
 	BudgetShrink int
-	// Analysis configures the per-file pipeline.
-	Analysis analysis.Options
-	// Analyze, when non-nil, replaces analysis.AnalyzeSource as the
-	// per-attempt pipeline. uafcheck.WithAnalyzer sets it to run each
-	// attempt through the handle's unit memo store
-	// (analysis.AnalyzeSourceIncremental). It must honor opts.Ctx and
-	// be safe for concurrent use; every attempt (retries included) goes
-	// through it with that attempt's effective options, so shrunken
-	// retry budgets are never served a full-budget memo.
-	Analyze func(name, src string, opts analysis.Options) *analysis.Result
+	// MaxStates is the first attempt's PPS state budget (0 = the
+	// analysis default); retries shrink it.
+	MaxStates int
 	// Ctx cancels the whole batch. Files not yet started still produce
-	// Results: their analyses observe the cancelled context immediately
+	// Results: their attempts observe the cancelled context immediately
 	// and degrade to the conservative fallback.
 	Ctx context.Context
 	// Obs receives the batch span and the aggregate outcome counters
@@ -104,43 +90,31 @@ type Options struct {
 	// warnings). The Recorder is mutex-guarded, so one instance is
 	// shared by all workers.
 	Obs *obs.Recorder
-	// PerFileObs, when set, supplies a telemetry recorder per file; it
-	// is attached to the file's analysis options (all attempts of the
-	// file share it).
-	PerFileObs func(i int, f File) *obs.Recorder
-	// OnResult, when set, receives each file's classified result on the
-	// worker goroutine that finished it, immediately after the result
-	// slot is written. Callbacks for different files may run
-	// concurrently; the callee must be safe for concurrent use.
-	// Streaming consumers (the uafserve batch endpoint) emit per-file
-	// responses from this hook instead of waiting for the whole batch.
-	OnResult func(r Result)
+}
+
+// Grade is what the driver needs to know of one attempt's value: its
+// outcome class and its warning counts.
+type Grade struct {
+	Status Status
+	// Warnings / Conservative count the attempt's warnings and how many
+	// of them are degradation-ladder over-approximations.
+	Warnings     int
+	Conservative int
 }
 
 // Result is one file's classified outcome.
-type Result struct {
-	File  File
+type Result[T any] struct {
 	Index int
-	// Status is the outcome class; Stop refines Degraded/TimedOut with
-	// the machine-readable ladder reason.
-	Status Status
-	Stop   pps.StopReason
-	// Res is the final attempt's analysis (nil only when the attempt was
-	// abandoned as a hard hang).
-	Res *analysis.Result
-	// Crashes carries recovered panics (Status == Crashed).
-	Crashes []analysis.Crash
-	// Attempts counts pipeline runs for this file (≥ 1 unless the batch
-	// context was already dead).
+	// Value is the final attempt's value: the zero T when that attempt
+	// was abandoned as a hard hang (Hung) or panicked.
+	Value T
+	Grade
+	// Attempts counts this file's attempts, retries included.
 	Attempts int
 	// Duration is the wall clock across all attempts.
 	Duration time.Duration
-	// Warnings / Conservative count the final attempt's warnings and how
-	// many of them are degradation-ladder over-approximations.
-	Warnings     int
-	Conservative int
-	// Hung marks an attempt that did not return even after its context
-	// fired plus a grace period (the analysis goroutine was abandoned).
+	// Hung marks a final attempt that did not return even after its
+	// context fired plus a grace period (its goroutine was abandoned).
 	Hung bool
 }
 
@@ -163,24 +137,22 @@ type Summary struct {
 // exact, complete result.
 func (s Summary) Degradations() int { return s.Degraded + s.TimedOut + s.Crashed }
 
-// Run analyzes every file and returns per-file results (index-aligned
-// with files) plus the aggregate summary. Results are deterministic for
-// a fixed input set and options: workers race only on who analyzes
-// what, never on what a file's analysis observes.
-func Run(files []File, opts Options) ([]Result, Summary) {
+// Run runs n files on a pool of opts.Workers goroutines and returns
+// their results (index-aligned) plus the aggregate summary. attempt
+// analyzes file i once under ctx, which carries the attempt's deadline,
+// with the attempt's PPS state budget; grade classifies its value, and
+// a TimedOut grade earns a retry while any remain. onResult, when set,
+// receives each file's result on the worker goroutine that finished it,
+// right after its slot is written; calls for different files may run
+// concurrently. Results are deterministic for a fixed input set and
+// options: workers race only on who analyzes what, never on what a
+// file's analysis observes.
+func Run[T any](n int, opts Options, attempt func(ctx context.Context, i, maxStates int) T,
+	grade func(T) Grade, onResult func(Result[T])) ([]Result[T], Summary) {
 	endBatch := opts.Obs.Span(obs.PhaseBatch)
 	defer endBatch()
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	// Concurrency split: total parallelism ≈ Workers × per-analysis PPS
-	// workers. With many files, file-level workers already saturate the
-	// machine, so an unset in-analysis parallelism defaults to sequential
-	// exploration here (a single AnalyzeContext call defaults to GOMAXPROCS
-	// instead). An explicit value passes through — callers with few huge
-	// files can flip the split the other way.
-	if opts.Analysis.PPS.Parallelism <= 0 {
-		opts.Analysis.PPS.Parallelism = 1
 	}
 	if opts.BudgetShrink <= 1 {
 		opts.BudgetShrink = 4
@@ -189,7 +161,7 @@ func Run(files []File, opts Options) ([]Result, Summary) {
 		opts.Ctx = context.Background()
 	}
 
-	results := make([]Result, len(files))
+	results := make([]Result[T], n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -197,14 +169,14 @@ func Run(files []File, opts Options) ([]Result, Summary) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = runFile(files[i], i, opts)
-				if opts.OnResult != nil {
-					opts.OnResult(results[i])
+				results[i] = runFile(i, opts, attempt, grade)
+				if onResult != nil {
+					onResult(results[i])
 				}
 			}
 		}()
 	}
-	for i := range files {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
@@ -216,42 +188,32 @@ func Run(files []File, opts Options) ([]Result, Summary) {
 }
 
 // runFile drives one file through the attempt/retry ladder.
-func runFile(f File, idx int, opts Options) Result {
+func runFile[T any](i int, opts Options, attempt func(context.Context, int, int) T, grade func(T) Grade) Result[T] {
 	start := time.Now()
-	res := Result{File: f, Index: idx}
-
-	aopts := opts.Analysis
-	if opts.PerFileObs != nil {
-		aopts.Obs = opts.PerFileObs(idx, f)
-	}
-	budget := aopts.PPS.MaxStates
-	maxAttempts := 1 + opts.Retries
-
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		res.Attempts = attempt + 1
-		if attempt > 0 {
+	res := Result[T]{Index: i}
+	budget := opts.MaxStates
+	for a := 0; a <= opts.Retries; a++ {
+		res.Attempts = a + 1
+		if a > 0 {
 			// Retry rung: a deadline hit means the state space outran the
 			// wall clock. Shrink the deterministic budget so the retry
 			// terminates by state count, not by timer.
 			if budget <= 0 {
 				budget = pps.DefaultMaxStates()
 			}
-			budget /= opts.BudgetShrink
-			if budget < 1 {
-				budget = 1
-			}
-			aopts.PPS.MaxStates = budget
+			budget = max(budget/opts.BudgetShrink, 1)
 		}
-		ar, hung := runAttempt(f, aopts, opts)
-		if hung {
-			res.Hung = true
-			res.Status = TimedOut
-			res.Stop = pps.StopDeadline
+		v, panicked, hung := runAttempt(i, budget, opts, attempt)
+		res.Value, res.Hung = v, hung
+		switch {
+		case hung:
+			res.Grade = Grade{Status: Failed}
 			continue // retry with a smaller budget, if any attempts remain
+		case panicked:
+			res.Grade = Grade{Status: Crashed}
+		default:
+			res.Grade = grade(v)
 		}
-		res.Res = ar
-		res.Hung = false
-		classify(&res, ar)
 		if res.Status != TimedOut {
 			break
 		}
@@ -260,24 +222,23 @@ func runFile(f File, idx int, opts Options) Result {
 	return res
 }
 
-// runAttempt executes one pipeline run under the per-file deadline.
-func runAttempt(f File, aopts analysis.Options, opts Options) (*analysis.Result, bool) {
-	analyze := opts.Analyze
-	if analyze == nil {
-		analyze = analysis.AnalyzeSource
+// runAttempt executes one attempt under the per-attempt deadline. A
+// panic that escapes attempt is recovered here, so the worker never
+// dies.
+func runAttempt[T any](i, budget int, opts Options, attempt func(context.Context, int, int) T) (v T, panicked, hung bool) {
+	type out struct {
+		v        T
+		panicked bool
 	}
-	return Attempt(opts.Ctx, opts.FileTimeout, func(ctx context.Context) (ar *analysis.Result) {
-		// analysis recovers per-proc panics itself; this recover is the
-		// net under frontend/report crashes so the worker never dies.
+	o, hung := Attempt(opts.Ctx, opts.FileTimeout, func(ctx context.Context) (o out) {
 		defer func() {
 			if recover() != nil {
-				ar = nil
+				o = out{panicked: true}
 			}
 		}()
-		o := aopts // assigning aopts itself would move it to the heap
-		o.Ctx = ctx
-		return analyze(f.Name, f.Src, o)
+		return out{v: attempt(ctx, i, budget)}
 	})
+	return o.v, o.panicked, hung
 }
 
 // Attempt is the analysis-hang supervisor shared by the batch driver,
@@ -312,43 +273,35 @@ func Attempt[T any](ctx context.Context, timeout time.Duration, fn func(context.
 	}
 }
 
-// classify maps one attempt's analysis result onto the outcome ladder.
-func classify(res *Result, ar *analysis.Result) {
-	res.Warnings = 0
-	res.Conservative = 0
-	res.Stop = pps.StopNone
-	if ar == nil {
-		// The attempt goroutine panicked outside the per-proc recovery.
-		res.Status = Crashed
-		res.Stop = analysis.StopPanic
-		return
+// GradeAnalysis grades one internal analysis result: a frontend
+// rejection fails, otherwise the degradation ladder's stop reason picks
+// the class.
+func GradeAnalysis(ar *analysis.Result) Grade {
+	if ar.Diags.HasErrors() {
+		return Grade{Status: Failed}
 	}
-	res.Crashes = ar.Crashes
+	var g Grade
 	for _, w := range ar.Warnings() {
-		res.Warnings++
+		g.Warnings++
 		if w.Conservative {
-			res.Conservative++
+			g.Conservative++
 		}
 	}
-	if ar.Diags.HasErrors() {
-		res.Status = FrontendError
-		return
-	}
-	res.Stop = ar.Degraded()
-	switch res.Stop {
+	switch ar.Degraded() {
 	case pps.StopNone:
-		res.Status = OK
+		g.Status = OK
 	case analysis.StopPanic:
-		res.Status = Crashed
+		g.Status = Crashed
 	case pps.StopDeadline:
-		res.Status = TimedOut
+		g.Status = TimedOut
 	default: // budget, cancelled
-		res.Status = Degraded
+		g.Status = Degraded
 	}
+	return g
 }
 
 // summarize folds the per-file results.
-func summarize(results []Result) Summary {
+func summarize[T any](results []Result[T]) Summary {
 	var s Summary
 	s.Files = len(results)
 	for i := range results {
@@ -362,7 +315,7 @@ func summarize(results []Result) Summary {
 			s.TimedOut++
 		case Crashed:
 			s.Crashed++
-		case FrontendError:
+		case Failed:
 			s.Errors++
 		}
 		s.Retries += r.Attempts - 1

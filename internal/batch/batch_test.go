@@ -53,32 +53,52 @@ var pathoSrc = func() string {
 	return b.String()
 }()
 
-func TestRunMixedBatch(t *testing.T) {
-	files := []File{
-		{Name: "clean.chpl", Src: cleanSrc},
-		{Name: "warn.chpl", Src: warnSrc},
-		{Name: "broken.chpl", Src: "proc ( nope"},
-		{Name: "budget.chpl", Src: pathoSrc},
-	}
-	opts := Options{Workers: 4, Analysis: analysis.DefaultOptions()}
-	opts.Analysis.PPS.MaxStates = 200 // forces budget.chpl onto the degradation ladder
+// file is one test input.
+type file struct{ name, src string }
 
-	results, sum := Run(files, opts)
+// runAnalysis runs files through Run with the analysis pipeline as the
+// attempt, the way internal/eval drives Table I. perFile, when set,
+// supplies each file's telemetry recorder.
+func runAnalysis(files []file, opts Options, aopts analysis.Options, perFile func(i int) *obs.Recorder,
+	onResult func(Result[*analysis.Result])) ([]Result[*analysis.Result], Summary) {
+	opts.MaxStates = aopts.PPS.MaxStates
+	return Run(len(files), opts, func(ctx context.Context, i, maxStates int) *analysis.Result {
+		o := aopts
+		o.Ctx = ctx
+		o.PPS.MaxStates = maxStates
+		if perFile != nil {
+			o.Obs = perFile(i)
+		}
+		return analysis.AnalyzeSource(files[i].name, files[i].src, o)
+	}, GradeAnalysis, onResult)
+}
+
+func TestRunMixedBatch(t *testing.T) {
+	files := []file{
+		{"clean.chpl", cleanSrc},
+		{"warn.chpl", warnSrc},
+		{"broken.chpl", "proc ( nope"},
+		{"budget.chpl", pathoSrc},
+	}
+	aopts := analysis.DefaultOptions()
+	aopts.PPS.MaxStates = 200 // forces budget.chpl onto the degradation ladder
+
+	results, sum := runAnalysis(files, Options{Workers: 4}, aopts, nil, nil)
 	if len(results) != len(files) {
 		t.Fatalf("got %d results for %d files", len(results), len(files))
 	}
 	wantStatus := map[string]Status{
 		"clean.chpl":  OK,
 		"warn.chpl":   OK,
-		"broken.chpl": FrontendError,
+		"broken.chpl": Failed,
 		"budget.chpl": Degraded,
 	}
 	for i, r := range results {
-		if r.File.Name != files[i].Name || r.Index != i {
-			t.Errorf("result %d misaligned: %s/%d", i, r.File.Name, r.Index)
+		if r.Index != i {
+			t.Errorf("result %d misaligned: index %d", i, r.Index)
 		}
-		if want := wantStatus[r.File.Name]; r.Status != want {
-			t.Errorf("%s: status %v, want %v", r.File.Name, r.Status, want)
+		if want := wantStatus[files[i].name]; r.Status != want {
+			t.Errorf("%s: status %v, want %v", files[i].name, r.Status, want)
 		}
 	}
 	if sum.Files != 4 || sum.OK != 2 || sum.Errors != 1 || sum.Degraded != 1 {
@@ -87,28 +107,23 @@ func TestRunMixedBatch(t *testing.T) {
 	if sum.Degradations() != 1 {
 		t.Errorf("Degradations() = %d, want 1", sum.Degradations())
 	}
-	for _, r := range results {
-		if r.File.Name == "budget.chpl" {
-			if r.Stop != pps.StopBudget {
-				t.Errorf("budget.chpl Stop = %q, want %q", r.Stop, pps.StopBudget)
-			}
-			if r.Conservative == 0 {
-				t.Error("budget.chpl has no conservative warnings")
-			}
-		}
-		if r.File.Name == "warn.chpl" && r.Warnings == 0 {
-			t.Error("warn.chpl reported no warnings")
-		}
+	if stop := results[3].Value.Degraded(); stop != pps.StopBudget {
+		t.Errorf("budget.chpl stop = %q, want %q", stop, pps.StopBudget)
+	}
+	if results[3].Conservative == 0 {
+		t.Error("budget.chpl has no conservative warnings")
+	}
+	if results[1].Warnings == 0 {
+		t.Error("warn.chpl reported no warnings")
 	}
 }
 
 func TestTimeoutRetryLadder(t *testing.T) {
-	files := []File{{Name: "patho.chpl", Src: pathoSrc}}
-	results, sum := Run(files, Options{
+	files := []file{{"patho.chpl", pathoSrc}}
+	results, sum := runAnalysis(files, Options{
 		FileTimeout: 25 * time.Millisecond,
 		Retries:     2,
-		Analysis:    analysis.DefaultOptions(),
-	})
+	}, analysis.DefaultOptions(), nil, nil)
 	r := results[0]
 	// Every attempt hits the wall clock before its (still huge) state
 	// budget, so the ladder runs all rungs and the file stays TimedOut.
@@ -124,23 +139,22 @@ func TestTimeoutRetryLadder(t *testing.T) {
 }
 
 func TestRetryConvergesToBudget(t *testing.T) {
-	files := []File{{Name: "patho.chpl", Src: pathoSrc}}
-	opts := Options{
+	files := []file{{"patho.chpl", pathoSrc}}
+	aopts := analysis.DefaultOptions()
+	aopts.PPS.MaxStates = 1 << 16
+	results, _ := runAnalysis(files, Options{
 		FileTimeout:  40 * time.Millisecond,
 		Retries:      3,
 		BudgetShrink: 64,
-		Analysis:     analysis.DefaultOptions(),
-	}
-	opts.Analysis.PPS.MaxStates = 1 << 16
-	results, _ := Run(files, opts)
+	}, aopts, nil, nil)
 	r := results[0]
 	// 65536 states outrun a 40ms clock, but 1024 (two 64x rungs) do not:
 	// the wall-clock timeout converges to a deterministic budget stop.
 	if r.Status != Degraded {
-		t.Fatalf("status %v (stop %q) after %d attempts, want %v", r.Status, r.Stop, r.Attempts, Degraded)
+		t.Fatalf("status %v after %d attempts, want %v", r.Status, r.Attempts, Degraded)
 	}
-	if r.Stop != pps.StopBudget {
-		t.Errorf("Stop = %q, want %q", r.Stop, pps.StopBudget)
+	if stop := r.Value.Degraded(); stop != pps.StopBudget {
+		t.Errorf("stop = %q, want %q", stop, pps.StopBudget)
 	}
 	if r.Attempts < 2 {
 		t.Errorf("Attempts = %d, want >= 2", r.Attempts)
@@ -150,17 +164,17 @@ func TestRetryConvergesToBudget(t *testing.T) {
 // TestHardHangAbandoned drives the abandon branch of the attempt
 // supervisor: an injected stall is a plain sleep that ignores the
 // attempt's context, so only the timeout-plus-grace watchdog gets the
-// worker back. The test arms the global injector and must not run in
-// parallel with other tests.
+// worker back, and the file fails without a value. The test arms the
+// global injector and must not run in parallel with other tests.
 func TestHardHangAbandoned(t *testing.T) {
 	const stall = 3 * time.Second
-	files := []File{{Name: "clean.chpl", Src: cleanSrc}}
+	files := []file{{"clean.chpl", cleanSrc}}
 	for _, tc := range []struct {
 		retries int
 		want    Status
 		hung    bool
 	}{
-		{retries: 0, want: TimedOut, hung: true},
+		{retries: 0, want: Failed, hung: true},
 		// The stall fires once; the retry runs the pipeline normally.
 		{retries: 1, want: OK, hung: false},
 	} {
@@ -168,11 +182,10 @@ func TestHardHangAbandoned(t *testing.T) {
 			Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Count: 1, Delay: stall,
 		}))
 		start := time.Now()
-		results, sum := Run(files, Options{
+		results, sum := runAnalysis(files, Options{
 			FileTimeout: 20 * time.Millisecond,
 			Retries:     tc.retries,
-			Analysis:    analysis.DefaultOptions(),
-		})
+		}, analysis.DefaultOptions(), nil, nil)
 		elapsed := time.Since(start)
 		restore()
 		r := results[0]
@@ -180,11 +193,11 @@ func TestHardHangAbandoned(t *testing.T) {
 			t.Errorf("retries=%d: status %v hung %v, want %v hung %v", tc.retries, r.Status, r.Hung, tc.want, tc.hung)
 		}
 		if tc.hung {
-			if r.Res != nil {
+			if r.Value != nil {
 				t.Errorf("retries=%d: abandoned attempt left a result", tc.retries)
 			}
-			if sum.Hung != 1 {
-				t.Errorf("retries=%d: Summary.Hung = %d, want 1", tc.retries, sum.Hung)
+			if sum.Hung != 1 || sum.Errors != 1 {
+				t.Errorf("retries=%d: Summary.Hung = %d, Errors = %d, want 1 and 1", tc.retries, sum.Hung, sum.Errors)
 			}
 		}
 		if elapsed > stall/2 {
@@ -196,24 +209,24 @@ func TestHardHangAbandoned(t *testing.T) {
 func TestBatchContextCancelsPendingFiles(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var files []File
+	var files []file
 	for i := 0; i < 8; i++ {
-		files = append(files, File{Name: fmt.Sprintf("f%d.chpl", i), Src: pathoSrc})
+		files = append(files, file{fmt.Sprintf("f%d.chpl", i), pathoSrc})
 	}
 	start := time.Now()
-	results, sum := Run(files, Options{Workers: 2, Ctx: ctx, Analysis: analysis.DefaultOptions()})
+	results, sum := runAnalysis(files, Options{Workers: 2, Ctx: ctx}, analysis.DefaultOptions(), nil, nil)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancelled batch still took %v", elapsed)
 	}
 	if len(results) != len(files) {
 		t.Fatalf("cancelled batch dropped results: %d/%d", len(results), len(files))
 	}
-	for _, r := range results {
-		if r.Res == nil {
-			t.Errorf("%s: no result despite cooperative cancellation", r.File.Name)
+	for i, r := range results {
+		if r.Value == nil {
+			t.Errorf("%s: no result despite cooperative cancellation", files[i].name)
 		}
 		if r.Status == OK {
-			t.Errorf("%s: OK under a dead context", r.File.Name)
+			t.Errorf("%s: OK under a dead context", files[i].name)
 		}
 	}
 	if sum.Degradations() != len(files) {
@@ -224,19 +237,15 @@ func TestBatchContextCancelsPendingFiles(t *testing.T) {
 func TestBatchObsCounters(t *testing.T) {
 	rec := obs.New()
 	perFile := make([]*obs.Recorder, 2)
-	files := []File{
-		{Name: "clean.chpl", Src: cleanSrc},
-		{Name: "warn.chpl", Src: warnSrc},
+	files := []file{
+		{"clean.chpl", cleanSrc},
+		{"warn.chpl", warnSrc},
 	}
-	_, _ = Run(files, Options{
-		Workers:  2,
-		Analysis: analysis.DefaultOptions(),
-		Obs:      rec,
-		PerFileObs: func(i int, f File) *obs.Recorder {
+	_, _ = runAnalysis(files, Options{Workers: 2, Obs: rec}, analysis.DefaultOptions(),
+		func(i int) *obs.Recorder {
 			perFile[i] = obs.New()
 			return perFile[i]
-		},
-	})
+		}, nil)
 	m := rec.Snapshot()
 	if m.Counter(obs.CtrBatchFiles) != 2 || m.Counter(obs.CtrBatchOK) != 2 {
 		t.Errorf("batch counters: files=%d ok=%d", m.Counter(obs.CtrBatchFiles), m.Counter(obs.CtrBatchOK))
@@ -246,7 +255,7 @@ func TestBatchObsCounters(t *testing.T) {
 	}
 	for i, r := range perFile {
 		if r == nil {
-			t.Fatalf("PerFileObs not called for file %d", i)
+			t.Fatalf("no attempt ran for file %d", i)
 		}
 		if r.Snapshot().Counter(obs.CtrProcsAnalyzed) == 0 {
 			t.Errorf("file %d recorder saw no analysis counters", i)
@@ -255,35 +264,32 @@ func TestBatchObsCounters(t *testing.T) {
 }
 
 func TestOnResultStreamsEveryFile(t *testing.T) {
-	files := []File{
-		{Name: "clean.chpl", Src: cleanSrc},
-		{Name: "warn.chpl", Src: warnSrc},
-		{Name: "broken.chpl", Src: "proc ( nope"},
+	files := []file{
+		{"clean.chpl", cleanSrc},
+		{"warn.chpl", warnSrc},
+		{"broken.chpl", "proc ( nope"},
 	}
 	var mu sync.Mutex
-	seen := map[int]Result{}
-	results, _ := Run(files, Options{
-		Workers:  3,
-		Analysis: analysis.DefaultOptions(),
-		OnResult: func(r Result) {
+	seen := map[int]Result[*analysis.Result]{}
+	results, _ := runAnalysis(files, Options{Workers: 3}, analysis.DefaultOptions(), nil,
+		func(r Result[*analysis.Result]) {
 			mu.Lock()
 			defer mu.Unlock()
 			if _, dup := seen[r.Index]; dup {
-				t.Errorf("OnResult fired twice for index %d", r.Index)
+				t.Errorf("onResult fired twice for index %d", r.Index)
 			}
 			seen[r.Index] = r
-		},
-	})
+		})
 	if len(seen) != len(files) {
-		t.Fatalf("OnResult fired %d times, want %d", len(seen), len(files))
+		t.Fatalf("onResult fired %d times, want %d", len(seen), len(files))
 	}
 	// The streamed results must be the same values that land in the
 	// final slice — index, status and report alike.
 	for i, r := range results {
 		s := seen[i]
-		if s.File.Name != r.File.Name || s.Status != r.Status || s.Res != r.Res {
+		if s.Index != r.Index || s.Status != r.Status || s.Value != r.Value {
 			t.Errorf("index %d: streamed %v/%p, final %v/%p",
-				i, s.Status, s.Res, r.Status, r.Res)
+				i, s.Status, s.Value, r.Status, r.Value)
 		}
 	}
 }

@@ -101,22 +101,29 @@ type PatternStats struct {
 // retry-with-smaller-budget and panic isolation, so one pathological
 // generated program can slow or crash only itself, never the
 // evaluation. bopts sets the pool, deadline and retries; opts is the
-// per-case analysis. The Summary is the robustness accounting (cases OK
-// / degraded / timed out / crashed). Results are index-aligned with
-// cases, so the table and details do not depend on the worker count.
+// per-case analysis, whose MaxStates the first attempt uses. The
+// Summary is the robustness accounting (cases OK / degraded / timed out
+// / crashed). Results are index-aligned with cases, so the table and
+// details do not depend on the worker count.
 func RunTableI(cases []corpus.TestCase, opts analysis.Options, bopts batch.Options) (TableI, *Details, batch.Summary) {
-	files := make([]batch.File, len(cases))
-	for i := range cases {
-		files[i] = batch.File{Name: cases[i].Name + ".chpl", Src: cases[i].Source}
+	// File-level workers already saturate the machine, so an unset
+	// in-analysis parallelism means sequential exploration here.
+	if opts.PPS.Parallelism <= 0 {
+		opts.PPS.Parallelism = 1
 	}
-	bopts.Analysis = opts
-	results, sum := batch.Run(files, bopts)
+	bopts.MaxStates = opts.PPS.MaxStates
+	results, sum := batch.Run(len(cases), bopts, func(ctx context.Context, i, maxStates int) *analysis.Result {
+		o := opts
+		o.Ctx = ctx
+		o.PPS.MaxStates = maxStates
+		return analysis.AnalyzeSource(cases[i].Name+".chpl", cases[i].Source, o)
+	}, batch.GradeAnalysis, nil)
 
 	table := TableI{TotalTests: len(cases)}
 	det := &Details{PerPattern: make(map[string]*PatternStats)}
 	for i := range cases {
 		tc := &cases[i]
-		out := outcomeFrom(tc, results[i].Res, results[i].Duration)
+		out := outcomeFrom(tc, results[i].Value, results[i].Duration)
 		if tc.HasBegin {
 			table.TestsWithBegin++
 		}
@@ -158,8 +165,9 @@ func (ps *PatternStats) absorb(out CaseOutcome) {
 }
 
 // outcomeFrom scores one analysis result against the case's ground-truth
-// labels. res may be nil — a batch attempt abandoned as a hard hang —
-// which scores as a frontend-level failure with no warnings.
+// labels. res may be nil — a batch attempt abandoned as a hard hang or
+// a panic outside the per-procedure recovery — which scores as a
+// frontend-level failure with no warnings.
 func outcomeFrom(tc *corpus.TestCase, res *analysis.Result, dur time.Duration) CaseOutcome {
 	out := CaseOutcome{Case: tc, Duration: dur}
 	if res == nil {

@@ -123,6 +123,10 @@ const (
 	CtrServerDeprecated = "server.deprecated_requests"
 	// CtrServerDeltaFiles counts files analyzed through /v1/delta.
 	CtrServerDeltaFiles = "server.delta_files"
+	// CtrServerDeltaAbandoned counts /v1/delta lines whose analysis
+	// ignored its deadline and was abandoned (answered with an error
+	// line instead of a report).
+	CtrServerDeltaAbandoned = "server.delta_abandoned"
 	// CtrServerRepairs counts repair attempts served by /v1/repair
 	// (leaders only; refusals included — the attempt is the unit).
 	CtrServerRepairs = "server.repairs"

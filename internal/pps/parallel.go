@@ -8,12 +8,12 @@ import (
 )
 
 // This file schedules the compute phase of a wave across
-// Options.Parallelism workers. The frontier is split into per-worker
-// index ranges; a worker drains its own range and, when empty, steals
-// the larger half of the fullest victim range. Which worker computes
-// which state is deliberately irrelevant: every output lands in the
-// outs slot of its frontier index and the commit loop consumes the
-// slots in order, so scheduling noise can never reach the Result.
+// Options.Parallelism workers. The workers share one atomic next-index
+// counter over the frontier: each takes the next unclaimed index until
+// the frontier is drained. Which worker computes which state is
+// deliberately irrelevant: every output lands in the outs slot of its
+// frontier index and the commit loop consumes the slots in order, so
+// scheduling noise can never reach the Result.
 //
 // minParallelFrontier keeps tiny waves on the inline path — below it
 // the goroutine handoff costs more than the states themselves, and the
@@ -40,8 +40,8 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
-	q := newWaveQueue(len(frontier), workers)
 	var (
+		next       atomic.Int64
 		stop       atomic.Bool
 		panicMu    sync.Mutex
 		panicVal   any
@@ -50,7 +50,7 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			// A panic must not escape the worker goroutine: it would kill
 			// the process instead of reaching the analysis layer's
@@ -70,8 +70,8 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 			}()
 			polled := 0
 			for !stop.Load() {
-				i, ok := q.take(self)
-				if !ok {
+				i := int(next.Add(1) - 1)
+				if i >= len(frontier) {
 					return
 				}
 				if e.opts.Ctx != nil {
@@ -82,7 +82,7 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 				}
 				outs[i] = e.computeState(frontier[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if panicVal != nil {
@@ -92,88 +92,4 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 		return nil, true
 	}
 	return outs, false
-}
-
-// waveQueue is the sharded work-stealing index queue of one wave: each
-// worker owns a contiguous [lo, hi) range of frontier indices.
-type waveQueue struct {
-	shards []waveShard
-}
-
-type waveShard struct {
-	mu     sync.Mutex
-	lo, hi int
-}
-
-func newWaveQueue(n, workers int) *waveQueue {
-	q := &waveQueue{shards: make([]waveShard, workers)}
-	per, rem := n/workers, n%workers
-	lo := 0
-	for i := range q.shards {
-		size := per
-		if i < rem {
-			size++
-		}
-		q.shards[i].lo, q.shards[i].hi = lo, lo+size
-		lo += size
-	}
-	return q
-}
-
-// take pops the next index for worker self: first from its own shard,
-// then by stealing the upper half of the fullest other shard. Returns
-// ok=false only when every shard is empty.
-func (q *waveQueue) take(self int) (int, bool) {
-	s := &q.shards[self]
-	s.mu.Lock()
-	if s.lo < s.hi {
-		i := s.lo
-		s.lo++
-		s.mu.Unlock()
-		return i, true
-	}
-	s.mu.Unlock()
-	for {
-		victim, most := -1, 0
-		for v := range q.shards {
-			if v == self {
-				continue
-			}
-			vs := &q.shards[v]
-			vs.mu.Lock()
-			n := vs.hi - vs.lo
-			vs.mu.Unlock()
-			if n > most {
-				victim, most = v, n
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		vs := &q.shards[victim]
-		vs.mu.Lock()
-		n := vs.hi - vs.lo
-		if n == 0 {
-			// Lost the race for this victim; rescan.
-			vs.mu.Unlock()
-			continue
-		}
-		if n == 1 {
-			i := vs.lo
-			vs.lo++
-			vs.mu.Unlock()
-			return i, true
-		}
-		mid := vs.lo + n/2
-		stolenLo, stolenHi := mid, vs.hi
-		vs.hi = mid
-		vs.mu.Unlock()
-		// Refill our own shard with the stolen tail. Only the owner ever
-		// refills a shard, and ours is empty, so this cannot clobber
-		// pending work.
-		s.mu.Lock()
-		s.lo, s.hi = stolenLo+1, stolenHi
-		s.mu.Unlock()
-		return stolenLo, true
-	}
 }

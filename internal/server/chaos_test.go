@@ -38,6 +38,7 @@ import (
 
 	"uafcheck"
 	"uafcheck/internal/fault"
+	"uafcheck/internal/obs"
 	"uafcheck/internal/wire"
 )
 
@@ -592,14 +593,16 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // batch.Attempt must abandon it after the grace and answer an error
 // line — never a report, since a made-up one would carry no warnings —
 // and the stream must go on to answer the next line byte-identically
-// to a fresh run, on the same server Analyzer.
+// to a fresh run, on the same server Analyzer. The abandonment shows
+// outside the stream too: server.delta_abandoned counts it and the
+// request's flight-recorder digest reads outcome "abandoned".
 func TestChaosDeltaWedge(t *testing.T) {
 	restore := fault.Set(fault.New(11, fault.Rule{
 		Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Count: 1,
 		Delay: 30 * time.Second,
 	}))
 	defer restore()
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 
 	const deadline = 20 * time.Millisecond
 	stalled := "proc p() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"
@@ -641,5 +644,15 @@ func TestChaosDeltaWedge(t *testing.T) {
 	}
 	if got := bytes.TrimSuffix(second, []byte("\n")); !bytes.Equal(got, want) {
 		t.Errorf("line after the abandoned one differs from a fresh run\n server: %s\nlibrary: %s", got, want)
+	}
+
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.MetricsSnapshot().Counter(obs.CtrServerDeltaAbandoned); got != 1 {
+		t.Errorf("%s = %d, want 1", obs.CtrServerDeltaAbandoned, got)
+	}
+	if d := fetchDigest(t, ts, resp); d.Outcome != "abandoned" {
+		t.Errorf("digest outcome = %q, want abandoned", d.Outcome)
 	}
 }

@@ -566,7 +566,7 @@ func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) 
 	var encErr error
 	ctype := ""
 	if sarif && code == http.StatusOK {
-		repairs := s.repairForSARIF(r, req, rep)
+		repairs := map[string]*uafcheck.RepairReport{req.Name: s.repairForSARIF(r, req, rep)}
 		body, encErr = wire.SARIFWithFixes([]wire.Result{result}, repairs).EncodeIndent()
 		ctype = "application/sarif+json"
 	} else {
@@ -595,7 +595,7 @@ func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) 
 // a patch), or a repair refusal. Repair failures are deliberately
 // swallowed: fixes are an enrichment of the SARIF document, not a
 // precondition for serving it.
-func (s *Server) repairForSARIF(r *http.Request, req AnalyzeRequest, rep *uafcheck.Report) map[string]*uafcheck.RepairReport {
+func (s *Server) repairForSARIF(r *http.Request, req AnalyzeRequest, rep *uafcheck.Report) *uafcheck.RepairReport {
 	if rep == nil || rep.Degraded != nil || len(rep.Warnings) == 0 {
 		return nil
 	}
@@ -604,7 +604,7 @@ func (s *Server) repairForSARIF(r *http.Request, req AnalyzeRequest, rep *uafche
 	if err != nil || len(rr.Patches) == 0 {
 		return nil
 	}
-	return map[string]*uafcheck.RepairReport{req.Name: rr}
+	return rr
 }
 
 // statusCodeFor maps an analysis error onto an HTTP status via the
@@ -744,7 +744,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	opts := append(s.libraryOptions(req.Options),
 		uafcheck.WithWorkers(s.cfg.BatchWorkers),
-		uafcheck.WithFileTimeout(s.effectiveDeadline(req.Options)),
+		uafcheck.WithDeadline(s.effectiveDeadline(req.Options)),
 		uafcheck.WithRetries(req.Options.Retries),
 		uafcheck.WithOnFile(emit),
 	)
@@ -878,49 +878,30 @@ func (s *Server) repairLeader(r *http.Request, req AnalyzeRequest) flightResult 
 // batchSARIF answers a batch request that negotiated SARIF: the files
 // are analyzed by the same fault-isolated driver, the results are
 // collected instead of streamed (SARIF has no line-oriented form), and
-// every non-degraded file with warnings gets a best-effort repair so
-// the document embeds verified fixes. The whole response is one SARIF
-// 2.1.0 document.
+// each file goes through repairForSARIF, the single-shot endpoint's
+// best-effort repair rule, so the document embeds verified fixes. The
+// whole response is one SARIF 2.1.0 document.
 func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafcheck.FileInput, o RequestOptions) {
-	var mu sync.Mutex
-	results := make([]wire.Result, 0, len(files))
-	degradedOrFailed := make(map[string]bool, len(files))
-	collect := func(i int, fr uafcheck.FileReport) {
-		mu.Lock()
-		defer mu.Unlock()
-		results = append(results, wire.NewResult(fr.Name, fr.Report, fr.Err, false))
-		if fr.Err != nil || fr.Report == nil || fr.Report.Degraded != nil || len(fr.Report.Warnings) == 0 {
-			degradedOrFailed[fr.Name] = true
-		}
-	}
-
 	t0 := time.Now()
-	opts := append(s.libraryOptions(o),
+	batchRep := uafcheck.AnalyzeFilesContext(r.Context(), files, append(s.libraryOptions(o),
 		uafcheck.WithWorkers(s.cfg.BatchWorkers),
-		uafcheck.WithFileTimeout(s.effectiveDeadline(o)),
+		uafcheck.WithDeadline(s.effectiveDeadline(o)),
 		uafcheck.WithRetries(o.Retries),
-		uafcheck.WithOnFile(collect),
-	)
-	batchRep := uafcheck.AnalyzeFilesContext(r.Context(), files, opts...)
+	)...)
 	s.observeAnalysis(t0, len(files), batchRep.Metrics)
 
-	// Best-effort per-file repair, same eligibility as the single-shot
-	// endpoint: only clean (non-degraded) evidence may carry a fix. A
-	// disconnected client stops the extra work.
+	// A disconnected client stops the extra repair work.
+	results := make([]wire.Result, len(files))
 	repairs := make(map[string]*uafcheck.RepairReport)
-	for _, f := range files {
+	for i, fr := range batchRep.Files {
+		results[i] = wire.NewResult(fr.Name, fr.Report, fr.Err, false)
 		if r.Context().Err() != nil {
-			break
-		}
-		if degradedOrFailed[f.Name] {
 			continue
 		}
-		rr, err := uafcheck.Repair(obs.Detach(r.Context()), f.Name, f.Src,
-			append(s.libraryOptions(o), uafcheck.WithDeadline(s.effectiveDeadline(o)))...)
-		if err != nil || len(rr.Patches) == 0 {
-			continue
+		req := AnalyzeRequest{Name: fr.Name, Src: files[i].Src, Options: o}
+		if rr := s.repairForSARIF(r, req, fr.Report); rr != nil {
+			repairs[fr.Name] = rr
 		}
-		repairs[f.Name] = rr
 	}
 
 	body, err := wire.SARIFWithFixes(results, repairs).EncodeIndent()
@@ -971,6 +952,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		if hung {
 			// No report: a made-up timed-out report would carry no
 			// warnings, not the conservative superset "degraded" promises.
+			s.rec.Add(obs.CtrServerDeltaAbandoned, 1)
+			stateFrom(r.Context()).set("abandoned", "")
 			lines = [][]byte{mustJSON(errorBody{Error: fmt.Sprintf(
 				"delta line abandoned: analysis did not return within %v plus grace", deadline)})}
 		}

@@ -3,7 +3,6 @@ package uafcheck
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"strings"
 
 	"uafcheck/internal/analysis"
@@ -112,38 +111,16 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *Mod
 		a.files.Add(int64(len(files)))
 		units = a.units
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
-	defer func() {
-		// Same last-resort fault isolation as the single-file entry
-		// points: a crash outside the per-proc pipeline degrades every
-		// file's report instead of unwinding into the caller.
-		if r := recover(); r != nil {
-			crash := Crash{
-				Phase: "frontend",
-				Err:   fmt.Sprint(r),
-				Stack: string(debug.Stack()),
-			}
-			mr = &ModuleReport{}
-			for _, f := range files {
-				mr.Files = append(mr.Files, FileReport{
-					Name:   f.Name,
-					Status: "crashed",
-					Report: &Report{Degraded: &Degradation{
-						Reason:  DegradePanic,
-						Crashes: []Crash{crash},
-					}},
-				})
-			}
-			err = nil
+	ctx, cancel := cfg.callContext(ctx)
+	defer cancel()
+	defer recoverCrash(func(c Crash) {
+		// A crash outside the per-proc pipeline degrades every file's
+		// report instead of unwinding into the caller.
+		mr, err = &ModuleReport{}, nil
+		for _, f := range files {
+			mr.Files = append(mr.Files, moduleFileReport(f.Name, crashReport(c)))
 		}
-	}()
+	})
 	rec := obs.New()
 	in := cfg.internal()
 	in.KeepGraphs = cfg.trace
@@ -172,29 +149,13 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *Mod
 
 	mr = &ModuleReport{}
 	for i, fr := range res.Files {
-		rep := buildReport(fr, cfg)
-		mr.Files = append(mr.Files, FileReport{
-			Name:   files[i].Name,
-			Status: reportStatus(rep),
-			Report: rep,
-		})
+		mr.Files = append(mr.Files, moduleFileReport(files[i].Name, buildReport(fr, cfg)))
 	}
 	mr.Metrics = rec.Finish()
 	return mr, nil
 }
 
-// reportStatus derives the batch-driver status vocabulary from one
-// report (the module counterpart of internal/wire's StatusOf).
-func reportStatus(rep *Report) string {
-	if rep.Degraded == nil {
-		return "ok"
-	}
-	switch rep.Degraded.Reason {
-	case DegradePanic:
-		return "crashed"
-	case DegradeDeadline:
-		return "timed-out"
-	default:
-		return "degraded"
-	}
+// moduleFileReport wraps one module file's report.
+func moduleFileReport(name string, rep *Report) FileReport {
+	return FileReport{Name: name, Status: gradeFile(FileReport{Report: rep}).Status.String(), Report: rep}
 }

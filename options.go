@@ -12,9 +12,10 @@ import (
 // AnalyzeFilesContext, AnalyzeModuleContext, NewAnalyzer, Repair,
 // RunTableIContext, BaselineComparison). Options compose left to right;
 // unset knobs keep the defaults (pruning on, everything else off or
-// library-sized). Batch options (WithWorkers, WithFileTimeout,
-// WithRetries) apply to AnalyzeFilesContext and RunTableIContext, which
-// both run on the batch driver; WithOnFile applies to
+// library-sized). WithDeadline is the one per-file wall clock for every
+// entry point; on the batch driver (AnalyzeFilesContext and
+// RunTableIContext) it bounds each attempt. Batch options (WithWorkers,
+// WithRetries) apply to those two only; WithOnFile applies to
 // AnalyzeFilesContext only; WithAnalyzer applies to AnalyzeContext,
 // AnalyzeFilesContext and AnalyzeModuleContext. Each is ignored
 // elsewhere.
@@ -35,10 +36,9 @@ type config struct {
 	deadline     time.Duration
 
 	// Batch runs only.
-	workers     int
-	fileTimeout time.Duration
-	retries     int
-	onFile      func(i int, fr FileReport)
+	workers int
+	retries int
+	onFile  func(i int, fr FileReport)
 	// analyzer, when set (via WithAnalyzer, or by the handle itself),
 	// lends its memo store to the run and counts it.
 	analyzer *Analyzer
@@ -111,10 +111,11 @@ func WithAtomicsCounting(on bool) Option {
 	return func(c *config) { c.countAtomics = on }
 }
 
-// WithDeadline bounds one analysis's wall clock (0 = none). When it
-// fires, the analysis degrades instead of truncating: every access not
-// yet proven safe is reported as a conservative warning and
-// Report.Degraded records the reason.
+// WithDeadline bounds one analysis's wall clock (0 = none): the call's
+// for AnalyzeContext, AnalyzeModuleContext and Repair, each attempt's
+// for a batch file. When it fires, the analysis degrades instead of
+// truncating: every access not yet proven safe is reported as a
+// conservative warning and Report.Degraded records the reason.
 func WithDeadline(d time.Duration) Option {
 	return func(c *config) { c.deadline = d }
 }
@@ -154,13 +155,7 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithFileTimeout bounds each per-file attempt's wall clock. Batch runs
-// and RunTableIContext only.
-func WithFileTimeout(d time.Duration) Option {
-	return func(c *config) { c.fileTimeout = d }
-}
-
-// WithRetries grants extra attempts after a per-file deadline hit, each
+// WithRetries grants extra attempts after a WithDeadline hit, each
 // with a 4×-smaller state budget, converging on a deterministic
 // budget-degraded result instead of a flaky timeout. Batch runs and
 // RunTableIContext only.
@@ -195,8 +190,8 @@ func WithAnalyzer(a *Analyzer) Option {
 }
 
 // WithOnFile streams per-file results: fn receives each FileReport as
-// soon as it completes (cache hits first, then worker-pool completions
-// in finish order). fn runs on worker goroutines and may be called
+// soon as its last attempt completes, in finish order (cache hits
+// included). fn runs on worker goroutines and may be called
 // concurrently; it must synchronize internally. Batch runs only.
 func WithOnFile(fn func(i int, fr FileReport)) Option {
 	return func(c *config) { c.onFile = fn }

@@ -158,7 +158,7 @@ func TestAnalyzeFilesExitCodes(t *testing.T) {
 		{"clean", []FileInput{{"c.chpl", cleanSrc}}, nil, 0},
 		{"warnings", []FileInput{{"w.chpl", warnSrc}, {"c.chpl", cleanSrc}}, nil, 1},
 		{"degraded", []FileInput{{"p.chpl", pathologicalProgram(8, 4)}},
-			[]Option{WithFileTimeout(30 * time.Millisecond)}, 2},
+			[]Option{WithDeadline(30 * time.Millisecond)}, 2},
 		{"errors", []FileInput{{"bad.chpl", "proc ( nope"}, {"w.chpl", warnSrc}}, nil, 3},
 	}
 	for _, tc := range cases {
@@ -187,7 +187,7 @@ func TestAnalyzeFilesConcurrent(t *testing.T) {
 
 	rep := AnalyzeFilesContext(context.Background(), files,
 		WithWorkers(4),
-		WithFileTimeout(40*time.Millisecond))
+		WithDeadline(40*time.Millisecond))
 
 	if len(rep.Files) != len(files) {
 		t.Fatalf("got %d file reports for %d inputs", len(rep.Files), len(files))

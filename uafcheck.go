@@ -256,38 +256,18 @@ type Report struct {
 	Degraded *Degradation `json:"degraded,omitempty"`
 }
 
-// analyzeWith is the shared single-file driver behind AnalyzeContext
-// and Analyzer.AnalyzeDelta. Without a handle in cfg it is a one-shot
-// run; a handle lends its memo store and counts the run.
+// analyzeWith is the one per-file function: AnalyzeContext,
+// Analyzer.AnalyzeDelta and every attempt of AnalyzeFilesContext run
+// it. Without a handle in cfg it is a one-shot run; a handle lends its
+// memo store and counts the run.
 func analyzeWith(ctx context.Context, filename, src string, cfg config) (rep *Report, err error) {
 	a := cfg.analyzer
 	if a != nil {
 		a.files.Add(1)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
-	defer func() {
-		// Last-resort fault isolation for crashes outside the per-proc
-		// pipeline (frontend, report assembly). Per-proc panics are
-		// already recovered and attributed by internal/analysis.
-		if r := recover(); r != nil {
-			rep = &Report{Degraded: &Degradation{
-				Reason: DegradePanic,
-				Crashes: []Crash{{
-					Phase: "frontend",
-					Err:   fmt.Sprint(r),
-					Stack: string(debug.Stack()),
-				}},
-			}}
-			err = nil
-		}
-	}()
+	ctx, cancel := cfg.callContext(ctx)
+	defer cancel()
+	defer recoverCrash(func(c Crash) { rep, err = crashReport(c), nil })
 	rec := obs.New()
 	in := cfg.internal()
 	in.KeepGraphs = cfg.trace
@@ -325,6 +305,35 @@ func analyzeWith(ctx context.Context, filename, src string, cfg config) (rep *Re
 		cachePut(cfg.cache, key, rep)
 	}
 	return rep, nil
+}
+
+// callContext derives one call's context: Background for a nil ctx,
+// bounded by WithDeadline when set.
+func (c *config) callContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if c.deadline > 0 {
+		return context.WithTimeout(ctx, c.deadline)
+	}
+	return ctx, func() {}
+}
+
+// recoverCrash, deferred by an entry point, is the last-resort fault
+// isolation for crashes outside the per-proc pipeline (frontend, report
+// assembly): it hands the panic to fill as a Crash, so the call returns
+// a degraded result instead of unwinding into its caller. Per-proc
+// panics are already recovered and attributed by internal/analysis.
+func recoverCrash(fill func(Crash)) {
+	if r := recover(); r != nil {
+		fill(Crash{Phase: "frontend", Err: fmt.Sprint(r), Stack: string(debug.Stack())})
+	}
+}
+
+// crashReport is the report of a file whose pipeline crashed outside
+// the per-proc recovery.
+func crashReport(c Crash) *Report {
+	return &Report{Degraded: &Degradation{Reason: DegradePanic, Crashes: []Crash{c}}}
 }
 
 // cacheLookup times one report-cache consult, records the latency on
@@ -381,7 +390,7 @@ func cacheHit(rep *Report, lookupNS int64) *Report {
 }
 
 // buildReport converts an internal analysis result into the public
-// Report shape (shared by the single-file and batch entry points).
+// Report shape (shared by the single-file and module drivers).
 func buildReport(res *analysis.Result, cfg config) *Report {
 	rep := &Report{}
 	for _, w := range res.Warnings() {
@@ -475,23 +484,25 @@ type FileInput struct {
 // warning totals.
 type BatchSummary = batch.Summary
 
-// FileReport is one file's outcome in a batch run.
+// FileReport is one file's outcome in a batch or module run.
 type FileReport struct {
 	// Name echoes the input name.
 	Name string
 	// Status classifies the outcome: "ok", "degraded", "timed-out",
-	// "crashed" or "error".
+	// "crashed" or "error" — the same word internal/wire puts on the
+	// file's line.
 	Status string
-	// Report is the file's analysis report, structurally identical to
-	// what the single-file entry points return: nil only when the
-	// frontend rejected the file (Err is set); for every other status —
-	// including hung-and-abandoned analyses — it is non-nil, and for
-	// degraded statuses Report.Degraded carries the ladder reason.
+	// Report is the file's analysis report, exactly what AnalyzeContext
+	// returns for it. It is nil only when Err is set; for degraded
+	// statuses Report.Degraded carries the ladder reason.
 	Report *Report
-	// Err is set for frontend-rejected files.
+	// Err is set when there is no report: the frontend rejected the file
+	// (matching ErrParse), or its analysis hung past the deadline plus a
+	// grace period and was abandoned (matching ErrDeadline). Its status
+	// is "error" either way.
 	Err error
 	// Cached marks a report served from the WithCache cache without
-	// running the pipeline (Attempts is 0 for such files).
+	// running the pipeline.
 	Cached bool
 	// Attempts counts analysis runs (retries included).
 	Attempts int
@@ -512,7 +523,8 @@ type BatchReport struct {
 // ExitCode maps the batch outcome onto the documented uafcheck shell
 // contract: 0 = clean, 1 = exact warnings, 2 = degraded/incomplete
 // somewhere (conservative warnings, timeouts, recovered crashes),
-// 3 = input or I/O errors. Higher codes dominate.
+// 3 = files without a report (frontend errors, or analyses abandoned
+// as hung). Higher codes dominate.
 func (b *BatchReport) ExitCode() int {
 	s := b.Summary
 	switch {
@@ -527,146 +539,91 @@ func (b *BatchReport) ExitCode() int {
 }
 
 // AnalyzeFilesContext analyzes many files under ctx on a worker pool
-// with per-file deadlines, bounded retry-with-smaller-budget, and panic
-// isolation: one pathological or crashing input degrades that file's
-// report and never takes down the batch. Results are index-aligned with
-// files. Cancelling ctx degrades unfinished files to conservative
-// results instead of dropping them. Each file's Report.Metrics is its
-// own run's telemetry; BatchReport.Metrics carries the merged
-// aggregate.
+// with per-file deadlines (WithDeadline bounds each attempt), bounded
+// retry-with-smaller-budget, and panic isolation: one pathological or
+// crashing input degrades that file's report and never takes down the
+// batch. Each attempt is one AnalyzeContext run of the file, so a
+// file's report is the one AnalyzeContext returns for it. Results are
+// index-aligned with files. Cancelling ctx degrades unfinished files to
+// conservative results instead of dropping them. BatchReport.Metrics
+// carries the merged telemetry of the files plus the batch counters.
 func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Option) *BatchReport {
 	cfg := newConfig(options...)
-	in := cfg.internal()
-	in.KeepGraphs = cfg.trace
-
+	// File-level workers already saturate the machine, so an unset
+	// in-analysis parallelism means sequential exploration here (a
+	// single AnalyzeContext call defaults to GOMAXPROCS instead).
+	if cfg.parallelism <= 0 {
+		cfg.parallelism = 1
+	}
+	attempt := func(ctx context.Context, i, maxStates int) FileReport {
+		acfg := cfg
+		acfg.deadline = 0 // ctx already carries it
+		acfg.maxStates = maxStates
+		rep, err := analyzeWith(ctx, files[i].Name, files[i].Src, acfg)
+		return FileReport{Report: rep, Err: err}
+	}
+	out := &BatchReport{Files: make([]FileReport, len(files))}
+	// Each file's slot is written on the worker that finished it, after
+	// its last attempt returned; an abandoned attempt writes nothing.
+	onResult := func(r batch.Result[FileReport]) {
+		fr := r.Value
+		fr.Name = files[r.Index].Name
+		if r.Hung {
+			fr.Err = fmt.Errorf("%w: %s: analysis abandoned: no result within the deadline plus grace",
+				ErrDeadline, fr.Name)
+		}
+		fr.Status = r.Status.String()
+		fr.Cached = fr.Report != nil && fr.Report.Metrics.Counter(obs.CtrCacheHits) > 0
+		fr.Attempts, fr.Duration = r.Attempts, r.Duration
+		out.Files[r.Index] = fr
+		if cfg.onFile != nil {
+			cfg.onFile(r.Index, fr)
+		}
+	}
 	rec := obs.New() // batch-level counters and span
-
-	// Cache pre-pass: serve hits directly and hand the batch driver only
-	// the misses. hits is index-aligned with files; missOf maps the
-	// compacted batch index back to the original one.
-	hits := make([]*Report, len(files))
-	keys := make([]cache.Key, len(files))
-	var missOf []int
-	var bfiles []batch.File
-	for i, f := range files {
-		if cfg.cache != nil {
-			keys[i] = reportKey(f.Name, f.Src, in)
-			if rep, ok, lookupNS := cacheLookup(ctx, cfg.cache, keys[i], rec); ok {
-				hits[i] = cacheHit(rep, lookupNS)
-				continue
-			}
-		}
-		missOf = append(missOf, i)
-		bfiles = append(bfiles, batch.File{Name: f.Name, Src: f.Src})
-	}
-
-	frs := make([]FileReport, len(files))
-	// Cached files first: complete-by-construction reports, zero
-	// attempts, streamed before any worker starts.
-	for i, rep := range hits {
-		if rep == nil {
-			continue
-		}
-		frs[i] = FileReport{
-			Name:   files[i].Name,
-			Status: batch.OK.String(),
-			Report: rep,
-			Cached: true,
-		}
-		if cfg.onFile != nil {
-			cfg.onFile(i, frs[i])
-		}
-	}
-
-	recs := make([]*obs.Recorder, len(files))
-	// convert maps one classified batch result onto its public
-	// FileReport. It runs on the worker goroutine that finished the file
-	// (via OnResult), so results stream out as they complete; distinct
-	// files write distinct frs slots and the cache is concurrency-safe.
-	convert := func(j int, r *batch.Result) {
-		i := missOf[j]
-		fr := FileReport{
-			Name:     r.File.Name,
-			Status:   r.Status.String(),
-			Attempts: r.Attempts,
-			Duration: r.Duration,
-		}
-		switch {
-		case r.Status == batch.FrontendError:
-			fr.Err = fmt.Errorf("%w:\n%s", ErrParse, frontendErrors(r.Res.Diags))
-		case r.Res != nil:
-			fr.Report = buildReport(r.Res, cfg)
-			if rec := recs[i]; rec != nil {
-				fr.Report.Metrics = rec.Snapshot()
-			}
-		default:
-			// The analysis hung (or hard-crashed) and was abandoned, so
-			// there is no internal result to convert. Synthesize a
-			// degraded report so per-file reports stay structurally
-			// identical to single-file ones: nil Report means frontend
-			// rejection, nothing else.
-			reason := DegradeDeadline
-			if r.Status == batch.Crashed {
-				reason = DegradePanic
-			}
-			fr.Report = &Report{Degraded: &Degradation{
-				Reason: reason,
-				Procs:  nil,
-			}}
-		}
-		if cfg.cache != nil && fr.Report != nil && fr.Report.Degraded == nil {
-			cachePut(cfg.cache, keys[i], fr.Report)
-		}
-		frs[i] = fr
-		if cfg.onFile != nil {
-			cfg.onFile(i, fr)
-		}
-	}
-	var analyze func(name, src string, in analysis.Options) *analysis.Result
-	if cfg.analyzer != nil {
-		analyze = cfg.analyzer.analyzeForBatch
-	}
-	_, sum := batch.Run(bfiles, batch.Options{
+	_, out.Summary = batch.Run(len(files), batch.Options{
 		Workers:     cfg.workers,
-		FileTimeout: cfg.fileTimeout,
+		FileTimeout: cfg.deadline,
 		Retries:     cfg.retries,
-		Analysis:    in,
-		Analyze:     analyze,
+		MaxStates:   cfg.maxStates,
 		Ctx:         ctx,
 		Obs:         rec,
-		PerFileObs: func(j int, f batch.File) *obs.Recorder {
-			r := obs.New()
-			if cfg.cache != nil {
-				r.Add(obs.CtrCacheMisses, 1)
-			}
-			recs[missOf[j]] = r
-			return r
-		},
-		OnResult: func(r batch.Result) { convert(r.Index, &r) },
-	})
-	// Fold the cache hits into the driver's summary accounting.
-	for _, rep := range hits {
-		if rep == nil {
-			continue
-		}
-		sum.Files++
-		sum.OK++
-		for _, w := range rep.Warnings {
-			sum.Warnings++
-			if w.Conservative {
-				sum.Conservative++
-			}
-		}
-	}
-
-	out := &BatchReport{Files: frs, Summary: sum}
-	for i := range frs {
-		if frs[i].Report != nil {
-			out.Metrics.Merge(frs[i].Report.Metrics)
+	}, attempt, gradeFile, onResult)
+	for i := range out.Files {
+		if rep := out.Files[i].Report; rep != nil {
+			out.Metrics.Merge(rep.Metrics)
 		}
 	}
 	out.Metrics.Merge(rec.Snapshot())
 	return out
+}
+
+// gradeFile classifies one file outcome. Its Status is the one
+// derivation of FileReport.Status, for batch and module runs alike, and
+// agrees with internal/wire's StatusOf.
+func gradeFile(fr FileReport) batch.Grade {
+	g := batch.Grade{Status: batch.Failed}
+	rep := fr.Report
+	if fr.Err != nil || rep == nil {
+		return g
+	}
+	for _, w := range rep.Warnings {
+		g.Warnings++
+		if w.Conservative {
+			g.Conservative++
+		}
+	}
+	switch {
+	case rep.Degraded == nil:
+		g.Status = batch.OK
+	case rep.Degraded.Reason == DegradePanic:
+		g.Status = batch.Crashed
+	case rep.Degraded.Reason == DegradeDeadline:
+		g.Status = batch.TimedOut
+	default: // budget, cancelled
+		g.Status = batch.Degraded
+	}
+	return g
 }
 
 // CCFGText renders the Concurrent Control Flow Graph of one procedure as
@@ -857,14 +814,14 @@ type TableI = eval.TableI
 
 // RunTableIContext analyzes the corpus under ctx and assembles Table I,
 // taking the same functional options as AnalyzeContext. The cases run on
-// the batch driver, so WithWorkers, WithFileTimeout and WithRetries
-// apply; the table does not depend on the worker count. The returned
-// string is the per-pattern breakdown.
+// the batch driver, so WithWorkers and WithRetries apply and
+// WithDeadline bounds each attempt; the table does not depend on the
+// worker count. The returned string is the per-pattern breakdown.
 func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option) (TableI, string) {
 	cfg := newConfig(options...)
 	table, det, _ := eval.RunTableI(cases, cfg.internal(), batch.Options{
 		Workers:     cfg.workers,
-		FileTimeout: cfg.fileTimeout,
+		FileTimeout: cfg.deadline,
 		Retries:     cfg.retries,
 		Ctx:         ctx,
 	})
