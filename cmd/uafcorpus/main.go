@@ -79,15 +79,9 @@ func main() {
 	}
 
 	// -jobs, -case-timeout and -retries apply to every Table I run.
-	batchOpts := []uafcheck.Option{
-		uafcheck.WithWorkers(*jobs), uafcheck.WithDeadline(*caseTimeout), uafcheck.WithRetries(*retries),
-	}
+	bopts := batch.Options{Workers: *jobs, FileTimeout: *caseTimeout, Retries: *retries}
 	start = time.Now()
-	table, det, robust := eval.RunTableI(cases, analysis.DefaultOptions(), batch.Options{
-		Workers:     *jobs,
-		FileTimeout: *caseTimeout,
-		Retries:     *retries,
-	})
+	table, det, robust := eval.RunTableI(cases, analysis.DefaultOptions(), bopts)
 	breakdown := det.FormatPatternBreakdown()
 	anaTime := time.Since(start)
 
@@ -105,13 +99,14 @@ func main() {
 
 	if *modelAtomics {
 		start = time.Now()
-		extTable, extBreakdown := uafcheck.RunTableIContext(context.Background(), cases,
-			append(batchOpts, uafcheck.WithAtomicsModel(true))...)
+		aopts := analysis.DefaultOptions()
+		aopts.ModelAtomics = true
+		extTable, extDet, _ := eval.RunTableI(cases, aopts, bopts)
 		fmt.Printf("\nTable I with the atomics extension enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(extTable.Format())
 		fmt.Println("\nPer-pattern breakdown (extension):")
-		fmt.Print(extBreakdown)
+		fmt.Print(extDet.FormatPatternBreakdown())
 		fmt.Println("\nHandshake-style atomic synchronization is now proven safe;")
 		fmt.Println("counting protocols (waitFor(n) with n fills) stay conservatively")
 		fmt.Println("flagged because the full/empty abstraction is value-blind (§IV-A).")
@@ -119,13 +114,14 @@ func main() {
 
 	if *countAtomics {
 		start = time.Now()
-		cntTable, cntBreakdown := uafcheck.RunTableIContext(context.Background(), cases,
-			append(batchOpts, uafcheck.WithAtomicsCounting(true))...)
+		aopts := analysis.DefaultOptions()
+		aopts.ModelAtomics, aopts.CountAtomics = true, true
+		cntTable, cntDet, _ := eval.RunTableI(cases, aopts, bopts)
 		fmt.Printf("\nTable I with the counting refinement enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(cntTable.Format())
 		fmt.Println("\nPer-pattern breakdown (counting refinement):")
-		fmt.Print(cntBreakdown)
+		fmt.Print(cntDet.FormatPatternBreakdown())
 	}
 
 	if *baselines {

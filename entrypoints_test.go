@@ -10,6 +10,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,10 +112,12 @@ func TestHungBatchFileHasNoReport(t *testing.T) {
 	}
 }
 
-// TestBatchWireMatchesAnalyzeContext: for every testdata program and
-// every seed-11 corpus program with tasks, the batch line equals the
-// single-file line without a cache, with a cold cache and with a warm
-// one.
+// TestBatchWireMatchesAnalyzeContext: for a mixed batch — every
+// testdata program, every seed-11 corpus program with tasks, some
+// without, and one that fails to parse — the batch line equals the
+// single-file line with one worker (input order) and with two (longest
+// first) without a cache, and with a cold and a warm cache. One worker
+// also streams the files in input order.
 func TestBatchWireMatchesAnalyzeContext(t *testing.T) {
 	ctx := context.Background()
 	var files []uafcheck.FileInput
@@ -129,30 +134,55 @@ func TestBatchWireMatchesAnalyzeContext(t *testing.T) {
 			files = append(files, uafcheck.FileInput{Name: p, Src: string(data)})
 		}
 	}
-	for _, tc := range corpus.Generate(corpus.DefaultParams(11)) {
-		if tc.HasBegin {
+	for i, tc := range corpus.Generate(corpus.DefaultParams(11)) {
+		if tc.HasBegin || i%40 == 0 {
 			files = append(files, uafcheck.FileInput{Name: tc.Name + ".chpl", Src: tc.Source})
 		}
 	}
+	files = append(files, uafcheck.FileInput{Name: "broken.chpl", Src: "proc ( nope"})
 	want := make([]string, len(files))
 	for i, f := range files {
 		rep, err := uafcheck.AnalyzeContext(ctx, f.Name, f.Src)
 		want[i] = wireBytes(t, f.Name, rep, err)
 	}
+	if !strings.Contains(want[len(want)-1], `"status":"error"`) {
+		t.Fatalf("broken.chpl line %s, want status error", want[len(want)-1])
+	}
+	inputOrder := make([]int, len(files))
+	for i := range inputOrder {
+		inputOrder[i] = i
+	}
 	cache := uafcheck.NewCache(uafcheck.CacheConfig{MaxEntries: 2 * len(files)})
 	for _, run := range []struct {
 		label string
 		opts  []uafcheck.Option
+		// inOrder: the run must stream files in input order.
+		inOrder bool
 	}{
-		{"no cache", nil},
-		{"cold cache", []uafcheck.Option{uafcheck.WithCache(cache)}},
-		{"warm cache", []uafcheck.Option{uafcheck.WithCache(cache)}},
+		{"no cache, 1 worker", []uafcheck.Option{uafcheck.WithWorkers(1)}, true},
+		{"no cache, 2 workers", []uafcheck.Option{uafcheck.WithWorkers(2)}, false},
+		{"cold cache", []uafcheck.Option{uafcheck.WithCache(cache)}, false},
+		{"warm cache", []uafcheck.Option{uafcheck.WithCache(cache)}, false},
 	} {
-		rep := uafcheck.AnalyzeFilesContext(ctx, files, run.opts...)
+		var mu sync.Mutex
+		var streamed []int
+		rep := uafcheck.AnalyzeFilesContext(ctx, files, append(run.opts, uafcheck.WithOnFile(func(i int, _ uafcheck.FileReport) {
+			mu.Lock()
+			defer mu.Unlock()
+			streamed = append(streamed, i)
+		}))...)
 		for i, fr := range rep.Files {
 			if got := wireBytes(t, fr.Name, fr.Report, fr.Err); got != want[i] {
 				t.Errorf("%s: %s: batch line differs\n batch: %s\nsingle: %s", run.label, fr.Name, got, want[i])
 			}
+		}
+		sorted := slices.Clone(streamed)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, inputOrder) {
+			t.Errorf("%s: WithOnFile indexes %v are not each file once", run.label, streamed)
+		}
+		if run.inOrder && !slices.Equal(streamed, inputOrder) {
+			t.Errorf("%s: streamed out of input order: %v", run.label, streamed)
 		}
 	}
 	if st := cache.Stats(); st.Hits == 0 {

@@ -3,8 +3,10 @@ package batch
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,7 +64,11 @@ type file struct{ name, src string }
 func runAnalysis(files []file, opts Options, aopts analysis.Options, perFile func(i int) *obs.Recorder,
 	onResult func(Result[*analysis.Result])) ([]Result[*analysis.Result], Summary) {
 	opts.MaxStates = aopts.PPS.MaxStates
-	return Run(len(files), opts, func(ctx context.Context, i, maxStates int) *analysis.Result {
+	weights := make([]int, len(files))
+	for i, f := range files {
+		weights[i] = len(f.src)
+	}
+	return Run(weights, opts, func(ctx context.Context, i, maxStates int) *analysis.Result {
 		o := aopts
 		o.Ctx = ctx
 		o.PPS.MaxStates = maxStates
@@ -290,6 +296,139 @@ func TestOnResultStreamsEveryFile(t *testing.T) {
 		if s.Index != r.Index || s.Status != r.Status || s.Value != r.Value {
 			t.Errorf("index %d: streamed %v/%p, final %v/%p",
 				i, s.Status, s.Value, r.Status, r.Value)
+		}
+	}
+}
+
+// TestDispatchOrder records the order in which the pool claims files.
+// Every attempt blocks until the test releases one of them, so after
+// the first Workers claims exactly one worker is free at a time and
+// each further claim is deterministic. A pool of two claims heaviest
+// first, ties in input order; one worker claims in input order.
+func TestDispatchOrder(t *testing.T) {
+	weights := []int{3, 9, 1, 9, 5, 0, 7, 5}
+	for _, tc := range []struct {
+		workers int
+		want    []int
+	}{
+		{1, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{2, []int{1, 3, 6, 4, 7, 0, 2, 5}},
+	} {
+		claimed := make(chan int)
+		release := make(chan struct{})
+		done := make(chan []Result[int])
+		go func() {
+			results, _ := Run(weights, Options{Workers: tc.workers}, func(_ context.Context, i, _ int) int {
+				claimed <- i
+				<-release
+				return i
+			}, func(int) Grade { return Grade{Status: OK} }, nil)
+			done <- results
+		}()
+		recv := func() int {
+			select {
+			case i := <-claimed:
+				return i
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d: no claim within 10s", tc.workers)
+				return -1
+			}
+		}
+		var got []int
+		for range tc.workers {
+			got = append(got, recv())
+		}
+		for len(got) < len(weights) {
+			release <- struct{}{}
+			got = append(got, recv())
+		}
+		for range tc.workers {
+			release <- struct{}{}
+		}
+		results := <-done
+
+		// The first claims race each other; their set is fixed.
+		first := append([]int(nil), got[:tc.workers]...)
+		sort.Ints(first)
+		wantFirst := append([]int(nil), tc.want[:tc.workers]...)
+		sort.Ints(wantFirst)
+		if fmt.Sprint(first) != fmt.Sprint(wantFirst) || fmt.Sprint(got[tc.workers:]) != fmt.Sprint(tc.want[tc.workers:]) {
+			t.Errorf("workers=%d: claim order %v, want %v", tc.workers, got, tc.want)
+		}
+		for i, r := range results {
+			if r.Index != i || r.Value != i {
+				t.Errorf("workers=%d: slot %d holds index %d value %d", tc.workers, i, r.Index, r.Value)
+			}
+		}
+	}
+}
+
+// TestEveryFileOnceUnderRetriesAndHangs: whatever order the pool
+// claims files in, results stay index-aligned and onResult sees each
+// index exactly once, also for a file whose every attempt times out,
+// one whose first attempt hangs and one that hangs on every attempt.
+func TestEveryFileOnceUnderRetriesAndHangs(t *testing.T) {
+	const (
+		timesOut  = 1
+		hangsOnce = 3
+		hangs     = 4
+	)
+	weights := []int{1, 5, 3, 5, 2, 8}
+	stop := make(chan struct{})
+	defer close(stop) // lets the abandoned attempts finish
+	type value struct{ i, attempt int }
+	for _, workers := range []int{1, 2} {
+		var attempts [6]atomic.Int32
+		var mu sync.Mutex
+		seen := map[int]Result[value]{}
+		results, sum := Run(weights, Options{Workers: workers, FileTimeout: 20 * time.Millisecond, Retries: 1},
+			func(ctx context.Context, i, _ int) value {
+				a := int(attempts[i].Add(1))
+				if i == hangs || (i == hangsOnce && a == 1) {
+					<-stop // ignores ctx: only the supervisor's grace gets the worker back
+				}
+				return value{i, a}
+			},
+			func(v value) Grade {
+				if v.i == timesOut {
+					return Grade{Status: TimedOut}
+				}
+				return Grade{Status: OK}
+			},
+			func(r Result[value]) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := seen[r.Index]; dup {
+					t.Errorf("workers=%d: onResult fired twice for index %d", workers, r.Index)
+				}
+				seen[r.Index] = r
+			})
+		if len(results) != len(weights) || len(seen) != len(weights) {
+			t.Fatalf("workers=%d: %d results, %d onResult calls for %d files", workers, len(results), len(seen), len(weights))
+		}
+		for i, r := range results {
+			wantStatus, wantAttempts, wantHung := OK, 1, false
+			switch i {
+			case timesOut:
+				wantStatus, wantAttempts = TimedOut, 2
+			case hangsOnce:
+				wantAttempts = 2
+			case hangs:
+				wantStatus, wantAttempts, wantHung = Failed, 2, true
+			}
+			if r.Index != i || r.Status != wantStatus || r.Attempts != wantAttempts || r.Hung != wantHung {
+				t.Errorf("workers=%d: slot %d: index %d status %v attempts %d hung %v, want %d %v %d %v",
+					workers, i, r.Index, r.Status, r.Attempts, r.Hung, i, wantStatus, wantAttempts, wantHung)
+			}
+			if !wantHung && r.Value != (value{i, wantAttempts}) {
+				t.Errorf("workers=%d: slot %d value %+v", workers, i, r.Value)
+			}
+			if s := seen[i]; s.Index != r.Index || s.Status != r.Status || s.Attempts != r.Attempts || s.Value != r.Value {
+				t.Errorf("workers=%d: index %d streamed %+v, final %+v", workers, i, s, r)
+			}
+		}
+		if sum.OK != 4 || sum.TimedOut != 1 || sum.Errors != 1 || sum.Hung != 1 || sum.Retries != 3 {
+			t.Errorf("workers=%d: summary %+v", workers, sum)
 		}
 	}
 }

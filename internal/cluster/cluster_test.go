@@ -356,6 +356,38 @@ func TestChaosClusterWorkerKillMidBatch(t *testing.T) {
 	}
 }
 
+// TestRelayedLineReading pins the two cheap reads the batch relay makes
+// of a worker stream: only newline-terminated lines are yielded (a torn
+// trailing line is dropped, whatever it looks like), and a line's name
+// is its first field.
+func TestRelayedLineReading(t *testing.T) {
+	for _, torn := range []string{`{"name":"torn-partial`, `{"name":"a.chpl","report":{}}`} {
+		sc := bufio.NewScanner(strings.NewReader("{\"name\":\"x\"}\n\n{\"name\":\"y\"}\r\n" + torn))
+		sc.Split(completeLines)
+		var got []string
+		for sc.Scan() {
+			got = append(got, string(bytes.TrimSpace(sc.Bytes())))
+		}
+		if want := []string{`{"name":"x"}`, "", `{"name":"y"}`}; fmt.Sprint(got) != fmt.Sprint(want) || sc.Err() != nil {
+			t.Errorf("torn tail %q: lines %q (err %v), want %q", torn, got, sc.Err(), want)
+		}
+	}
+	for _, c := range []struct {
+		line, name string
+		ok         bool
+	}{
+		{`{"name":"dir/a\"b.chpl","api_version":"v1","status":"ok","report":{"metrics":{}}}`, `dir/a"b.chpl`, true},
+		{`{"name":"c.chpl","status":`, "c.chpl", true},
+		{`{"error":"encode failed"}`, "", false},
+		{`{"name":7}`, "", false},
+		{`[1]`, "", false},
+	} {
+		if name, ok := lineName([]byte(c.line)); name != c.name || ok != c.ok {
+			t.Errorf("lineName(%s) = %q, %t; want %q, %t", c.line, name, ok, c.name, c.ok)
+		}
+	}
+}
+
 // TestChaosClusterWorkerKillNoSurvivor: when the shard owner dies
 // mid-stream and no other worker can take the reroute, every
 // unfinished file must surface as a flagged status "error" line — the

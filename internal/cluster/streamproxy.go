@@ -36,6 +36,33 @@ func lineScanner(r io.Reader, max int64) *bufio.Scanner {
 	return sc
 }
 
+// completeLines is a bufio.SplitFunc like bufio.ScanLines that drops
+// a final line without its newline instead of yielding it.
+func completeLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), nil, nil
+	}
+	return 0, nil, nil
+}
+
+// lineName reads the "name" of a relayed wire line, the first field of
+// wire.Result, without decoding the rest of the line.
+func lineName(line []byte) (string, bool) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return "", false
+	}
+	if tok, err := dec.Token(); err != nil || tok != "name" {
+		return "", false
+	}
+	tok, err := dec.Token()
+	name, ok := tok.(string)
+	return name, err == nil && ok
+}
+
 // ndjsonEmitter serializes line writes to the edge and flushes each
 // one, so clients see per-file progress exactly as with one process.
 type ndjsonEmitter struct {
@@ -255,25 +282,21 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 	}
 	pending := len(g.files)
 
+	// A worker writes each line and its newline in one write, so a
+	// worker killed mid-write leaves a trailing line with no newline.
+	// The scanner yields only newline-terminated lines: the torn one is
+	// never relayed, and its file stays pending and is rerouted below.
 	sc := lineScanner(resp.Body, c.cfg.MaxBodyBytes)
+	sc.Split(completeLines)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if !json.Valid(line) {
-			// A worker killed mid-write leaves a truncated trailing line
-			// (bufio.Scanner surfaces the partial token at EOF). Never
-			// relay it; the file stays pending and gets rerouted below.
-			continue
-		}
 		em.emit(append([]byte(nil), line...))
 		c.rec.Add(CtrBatchLines, 1)
-		var meta struct {
-			Name string `json:"name"`
-		}
-		if json.Unmarshal(line, &meta) == nil && pendingByName[meta.Name] > 0 {
-			pendingByName[meta.Name]--
+		if name, ok := lineName(line); ok && pendingByName[name] > 0 {
+			pendingByName[name]--
 			pending--
 		}
 	}

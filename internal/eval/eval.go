@@ -112,7 +112,12 @@ func RunTableI(cases []corpus.TestCase, opts analysis.Options, bopts batch.Optio
 		opts.PPS.Parallelism = 1
 	}
 	bopts.MaxStates = opts.PPS.MaxStates
-	results, sum := batch.Run(len(cases), bopts, func(ctx context.Context, i, maxStates int) *analysis.Result {
+	// Source length is the cost estimate the pool dispatches by.
+	weights := make([]int, len(cases))
+	for i := range cases {
+		weights[i] = len(cases[i].Source)
+	}
+	results, sum := batch.Run(weights, bopts, func(ctx context.Context, i, maxStates int) *analysis.Result {
 		o := opts
 		o.Ctx = ctx
 		o.PPS.MaxStates = maxStates

@@ -71,11 +71,12 @@ func StatusOf(rep *uafcheck.Report, err error) string {
 	}
 }
 
-// NewResult builds the canonical Result for one file outcome. The
-// report is cloned, its warnings sorted into presentation order, and
-// its telemetry stripped — unless includeMetrics is set, in which case
-// the snapshot travels in the separate Metrics field and byte-stability
-// across cache hits no longer holds.
+// NewResult builds the canonical Result for one file outcome. It
+// shares the caller's report but for a copy of its warnings, which it
+// sorts into presentation order, and strips its telemetry — unless
+// includeMetrics is set, in which case a copy of the snapshot travels
+// in the separate Metrics field and byte-stability across cache hits
+// no longer holds. The caller's report is left unchanged.
 func NewResult(name string, rep *uafcheck.Report, err error, includeMetrics bool) Result {
 	res := Result{Name: name, APIVersion: APIVersion, Status: StatusOf(rep, err)}
 	if err != nil {
@@ -84,14 +85,15 @@ func NewResult(name string, rep *uafcheck.Report, err error, includeMetrics bool
 	if rep == nil {
 		return res
 	}
-	cp := rep.Clone()
+	cp := *rep
+	cp.Warnings = append([]uafcheck.Warning(nil), rep.Warnings...)
 	uafcheck.SortWarnings(cp.Warnings)
 	if includeMetrics {
-		m := cp.Metrics
+		m := rep.Metrics.Clone()
 		res.Metrics = &m
 	}
 	cp.Metrics = uafcheck.Metrics{}
-	res.Report = cp
+	res.Report = &cp
 	return res
 }
 

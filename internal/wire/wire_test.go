@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +107,51 @@ func TestNewResultCanonical(t *testing.T) {
 	rm := NewResult("leak.chpl", rep, nil, true)
 	if rm.Metrics == nil || rm.Metrics.Counters["analysis.procs"] == 0 {
 		t.Error("includeMetrics did not carry the snapshot")
+	}
+}
+
+// TestNewResultLeavesReportUnchanged: NewResult sorts a copy of the
+// warnings and strips the telemetry of the result, never of the
+// caller's report, which a cache or a singleflight may share: warning
+// order, provenance and metrics stay as they were, with and without
+// in-band metrics.
+func TestNewResultLeavesReportUnchanged(t *testing.T) {
+	rep := analyze(t, "two.chpl", `proc two() {
+  var x: int = 1;
+  var y: int = 2;
+  begin with (ref x, ref y) {
+    x = 2;
+    y = 3;
+  }
+}
+`)
+	if len(rep.Warnings) < 2 {
+		t.Fatalf("expected two warnings, got %v", rep.Warnings)
+	}
+	// Out of presentation order, so NewResult has something to sort.
+	slices.Reverse(rep.Warnings)
+	if rep.Warnings[0].Prov == nil {
+		rep.Warnings[0].Prov = &uafcheck.WarningProvenance{Node: "x = 2", Chain: []string{"a", "b"}}
+	}
+	before := rep.Clone()
+	for _, metrics := range []bool{false, true} {
+		res := NewResult("two.chpl", rep, nil, metrics)
+		if _, err := res.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, before) {
+			t.Fatalf("metrics=%t: NewResult changed the caller's report", metrics)
+		}
+		if res.Report.Warnings[0] == rep.Warnings[0] {
+			t.Errorf("metrics=%t: result warnings not sorted: %v", metrics, res.Report.Warnings)
+		}
+		if metrics {
+			// The in-band snapshot is the result's own.
+			res.Metrics.Counters["analysis.procs"] += 100
+			if !reflect.DeepEqual(rep.Metrics, before.Metrics) {
+				t.Error("in-band metrics share the caller's maps")
+			}
+		}
 	}
 }
 

@@ -149,8 +149,10 @@ func WithTracing(on bool) Option {
 	return func(c *config) { c.tracing = on }
 }
 
-// WithWorkers sets the batch worker-pool size (0 = GOMAXPROCS). Batch
-// runs and RunTableIContext only.
+// WithWorkers sets the batch worker-pool size (0 = GOMAXPROCS). A pool
+// of more than one worker starts the files with the longest sources
+// first; one worker runs them in input order. Batch runs and
+// RunTableIContext only.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

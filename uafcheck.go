@@ -580,8 +580,13 @@ func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Opti
 			cfg.onFile(r.Index, fr)
 		}
 	}
+	// Source length is the cost estimate the pool dispatches by.
+	weights := make([]int, len(files))
+	for i := range files {
+		weights[i] = len(files[i].Src)
+	}
 	rec := obs.New() // batch-level counters and span
-	_, out.Summary = batch.Run(len(files), batch.Options{
+	_, out.Summary = batch.Run(weights, batch.Options{
 		Workers:     cfg.workers,
 		FileTimeout: cfg.deadline,
 		Retries:     cfg.retries,
