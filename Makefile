@@ -14,11 +14,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Short native-fuzzing pass over the frontend (lexer + parser). The
-# targets also run their seed corpora as plain tests under `make test`.
+# Short native-fuzzing pass over the frontend (lexer, parser, and the
+# name check against the resolver). The targets also run their seed
+# corpora as plain tests under `make test`.
 fuzz-short:
 	$(GO) test -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/lexer/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/parser/
+	$(GO) test -fuzz=FuzzCheck -fuzztime=$(FUZZTIME) ./internal/sym/
 
 # End-to-end load test of the uafserve daemon: builds the real
 # binaries, boots the server, and drives it with concurrent clients

@@ -167,9 +167,13 @@ type ProcResult struct {
 // Result is the analysis of one file.
 type Result struct {
 	Module *ast.Module
-	Info   *sym.Info
-	Diags  *source.Diagnostics
-	Procs  []*ProcResult
+	// Info is the file's name resolution. It is nil when the file has
+	// no begin (Module.Begins == 0): such a file is only name-checked
+	// (sym.Check), since no procedure of it is analyzed. It is also nil
+	// after a parse error.
+	Info  *sym.Info
+	Diags *source.Diagnostics
+	Procs []*ProcResult
 	// Crashes lists procedures whose pipeline panicked; the panic was
 	// recovered, the remaining procedures still analyzed.
 	Crashes []Crash
@@ -259,15 +263,18 @@ func analyzeFile(file *source.File, opts Options, units *Units) (*Result, IncrSt
 		return res, IncrStats{}
 	}
 	_, endResolve := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseResolve)
+	if mod.Begins == 0 {
+		// No begin, no analysis roots: only the diagnostics of name
+		// resolution are left to compute, and Check builds none of the
+		// tables the roots would read.
+		sym.Check(mod, diags)
+		endResolve()
+		return res, IncrStats{}
+	}
 	info := sym.Resolve(mod, diags)
 	endResolve()
 	res.Info = info
 	if diags.HasErrors() {
-		return res, IncrStats{}
-	}
-	if !ast.HasBegin(mod) {
-		// No begin, no analysis roots: the call-site facts below feed
-		// only the roots.
 		return res, IncrStats{}
 	}
 	d := newDriver(opts, units)

@@ -365,6 +365,11 @@ type Module struct {
 	// resolver sizes its use map with it; 0 (a hand-built tree) only
 	// loses that sizing.
 	Idents int
+	// Begins counts the begin statements the parser made for the file.
+	// A file with none has no analysis roots, so the pipeline can tell
+	// that from the count instead of walking the tree (HasBegin). A
+	// hand-built tree leaves it 0; only parser output carries it.
+	Begins int
 }
 
 // Span covers the whole file.

@@ -1,44 +1,22 @@
 package lexer
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"uafcheck/internal/fuzzseed"
 	"uafcheck/internal/source"
 	"uafcheck/internal/token"
 )
 
-// seedCorpus feeds every checked-in .chpl program plus a few adversarial
-// snippets to the fuzzer (shared with FuzzParse).
+// seedCorpus feeds every checked-in .chpl program plus the lexer's
+// adversarial snippets to the fuzzer.
 func seedCorpus(f *testing.F) {
 	f.Helper()
-	for _, dir := range []string{"../../testdata", "../../testdata/suite"} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".chpl") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err == nil {
-				f.Add(string(data))
-			}
-		}
+	programs, err := fuzzseed.Programs()
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, s := range []string{
-		"",
-		"proc main() { var done$: sync bool; begin { done$ = true; } done$; }",
-		"\"unterminated",
-		"// comment only",
-		"/* block", // unterminated block comment
-		"var x = 0x;;;$$$",
-		"\x00\xff\xfe",
-		"proc p(){begin with (ref x, in y){x=y..y;}}",
-	} {
+	for _, s := range append(programs, fuzzseed.Lexer...) {
 		f.Add(s)
 	}
 }

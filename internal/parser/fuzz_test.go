@@ -1,65 +1,23 @@
 package parser
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"uafcheck/internal/fuzzseed"
 	"uafcheck/internal/source"
 )
 
-// seedParseCorpus mirrors the lexer fuzz seeds: the checked-in programs
-// plus adversarial snippets aimed at the parser's recovery paths.
+// seedParseCorpus feeds every checked-in .chpl program plus the
+// parser's crasher seeds to the fuzzer.
 func seedParseCorpus(f *testing.F) {
 	f.Helper()
-	for _, dir := range []string{"../../testdata", "../../testdata/suite"} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".chpl") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err == nil {
-				f.Add(string(data))
-			}
-		}
+	programs, err := fuzzseed.Programs()
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, s := range crasherInputs {
+	for _, s := range append(programs, fuzzseed.Parser...) {
 		f.Add(s)
 	}
-}
-
-// crasherInputs are regression seeds for classes of input that crash
-// naive recursive-descent parsers: unterminated constructs, deep
-// nesting (stack exhaustion), recovery loops, and malformed literals.
-var crasherInputs = []string{
-	"",
-	";",
-	"}",
-	"proc",
-	"proc p(",
-	"proc p() {",
-	"proc p() { var x; }",
-	"proc p() { if }",
-	"proc p() { x.; }",
-	"proc p() { x.y.z(); }",
-	"proc p() { (1)(2); }",
-	"var x = \"abc", // unterminated string initializer
-	"proc p() { return 99999999999999999999999999; }",
-	"begin { }", // begin outside a proc
-	strings.Repeat("proc p() { ", 50),
-	// Nesting bombs: without the parser's depth budget each of these
-	// turns input length into Go stack depth.
-	"proc p() { x = " + strings.Repeat("(", 100000) + "1;}",
-	"proc p() " + strings.Repeat("{", 100000),
-	"proc p() { x = " + strings.Repeat("-", 100000) + "1; }",
-	"proc p() { " + strings.Repeat("if (x) { ", 2000) + "}",
-	"proc p() { " + strings.Repeat("if (x) {} else if (x) {} ", 2000) + "}",
-	"proc p() { " + strings.Repeat("begin { ", 5000) + "}",
 }
 
 // FuzzParse asserts the parser's total-function contract: any byte
@@ -81,7 +39,7 @@ func FuzzParse(f *testing.F) {
 // so the inputs are exercised on every `go test` run, not only under
 // `go test -fuzz`.
 func TestParserCrasherRegressions(t *testing.T) {
-	for i, src := range crasherInputs {
+	for i, src := range fuzzseed.Parser {
 		diags := &source.Diagnostics{}
 		mod := ParseSource("crasher.chpl", src, diags)
 		if mod == nil {

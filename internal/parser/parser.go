@@ -220,6 +220,7 @@ func (p *parser) module() *ast.Module {
 		}
 	}
 	m.Idents = p.idents.n
+	m.Begins = p.beginCount
 	return m
 }
 

@@ -134,11 +134,9 @@ func (k ScopeKind) String() string {
 
 // Scope is one lexical scope.
 type Scope struct {
-	ID       int
-	Kind     ScopeKind
-	Parent   *Scope
-	Children []*Scope
-	Node     ast.Node // the AST node that opened the scope
+	ID     int
+	Kind   ScopeKind
+	Parent *Scope
 	// ordered holds the scope's symbols in declaration order. Most
 	// scopes are small and a backward scan finds a name faster than a
 	// map. A scope that outgrows indexFrom symbols (a module or linker
@@ -301,8 +299,6 @@ type Info struct {
 	Module *ast.Module
 	// Uses maps every resolved identifier use to its symbol.
 	Uses map[*ast.Ident]*Symbol
-	// Decls maps declaration nodes to the symbol they introduce.
-	Decls map[ast.Node]*Symbol
 	// ScopeOf maps scope-opening nodes (module handled separately) to
 	// their scope: *ast.ProcDecl, *ast.BlockStmt of begin/sync/branch...
 	ScopeOf map[ast.Node]*Scope
@@ -335,6 +331,17 @@ func Resolve(m *ast.Module, diags *source.Diagnostics) *Info {
 	return ResolveWith(m, diags, nil)
 }
 
+// Check name-checks the module without building Info's tables: it runs
+// Resolve's traversal, with the same scopes, symbols and lookups, so it
+// appends exactly the diagnostics Resolve would, in the same order, but
+// records no Uses, ScopeOf, ProcSyms or MethodOps. It serves callers
+// that read only the diagnostics, such as the pipeline on a file
+// without a begin, which has no procedure to analyze.
+func Check(m *ast.Module, diags *source.Diagnostics) {
+	in := &Info{Module: m, diags: diags, file: m.File}
+	in.module(nil)
+}
+
 // NewLinkerScope returns an empty module-kind scope used to link
 // several files into one module: callers pre-fill it with the
 // top-level procedure symbols of the *other* files (DeclareExtern) and
@@ -364,49 +371,62 @@ func DeclareExtern(sc *Scope, proc *ast.ProcDecl) *Symbol {
 // module-level procedures defined in other files of the same module.
 // Passing nil is exactly Resolve.
 func ResolveWith(m *ast.Module, diags *source.Diagnostics, linker *Scope) *Info {
-	info := &Info{
+	in := &Info{
 		Module: m,
 		// Every use is an identifier, so the parser's count sizes the
 		// map once.
 		Uses:     make(map[*ast.Ident]*Symbol, m.Idents),
-		Decls:    make(map[ast.Node]*Symbol),
 		ScopeOf:  make(map[ast.Node]*Scope),
 		ProcSyms: make(map[*ast.ProcDecl]*Symbol),
 		diags:    diags,
 		file:     m.File,
 	}
-	root := info.newScope(ScopeModule, linker, m)
-	info.ModuleScope = root
+	in.module(linker)
+	return in
+}
 
+// module is the one traversal behind Resolve and Check.
+func (in *Info) module(linker *Scope) {
+	m := in.Module
+	root := in.newScope(ScopeModule, linker, m)
+	in.ModuleScope = root
 	for _, cfg := range m.Configs {
-		sym := info.declare(root, cfg.Name, KindConfig, cfg.Type, cfg)
+		in.declare(root, cfg.Name, KindConfig, cfg.Type, cfg)
 		if cfg.Init != nil {
-			info.expr(root, cfg.Init)
+			in.expr(root, cfg.Init)
 		}
-		_ = sym
 	}
 	// Two passes over procs so mutually-referencing top-level procs
 	// resolve regardless of order.
 	for _, p := range m.Procs {
-		ps := info.declare(root, p.Name, KindProc, p.Ret, p)
-		ps.Proc = p
-		info.ProcSyms[p] = ps
+		in.declareProc(root, p)
 	}
 	for _, p := range m.Procs {
-		info.proc(root, p)
+		in.proc(root, p)
 	}
-	return info
+}
+
+// recording reports whether the traversal builds Info's tables. Check
+// leaves Uses nil and skips every write to Uses, ScopeOf, ProcSyms and
+// MethodOps through this guard.
+func (in *Info) recording() bool { return in.Uses != nil }
+
+func (in *Info) setScope(node ast.Node, sc *Scope) {
+	if in.recording() {
+		in.ScopeOf[node] = sc
+	}
+}
+
+func (in *Info) setUse(id *ast.Ident, sym *Symbol) {
+	if in.recording() {
+		in.Uses[id] = sym
+	}
 }
 
 func (in *Info) newScope(kind ScopeKind, parent *Scope, node ast.Node) *Scope {
-	sc := &Scope{ID: in.nextScopeID, Kind: kind, Parent: parent, Node: node}
+	sc := &Scope{ID: in.nextScopeID, Kind: kind, Parent: parent}
 	in.nextScopeID++
-	if parent != nil {
-		parent.Children = append(parent.Children, sc)
-	}
-	if node != nil {
-		in.ScopeOf[node] = sc
-	}
+	in.setScope(node, sc)
 	return sc
 }
 
@@ -419,9 +439,16 @@ func (in *Info) declare(sc *Scope, name *ast.Ident, kind Kind, typ ast.Type, dec
 		Decl: decl, Scope: sc}
 	in.nextSymID++
 	sc.add(sym)
-	in.Decls[decl] = sym
-	in.Uses[name] = sym
+	in.setUse(name, sym)
 	return sym
+}
+
+func (in *Info) declareProc(sc *Scope, p *ast.ProcDecl) {
+	sym := in.declare(sc, p.Name, KindProc, p.Ret, p)
+	sym.Proc = p
+	if in.recording() {
+		in.ProcSyms[p] = sym
+	}
 }
 
 func (in *Info) proc(parent *Scope, p *ast.ProcDecl) {
@@ -433,13 +460,13 @@ func (in *Info) proc(parent *Scope, p *ast.ProcDecl) {
 	in.stmts(sc, p.Body.Stmts)
 	// Register the body block's scope as the proc scope so span lookups
 	// through either node agree.
-	in.ScopeOf[p.Body] = sc
+	in.setScope(p.Body, sc)
 }
 
 func (in *Info) block(parent *Scope, kind ScopeKind, node ast.Node, b *ast.BlockStmt) *Scope {
 	sc := in.newScope(kind, parent, node)
 	if node != b {
-		in.ScopeOf[b] = sc
+		in.setScope(b, sc)
 	}
 	in.stmts(sc, b.Stmts)
 	return sc
@@ -450,9 +477,7 @@ func (in *Info) stmts(sc *Scope, list []ast.Stmt) {
 	// definition resolve (Chapel allows forward use within a scope).
 	for _, s := range list {
 		if ps, ok := s.(*ast.ProcStmt); ok {
-			sym := in.declare(sc, ps.Proc.Name, KindProc, ps.Proc.Ret, ps.Proc)
-			sym.Proc = ps.Proc
-			in.ProcSyms[ps.Proc] = sym
+			in.declareProc(sc, ps.Proc)
 		}
 	}
 	for _, s := range list {
@@ -500,7 +525,7 @@ func (in *Info) stmt(sc *Scope, s ast.Stmt) {
 		in.expr(sc, x.Range.Lo)
 		in.expr(sc, x.Range.Hi)
 		loop := in.newScope(ScopeLoop, sc, x)
-		in.ScopeOf[x.Body] = loop
+		in.setScope(x.Body, loop)
 		in.declare(loop, x.Var, KindLoopVar, ast.Type{Kind: ast.TypeInt}, x.Var)
 		in.stmts(loop, x.Body.Stmts)
 	case *ast.ReturnStmt:
@@ -519,7 +544,7 @@ func (in *Info) stmt(sc *Scope, s ast.Stmt) {
 
 func (in *Info) begin(sc *Scope, b *ast.BeginStmt) {
 	task := in.newScope(ScopeBegin, sc, b)
-	in.ScopeOf[b.Body] = task
+	in.setScope(b.Body, task)
 	var copies map[*Symbol]*Symbol
 	for _, w := range b.With {
 		outer := sc.Lookup(w.Name.Name)
@@ -528,7 +553,7 @@ func (in *Info) begin(sc *Scope, b *ast.BeginStmt) {
 				"with-clause names unknown variable %q", w.Name.Name)
 			continue
 		}
-		in.Uses[w.Name] = outer
+		in.setUse(w.Name, outer)
 		if outer.IsSyncVar() {
 			in.diags.Addf(in.file, w.Name.Sp, source.Note,
 				"sync/single variable %q is universally visible; the with-clause is redundant", w.Name.Name)
@@ -565,7 +590,7 @@ func (in *Info) useIdent(sc *Scope, id *ast.Ident) *Symbol {
 		in.diags.Addf(in.file, id.Sp, source.Error, "undefined: %s", id.Name)
 		return nil
 	}
-	in.Uses[id] = sym
+	in.setUse(id, sym)
 	return sym
 }
 
@@ -600,7 +625,7 @@ func (in *Info) expr(sc *Scope, e ast.Expr) {
 				in.diags.Addf(in.file, x.Fun.Sp, source.Error,
 					"call to undefined procedure %q", x.Fun.Name)
 			} else {
-				in.Uses[x.Fun] = sym
+				in.setUse(x.Fun, sym)
 			}
 		}
 		for _, a := range x.Args {
@@ -666,6 +691,9 @@ func (in *Info) classifyMethod(sc *Scope, call *ast.MethodCallExpr, recv *Symbol
 		in.diags.Addf(in.file, call.Sp, source.Error,
 			"%s is not a sync, single or atomic variable; method call %q is invalid",
 			recv.Name, call.Method)
+	}
+	if !in.recording() {
+		return
 	}
 	if in.MethodOps == nil {
 		in.MethodOps = make(map[*ast.MethodCallExpr]SyncOpKind)
