@@ -10,9 +10,11 @@ import (
 // Analyzer is a long-lived analysis handle: it owns a per-procedure
 // memo store (and, when configured, a report cache) that persist across
 // calls, so re-analyzing a file after an edit only pays for the
-// procedures the edit touched. It is the home for editor/daemon
-// workloads — uafcheck -watch and the uafserve /v1/delta endpoint are
-// both built on it.
+// procedures the edit touched. Module calls also keep the last module
+// snapshot's parsed files and procedure summaries, bounded by the
+// module's size (see AnalyzeModuleDelta). It is the home for
+// editor/daemon workloads — uafcheck -watch and the uafserve /v1/delta
+// endpoint are both built on it.
 //
 // The handle is safe for concurrent use, and a call abandoned
 // mid-analysis (see internal/batch's Attempt) blocks no later call: the

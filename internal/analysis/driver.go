@@ -81,12 +81,14 @@ func (d *driver) unit(file *source.File, res *Result, proc *ast.ProcDecl, config
 	var pr *ProcResult
 	diags := res.Diags
 	if d.units != nil {
-		calleesFP := ""
+		calleesFP, refs := "", ""
 		if d.graph != nil {
-			calleesFP = moduleCalleesFP(d.graph, proc)
+			calleesFP, refs = moduleCalleesFP(d.graph, proc), d.graph.Refs(proc)
+		} else {
+			refs = modgraph.ModuleRefs(proc, res.Info)
 		}
 		key = unitKey(d.units.salt, file.Name, d.optsFP, file, proc,
-			d.sites[proc].allSynced(), configsFP, moduleRefs(proc, res.Info), calleesFP)
+			d.sites[proc].allSynced(), configsFP, refs, calleesFP)
 		lookupStart := time.Now()
 		ur, ok := d.units.c.Get(key)
 		d.opts.Obs.Observe(obs.HistUnitLookupNS, time.Since(lookupStart).Nanoseconds())

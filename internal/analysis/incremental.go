@@ -28,18 +28,17 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"uafcheck/internal/ast"
 	"uafcheck/internal/cache"
 	"uafcheck/internal/ccfg"
+	"uafcheck/internal/modgraph"
 	"uafcheck/internal/parser"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/source"
-	"uafcheck/internal/sym"
 )
 
 // Units is the memo store of the incremental engine: a content-addressed
@@ -47,9 +46,44 @@ import (
 // and safe for concurrent use. The salt (the public layer passes the
 // tool Version) partitions entries across releases the same way the
 // report cache does.
+//
+// Module runs keep two more parts here, each holding only the last
+// module snapshot: its parsed files by name (AnalyzeModule skips the
+// parser for a file whose text is unchanged) and the summary memo of
+// its non-recursive procedures (see modgraph.Memo).
 type Units struct {
-	salt string
-	c    *cache.Cache[*UnitResult]
+	salt      string
+	c         *cache.Cache[*UnitResult]
+	summaries modgraph.Memo
+
+	mu     sync.Mutex
+	parsed map[string]parsedFile
+}
+
+// parsedFile is one file as the parser left it. The AST and the source
+// (whose line table is built once, under a sync.Once) are read-only
+// after parsing, so concurrent module runs share them; diags is a copy
+// of the parse diagnostics that each run seeds its own collector from,
+// because resolution appends to it.
+type parsedFile struct {
+	src   *source.File
+	mod   *ast.Module
+	diags []source.Diagnostic
+}
+
+// lastParsed returns the parse store. A published map is never written
+// again, so the caller reads it without the lock.
+func (u *Units) lastParsed() map[string]parsedFile {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.parsed
+}
+
+// keepParsed replaces the parse store with one module snapshot's files.
+func (u *Units) keepParsed(files map[string]parsedFile) {
+	u.mu.Lock()
+	u.parsed = files
+	u.mu.Unlock()
 }
 
 // NewUnits creates a unit store; maxEntries <= 0 selects the library
@@ -205,44 +239,16 @@ func configsFingerprint(file *source.File, mod *ast.Module) string {
 	return b.String()
 }
 
-// moduleRefs canonically encodes how the unit's identifiers resolve
-// outside it: every identifier bound to a module-scope symbol (config
-// const or top-level procedure) or left unresolved. Renaming or
-// re-kinding a module-level binding another procedure introduced — or
-// removing one so an identifier falls back to unresolved/builtin —
-// changes this string and invalidates the unit.
-func moduleRefs(proc *ast.ProcDecl, info *sym.Info) string {
-	var refs []string
-	ast.Walk(proc, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		s, used := info.Uses[id]
-		switch {
-		case !used:
-			// Declaration occurrences are covered by the unit text.
-		case s == nil:
-			refs = append(refs, "?"+id.Name)
-		case s.Scope != nil && s.Scope.Kind == sym.ScopeModule:
-			refs = append(refs, s.Name+":"+strconv.Itoa(int(s.Kind))+":"+
-				strconv.Itoa(int(s.Type.Qual))+":"+strconv.FormatBool(s.ByRef))
-		}
-		return true
-	})
-	sort.Strings(refs)
-	return strings.Join(slices.Compact(refs), "\n")
-}
-
 // captureUnit converts a freshly analyzed unit into its
 // position-relative memo form. pdiags holds exactly the diagnostics the
 // unit's pipeline emitted (the caller gave analyzeProcSafe a private
-// collector).
+// collector). Names are copied: the lexer slices them out of the
+// source, and the memo must not keep a past snapshot's text alive.
 func captureUnit(file *source.File, proc *ast.ProcDecl, beginPrefix int,
 	pr *ProcResult, pdiags *source.Diagnostics) *UnitResult {
 	base := file.Line(proc.Sp.Start)
 	ur := &UnitResult{
-		Proc:       pr.Proc.Name.Name,
+		Proc:       strings.Clone(pr.Proc.Name.Name),
 		GraphStats: pr.GraphStats,
 		PPSStats:   pr.PPSStats,
 		Deadlocks:  pr.Deadlocks,
@@ -251,7 +257,7 @@ func captureUnit(file *source.File, proc *ast.ProcDecl, beginPrefix int,
 	}
 	for _, w := range pr.Warnings {
 		uw := UnitWarning{
-			Var:     w.Var,
+			Var:     strings.Clone(w.Var),
 			Write:   w.Write,
 			TaskOrd: parser.TaskIndex(w.Task) - beginPrefix,
 			Reason:  w.Reason,

@@ -3,11 +3,14 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"uafcheck/internal/cache"
 	"uafcheck/internal/obs"
+	"uafcheck/internal/progen"
 	"uafcheck/internal/source"
 )
 
@@ -279,4 +282,149 @@ func TestTraceAttrsDoNotPinSource(t *testing.T) {
 	if !seen["proc.name=worker"] || !seen["unit-hit.proc=worker"] {
 		t.Errorf("trace lacks the proc and unit-hit attributes: %v", seen)
 	}
+}
+
+// TestMemoEntriesDoNotPinSource: the lexer slices identifier names out
+// of the source, so a memoized unit that kept such a string would keep
+// the whole text of a past snapshot alive in the LRU. No string
+// reachable from a stored UnitResult may point into a source, after
+// the miss that stores it or the hit that replays it.
+func TestMemoEntriesDoNotPinSource(t *testing.T) {
+	files := []ModuleFile{
+		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  var a$: sync bool;\n  begin with (ref x) {\n" +
+			"    var b$: sync bool;\n    begin with (ref x) {\n      writeln(x);\n      b$ = true;\n    }\n" +
+			"    a$ = true;\n    b$;\n  }\n  a$;\n" +
+			"  proc spin(n: int) {\n    spin(n);\n  }\n  spin(1);\n  var total: int = 0;\n  escape(total);\n}\n"},
+		{Name: "lib.chpl", Src: "proc escape(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
+	}
+	units := NewUnits("test", 0)
+	var stored []*UnitResult
+	units.c = cache.New(cache.Codec[*UnitResult]{
+		Clone: func(u *UnitResult) *UnitResult {
+			c := u.Clone()
+			stored = append(stored, c)
+			return c
+		},
+	}, 0, "")
+	for run, want := range []IncrStats{{UnitMisses: 2}, {UnitHits: 2}} {
+		res, st := AnalyzeModule(files, DefaultOptions(), units)
+		if st != want {
+			t.Fatalf("run %d: %+v, want %+v", run, st, want)
+		}
+		if len(res.Files[0].Procs) == 0 || len(res.Files[0].Procs[0].Warnings) < 2 {
+			t.Fatalf("run %d: main has no warnings to check", run)
+		}
+	}
+	var srcs []string
+	for _, f := range files {
+		srcs = append(srcs, f.Src)
+	}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.String:
+			p := uintptr(unsafe.Pointer(unsafe.StringData(v.String())))
+			for _, src := range srcs {
+				if lo := uintptr(unsafe.Pointer(unsafe.StringData(src))); p >= lo && p < lo+uintptr(len(src)) {
+					t.Errorf("%s = %q points into the source", path, v.String())
+				}
+			}
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(path+"[key]", it.Key())
+				walk(path+"[value]", it.Value())
+			}
+		}
+	}
+	// Put clones the captured unit and Get clones the stored one: two
+	// stores and two hits.
+	if len(stored) != 4 {
+		t.Fatalf("%d clones recorded, want 4", len(stored))
+	}
+	kinds := map[string]bool{}
+	for _, u := range stored {
+		walk("UnitResult", reflect.ValueOf(u))
+		for _, w := range u.Warnings {
+			if w.TaskLabel != "" {
+				kinds["label"] = true
+			}
+			if w.Prov != nil && w.Prov.Node != "" {
+				kinds["node"] = true
+			}
+			if w.Prov != nil && len(w.Prov.Chain) > 0 {
+				kinds["chain"] = true
+			}
+		}
+		if len(u.Notes) > 0 {
+			kinds["note"] = true
+		}
+	}
+	// The case must exercise every string field it claims to check.
+	if len(kinds) != 4 {
+		t.Errorf("stored units lack a literal task label, a provenance node or chain, or a note: %v", kinds)
+	}
+}
+
+// TestModuleStoresHoldOneSnapshot: the parse store and the summary memo
+// keep only the last module snapshot, one entry per file and per
+// procedure, however many edits went before; a file dropped from the
+// snapshot leaves both.
+func TestModuleStoresHoldOneSnapshot(t *testing.T) {
+	mopts := progen.ModuleOptions{Files: 4, Procs: 3}
+	var files []ModuleFile
+	for _, f := range progen.GenerateModule(3, mopts) {
+		files = append(files, ModuleFile{Name: f.Name, Src: f.Src})
+	}
+	files = append(files, ModuleFile{Name: "extra.chpl",
+		Src: "proc extra() {\n  var y: int = 0;\n  begin with (ref y) {\n    y = 1;\n  }\n}\n"})
+	units := NewUnits("test", 0)
+	check := func(label string) {
+		t.Helper()
+		prev := units.lastParsed()
+		res, _ := AnalyzeModule(files, DefaultOptions(), units)
+		if res.FrontendFailed {
+			t.Fatalf("%s: frontend failed", label)
+		}
+		parsed := units.lastParsed()
+		if len(parsed) != len(files) {
+			t.Errorf("%s: parse store holds %d files, want %d", label, len(parsed), len(files))
+		}
+		for _, f := range files {
+			pf, ok := parsed[f.Name]
+			if !ok || pf.src.Content != f.Src {
+				t.Errorf("%s: parse store lacks the current %s", label, f.Name)
+			}
+			if old, ok := prev[f.Name]; ok && old.src.Content == f.Src && old.src != pf.src {
+				t.Errorf("%s: unchanged %s was parsed again", label, f.Name)
+			}
+		}
+		// progen modules are acyclic, so every procedure has an entry.
+		if n, want := units.summaries.Len(), len(res.Graph.DeclFile); n != want {
+			t.Errorf("%s: summary memo holds %d entries, want %d", label, n, want)
+		}
+	}
+	check("cold")
+	for i := 0; i < 50; i++ {
+		j := i % mopts.Files
+		alt := progen.GenerateModule(int64(100+i), mopts)[j].Src
+		if alt == files[j].Src {
+			t.Fatalf("edit %d leaves %s unchanged", i, files[j].Name)
+		}
+		files[j].Src = alt
+		check(fmt.Sprintf("edit %d", i))
+	}
+	files = files[:mopts.Files]
+	check("extra.chpl dropped")
 }

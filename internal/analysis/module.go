@@ -14,6 +14,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 
 	"uafcheck/internal/ast"
@@ -49,22 +50,38 @@ type ModuleResult struct {
 // go through the same per-unit driver as single-file mode: a nil units
 // store analyzes every root afresh, and a store is consulted per unit.
 // Both assemble the same Results, so a one-shot run is byte-identical
-// to a warm incremental run by construction.
+// to a warm incremental run by construction. A store also lends its
+// parse store, which skips the parser for a file whose name and text
+// match the store's last snapshot, and its summary memo.
 func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResult, IncrStats) {
 	mres := &ModuleResult{}
 	mfiles := make([]*modgraph.File, len(files))
 	results := make([]*Result, len(files))
+	var prev, next map[string]parsedFile
+	if units != nil {
+		prev = units.lastParsed()
+		next = make(map[string]parsedFile, len(files))
+	}
 	for i, in := range files {
-		f := source.NewFile(in.Name, in.Src)
+		pf, ok := prev[in.Name]
+		if !ok || pf.src.Content != in.Src {
+			pf = parseFile(in, opts)
+		}
+		if next != nil {
+			next[in.Name] = pf
+		}
 		diags := &source.Diagnostics{}
-		_, endParse := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseParse)
-		mod := parser.Parse(f, diags)
-		endParse()
-		mfiles[i] = &modgraph.File{Name: in.Name, Src: f, Mod: mod, Diags: diags}
-		results[i] = &Result{Module: mod, Diags: diags}
+		for _, d := range pf.diags {
+			diags.Add(d)
+		}
+		mfiles[i] = &modgraph.File{Name: in.Name, Src: pf.src, Mod: pf.mod, Diags: diags}
+		results[i] = &Result{Module: pf.mod, Diags: diags}
 		if diags.HasErrors() {
 			mres.FrontendFailed = true
 		}
+	}
+	if units != nil {
+		units.keepParsed(next)
 	}
 	mres.Files = results
 	if mres.FrontendFailed {
@@ -87,7 +104,11 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 		return mres, IncrStats{}
 	}
 	_, endSummaries := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseSummaries)
-	g.Summarize()
+	var memo *modgraph.Memo
+	if units != nil {
+		memo = &units.summaries
+	}
+	g.Summarize(memo)
 	endSummaries()
 
 	d := newDriver(opts, units)
@@ -102,6 +123,16 @@ func AnalyzeModule(files []ModuleFile, opts Options, units *Units) (*ModuleResul
 		d.roots(mf.Src, results[i])
 	}
 	return mres, d.stats
+}
+
+// parseFile parses one module file for the parse store.
+func parseFile(in ModuleFile, opts Options) parsedFile {
+	f := source.NewFile(in.Name, in.Src)
+	diags := &source.Diagnostics{}
+	_, endParse := obs.StartPhase(opts.Ctx, opts.Obs, obs.PhaseParse)
+	mod := parser.Parse(f, diags)
+	endParse()
+	return parsedFile{src: f, mod: mod, diags: slices.Clone(diags.All())}
 }
 
 // moduleCalleesFP renders the unit's direct-callee view for the memo

@@ -75,7 +75,7 @@ func roundRobin(g *Graph) (map[*ast.ProcDecl][]ir.ParamEffects, map[*ast.ProcDec
 func summarizeLikeRoundRobin(t *testing.T, g *Graph, label string) {
 	t.Helper()
 	wantSums, wantTask := roundRobin(g)
-	g.Summarize()
+	g.Summarize(nil)
 	if len(g.Summaries) != len(wantSums) || len(g.HasTask) != len(wantTask) {
 		t.Fatalf("%s: %d summaries and %d HasTask entries, want %d and %d",
 			label, len(g.Summaries), len(g.HasTask), len(wantSums), len(wantTask))

@@ -17,6 +17,10 @@
 // existing CCFG semantics: effects spliced inside a sync region are
 // contained, effects spliced inside a begin escape with it, and loop
 // subsumption (§IV-A) applies unchanged.
+//
+// A Memo carries summaries from one Summarize to the next, so a
+// re-analysis after an edit lowers only the procedures whose inputs
+// changed.
 package modgraph
 
 import (
@@ -24,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"uafcheck/internal/ast"
 	"uafcheck/internal/ir"
@@ -70,18 +75,20 @@ type Graph struct {
 	Unresolved []Unresolved
 
 	// callees holds each top-level procedure's DirectCallees list and
-	// fingerprints its SummaryFingerprint, both filled by Summarize.
+	// fingerprints its SummaryFingerprint, both filled by Summarize; refs
+	// holds the ModuleRefs a memo run rendered.
 	callees      map[*ast.ProcDecl][]*ast.ProcDecl
 	fingerprints map[*ast.ProcDecl]string
+	refs         map[*ast.ProcDecl]string
 	// lowerings counts the fixpoint's lowerings.
 	lowerings int
 }
 
 // Link resolves the module and computes its summaries: Resolve, then
-// Summarize.
+// Summarize without a memo.
 func Link(files []*File) *Graph {
 	g := Resolve(files)
-	g.Summarize()
+	g.Summarize(nil)
 	return g
 }
 
@@ -117,25 +124,38 @@ func Resolve(files []*File) *Graph {
 
 // Summarize builds the call graph of the resolved module, runs the
 // summary fixpoint and renders every procedure's SummaryFingerprint.
-// It runs once per graph, after Resolve; afterwards the graph is
-// read-only and safe for concurrent readers.
-func (g *Graph) Summarize() {
+// With a memo, a procedure outside any recursive component whose inputs
+// match the memo's entry takes the stored summary instead of being
+// lowered, and the memo afterwards holds this module's entries. It runs
+// once per graph, after Resolve; afterwards the graph is read-only and
+// safe for concurrent readers.
+func (g *Graph) Summarize(memo *Memo) {
 	n := len(g.DeclFile)
 	g.Summaries = make(map[*ast.ProcDecl][]ir.ParamEffects, n)
 	g.HasTask = make(map[*ast.ProcDecl]bool, n)
 	g.callees = make(map[*ast.ProcDecl][]*ast.ProcDecl, n)
 	for _, f := range g.Files {
 		for _, p := range f.Mod.Procs {
-			g.Summaries[p] = make([]ir.ParamEffects, len(p.Params))
 			g.callees[p] = g.directCallees(f, p)
 		}
 	}
-	for _, comp := range g.components() {
-		g.solve(comp)
+	var s solver
+	if memo != nil {
+		s.prev = memo.load()
+		s.next = make(map[memoSlot]memoEntry, n)
+		g.refs = make(map[*ast.ProcDecl]string, n)
 	}
 	g.fingerprints = make(map[*ast.ProcDecl]string, n)
-	for p := range g.DeclFile {
-		g.fingerprints[p] = g.fingerprint(p)
+	for _, comp := range g.components() {
+		g.solve(comp, &s)
+		// Every member has converged: later components key their memo
+		// entries on these fingerprints.
+		for _, p := range comp {
+			g.fingerprints[p] = g.fingerprint(p)
+		}
+	}
+	if memo != nil {
+		memo.store(s.next)
 	}
 }
 
@@ -282,20 +302,43 @@ func (g *Graph) components() [][]*ast.ProcDecl {
 	return out
 }
 
+// solver holds one Summarize's view of its memo: prev is the memo's
+// entries as the run found them, next collects this module's. Both are
+// nil without a memo.
+type solver struct {
+	prev, next map[memoSlot]memoEntry
+}
+
 // solve computes the summaries of one call-graph component whose
 // callees outside it have converged. A procedure that is not recursive
-// is lowered once. A recursive component iterates its members in file
-// order until a pass changes nothing: effects live in a finite monotone
-// boolean lattice (4 bits per by-ref formal), so it converges to the
-// least fixpoint; the bound of 2 + 4 per by-ref formal is a safety net
-// that also keeps a hypothetical oscillation deterministic.
-func (g *Graph) solve(comp []*ast.ProcDecl) {
+// is lowered once, or not at all when its memo entry's inputs still
+// match. A recursive component iterates its members in file order until
+// a pass changes nothing: effects live in a finite monotone boolean
+// lattice (4 bits per by-ref formal), so it converges to the least
+// fixpoint; the bound of 2 + 4 per by-ref formal is a safety net that
+// also keeps a hypothetical oscillation deterministic.
+func (g *Graph) solve(comp []*ast.ProcDecl, s *solver) {
 	if len(comp) == 1 && !slices.Contains(g.callees[comp[0]], comp[0]) {
-		g.lower(comp[0])
+		p := comp[0]
+		if s.next == nil {
+			g.lower(p)
+			return
+		}
+		slot, e := g.memoInputs(p)
+		if old, ok := s.prev[slot]; ok && old.sameInputs(e) {
+			g.Summaries[p], g.HasTask[p] = old.summary, old.hasTask
+		} else {
+			g.lower(p)
+		}
+		// The entry is rebuilt from this run's inputs even on a hit, so
+		// it never keeps an older snapshot's source alive.
+		e.summary, e.hasTask = g.Summaries[p], g.HasTask[p]
+		s.next[slot] = e
 		return
 	}
 	maxIter := 2
 	for _, p := range comp {
+		g.Summaries[p] = make([]ir.ParamEffects, len(p.Params))
 		for _, prm := range p.Params {
 			if prm.ByRef {
 				maxIter += 4
@@ -317,18 +360,16 @@ func (g *Graph) solve(comp []*ast.ProcDecl) {
 
 // lower lowers p under the current summary table, records whether its
 // body holds a task, and stores its new summary; it reports whether the
-// summary changed.
+// summary changed from the one stored before.
 func (g *Graph) lower(p *ast.ProcDecl) bool {
 	g.lowerings++
 	info := g.Files[g.DeclFile[p]].Info
 	prog := ir.LowerWith(info, p, &source.Diagnostics{}, ir.LowerOptions{Effects: g.Effects})
 	g.HasTask[p] = blockHasBegin(prog.Root)
 	ns := extractEffects(prog)
-	if slices.Equal(ns, g.Summaries[p]) {
-		return false
-	}
+	changed := !slices.Equal(ns, g.Summaries[p])
 	g.Summaries[p] = ns
-	return true
+	return changed
 }
 
 // extractEffects walks a lowered procedure and projects its accesses
@@ -415,4 +456,122 @@ func blockHasBegin(b *ir.Block) bool {
 		}
 	}
 	return false
+}
+
+// Memo keeps, per (file, procedure), the summary a non-recursive
+// procedure had in the last module summarized through it, with the
+// inputs that summary was lowered from: the procedure's text, how its
+// identifiers bind at module level (ModuleRefs), and each direct
+// callee's SummaryFingerprint and formal intents (lowering reads the
+// intents to find a call's by-ref actuals). Lowering reads nothing
+// else, so matching inputs give the same summary and HasTask bit; none
+// of them is a position, so a procedure that only moved within its
+// file still matches. Each Summarize replaces the memo's contents with
+// its own module's entries, which bounds it by the module's size. It
+// is safe for concurrent use: runs over different modules each replace
+// it, and an entry of one serves another only where the inputs match.
+type Memo struct {
+	mu   sync.Mutex
+	last map[memoSlot]memoEntry
+}
+
+type memoSlot struct{ file, proc string }
+
+type memoEntry struct {
+	text, refs, callees string
+	// summary is shared with the graphs that used it, all read-only.
+	summary []ir.ParamEffects
+	hasTask bool
+}
+
+func (e memoEntry) sameInputs(o memoEntry) bool {
+	return e.text == o.text && e.refs == o.refs && e.callees == o.callees
+}
+
+// Len returns the number of procedures the memo holds.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.last)
+}
+
+// load returns the memo's current entries. A published map is never
+// written again, so the caller reads it without the lock.
+func (m *Memo) load() map[memoSlot]memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.last
+}
+
+func (m *Memo) store(entries map[memoSlot]memoEntry) {
+	m.mu.Lock()
+	m.last = entries
+	m.mu.Unlock()
+}
+
+// memoInputs renders the memo slot and inputs of p, whose callees have
+// all converged.
+func (g *Graph) memoInputs(p *ast.ProcDecl) (memoSlot, memoEntry) {
+	f := g.Files[g.DeclFile[p]]
+	e := memoEntry{refs: ModuleRefs(p, f.Info)}
+	g.refs[p] = e.refs
+	if sp := p.Sp; sp.IsValid() && int(sp.End) <= len(f.Src.Content) {
+		e.text = f.Src.Content[sp.Start:sp.End]
+	}
+	if cs := g.callees[p]; len(cs) > 0 {
+		var b strings.Builder
+		for _, c := range cs {
+			b.WriteString(g.fingerprints[c])
+			b.WriteByte('|')
+			for _, prm := range c.Params {
+				if prm.ByRef {
+					b.WriteByte('r')
+				} else {
+					b.WriteByte('v')
+				}
+			}
+			b.WriteByte('\n')
+		}
+		e.callees = b.String()
+	}
+	return memoSlot{f.Name, p.Name.Name}, e
+}
+
+// Refs returns ModuleRefs of one of the graph's procedures, reusing the
+// rendering of a memo run.
+func (g *Graph) Refs(p *ast.ProcDecl) string {
+	if r, ok := g.refs[p]; ok {
+		return r
+	}
+	return ModuleRefs(p, g.Files[g.DeclFile[p]].Info)
+}
+
+// ModuleRefs canonically encodes how a procedure's identifiers resolve
+// outside it: every identifier bound to a module-scope symbol (config
+// const or top-level procedure) or left unresolved. Renaming or
+// re-kinding a module-level binding another procedure introduced — or
+// removing one so an identifier falls back to unresolved/builtin —
+// changes this string. With the procedure's text it determines the
+// procedure's resolution, so memo keys over the procedure carry it.
+func ModuleRefs(proc *ast.ProcDecl, info *sym.Info) string {
+	var refs []string
+	ast.Walk(proc, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		s, used := info.Uses[id]
+		switch {
+		case !used:
+			// Declaration occurrences are covered by the text.
+		case s == nil:
+			refs = append(refs, "?"+id.Name)
+		case s.Scope != nil && s.Scope.Kind == sym.ScopeModule:
+			refs = append(refs, s.Name+":"+strconv.Itoa(int(s.Kind))+":"+
+				strconv.Itoa(int(s.Type.Qual))+":"+strconv.FormatBool(s.ByRef))
+		}
+		return true
+	})
+	sort.Strings(refs)
+	return strings.Join(slices.Compact(refs), "\n")
 }

@@ -83,15 +83,24 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 	return analyzeModule(ctx, files, newConfig(options...))
 }
 
-// AnalyzeModuleDelta analyzes a module reusing every memoized unit
-// whose fingerprint still matches, and memoizing the units it had to
-// compute. Each call takes the full file set (the module snapshot,
-// not a diff). Unit fingerprints include the identities and boundary
-// summaries of each procedure's direct module-level callees, so
-// editing one file invalidates exactly the units whose composed view
-// changed: the edited file's own units, plus transitive callers of
-// any procedure whose summary changed. An effect-preserving callee
-// edit leaves every other file's units hot.
+// AnalyzeModuleDelta analyzes a module snapshot reusing what the
+// handle kept from earlier calls. Each call takes the full file set
+// (the snapshot, not a diff) and re-does only what the edit changed:
+//
+//   - a file whose name and text match the handle's last snapshot is
+//     not parsed again;
+//   - a non-recursive procedure whose text, module-level bindings and
+//     direct callees' summaries match the last snapshot keeps its
+//     boundary summary without being lowered;
+//   - an analysis unit whose fingerprint still matches is replayed from
+//     the memo store, and the units it had to compute are stored.
+//
+// Unit fingerprints include the identities and boundary summaries of
+// each procedure's direct module-level callees, so editing one file
+// invalidates exactly the units whose composed view changed: the
+// edited file's own units, plus transitive callers of any procedure
+// whose summary changed. An effect-preserving callee edit leaves every
+// other file's units hot. Name resolution still runs over every file.
 //
 // The returned report is byte-identical (canonical wire encoding) to
 // AnalyzeModuleContext with this handle's options; single-file and

@@ -13,6 +13,7 @@ package uafcheck_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -207,5 +208,30 @@ func TestAnalyzeModuleDeltaConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestModuleDeltaReusedParseDiagnostics: a file served from the parse
+// store gets its parse diagnostics back, and resolution adds its own to
+// a fresh copy, so repeated delta calls over a snapshot that fails in
+// the parser or in resolution give the one-shot error every time.
+func TestModuleDeltaReusedParseDiagnostics(t *testing.T) {
+	ctx := context.Background()
+	good := uafcheck.ModuleFile{Name: "good.chpl", Src: "proc good() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"}
+	for _, bad := range []uafcheck.ModuleFile{
+		{Name: "parse.chpl", Src: "proc broken( {\n"},
+		{Name: "unresolved.chpl", Src: "proc caller() {\n  var y: int = 0;\n  missing(y);\n}\n"},
+	} {
+		files := []uafcheck.ModuleFile{good, bad}
+		_, want := uafcheck.AnalyzeModuleContext(ctx, files)
+		if !errors.Is(want, uafcheck.ErrParse) {
+			t.Fatalf("%s: one-shot err = %v, want ErrParse", bad.Name, want)
+		}
+		an := uafcheck.NewAnalyzer()
+		for call := 0; call < 3; call++ {
+			if _, err := an.AnalyzeModuleDelta(ctx, files); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, call %d: err = %v, want %v", bad.Name, call, err, want)
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"uafcheck/internal/batch"
 	"uafcheck/internal/fault"
 	"uafcheck/internal/progen"
+	"uafcheck/internal/wire"
 )
 
 // mixedSrc holds a fan-out that a 2-state budget degrades and an
@@ -131,6 +132,63 @@ func TestSharedAnalyzerModuleAcrossOptions(t *testing.T) {
 	}
 	if st := an.Stats(); st.UnitHits == 0 {
 		t.Errorf("stats %+v: want unit hits from the shared store", st)
+	}
+}
+
+// TestSharedAnalyzerAlternatingModules: two goroutines alternate two
+// different modules with the same file names on one handle. Each call
+// replaces the handle's parse store and summary memo with its own
+// snapshot, so the calls keep finding the other module's entries under
+// their file names and procedure names; every report must still match
+// a one-shot run's wire bytes.
+func TestSharedAnalyzerAlternatingModules(t *testing.T) {
+	ctx := context.Background()
+	mopts := progen.ModuleOptions{Files: 3, Procs: 3}
+	var mods [2][]uafcheck.ModuleFile
+	var want [2][]string
+	for i := range mods {
+		mods[i] = modFiles(progen.GenerateModule(int64(40+i), mopts))
+		mrep, err := uafcheck.AnalyzeModuleContext(ctx, mods[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = moduleWire(t, mrep)
+	}
+	if mods[0][0].Name != mods[1][0].Name || mods[0][0].Src == mods[1][0].Src {
+		t.Fatal("the modules must share file names and differ in content")
+	}
+	an := uafcheck.NewAnalyzer()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := (g + k) % 2
+				mrep, err := an.AnalyzeModuleDelta(ctx, mods[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				for fi, fr := range mrep.Files {
+					b, err := wire.NewResult(fr.Name, fr.Report, fr.Err, false).Encode()
+					if err != nil {
+						errs <- err
+						return
+					}
+					if string(b) != want[i][fi] {
+						errs <- fmt.Errorf("goroutine %d, call %d: module %d file %s: wire bytes differ", g, k, i, fr.Name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
