@@ -19,15 +19,14 @@ import (
 // The handle is safe for concurrent use, and a call abandoned
 // mid-analysis (see internal/batch's Attempt) blocks no later call: the
 // memo store locks only around lookups and stores, and only complete
-// units are stored. AnalyzeDelta and AnalyzeModuleDelta use the options
-// fixed at construction; WithAnalyzer lends the same store to
-// AnalyzeContext, AnalyzeFilesContext and AnalyzeModuleContext under
-// the call's own options. Reports are byte-identical — through the
-// internal/wire canonical encoding — to what a from-scratch run with
-// the same options produces; see docs/INCREMENTAL.md for the
-// fingerprinting and invalidation rules.
+// units are stored. The handle holds no options: AnalyzeDelta and
+// AnalyzeModuleDelta take each call's, and one store serves calls under
+// differing option sets because every option that can change a result
+// is part of the unit fingerprint. Reports are byte-identical — through
+// the internal/wire canonical encoding — to AnalyzeContext or
+// AnalyzeModuleContext with the same options; see docs/INCREMENTAL.md
+// for the fingerprinting and invalidation rules.
 type Analyzer struct {
-	cfg   config
 	units *analysis.Units
 
 	files      atomic.Int64
@@ -37,10 +36,8 @@ type Analyzer struct {
 
 // AnalyzerStats is a snapshot of an Analyzer's incremental traffic.
 type AnalyzerStats struct {
-	// Files counts the files the handle analyzed: one per single-file
-	// call (AnalyzeDelta, or AnalyzeContext with WithAnalyzer), one per
-	// batch file attempt run through WithAnalyzer, and every file of
-	// each module call.
+	// Files counts the files the handle analyzed: one per AnalyzeDelta
+	// call and every file of each AnalyzeModuleDelta call.
 	Files int64
 	// UnitHits / UnitMisses count analysis units (top-level procedures
 	// containing begin tasks) served from the memo store vs recomputed.
@@ -50,16 +47,10 @@ type AnalyzerStats struct {
 	Units int
 }
 
-// NewAnalyzer creates an analysis handle. It accepts the same
-// functional options as AnalyzeContext (WithPrune, WithMaxStates,
-// WithAtomicsModel, WithCache, ...) plus WithUnitCacheEntries to bound
-// the per-procedure memo store; they are the options of AnalyzeDelta
-// and AnalyzeModuleDelta.
-func NewAnalyzer(options ...Option) *Analyzer {
-	a := &Analyzer{cfg: newConfig(options...)}
-	a.cfg.analyzer = a
-	a.units = analysis.NewUnits(Version, a.cfg.unitCacheEntries)
-	return a
+// NewAnalyzer creates an analysis handle with an empty memo store of
+// 1024 units.
+func NewAnalyzer() *Analyzer {
+	return &Analyzer{units: analysis.NewUnits(Version)}
 }
 
 // Stats returns the handle's incremental traffic counters.
@@ -77,15 +68,21 @@ func (a *Analyzer) Stats() AnalyzerStats {
 // The first call over a file is a warm-up (every unit misses); after a
 // single-procedure edit, subsequent calls recompute only that
 // procedure. The returned report is byte-identical (canonical wire
-// encoding) to AnalyzeContext with this handle's options.
+// encoding) to AnalyzeContext with the same options, which it takes.
 //
 // Frontend failures return an error matching ErrParse; resource
 // degradation surfaces through Report.Err as usual. Trace mode bypasses
 // the memo store (retained graphs are not serializable) and runs the
-// full pipeline. It is AnalyzeContext with the handle's options plus
-// WithAnalyzer(a).
-func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string) (*Report, error) {
-	return analyzeWith(ctx, filename, src, a.cfg)
+// full pipeline.
+func (a *Analyzer) AnalyzeDelta(ctx context.Context, filename, src string, options ...Option) (*Report, error) {
+	return analyzeWith(ctx, filename, src, a.config(options))
+}
+
+// config is one call's configuration with the handle lending its store.
+func (a *Analyzer) config(options []Option) config {
+	cfg := newConfig(options...)
+	cfg.analyzer = a
+	return cfg
 }
 
 // analyzeSource runs the single-file pipeline through the handle's memo

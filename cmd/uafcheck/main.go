@@ -30,8 +30,9 @@
 //	-oracle N       validate warnings dynamically with N random schedules
 //	-seed S         oracle schedule seed
 //	-timeout D      per-file analysis deadline (degrades, never truncates);
-//	                bounds each batch attempt, the -module analysis and
-//	                each -fix repair alike
+//	                bounds each batch attempt, the -module analysis, each
+//	                -fix repair and each -watch analysis alike (-watch
+//	                defaults it to 30s)
 //	-deadline D     wall-clock bound for the whole run
 //	-jobs N         parallel file workers for multi-file runs (0 = GOMAXPROCS)
 //	-par N          parallel PPS exploration workers inside each analysis
@@ -45,11 +46,11 @@
 //	                trees, rescanned every poll), re-analyze changed
 //	                ones incrementally (only edited procedures are
 //	                recomputed), and print warning diffs (+/-) instead
-//	                of full reports. A watchdog abandons hung analyses
-//	                and retries them on the next poll, serving
-//	                last-known-good warnings meanwhile.
+//	                of full reports. An analysis still running past
+//	                -timeout plus a grace period is abandoned and
+//	                retried on the next poll, serving last-known-good
+//	                warnings meanwhile.
 //	-interval D     -watch poll interval (default 500ms)
-//	-hang-timeout D -watch per-analysis watchdog timeout (default 30s)
 //
 // Exit codes:
 //
@@ -78,33 +79,32 @@ import (
 
 func main() {
 	var (
-		showCCFG    = flag.Bool("ccfg", false, "print the CCFG as text")
-		showDot     = flag.Bool("dot", false, "print the CCFG as Graphviz dot")
-		trace       = flag.Bool("trace", false, "print the PPS exploration table")
-		stats       = flag.Bool("stats", false, "print per-file statistics (sourced from the metrics snapshot)")
-		metrics     = flag.Bool("metrics", false, "print phase timings, counters and gauges")
-		explain     = flag.Bool("explain", false, "print each warning's provenance (CCFG node, sink PPS, transition chain)")
-		traceOut    = flag.String("trace-out", "", "append the telemetry trace to this file as JSON lines")
-		promOut     = flag.String("prom-out", "", "write aggregated metrics to this file in Prometheus text format")
-		module      = flag.Bool("module", false, "analyze all inputs together as one module (cross-file interprocedural analysis)")
-		noPrune     = flag.Bool("no-prune", false, "disable pruning rules A-D")
-		atomics     = flag.Bool("model-atomics", false, "model atomic fills/waits (§VII extension)")
-		count       = flag.Bool("count-atomics", false, "counting refinement of the atomics extension")
-		fix         = flag.Bool("fix", false, "synthesize and verify synchronization fixes; print verified unified diffs (with -format sarif: embed them as SARIF fixes; with -format json: append repair NDJSON lines)")
-		execProc    = flag.String("exec", "", "execute the named proc once under a random schedule and print its event trace")
-		oracle      = flag.Int("oracle", 0, "validate warnings with N random schedules (0 = off)")
-		seed        = flag.Int64("seed", 1, "oracle schedule seed")
-		timeout     = flag.Duration("timeout", 0, "per-file analysis deadline (0 = none), honoured by batch, -module and -fix runs; on expiry the file degrades to conservative warnings")
-		deadline    = flag.Duration("deadline", 0, "wall-clock bound for the whole run (0 = none)")
-		jobs        = flag.Int("jobs", 0, "parallel file workers (0 = GOMAXPROCS)")
-		par         = flag.Int("par", 0, "parallel PPS exploration workers per analysis (0 = 1 in batch runs; total ≈ jobs × par)")
-		retries     = flag.Int("retries", 0, "extra attempts for a timed-out file, each with a 4x smaller state budget")
-		cacheDir    = flag.String("cache-dir", "", "directory for the persistent content-addressed report cache (empty = no cache)")
-		cacheSize   = flag.Int("cache-size", 0, "in-memory report cache entries (0 = default)")
-		format      = flag.String("format", "text", "output format: text, json (canonical result lines) or sarif")
-		watch       = flag.Bool("watch", false, "poll the files or trees and print incremental warning diffs on change")
-		interval    = flag.Duration("interval", 500*time.Millisecond, "-watch poll interval")
-		hangTimeout = flag.Duration("hang-timeout", 30*time.Second, "-watch per-analysis hang watchdog timeout")
+		showCCFG  = flag.Bool("ccfg", false, "print the CCFG as text")
+		showDot   = flag.Bool("dot", false, "print the CCFG as Graphviz dot")
+		trace     = flag.Bool("trace", false, "print the PPS exploration table")
+		stats     = flag.Bool("stats", false, "print per-file statistics (sourced from the metrics snapshot)")
+		metrics   = flag.Bool("metrics", false, "print phase timings, counters and gauges")
+		explain   = flag.Bool("explain", false, "print each warning's provenance (CCFG node, sink PPS, transition chain)")
+		traceOut  = flag.String("trace-out", "", "append the telemetry trace to this file as JSON lines")
+		promOut   = flag.String("prom-out", "", "write aggregated metrics to this file in Prometheus text format")
+		module    = flag.Bool("module", false, "analyze all inputs together as one module (cross-file interprocedural analysis)")
+		noPrune   = flag.Bool("no-prune", false, "disable pruning rules A-D")
+		atomics   = flag.Bool("model-atomics", false, "model atomic fills/waits (§VII extension)")
+		count     = flag.Bool("count-atomics", false, "counting refinement of the atomics extension")
+		fix       = flag.Bool("fix", false, "synthesize and verify synchronization fixes; print verified unified diffs (with -format sarif: embed them as SARIF fixes; with -format json: append repair NDJSON lines)")
+		execProc  = flag.String("exec", "", "execute the named proc once under a random schedule and print its event trace")
+		oracle    = flag.Int("oracle", 0, "validate warnings with N random schedules (0 = off)")
+		seed      = flag.Int64("seed", 1, "oracle schedule seed")
+		timeout   = flag.Duration("timeout", 0, "per-file analysis deadline (0 = none; 30s with -watch), honoured by batch, -module, -fix and -watch runs; on expiry the file degrades to conservative warnings")
+		deadline  = flag.Duration("deadline", 0, "wall-clock bound for the whole run (0 = none)")
+		jobs      = flag.Int("jobs", 0, "parallel file workers (0 = GOMAXPROCS)")
+		par       = flag.Int("par", 0, "parallel PPS exploration workers per analysis (0 = 1 in batch runs; total ≈ jobs × par)")
+		retries   = flag.Int("retries", 0, "extra attempts for a timed-out file, each with a 4x smaller state budget")
+		cacheDir  = flag.String("cache-dir", "", "directory for the persistent content-addressed report cache (empty = no cache)")
+		cacheSize = flag.Int("cache-size", 0, "in-memory report cache entries (0 = default)")
+		format    = flag.String("format", "text", "output format: text, json (canonical result lines) or sarif")
+		watch     = flag.Bool("watch", false, "poll the files or trees and print incremental warning diffs on change")
+		interval  = flag.Duration("interval", 500*time.Millisecond, "-watch poll interval")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -173,15 +173,15 @@ func main() {
 		// directory roots stay directories so the tree is rescanned
 		// every poll (created files join, deleted files drop). One
 		// analyzer keeps the per-procedure memo store for the whole
-		// session. Runs until killed (or the -deadline expires).
-		an := uafcheck.NewAnalyzer(
+		// session. -timeout is the watchdog's clock, not a WithDeadline
+		// beside it. Runs until killed (or the -deadline expires).
+		opts := []uafcheck.Option{
 			uafcheck.WithPrune(!*noPrune),
 			uafcheck.WithAtomicsModel(*atomics),
 			uafcheck.WithAtomicsCounting(*count),
 			uafcheck.WithParallelism(*par),
-			uafcheck.WithDeadline(*timeout),
-		)
-		runWatch(ctx, os.Stdout, an, flag.Args(), *interval, *hangTimeout, *metrics)
+		}
+		runWatch(ctx, os.Stdout, uafcheck.NewAnalyzer(), opts, flag.Args(), *interval, *timeout, *metrics)
 		os.Exit(0)
 	}
 

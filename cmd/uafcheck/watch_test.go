@@ -49,7 +49,7 @@ func TestRunWatchDiffsOnEdit(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runWatch(ctx, &out, an, []string{path}, time.Millisecond, time.Minute, true)
+		runWatch(ctx, &out, an, nil, []string{path}, time.Millisecond, time.Minute, true)
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)

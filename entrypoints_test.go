@@ -61,7 +61,14 @@ func TestDeadlineReachesEveryEntryPoint(t *testing.T) {
 			return mr.Files
 		}},
 		{"AnalyzeDelta", func() []uafcheck.FileReport {
-			return single(uafcheck.NewAnalyzer(dl).AnalyzeDelta(ctx, "figure1.chpl", src))
+			return single(uafcheck.NewAnalyzer().AnalyzeDelta(ctx, "figure1.chpl", src, dl))
+		}},
+		{"AnalyzeModuleDelta", func() []uafcheck.FileReport {
+			mr, err := uafcheck.NewAnalyzer().AnalyzeModuleDelta(ctx, []uafcheck.ModuleFile{{Name: "figure1.chpl", Src: src}}, dl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mr.Files
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

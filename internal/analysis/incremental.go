@@ -26,7 +26,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -86,21 +85,11 @@ func (u *Units) keepParsed(files map[string]parsedFile) {
 	u.mu.Unlock()
 }
 
-// NewUnits creates a unit store; maxEntries <= 0 selects the library
-// default LRU bound.
-func NewUnits(salt string, maxEntries int) *Units {
-	codec := cache.Codec[*UnitResult]{
-		Encode: func(u *UnitResult) ([]byte, error) { return json.Marshal(u) },
-		Decode: func(b []byte) (*UnitResult, error) {
-			u := &UnitResult{}
-			if err := json.Unmarshal(b, u); err != nil {
-				return nil, err
-			}
-			return u, nil
-		},
-		Clone: func(u *UnitResult) *UnitResult { return u.Clone() },
-	}
-	return &Units{salt: salt, c: cache.New(codec, maxEntries, "")}
+// NewUnits creates a unit store: an in-memory LRU of the cache
+// package's default bound (1024 units), with no disk tier.
+func NewUnits(salt string) *Units {
+	codec := cache.Codec[*UnitResult]{Clone: (*UnitResult).Clone}
+	return &Units{salt: salt, c: cache.New(codec, cache.DefaultMaxEntries, "")}
 }
 
 // Stats returns the store's traffic counters.

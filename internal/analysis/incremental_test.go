@@ -70,7 +70,7 @@ func TestIncrementalSyncedBitInvalidation(t *testing.T) {
   }
 }
 `
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	st := checkIncr(t, units, unsynced)
 	if st.UnitMisses != 1 || st.UnitHits != 0 {
 		t.Fatalf("cold run: %+v", st)
@@ -105,7 +105,7 @@ func TestIncrementalConfigInvalidation(t *testing.T) {
 }
 `
 	}
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	if st := checkIncr(t, units, prog("3")); st.UnitMisses != 1 {
 		t.Fatalf("cold run: %+v", st)
 	}
@@ -135,7 +135,7 @@ proc helper(y: int) {
 ` + calleeBody + `}
 `
 	}
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	if st := checkIncr(t, units, prog("  writeln(y);\n")); st.UnitMisses != 1 {
 		t.Fatalf("cold run: %+v", st)
 	}
@@ -165,7 +165,7 @@ func TestIncrementalDegradedNeverStored(t *testing.T) {
 `
 	opts := DefaultOptions()
 	opts.PPS.MaxStates = 2
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	for i := 0; i < 2; i++ {
 		res, stats := AnalyzeSourceIncremental("t.chpl", src, opts, units)
 		if res.Degraded() == "" {
@@ -223,7 +223,7 @@ func TestIncrementalMemoHitOrder(t *testing.T) {
 		return notes, warnings
 	}
 	opts := DefaultOptions()
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	if _, st := AnalyzeSourceIncremental("t.chpl", unit, opts, units); st.UnitMisses != 1 {
 		t.Fatalf("cold run: %+v", st)
 	}
@@ -264,7 +264,7 @@ func TestTraceAttrsDoNotPinSource(t *testing.T) {
 	tr := obs.NewTrace(obs.DeriveTraceID("pin"))
 	opts := DefaultOptions()
 	opts.Ctx = obs.ContextWithTrace(context.Background(), tr)
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	AnalyzeSourceIncremental("t.chpl", src, opts, units)
 	if _, st := AnalyzeSourceIncremental("t.chpl", src, opts, units); st.UnitHits != 1 {
 		t.Fatalf("second run: %+v, want one unit hit", st)
@@ -297,7 +297,7 @@ func TestMemoEntriesDoNotPinSource(t *testing.T) {
 			"  proc spin(n: int) {\n    spin(n);\n  }\n  spin(1);\n  var total: int = 0;\n  escape(total);\n}\n"},
 		{Name: "lib.chpl", Src: "proc escape(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
 	}
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	var stored []*UnitResult
 	units.c = cache.New(cache.Codec[*UnitResult]{
 		Clone: func(u *UnitResult) *UnitResult {
@@ -389,7 +389,7 @@ func TestModuleStoresHoldOneSnapshot(t *testing.T) {
 	}
 	files = append(files, ModuleFile{Name: "extra.chpl",
 		Src: "proc extra() {\n  var y: int = 0;\n  begin with (ref y) {\n    y = 1;\n  }\n}\n"})
-	units := NewUnits("test", 0)
+	units := NewUnits("test")
 	check := func(label string) {
 		t.Helper()
 		prev := units.lastParsed()

@@ -63,6 +63,9 @@ func (s Status) String() string {
 	return "unknown"
 }
 
+// budgetShrink is the per-retry divisor of the PPS MaxStates budget.
+const budgetShrink = 4
+
 // Options configure a batch run.
 type Options struct {
 	// Workers is the pool size; 0 means GOMAXPROCS.
@@ -73,13 +76,11 @@ type Options struct {
 	// poll intervals of the deadline.
 	FileTimeout time.Duration
 	// Retries is how many extra attempts a deadline hit earns. Each
-	// retry divides the PPS MaxStates budget by BudgetShrink, trading
+	// retry divides the PPS MaxStates budget by budgetShrink, trading
 	// wall-clock flakiness for a deterministic state budget: a file that
 	// times out under load converges to a reproducible budget-degraded
 	// result instead of flapping.
 	Retries int
-	// BudgetShrink is the per-retry MaxStates divisor (default 4).
-	BudgetShrink int
 	// MaxStates is the first attempt's PPS state budget (0 = the
 	// analysis default); retries shrink it.
 	MaxStates int
@@ -161,9 +162,6 @@ func Run[T any](weights []int, opts Options, attempt func(ctx context.Context, i
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.BudgetShrink <= 1 {
-		opts.BudgetShrink = 4
-	}
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
 	}
@@ -220,7 +218,7 @@ func runFile[T any](i int, opts Options, attempt func(context.Context, int, int)
 			if budget <= 0 {
 				budget = pps.DefaultMaxStates()
 			}
-			budget = max(budget/opts.BudgetShrink, 1)
+			budget = max(budget/budgetShrink, 1)
 		}
 		v, panicked, hung := runAttempt(i, budget, opts, attempt)
 		res.Value, res.Hung = v, hung

@@ -149,13 +149,13 @@ func TestRetryConvergesToBudget(t *testing.T) {
 	aopts := analysis.DefaultOptions()
 	aopts.PPS.MaxStates = 1 << 16
 	results, _ := runAnalysis(files, Options{
-		FileTimeout:  40 * time.Millisecond,
-		Retries:      3,
-		BudgetShrink: 64,
+		FileTimeout: 40 * time.Millisecond,
+		Retries:     6,
 	}, aopts, nil, nil)
 	r := results[0]
-	// 65536 states outrun a 40ms clock, but 1024 (two 64x rungs) do not:
-	// the wall-clock timeout converges to a deterministic budget stop.
+	// 65536 states outrun a 40ms clock, but the 4x rungs (16384, 4096,
+	// ... down to 16) reach a budget that does not: the wall-clock
+	// timeout converges to a deterministic budget stop.
 	if r.Status != Degraded {
 		t.Fatalf("status %v after %d attempts, want %v", r.Status, r.Attempts, Degraded)
 	}

@@ -63,45 +63,6 @@ func lineName(line []byte) (string, bool) {
 	return name, err == nil && ok
 }
 
-// ndjsonEmitter serializes line writes to the edge and flushes each
-// one, so clients see per-file progress exactly as with one process.
-type ndjsonEmitter struct {
-	mu      sync.Mutex
-	w       http.ResponseWriter
-	flusher http.Flusher
-	started bool
-}
-
-func newEmitter(w http.ResponseWriter) *ndjsonEmitter {
-	f, _ := w.(http.Flusher)
-	return &ndjsonEmitter{w: w, flusher: f}
-}
-
-// start writes the edge 200 + NDJSON header exactly once.
-func (e *ndjsonEmitter) start() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.startLocked()
-}
-
-func (e *ndjsonEmitter) startLocked() {
-	if !e.started {
-		e.w.Header().Set("Content-Type", "application/x-ndjson")
-		e.w.WriteHeader(http.StatusOK)
-		e.started = true
-	}
-}
-
-func (e *ndjsonEmitter) emit(line []byte) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.startLocked()
-	e.w.Write(append(line, '\n')) //nolint:errcheck — a dead client just discards the stream
-	if e.flusher != nil {
-		e.flusher.Flush()
-	}
-}
-
 // errorLine renders the canonical status "error" wire line for a file
 // the cluster could not get analyzed.
 func errorLine(name string, err error) []byte {
@@ -221,8 +182,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	em := newEmitter(w)
-	em.start()
+	em := server.NewNDJSON(w)
+	em.Start()
 	var lineWG sync.WaitGroup
 	for i := range groups {
 		lineWG.Add(1)
@@ -232,7 +193,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// Both the owner and its successor were unreachable:
 				// every file in the group gets a flagged error line.
 				for _, f := range groups[i].files {
-					em.emit(errorLine(f.Name, fmt.Errorf("cluster: no worker reachable for batch shard: %v", resps[i].err)))
+					em.WriteLine(errorLine(f.Name, fmt.Errorf("cluster: no worker reachable for batch shard: %v", resps[i].err))) //nolint:errcheck — a dead client just discards the stream
 				}
 				return
 			}
@@ -275,7 +236,7 @@ func (c *Coordinator) postSubBatch(ctx context.Context, r *http.Request, worker 
 // mid-batch), the unfinished files are rerouted once to another
 // worker; files that still cannot be computed are emitted as flagged
 // error lines — the stream is never silently short.
-func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjsonEmitter, g batchGroup, resp *http.Response, opts server.RequestOptions, mayReroute bool) {
+func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *server.NDJSON, g batchGroup, resp *http.Response, opts server.RequestOptions, mayReroute bool) {
 	pendingByName := make(map[string]int, len(g.files))
 	for _, f := range g.files {
 		pendingByName[f.Name]++
@@ -293,7 +254,7 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 		if len(line) == 0 {
 			continue
 		}
-		em.emit(append([]byte(nil), line...))
+		em.WriteLine(append([]byte(nil), line...)) //nolint:errcheck
 		c.rec.Add(CtrBatchLines, 1)
 		if name, ok := lineName(line); ok && pendingByName[name] > 0 {
 			pendingByName[name]--
@@ -338,7 +299,7 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 		}
 	}
 	for _, f := range remaining {
-		em.emit(errorLine(f.Name, fmt.Errorf("cluster: worker lost mid-batch: %v", scanErr)))
+		em.WriteLine(errorLine(f.Name, fmt.Errorf("cluster: worker lost mid-batch: %v", scanErr))) //nolint:errcheck
 	}
 }
 
@@ -349,7 +310,7 @@ func (c *Coordinator) streamGroup(ctx context.Context, r *http.Request, em *ndjs
 // streams answer with the worker's bytes. Routing is by (name,
 // options) — not content — so re-sends of an edited file land on the
 // worker holding that file's memo store, and the incremental speedup
-// survives sharding. The worker-side analyzer pool lives across
+// survives sharding. The worker's one Analyzer lives across
 // requests, so forwarding each line as its own single-line /v1/delta
 // call preserves both per-file ordering and memoization; lines answer
 // in input order exactly as one process would answer them.
@@ -358,9 +319,8 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 		c.front.WriteError(w, http.StatusServiceUnavailable, "no workers alive")
 		return
 	}
-	em := newEmitter(w)
-	emit := func(line []byte) error { em.emit(line); return nil }
-	err := c.front.ReadDelta(w, r, emit, func(line []byte, dr *server.DeltaRequest) error {
+	em := server.NewNDJSON(w)
+	err := c.front.ReadDelta(w, r, em.WriteLine, func(line []byte, dr *server.DeltaRequest) error {
 		key := server.RouteKey("delta", dr.Name, "", dr.Options)
 		if dr.Module != "" || len(dr.Files) > 0 {
 			// Module lines route by module label, matching the batch
@@ -373,8 +333,8 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 		})
 		switch {
 		case err != nil:
-			em.emit(errorLine(dr.Name, fmt.Errorf("cluster: no worker reachable: %v", err)))
-		case resp.StatusCode != http.StatusOK && !em.started:
+			return em.WriteLine(errorLine(dr.Name, fmt.Errorf("cluster: no worker reachable: %v", err)))
+		case resp.StatusCode != http.StatusOK && !em.Started():
 			// Backpressure before the stream began: relay the 429/503
 			// verbatim, Retry-After and all.
 			copyResponse(w, resp, id)
@@ -382,24 +342,25 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 		case resp.StatusCode != http.StatusOK:
 			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 			resp.Body.Close()
-			em.emit(errorLine(dr.Name, fmt.Errorf("cluster: worker %s answered %s: %s",
+			return em.WriteLine(errorLine(dr.Name, fmt.Errorf("cluster: worker %s answered %s: %s",
 				id, resp.Status, bytes.TrimSpace(b))))
-		default:
-			rs := lineScanner(resp.Body, c.cfg.MaxBodyBytes)
-			for rs.Scan() {
-				out := bytes.TrimSpace(rs.Bytes())
-				if len(out) == 0 || !json.Valid(out) {
-					continue
-				}
-				em.emit(append([]byte(nil), out...))
+		}
+		defer resp.Body.Close()
+		c.rec.Add(CtrProxied, 1)
+		rs := lineScanner(resp.Body, c.cfg.MaxBodyBytes)
+		for rs.Scan() {
+			out := bytes.TrimSpace(rs.Bytes())
+			if len(out) == 0 || !json.Valid(out) {
+				continue
 			}
-			resp.Body.Close()
-			c.rec.Add(CtrProxied, 1)
+			if err := em.WriteLine(append([]byte(nil), out...)); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 	if err == nil {
-		em.start() // an empty input still answers 200 with an empty stream
+		em.Start() // an empty input still answers 200 with an empty stream
 	}
 }
 

@@ -228,3 +228,37 @@ func TestDeltaModuleUnresolved(t *testing.T) {
 		t.Errorf("code = %q, want %q (error: %s)", e.Code, CodeUnresolvedCall, e.Error)
 	}
 }
+
+// TestModuleBatchWarmsDelta: a mode "module" batch runs through the
+// server's one Analyzer, so a /v1/delta module line carrying the same
+// snapshot replays every unit from the memo and answers the batch's
+// bytes.
+func TestModuleBatchWarmsDelta(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	files := moduleBatchFiles()
+	resp, body := post(t, ts, "/v1/analyze-batch", BatchRequest{Mode: "module", Module: "app", Files: files})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	batchLines := splitLines(body)
+	before := srv.MetricsSnapshot()
+
+	resp, lines := postNDJSON(t, ts, "/v1/delta", deltaBody(t, DeltaRequest{Module: "app", Files: files}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta status %d", resp.StatusCode)
+	}
+	if len(lines) != len(batchLines) {
+		t.Fatalf("delta answered %d lines, batch %d", len(lines), len(batchLines))
+	}
+	for i := range lines {
+		if string(lines[i]) != string(batchLines[i]) {
+			t.Errorf("line %d differs\ndelta: %s\nbatch: %s", i, lines[i], batchLines[i])
+		}
+	}
+	after := srv.MetricsSnapshot()
+	hits := after.Counter(obs.CtrUnitHits) - before.Counter(obs.CtrUnitHits)
+	misses := after.Counter(obs.CtrUnitMisses) - before.Counter(obs.CtrUnitMisses)
+	if hits == 0 || misses != 0 {
+		t.Errorf("delta after the batch: unit hits/misses = %d/%d, want every unit from the memo", hits, misses)
+	}
+}

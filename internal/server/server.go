@@ -261,9 +261,9 @@ type Server struct {
 	// Retry-After estimate on 429s.
 	ewmaMS atomic.Int64
 
-	// an lends its per-procedure memo store to every /v1/delta line,
-	// whatever the line's options: every option that can change a
-	// result is part of the unit fingerprint.
+	// an runs every /v1/delta line and every module batch, whatever
+	// their options: every option that can change a result is part of
+	// the unit fingerprint.
 	an *uafcheck.Analyzer
 }
 
@@ -391,10 +391,7 @@ func (s *Server) MetricsSnapshot() obs.Metrics {
 // source, and the effective (post-default) option set.
 func (s *Server) requestKey(kind, name, src string, o RequestOptions) string {
 	return cache.KeyOf("uafserve/"+kind, uafcheck.Version, name, src,
-		fmt.Sprintf("prune=%t max_states=%d deadline=%s trace=%t ma=%t ca=%t retries=%d metrics=%t",
-			o.Prune == nil || *o.Prune, o.MaxStates, s.effectiveDeadline(o),
-			o.Trace, o.ModelAtomics, o.CountAtomics, o.Retries, o.Metrics),
-	).String()
+		optionSet(o, "deadline="+s.effectiveDeadline(o).String())).String()
 }
 
 // RouteKey is the content fingerprint the cluster coordinator routes
@@ -403,10 +400,7 @@ func (s *Server) requestKey(kind, name, src string, o RequestOptions) string {
 // deadline, which a coordinator cannot know without the worker's
 // config. Routing only needs determinism, not cache-key equality.
 func RouteKey(kind, name, src string, o RequestOptions) cache.Key {
-	return cache.KeyOf("uafserve/route/"+kind, uafcheck.Version, name, src,
-		fmt.Sprintf("prune=%t max_states=%d deadline_ms=%d trace=%t ma=%t ca=%t retries=%d metrics=%t",
-			o.Prune == nil || *o.Prune, o.MaxStates, o.DeadlineMS,
-			o.Trace, o.ModelAtomics, o.CountAtomics, o.Retries, o.Metrics))
+	return cache.KeyOf("uafserve/route/"+kind, uafcheck.Version, name, src, routeOptionSet(o))
 }
 
 // ModuleRouteKey is the cluster routing fingerprint of a module-mode
@@ -416,10 +410,22 @@ func RouteKey(kind, name, src string, o RequestOptions) cache.Key {
 // memo store, and content-addressed routing would scatter every edit
 // to a cold worker. Mirrors RouteKey otherwise.
 func ModuleRouteKey(module string, o RequestOptions) cache.Key {
-	return cache.KeyOf("uafserve/route/module", uafcheck.Version, module,
-		fmt.Sprintf("prune=%t max_states=%d deadline_ms=%d trace=%t ma=%t ca=%t retries=%d metrics=%t",
-			o.Prune == nil || *o.Prune, o.MaxStates, o.DeadlineMS,
-			o.Trace, o.ModelAtomics, o.CountAtomics, o.Retries, o.Metrics))
+	return cache.KeyOf("uafserve/route/module", uafcheck.Version, module, routeOptionSet(o))
+}
+
+// routeOptionSet is the option set of both route keys, with the
+// request's own deadline.
+func routeOptionSet(o RequestOptions) string {
+	return optionSet(o, "deadline_ms="+strconv.FormatInt(o.DeadlineMS, 10))
+}
+
+// optionSet renders a request's option fields for a content address or
+// route key; deadline is the rendered deadline field. The bytes decide
+// cache hits and worker placement, so they must not change.
+func optionSet(o RequestOptions, deadline string) string {
+	return fmt.Sprintf("prune=%t max_states=%d %s trace=%t ma=%t ca=%t retries=%d metrics=%t",
+		o.Prune == nil || *o.Prune, o.MaxStates, deadline,
+		o.Trace, o.ModelAtomics, o.CountAtomics, o.Retries, o.Metrics)
 }
 
 // Validate checks what a batch request must satisfy before any file is
@@ -663,23 +669,54 @@ func (s *Server) resultLine(ctx context.Context, name string, rep *uafcheck.Repo
 	return line
 }
 
-// startNDJSON answers 200 with an NDJSON stream and returns its line
-// writer, which serializes concurrent callers and flushes every line so
-// clients see progress, not a burst.
-func startNDJSON(w http.ResponseWriter) func(line []byte) error {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	return func(line []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		_, err := w.Write(append(line, '\n'))
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return err
+// NDJSON writes an application/x-ndjson response one line at a time.
+// WriteLine serializes concurrent callers and flushes every line, so
+// clients see progress, not a burst. The 200 header goes out on Start
+// or with the first line; until then the handler may still answer with
+// another status, as the cluster edge does to relay a worker's 429 or
+// 503 verbatim.
+type NDJSON struct {
+	mu      sync.Mutex
+	w       http.ResponseWriter
+	started bool
+}
+
+// NewNDJSON returns an unstarted line writer over w.
+func NewNDJSON(w http.ResponseWriter) *NDJSON { return &NDJSON{w: w} }
+
+// Start sends the 200 header, once.
+func (n *NDJSON) Start() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.startLocked()
+}
+
+func (n *NDJSON) startLocked() {
+	if !n.started {
+		n.w.Header().Set("Content-Type", "application/x-ndjson")
+		n.w.WriteHeader(http.StatusOK)
+		n.started = true
 	}
+}
+
+// Started reports whether the 200 header has gone out.
+func (n *NDJSON) Started() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.started
+}
+
+// WriteLine starts the stream if needed, then writes line and its
+// newline and flushes.
+func (n *NDJSON) WriteLine(line []byte) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.startLocked()
+	_, err := n.w.Write(append(line, '\n'))
+	if f, ok := n.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return err
 }
 
 // batchName is the name a batch file is reported under: its own, or
@@ -736,9 +773,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// NDJSON stream: one canonical result line per file, written from
 	// the worker that finished it. A dead client just discards the
 	// stream.
-	write := startNDJSON(w)
+	out := NewNDJSON(w)
+	out.Start()
 	emit := func(i int, fr uafcheck.FileReport) {
-		write(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck
+		out.WriteLine(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck
 	}
 
 	t0 := time.Now()
@@ -760,50 +798,61 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // canonical per-file result lines in input order. A frontend or
 // unresolved-call failure anywhere in the module rejects the whole
 // request — module results are all-or-nothing, matching the library's
-// AnalyzeModuleContext contract.
+// AnalyzeModuleContext contract. The module runs through the server's
+// Analyzer like a module /v1/delta line, so a batch warms the memo a
+// later snapshot of the same module hits.
 func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRequest) {
-	files := make([]uafcheck.ModuleFile, len(req.Files))
-	for i, f := range req.Files {
-		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
-	}
 	// Detached from the request context like the single-file leader: the
 	// wall-clock bound is the request deadline, degrading rather than
 	// aborting.
-	t0 := time.Now()
-	mrep, err := uafcheck.AnalyzeModuleContext(obs.Detach(r.Context()), files,
-		append(s.libraryOptions(req.Options), uafcheck.WithDeadline(s.effectiveDeadline(req.Options)))...)
+	lines, err := s.moduleLines(obs.Detach(r.Context()), req.Files, req.Options,
+		uafcheck.WithDeadline(s.effectiveDeadline(req.Options)))
 	if err != nil {
-		s.writeModuleError(w, err)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(statusCodeFor(err))
+		w.Write(append(moduleErrorBody(err), '\n')) //nolint:errcheck
 		return
 	}
-	s.observeAnalysis(t0, len(files), mrep.Metrics)
-	write := startNDJSON(w)
-	for _, fr := range mrep.Files {
-		write(s.resultLine(r.Context(), fr.Name, fr.Report, fr.Err, req.Options.Metrics)) //nolint:errcheck — a dead client just discards the stream
+	out := NewNDJSON(w)
+	for _, line := range lines {
+		out.WriteLine(line) //nolint:errcheck — a dead client just discards the stream
 	}
 }
 
-// writeModuleError maps a module analysis error onto the HTTP error
-// vocabulary: 422 with a typed code for frontend and unresolved-call
-// failures (an unresolved-call error matches both sentinels; the finer
-// code wins), 500 otherwise.
-func (s *Server) writeModuleError(w http.ResponseWriter, err error) {
-	body := errorBody{Error: err.Error(), Code: moduleErrorCode(err)}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusCodeFor(err))
-	w.Write(append(mustJSON(body), '\n')) //nolint:errcheck
+// moduleLines analyzes one module snapshot through the server's
+// Analyzer and encodes one canonical line per file, in input order.
+// options follow the request's own.
+func (s *Server) moduleLines(ctx context.Context, in []BatchFile, o RequestOptions, options ...uafcheck.Option) ([][]byte, error) {
+	files := make([]uafcheck.ModuleFile, len(in))
+	for i, f := range in {
+		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
+	}
+	t0 := time.Now()
+	mrep, err := s.an.AnalyzeModuleDelta(ctx, files, append(s.libraryOptions(o), options...)...)
+	if err != nil {
+		return nil, err
+	}
+	s.observeAnalysis(t0, len(files), mrep.Metrics)
+	lines := make([][]byte, len(mrep.Files))
+	for i, fr := range mrep.Files {
+		lines[i] = s.resultLine(ctx, fr.Name, fr.Report, fr.Err, o.Metrics)
+	}
+	return lines, nil
 }
 
-// moduleErrorCode picks the machine-readable refusal class of a module
-// analysis error ("" when it is not a typed frontend failure).
-func moduleErrorCode(err error) string {
+// moduleErrorBody renders a module analysis error as the JSON error
+// envelope, with the typed code of a frontend or unresolved-call
+// failure (an unresolved-call error matches both sentinels; the finer
+// code wins).
+func moduleErrorBody(err error) []byte {
+	code := ""
 	switch {
 	case errors.Is(err, uafcheck.ErrUnresolvedCall):
-		return CodeUnresolvedCall
+		code = CodeUnresolvedCall
 	case errors.Is(err, uafcheck.ErrParse):
-		return CodeParseError
+		code = CodeParseError
 	}
-	return ""
+	return mustJSON(errorBody{Error: err.Error(), Code: code})
 }
 
 // ------------------------------------------------------------- repair
@@ -943,8 +992,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.release()
 
-	write := startNDJSON(w)
-	s.front.ReadDelta(w, r, write, func(_ []byte, req *DeltaRequest) error {
+	out := NewNDJSON(w)
+	out.Start()
+	s.front.ReadDelta(w, r, out.WriteLine, func(_ []byte, req *DeltaRequest) error {
 		deadline := s.effectiveDeadline(req.Options)
 		lines, hung := batch.Attempt(obs.Detach(r.Context()), deadline, func(ctx context.Context) [][]byte {
 			return s.deltaLine(ctx, req)
@@ -958,7 +1008,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 				"delta line abandoned: analysis did not return within %v plus grace", deadline)})}
 		}
 		for _, line := range lines {
-			if err := write(line); err != nil {
+			if err := out.WriteLine(line); err != nil {
 				return err
 			}
 		}
@@ -979,8 +1029,7 @@ func (s *Server) deltaLine(ctx context.Context, req *DeltaRequest) [][]byte {
 	}
 	s.rec.Add(obs.CtrServerDeltaFiles, 1)
 	t0 := time.Now()
-	rep, err := uafcheck.AnalyzeContext(ctx, req.Name, req.Src,
-		append(s.libraryOptions(req.Options), uafcheck.WithAnalyzer(s.an))...)
+	rep, err := s.an.AnalyzeDelta(ctx, req.Name, req.Src, s.libraryOptions(req.Options)...)
 	s.observeAnalysis(t0, 1, metricsOf(rep))
 	return [][]byte{s.resultLine(ctx, req.Name, rep, err, req.Options.Metrics)}
 }
@@ -996,21 +1045,10 @@ func (s *Server) deltaModule(ctx context.Context, req *DeltaRequest) [][]byte {
 	if len(req.Files) == 0 {
 		return [][]byte{mustJSON(errorBody{Error: "module delta line missing files"})}
 	}
-	files := make([]uafcheck.ModuleFile, len(req.Files))
-	for i, f := range req.Files {
-		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
-	}
-	s.rec.Add(obs.CtrServerDeltaFiles, int64(len(files)))
-	t0 := time.Now()
-	mrep, err := uafcheck.AnalyzeModuleContext(ctx, files,
-		append(s.libraryOptions(req.Options), uafcheck.WithAnalyzer(s.an))...)
+	s.rec.Add(obs.CtrServerDeltaFiles, int64(len(req.Files)))
+	lines, err := s.moduleLines(ctx, req.Files, req.Options)
 	if err != nil {
-		return [][]byte{mustJSON(errorBody{Error: err.Error(), Code: moduleErrorCode(err)})}
-	}
-	s.observeAnalysis(t0, len(files), mrep.Metrics)
-	lines := make([][]byte, len(mrep.Files))
-	for i, fr := range mrep.Files {
-		lines[i] = s.resultLine(ctx, fr.Name, fr.Report, fr.Err, req.Options.Metrics)
+		return [][]byte{moduleErrorBody(err)}
 	}
 	return lines
 }

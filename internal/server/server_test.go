@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"uafcheck"
+	"uafcheck/internal/cache"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/wire"
 )
@@ -551,4 +552,27 @@ func waitQueued(t *testing.T, g *gate, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("queue never reached %d", want)
+}
+
+// TestRouteKeyBytes pins the option-set rendering of the cache and
+// route keys: the bytes decide worker placement, so a refactor must
+// leave them as they are.
+func TestRouteKeyBytes(t *testing.T) {
+	off := false
+	o := RequestOptions{Prune: &off, MaxStates: 64, DeadlineMS: 250, Trace: true,
+		ModelAtomics: true, CountAtomics: false, Retries: 2, Metrics: true}
+	const set = "prune=false max_states=64 deadline_ms=250 trace=true ma=true ca=false retries=2 metrics=true"
+	if got, want := RouteKey("analyze", "a.chpl", "src", o),
+		cache.KeyOf("uafserve/route/analyze", uafcheck.Version, "a.chpl", "src", set); got != want {
+		t.Errorf("RouteKey = %s, want %s", got, want)
+	}
+	if got, want := ModuleRouteKey("app", o),
+		cache.KeyOf("uafserve/route/module", uafcheck.Version, "app", set); got != want {
+		t.Errorf("ModuleRouteKey = %s, want %s", got, want)
+	}
+	s := New(Config{DefaultDeadline: time.Second, MaxDeadline: time.Minute})
+	if got, want := s.requestKey("analyze", "a.chpl", "src", o), cache.KeyOf("uafserve/analyze", uafcheck.Version, "a.chpl", "src",
+		"prune=false max_states=64 deadline=250ms trace=true ma=true ca=false retries=2 metrics=true").String(); got != want {
+		t.Errorf("requestKey = %s, want %s", got, want)
+	}
 }

@@ -94,6 +94,10 @@ type Config struct {
 	// Analyzer is the incremental analyzer every poll runs through, for
 	// the service's whole life. Must be non-nil.
 	Analyzer *uafcheck.Analyzer
+	// Options are the analysis options of every call on Analyzer. A
+	// WithDeadline here would be a second clock beside HangTimeout;
+	// leave it out.
+	Options []uafcheck.Option
 }
 
 // Status is a point-in-time snapshot of the supervision state, the
@@ -403,7 +407,7 @@ func (s *Service) analyzeGuarded(ctx context.Context, path, src string) (*uafche
 		err error
 	}
 	r, hung := batch.Attempt(ctx, s.cfg.HangTimeout, func(actx context.Context) result {
-		rep, err := s.cfg.Analyzer.AnalyzeDelta(actx, path, src)
+		rep, err := s.cfg.Analyzer.AnalyzeDelta(actx, path, src, s.cfg.Options...)
 		return result{rep, err}
 	})
 	if ctx.Err() != nil {

@@ -266,7 +266,8 @@ func TestDegradedReportKeepsServing(t *testing.T) {
 		Interval:    2 * time.Millisecond,
 		HangTimeout: time.Minute,
 		Out:         &out,
-		Analyzer:    uafcheck.NewAnalyzer(uafcheck.WithMaxStates(2)),
+		Analyzer:    uafcheck.NewAnalyzer(),
+		Options:     []uafcheck.Option{uafcheck.WithMaxStates(2)},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

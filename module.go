@@ -77,8 +77,7 @@ func (m *ModuleReport) ExitCode() int {
 // WithCache is ignored in module mode: the report cache's content
 // addresses cover one file's text, and a module report also depends on
 // every other file of the module. (The Analyzer's per-unit memo store
-// handles module mode precisely instead — see WithAnalyzer and
-// AnalyzeModuleDelta.)
+// handles module mode precisely instead — see AnalyzeModuleDelta.)
 func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
 	return analyzeModule(ctx, files, newConfig(options...))
 }
@@ -103,11 +102,10 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 // other file's units hot. Name resolution still runs over every file.
 //
 // The returned report is byte-identical (canonical wire encoding) to
-// AnalyzeModuleContext with this handle's options; single-file and
-// module units share the store without key collisions. It is
-// AnalyzeModuleContext with the handle's options plus WithAnalyzer(a).
-func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile) (*ModuleReport, error) {
-	return analyzeModule(ctx, files, a.cfg)
+// AnalyzeModuleContext with the same options, which it takes;
+// single-file and module units share the store without key collisions.
+func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
+	return analyzeModule(ctx, files, a.config(options))
 }
 
 // analyzeModule is the shared whole-module driver behind

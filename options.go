@@ -8,16 +8,15 @@ import (
 	"uafcheck/internal/pps"
 )
 
-// Option configures an analysis entry point (AnalyzeContext,
-// AnalyzeFilesContext, AnalyzeModuleContext, NewAnalyzer, Repair,
-// RunTableIContext, BaselineComparison). Options compose left to right;
-// unset knobs keep the defaults (pruning on, everything else off or
-// library-sized). WithDeadline is the one per-file wall clock for every
-// entry point; on the batch driver (AnalyzeFilesContext and
-// RunTableIContext) it bounds each attempt. Batch options (WithWorkers,
-// WithRetries) apply to those two only; WithOnFile applies to
-// AnalyzeFilesContext only; WithAnalyzer applies to AnalyzeContext,
-// AnalyzeFilesContext and AnalyzeModuleContext. Each is ignored
+// Option configures one analysis call (AnalyzeContext,
+// AnalyzeFilesContext, AnalyzeModuleContext, Analyzer.AnalyzeDelta,
+// Analyzer.AnalyzeModuleDelta, Repair, RunTableIContext,
+// BaselineComparison). Options compose left to right; unset knobs keep
+// the defaults (pruning on, everything else off or library-sized).
+// WithDeadline is the one per-file wall clock for every entry point; on
+// the batch driver (AnalyzeFilesContext and RunTableIContext) it bounds
+// each attempt. Batch options (WithWorkers, WithRetries) apply to those
+// two only, and WithOnFile to AnalyzeFilesContext only; each is ignored
 // elsewhere.
 type Option func(*config)
 
@@ -39,17 +38,22 @@ type config struct {
 	workers int
 	retries int
 	onFile  func(i int, fr FileReport)
-	// analyzer, when set (via WithAnalyzer, or by the handle itself),
-	// lends its memo store to the run and counts it.
+	// analyzer, set by the handle's own methods, lends its memo store
+	// to the run and counts it.
 	analyzer *Analyzer
-
-	// unitCacheEntries bounds NewAnalyzer's per-procedure memo store.
-	unitCacheEntries int
 }
 
-// newConfig applies options over the defaults.
+// defaultConfig is the configuration of a call without options.
+var defaultConfig = config{prune: true}
+
+// newConfig applies options over the defaults. A call without options
+// allocates nothing; with options, cfg escapes to the heap because each
+// option takes its address.
 func newConfig(options ...Option) config {
-	cfg := config{prune: true}
+	if len(options) == 0 {
+		return defaultConfig
+	}
+	cfg := defaultConfig
 	for _, o := range options {
 		o(&cfg)
 	}
@@ -163,32 +167,6 @@ func WithWorkers(n int) Option {
 // RunTableIContext only.
 func WithRetries(n int) Option {
 	return func(c *config) { c.retries = n }
-}
-
-// WithUnitCacheEntries bounds the per-procedure memo store of a
-// NewAnalyzer handle (<= 0 means the library default of 1024 units).
-// One-shot entry points ignore it — incrementality needs a handle that
-// outlives the call.
-func WithUnitCacheEntries(n int) Option {
-	return func(c *config) { c.unitCacheEntries = n }
-}
-
-// WithAnalyzer runs AnalyzeContext, AnalyzeModuleContext or each file
-// of AnalyzeFilesContext through the handle's incremental engine: units
-// memoized by earlier calls on the handle are reused, fresh units are
-// memoized for later calls, and the run counts in the handle's Stats.
-// The analysis options still come from the call, not from the handle —
-// the handle contributes only its memo store, which is safe to share
-// across differing options because every option that can change a
-// result participates in the unit fingerprint. The reports are
-// byte-identical to the same call without WithAnalyzer. A nil handle
-// is ignored.
-func WithAnalyzer(a *Analyzer) Option {
-	return func(c *config) {
-		if a != nil {
-			c.analyzer = a
-		}
-	}
 }
 
 // WithOnFile streams per-file results: fn receives each FileReport as

@@ -1,10 +1,11 @@
 package uafcheck_test
 
 // One Analyzer serves a whole incremental session — uafcheck -watch and
-// every /v1/delta line of a uafserve process — so these tests pin the
-// two properties that design rests on: a call abandoned mid-analysis
-// blocks no later call on the handle, and one memo store serves calls
-// under differing option sets without crossing their results.
+// every /v1/delta line and module batch of a uafserve process — so these
+// tests pin the two properties that design rests on: a call abandoned
+// mid-analysis blocks no later call on the handle, and one memo store
+// serves calls under differing option sets without crossing their
+// results.
 
 import (
 	"context"
@@ -60,11 +61,11 @@ var sharedOptionSets = []struct {
 	{"budget-16", []uafcheck.Option{uafcheck.WithMaxStates(16)}},
 }
 
-// TestSharedAnalyzerAcrossOptions interleaves AnalyzeContext calls on
+// TestSharedAnalyzerAcrossOptions interleaves AnalyzeDelta calls on
 // one file under several option sets, all through one handle — first
 // in turn, then from several goroutines at once, as concurrent
-// /v1/delta streams do: every call must give a fresh run's wire bytes,
-// and the later calls must be served from the shared store.
+// /v1/delta streams do: every call must give AnalyzeContext's wire
+// bytes, and the later calls must be served from the shared store.
 func TestSharedAnalyzerAcrossOptions(t *testing.T) {
 	ctx := context.Background()
 	want := make(map[string]string)
@@ -81,8 +82,7 @@ func TestSharedAnalyzerAcrossOptions(t *testing.T) {
 	an := uafcheck.NewAnalyzer()
 	round := func(label string) {
 		for _, set := range sharedOptionSets {
-			rep, err := uafcheck.AnalyzeContext(ctx, "mixed.chpl", mixedSrc,
-				append(set.opts, uafcheck.WithAnalyzer(an))...)
+			rep, err := an.AnalyzeDelta(ctx, "mixed.chpl", mixedSrc, set.opts...)
 			if got := wireBytes(t, "mixed.chpl", rep, err); got != want[set.label] {
 				t.Errorf("%s, %s: wire bytes differ\n got: %s\nwant: %s", label, set.label, got, want[set.label])
 			}
@@ -105,8 +105,8 @@ func TestSharedAnalyzerAcrossOptions(t *testing.T) {
 }
 
 // TestSharedAnalyzerModuleAcrossOptions is the module-mode counterpart:
-// AnalyzeModuleContext under several option sets through one handle
-// matches a one-shot run file for file.
+// AnalyzeModuleDelta under several option sets on one handle matches a
+// one-shot AnalyzeModuleContext file for file.
 func TestSharedAnalyzerModuleAcrossOptions(t *testing.T) {
 	ctx := context.Background()
 	files := modFiles(progen.GenerateModule(7, progen.ModuleOptions{Files: 3, Procs: 2}))
@@ -123,7 +123,7 @@ func TestSharedAnalyzerModuleAcrossOptions(t *testing.T) {
 	an := uafcheck.NewAnalyzer()
 	for round := 0; round < 3; round++ {
 		for _, set := range sharedOptionSets {
-			mrep, err := uafcheck.AnalyzeModuleContext(ctx, files, append(set.opts, uafcheck.WithAnalyzer(an))...)
+			mrep, err := an.AnalyzeModuleDelta(ctx, files, set.opts...)
 			if err != nil {
 				t.Fatalf("round %d, %s: %v", round, set.label, err)
 			}

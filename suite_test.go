@@ -18,7 +18,7 @@ package uafcheck_test
 // oracle to confirm it is genuinely schedule-safe, and every program
 // must analyze to the same canonical wire bytes through AnalyzeContext,
 // through a cold and a warm Analyzer.AnalyzeDelta, and through a
-// one-file AnalyzeFilesContext batch with and without WithAnalyzer.
+// one-file AnalyzeFilesContext batch.
 
 import (
 	"context"
@@ -159,9 +159,9 @@ func TestGoldenSuite(t *testing.T) {
 			// Entry-point conformance: the wire bytes carry the notes and
 			// Truncated, which the warm run replays from the unit memo.
 			wantWire := wireBytes(t, path, rep, err)
-			an := uafcheck.NewAnalyzer(exp.opts...)
+			an := uafcheck.NewAnalyzer()
 			for _, run := range []string{"cold", "warm"} {
-				got, gerr := an.AnalyzeDelta(ctx, path, src)
+				got, gerr := an.AnalyzeDelta(ctx, path, src, exp.opts...)
 				if g := wireBytes(t, path, got, gerr); g != wantWire {
 					t.Errorf("%s AnalyzeDelta differs from AnalyzeContext\n delta: %s\n  want: %s", run, g, wantWire)
 				}
@@ -170,18 +170,9 @@ func TestGoldenSuite(t *testing.T) {
 				t.Errorf("warm run replayed %d units; the cold run computed %d", s.UnitHits, s.UnitMisses)
 			}
 			files := []uafcheck.FileInput{{Name: path, Src: src}}
-			for _, run := range []struct {
-				name string
-				opts []uafcheck.Option
-			}{
-				{"batch", exp.opts},
-				{"batch WithAnalyzer", append([]uafcheck.Option{
-					uafcheck.WithAnalyzer(uafcheck.NewAnalyzer())}, exp.opts...)},
-			} {
-				fr := uafcheck.AnalyzeFilesContext(ctx, files, run.opts...).Files[0]
-				if g := wireBytes(t, path, fr.Report, fr.Err); g != wantWire {
-					t.Errorf("%s differs from AnalyzeContext\n batch: %s\n  want: %s", run.name, g, wantWire)
-				}
+			fr := uafcheck.AnalyzeFilesContext(ctx, files, exp.opts...).Files[0]
+			if g := wireBytes(t, path, fr.Report, fr.Err); g != wantWire {
+				t.Errorf("batch differs from AnalyzeContext\n batch: %s\n  want: %s", g, wantWire)
 			}
 
 			// Dynamic cross-check for clean programs: no schedule may
