@@ -47,9 +47,9 @@
 //	                ones incrementally (only edited procedures are
 //	                recomputed), and print warning diffs (+/-) instead
 //	                of full reports. An analysis still running past
-//	                -timeout plus a grace period is abandoned and
-//	                retried on the next poll, serving last-known-good
-//	                warnings meanwhile.
+//	                -timeout plus a grace of max(-timeout, 30s) is
+//	                abandoned and retried on the next poll, serving
+//	                last-known-good warnings meanwhile.
 //	-interval D     -watch poll interval (default 500ms)
 //
 // Exit codes:

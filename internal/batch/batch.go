@@ -269,6 +269,12 @@ func runAttempt[T any](i, budget int, opts Options, attempt func(context.Context
 // nothing a later call waits on; an Analyzer's memo store locks only
 // around its lookups and stores.
 func Attempt[T any](ctx context.Context, timeout time.Duration, fn func(context.Context) T) (v T, hung bool) {
+	return AttemptGrace(ctx, timeout, max(timeout, 100*time.Millisecond), fn)
+}
+
+// AttemptGrace is Attempt with the caller's grace: fn is abandoned when
+// it has not returned by timeout plus grace.
+func AttemptGrace[T any](ctx context.Context, timeout, grace time.Duration, fn func(context.Context) T) (v T, hung bool) {
 	cancel := context.CancelFunc(func() {})
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -285,7 +291,7 @@ func Attempt[T any](ctx context.Context, timeout time.Duration, fn func(context.
 	select {
 	case v = <-done:
 		return v, false
-	case <-time.After(max(timeout, 100*time.Millisecond)):
+	case <-time.After(grace):
 		return v, true
 	}
 }

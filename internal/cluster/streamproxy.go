@@ -112,9 +112,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Module mode is one call-graph cell, not a bag of independent
 	// files: the whole request goes to a single worker chosen by the
 	// module label and option set — deliberately not the file contents —
-	// so successive snapshots of the same module land on the worker
-	// whose Analyzer holds its per-unit memo store, and the incremental
-	// speedup survives sharding.
+	// the same worker that module /v1/delta lines of that label reach.
+	// A module batch itself runs one-shot there.
 	if req.Mode == "module" {
 		key := server.ModuleRouteKey(req.ModuleLabel(), req.Options)
 		fwd, _ := json.Marshal(req)
@@ -323,8 +322,9 @@ func (c *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 	err := c.front.ReadDelta(w, r, em.WriteLine, func(line []byte, dr *server.DeltaRequest) error {
 		key := server.RouteKey("delta", dr.Name, "", dr.Options)
 		if dr.Module != "" || len(dr.Files) > 0 {
-			// Module lines route by module label, matching the batch
-			// module path: the memo affinity is per module, not per file.
+			// Module lines route by module label: successive snapshots
+			// of one module land on the worker whose Analyzer holds its
+			// memo, so the memo affinity is per module, not per file.
 			key = server.ModuleRouteKey(dr.ModuleLabel(), dr.Options)
 		}
 		body := append(line, '\n')

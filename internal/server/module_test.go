@@ -229,36 +229,47 @@ func TestDeltaModuleUnresolved(t *testing.T) {
 	}
 }
 
-// TestModuleBatchWarmsDelta: a mode "module" batch runs through the
-// server's one Analyzer, so a /v1/delta module line carrying the same
-// snapshot replays every unit from the memo and answers the batch's
-// bytes.
-func TestModuleBatchWarmsDelta(t *testing.T) {
+// TestModuleBatchLeavesDeltaSession: a mode "module" batch runs
+// one-shot and leaves the server's Analyzer as it was, so a batch for
+// another module does not replace a live /v1/delta module session's
+// parses and summaries, and the session's next snapshot replays every
+// unit from the memo.
+func TestModuleBatchLeavesDeltaSession(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	files := moduleBatchFiles()
-	resp, body := post(t, ts, "/v1/analyze-batch", BatchRequest{Mode: "module", Module: "app", Files: files})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	batchLines := splitLines(body)
-	before := srv.MetricsSnapshot()
-
-	resp, lines := postNDJSON(t, ts, "/v1/delta", deltaBody(t, DeltaRequest{Module: "app", Files: files}))
+	body := deltaBody(t, DeltaRequest{Module: "app", Files: files})
+	resp, first := postNDJSON(t, ts, "/v1/delta", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delta status %d", resp.StatusCode)
 	}
-	if len(lines) != len(batchLines) {
-		t.Fatalf("delta answered %d lines, batch %d", len(lines), len(batchLines))
+	session := srv.an.Stats()
+
+	other := []BatchFile{{Name: "other.chpl", Src: "proc other() {\n  var y: int = 0;\n  begin with (ref y) {\n    y = 1;\n  }\n}\n"}}
+	resp, out := post(t, ts, "/v1/analyze-batch", BatchRequest{Mode: "module", Module: "other", Files: other})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, out)
 	}
-	for i := range lines {
-		if string(lines[i]) != string(batchLines[i]) {
-			t.Errorf("line %d differs\ndelta: %s\nbatch: %s", i, lines[i], batchLines[i])
+	if got := srv.an.Stats(); got != session {
+		t.Errorf("module batch changed the Analyzer: stats %+v, want %+v", got, session)
+	}
+
+	before := srv.MetricsSnapshot()
+	resp, again := postNDJSON(t, ts, "/v1/delta", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta status %d", resp.StatusCode)
+	}
+	if len(again) != len(first) {
+		t.Fatalf("second delta answered %d lines, first %d", len(again), len(first))
+	}
+	for i := range again {
+		if string(again[i]) != string(first[i]) {
+			t.Errorf("line %d differs\nsecond: %s\nfirst:  %s", i, again[i], first[i])
 		}
 	}
 	after := srv.MetricsSnapshot()
 	hits := after.Counter(obs.CtrUnitHits) - before.Counter(obs.CtrUnitHits)
 	misses := after.Counter(obs.CtrUnitMisses) - before.Counter(obs.CtrUnitMisses)
 	if hits == 0 || misses != 0 {
-		t.Errorf("delta after the batch: unit hits/misses = %d/%d, want every unit from the memo", hits, misses)
+		t.Errorf("second delta after the batch: unit hits/misses = %d/%d, want every unit from the memo", hits, misses)
 	}
 }

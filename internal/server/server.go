@@ -261,9 +261,8 @@ type Server struct {
 	// Retry-After estimate on 429s.
 	ewmaMS atomic.Int64
 
-	// an runs every /v1/delta line and every module batch, whatever
-	// their options: every option that can change a result is part of
-	// the unit fingerprint.
+	// an runs every /v1/delta line, whatever its options: every option
+	// that can change a result is part of the unit fingerprint.
 	an *uafcheck.Analyzer
 }
 
@@ -798,14 +797,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // canonical per-file result lines in input order. A frontend or
 // unresolved-call failure anywhere in the module rejects the whole
 // request — module results are all-or-nothing, matching the library's
-// AnalyzeModuleContext contract. The module runs through the server's
-// Analyzer like a module /v1/delta line, so a batch warms the memo a
-// later snapshot of the same module hits.
+// AnalyzeModuleContext contract. A batch runs one-shot and leaves the
+// server's Analyzer alone: the Analyzer keeps only the last module
+// snapshot's parses and summaries, so a batch through it would replace
+// a live /v1/delta session's.
 func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRequest) {
 	// Detached from the request context like the single-file leader: the
 	// wall-clock bound is the request deadline, degrading rather than
 	// aborting.
-	lines, err := s.moduleLines(obs.Detach(r.Context()), req.Files, req.Options,
+	lines, err := s.moduleLines(obs.Detach(r.Context()), req.Files, req.Options, uafcheck.AnalyzeModuleContext,
 		uafcheck.WithDeadline(s.effectiveDeadline(req.Options)))
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
@@ -819,16 +819,20 @@ func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRe
 	}
 }
 
-// moduleLines analyzes one module snapshot through the server's
-// Analyzer and encodes one canonical line per file, in input order.
-// options follow the request's own.
-func (s *Server) moduleLines(ctx context.Context, in []BatchFile, o RequestOptions, options ...uafcheck.Option) ([][]byte, error) {
+// moduleAnalysis is the signature of uafcheck.AnalyzeModuleContext and
+// Analyzer.AnalyzeModuleDelta.
+type moduleAnalysis func(context.Context, []uafcheck.ModuleFile, ...uafcheck.Option) (*uafcheck.ModuleReport, error)
+
+// moduleLines analyzes one module snapshot with analyze and encodes one
+// canonical line per file, in input order. options follow the
+// request's own.
+func (s *Server) moduleLines(ctx context.Context, in []BatchFile, o RequestOptions, analyze moduleAnalysis, options ...uafcheck.Option) ([][]byte, error) {
 	files := make([]uafcheck.ModuleFile, len(in))
 	for i, f := range in {
 		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
 	}
 	t0 := time.Now()
-	mrep, err := s.an.AnalyzeModuleDelta(ctx, files, append(s.libraryOptions(o), options...)...)
+	mrep, err := analyze(ctx, files, append(s.libraryOptions(o), options...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -1046,7 +1050,7 @@ func (s *Server) deltaModule(ctx context.Context, req *DeltaRequest) [][]byte {
 		return [][]byte{mustJSON(errorBody{Error: "module delta line missing files"})}
 	}
 	s.rec.Add(obs.CtrServerDeltaFiles, int64(len(req.Files)))
-	lines, err := s.moduleLines(ctx, req.Files, req.Options)
+	lines, err := s.moduleLines(ctx, req.Files, req.Options, s.an.AnalyzeModuleDelta)
 	if err != nil {
 		return [][]byte{moduleErrorBody(err)}
 	}

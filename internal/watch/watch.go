@@ -12,8 +12,8 @@
 //     running — the last-known-good warning set for each file keeps
 //     being served;
 //   - wedged: an analysis overran its hang timeout plus grace and was
-//     abandoned by batch.Attempt, the supervisor every multi-file path
-//     shares. Last-known-good warnings keep being served, and the next
+//     abandoned by batch.AttemptGrace, the supervisor every multi-file
+//     path shares. Last-known-good warnings keep being served, and the next
 //     poll retries the same content on the same Analyzer: an abandoned
 //     call holds none of the memo store's locks and stores no partial
 //     unit, so it blocks no later call.
@@ -85,9 +85,10 @@ type Config struct {
 	// Interval is the poll period (default 500ms).
 	Interval time.Duration
 	// HangTimeout bounds one file's analysis. The analysis context is
-	// cancelled at HangTimeout; a worker that ignores even the
-	// cancellation is abandoned at HangTimeout plus batch.Attempt's
-	// grace, and the file is retried on the next poll. Default 30s.
+	// cancelled at HangTimeout, and the analysis degrades; a worker that
+	// ignores even the cancellation is abandoned at HangTimeout plus a
+	// grace of max(HangTimeout, 30s), and the file is retried on the
+	// next poll. Default 30s.
 	HangTimeout time.Duration
 	// Out receives diffs and supervision events; nil discards them.
 	Out io.Writer
@@ -124,8 +125,9 @@ type fileState struct {
 // Run; Status, Warnings and Metrics are safe to call concurrently from
 // other goroutines (the tree-scan tests and a future /statusz handler do).
 type Service struct {
-	cfg Config
-	rec *obs.Recorder
+	cfg   Config
+	grace time.Duration // abandon point past HangTimeout
+	rec   *obs.Recorder
 
 	mu        sync.Mutex
 	state     State
@@ -147,6 +149,7 @@ func New(cfg Config) *Service {
 	}
 	return &Service{
 		cfg:   cfg,
+		grace: max(cfg.HangTimeout, minGrace),
 		rec:   obs.New(),
 		files: make(map[string]*fileState),
 	}
@@ -397,16 +400,24 @@ func (s *Service) checkFile(ctx context.Context, p string, first bool) bool {
 	return clean
 }
 
-// analyzeGuarded runs one analysis under batch.Attempt: the analysis
-// context is cancelled at HangTimeout, and a worker that ignores even
-// that is abandoned at HangTimeout plus grace — its goroutine is left
-// to finish on its own, and the service goes wedged until a clean pass.
+// minGrace is the least time the watchdog waits past HangTimeout
+// before it abandons an analysis. The parser, the resolver and the
+// module linker do not watch the context, so a large file under a
+// small HangTimeout runs past it without hanging; it must degrade, not
+// be abandoned (leaking a goroutine) on every poll.
+const minGrace = 30 * time.Second
+
+// analyzeGuarded runs one analysis under batch.AttemptGrace: the
+// analysis context is cancelled at HangTimeout, and a worker that
+// ignores even that is abandoned at HangTimeout plus grace — its
+// goroutine is left to finish on its own, and the service goes wedged
+// until a clean pass.
 func (s *Service) analyzeGuarded(ctx context.Context, path, src string) (*uafcheck.Report, error) {
 	type result struct {
 		rep *uafcheck.Report
 		err error
 	}
-	r, hung := batch.Attempt(ctx, s.cfg.HangTimeout, func(actx context.Context) result {
+	r, hung := batch.AttemptGrace(ctx, s.cfg.HangTimeout, s.grace, func(actx context.Context) result {
 		rep, err := s.cfg.Analyzer.AnalyzeDelta(actx, path, src, s.cfg.Options...)
 		return result{rep, err}
 	})

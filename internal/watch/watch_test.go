@@ -191,6 +191,7 @@ func TestWedgeRecovery(t *testing.T) {
 		Out:         &out,
 		Analyzer:    uafcheck.NewAnalyzer(),
 	})
+	svc.grace = 100 * time.Millisecond // abandon the stall long before it ends
 	ctx := context.Background()
 	svc.pass(ctx, true)
 	lkg, ok := svc.Warnings(path)
@@ -245,6 +246,34 @@ func TestWedgeRecovery(t *testing.T) {
 	if m.Gauge("watch.state") != int64(StateWedged) {
 		t.Errorf("watch.state gauge high-water = %d, want %d (wedged)",
 			m.Gauge("watch.state"), StateWedged)
+	}
+}
+
+// TestSlowAnalysisNotWedged: an analysis that ignores the context for
+// well past a tiny HangTimeout, as the parser does on a large file,
+// degrades when it returns; the watchdog does not abandon it, because
+// the grace has a floor that does not shrink with HangTimeout.
+func TestSlowAnalysisNotWedged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.chpl")
+	replaceFile(t, path, buggySrc)
+	var out syncBuf
+	svc := New(Config{
+		Roots:       []string{path},
+		HangTimeout: 10 * time.Millisecond,
+		Out:         &out,
+		Analyzer:    uafcheck.NewAnalyzer(),
+	})
+	restore := fault.Set(fault.New(7, fault.Rule{
+		Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Count: 1,
+		Delay: 300 * time.Millisecond,
+	}))
+	defer restore()
+	svc.pass(context.Background(), true)
+	if st := svc.Status(); st.State == StateWedged || st.Abandoned != 0 {
+		t.Errorf("slow analysis: state %v, abandoned %d; want not wedged, 0\n%s", st.State, st.Abandoned, out.String())
+	}
+	if got, ok := svc.Warnings(path); !ok || len(got) == 0 {
+		t.Errorf("slow analysis served no warnings: %v %v\n%s", got, ok, out.String())
 	}
 }
 

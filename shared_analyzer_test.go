@@ -1,11 +1,10 @@
 package uafcheck_test
 
 // One Analyzer serves a whole incremental session — uafcheck -watch and
-// every /v1/delta line and module batch of a uafserve process — so these
-// tests pin the two properties that design rests on: a call abandoned
-// mid-analysis blocks no later call on the handle, and one memo store
-// serves calls under differing option sets without crossing their
-// results.
+// every /v1/delta line of a uafserve process — so these tests pin the
+// two properties that design rests on: a call abandoned mid-analysis
+// blocks no later call on the handle, and one memo store serves calls
+// under differing option sets without crossing their results.
 
 import (
 	"context"
