@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"uafcheck"
 	"uafcheck/internal/analysis"
@@ -245,6 +247,84 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 		rep, err := uafcheck.AnalyzeContext(ctx, "figure1.chpl", src, cache)
 		if err != nil || len(rep.Warnings) != 1 {
 			b.Fatalf("warnings=%d err=%v", len(rep.Warnings), err)
+		}
+	}
+}
+
+// BenchmarkCacheMissDisk prices persistence on the cache-miss path. One
+// op is one AnalyzeContext of a Table I file (seed 1711) that misses a
+// cache with no disk tier (memory), with a disk tier written on the
+// call (sync), or with one written by a background writer of queue
+// depth 256 (async, as uafserve runs it). The files are the corpus's
+// first 1,000 begin-free files or all of its task programs. Every op
+// misses: the cache and its directory are replaced, outside the timer,
+// each time the files run out. median-us/file is the median call;
+// dropped/op counts async writes the full queue discarded.
+func BenchmarkCacheMissDisk(b *testing.B) {
+	var beginFree, tasks []corpus.TestCase
+	for _, tc := range corpus.Generate(corpus.DefaultParams(1711)) {
+		switch {
+		case tc.HasBegin:
+			tasks = append(tasks, tc)
+		case len(beginFree) < 1000:
+			beginFree = append(beginFree, tc)
+		}
+	}
+	tiers := []struct {
+		name string
+		cfg  func(dir string) uafcheck.CacheConfig
+	}{
+		{"memory", func(string) uafcheck.CacheConfig { return uafcheck.CacheConfig{} }},
+		{"sync", func(dir string) uafcheck.CacheConfig { return uafcheck.CacheConfig{Dir: dir} }},
+		{"async", func(dir string) uafcheck.CacheConfig {
+			return uafcheck.CacheConfig{Dir: dir, AsyncDiskWrites: 256}
+		}},
+	}
+	ctx := context.Background()
+	for _, pop := range []struct {
+		name  string
+		files []corpus.TestCase
+	}{{"begin-free", beginFree}, {"tasks", tasks}} {
+		for _, tier := range tiers {
+			b.Run(pop.name+"/"+tier.name, func(b *testing.B) {
+				root := b.TempDir()
+				var cc *uafcheck.Cache
+				var dir string
+				var rounds, dropped int64
+				fresh := func() {
+					if cc != nil {
+						cc.Close()
+						dropped += cc.Stats().DroppedWrites
+						os.RemoveAll(dir)
+					}
+					rounds++
+					dir = fmt.Sprintf("%s/%d", root, rounds)
+					cc = uafcheck.NewCache(tier.cfg(dir))
+				}
+				times := make([]time.Duration, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f := i % len(pop.files)
+					if f == 0 {
+						b.StopTimer()
+						fresh()
+						b.StartTimer()
+					}
+					tc := pop.files[f]
+					t0 := time.Now()
+					if _, err := uafcheck.AnalyzeContext(ctx, tc.Name+".chpl", tc.Source, uafcheck.WithCache(cc)); err != nil {
+						b.Fatal(err)
+					}
+					times[i] = time.Since(t0)
+				}
+				b.StopTimer()
+				cc.Close()
+				dropped += cc.Stats().DroppedWrites
+				sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+				b.ReportMetric(float64(times[len(times)/2].Nanoseconds())/1e3, "median-us/file")
+				b.ReportMetric(float64(dropped)/float64(b.N), "dropped/op")
+			})
 		}
 	}
 }

@@ -288,23 +288,7 @@ func main() {
 			}
 		}
 		agg.Merge(rep.Metrics)
-		if d := rep.Degraded; d != nil {
-			fmt.Fprintf(os.Stderr, "uafcheck: %s: analysis degraded (%s); warnings are conservative\n",
-				path, d.Reason)
-			for _, c := range d.Crashes {
-				fmt.Fprintf(os.Stderr, "uafcheck: %s: recovered panic in phase %s: %s\n", path, c.Phase, c.Err)
-			}
-		}
-		uafcheck.SortWarnings(rep.Warnings)
-		for _, w := range rep.Warnings {
-			fmt.Println(w)
-			if *explain {
-				printProvenance(w)
-			}
-		}
-		for _, n := range rep.Notes {
-			fmt.Println(n)
-		}
+		printFile(path, rep, *explain)
 		if *showCCFG || *showDot {
 			for _, ps := range rep.Stats {
 				render := uafcheck.CCFGText
@@ -392,22 +376,18 @@ func main() {
 // unresolved-call failures reject the whole module (exit 3) — a module
 // is one unit of analysis, not a bag of files.
 func runModule(ctx context.Context, files []uafcheck.FileInput, apiOpts []uafcheck.Option, format string, metrics, explain, ioErrors bool) {
-	mfiles := make([]uafcheck.ModuleFile, len(files))
-	for i, f := range files {
-		mfiles[i] = uafcheck.ModuleFile{Name: f.Name, Src: f.Src}
-	}
-	mrep, err := uafcheck.AnalyzeModuleContext(ctx, mfiles, apiOpts...)
+	rep, err := uafcheck.AnalyzeModuleContext(ctx, files, apiOpts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(3)
 	}
-	exit := mrep.ExitCode()
+	exit := rep.ExitCode()
 	if ioErrors {
 		exit = 3
 	}
 	if format != "text" {
-		results := make([]wire.Result, len(mrep.Files))
-		for i, fr := range mrep.Files {
+		results := make([]wire.Result, len(rep.Files))
+		for i, fr := range rep.Files {
 			results[i] = wire.NewResult(fr.Name, fr.Report, fr.Err, metrics)
 		}
 		if err := emitFormatted(os.Stdout, format, results, nil); err != nil {
@@ -416,33 +396,36 @@ func runModule(ctx context.Context, files []uafcheck.FileInput, apiOpts []uafche
 		}
 		os.Exit(exit)
 	}
-	for _, fr := range mrep.Files {
-		rep := fr.Report
-		if rep == nil {
-			continue
-		}
-		if d := rep.Degraded; d != nil {
-			fmt.Fprintf(os.Stderr, "uafcheck: %s: analysis degraded (%s); warnings are conservative\n",
-				fr.Name, d.Reason)
-			for _, c := range d.Crashes {
-				fmt.Fprintf(os.Stderr, "uafcheck: %s: recovered panic in phase %s: %s\n", fr.Name, c.Phase, c.Err)
-			}
-		}
-		uafcheck.SortWarnings(rep.Warnings)
-		for _, w := range rep.Warnings {
-			fmt.Println(w)
-			if explain {
-				printProvenance(w)
-			}
-		}
-		for _, n := range rep.Notes {
-			fmt.Println(n)
-		}
+	for _, fr := range rep.Files {
+		printFile(fr.Name, fr.Report, explain)
 	}
 	if metrics {
-		fmt.Printf("module metrics:\n%s", indent(mrep.Metrics.FormatText()))
+		fmt.Printf("module metrics:\n%s", indent(rep.Metrics.FormatText()))
 	}
 	os.Exit(exit)
+}
+
+// printFile writes one file's text outcome: the degraded notice and
+// any recovered crashes on stderr, then its sorted warnings (each with
+// its provenance under -explain) and its notes on stdout.
+func printFile(name string, rep *uafcheck.Report, explain bool) {
+	if d := rep.Degraded; d != nil {
+		fmt.Fprintf(os.Stderr, "uafcheck: %s: analysis degraded (%s); warnings are conservative\n",
+			name, d.Reason)
+		for _, c := range d.Crashes {
+			fmt.Fprintf(os.Stderr, "uafcheck: %s: recovered panic in phase %s: %s\n", name, c.Phase, c.Err)
+		}
+	}
+	uafcheck.SortWarnings(rep.Warnings)
+	for _, w := range rep.Warnings {
+		fmt.Println(w)
+		if explain {
+			printProvenance(w)
+		}
+	}
+	for _, n := range rep.Notes {
+		fmt.Println(n)
+	}
 }
 
 // emitFormatted renders the machine-readable formats: "json" writes

@@ -26,8 +26,6 @@
 //	-jobs N          file workers per batch request (0 = GOMAXPROCS)
 //	-cache-dir D     persist the content-addressed report cache under D
 //	-cache-size N    in-memory report cache entries (0 = default)
-//	-flight-size N   request digests kept for /debug/requests (default
-//	                 256; a coordinator keeps the default)
 //	-pprof           mount net/http/pprof under /debug/pprof/
 //	-faults SPEC     arm deterministic fault injection for chaos drills
 //	                 (point=mode:prob rules; see internal/fault)
@@ -130,7 +128,6 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 0, "in-memory report cache entries (0 = default)")
 		maxBody     = flag.Int64("max-body", 0, "max request body bytes (0 = 8 MiB)")
 		drainFor    = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight analyses on shutdown")
-		flightSize  = flag.Int("flight-size", 0, "request digests kept for GET /debug/requests (0 = 256) (single/worker only)")
 		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (single/worker only)")
 		faults      = flag.String("faults", "", "fault-injection spec for chaos drills, e.g. 'cache.fs.write=err:0.1;analysis.panic=panic:0.01' (see internal/fault)")
 		faultSeed   = flag.Int64("fault-seed", 1, "deterministic seed for -faults probability streams")
@@ -184,17 +181,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uafserve: coordinator over %d worker(s)\n", len(specs))
 	} else {
 		srv = server.New(server.Config{
-			MaxInflight:        *inflight,
-			QueueDepth:         *queue,
-			DefaultDeadline:    *deadline,
-			MaxDeadline:        *maxDeadline,
-			Parallelism:        *par,
-			BatchWorkers:       *jobs,
-			MaxBodyBytes:       *maxBody,
-			Cache:              newReportCache(*cacheDir, *cacheSize),
-			FlightRecorderSize: *flightSize,
-			EnablePprof:        *enablePprof,
-			Mode:               *mode,
+			MaxInflight:     *inflight,
+			QueueDepth:      *queue,
+			DefaultDeadline: *deadline,
+			MaxDeadline:     *maxDeadline,
+			Parallelism:     *par,
+			BatchWorkers:    *jobs,
+			MaxBodyBytes:    *maxBody,
+			Cache:           newReportCache(*cacheDir, *cacheSize),
+			EnablePprof:     *enablePprof,
+			Mode:            *mode,
 		})
 		role = srv
 	}

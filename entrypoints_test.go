@@ -54,7 +54,7 @@ func TestDeadlineReachesEveryEntryPoint(t *testing.T) {
 			}, dl).Files
 		}},
 		{"AnalyzeModuleContext", func() []uafcheck.FileReport {
-			mr, err := uafcheck.AnalyzeModuleContext(ctx, []uafcheck.ModuleFile{{Name: "figure1.chpl", Src: src}}, dl)
+			mr, err := uafcheck.AnalyzeModuleContext(ctx, []uafcheck.FileInput{{Name: "figure1.chpl", Src: src}}, dl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestDeadlineReachesEveryEntryPoint(t *testing.T) {
 			return single(uafcheck.NewAnalyzer().AnalyzeDelta(ctx, "figure1.chpl", src, dl))
 		}},
 		{"AnalyzeModuleDelta", func() []uafcheck.FileReport {
-			mr, err := uafcheck.NewAnalyzer().AnalyzeModuleDelta(ctx, []uafcheck.ModuleFile{{Name: "figure1.chpl", Src: src}}, dl)
+			mr, err := uafcheck.NewAnalyzer().AnalyzeModuleDelta(ctx, []uafcheck.FileInput{{Name: "figure1.chpl", Src: src}}, dl)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,6 +140,25 @@ type Summary struct {
 // exact, complete result.
 func (s Summary) Degradations() int { return s.Degraded + s.TimedOut + s.Crashed }
 
+// Add counts one file's grade: its status and its warnings.
+func (s *Summary) Add(g Grade) {
+	s.Files++
+	switch g.Status {
+	case OK:
+		s.OK++
+	case Degraded:
+		s.Degraded++
+	case TimedOut:
+		s.TimedOut++
+	case Crashed:
+		s.Crashed++
+	case Failed:
+		s.Errors++
+	}
+	s.Warnings += g.Warnings
+	s.Conservative += g.Conservative
+}
+
 // Run runs len(weights) files on a pool of opts.Workers goroutines and
 // returns their results (index-aligned) plus the aggregate summary.
 // weights[i] is the caller's estimate of file i's cost (source length
@@ -296,6 +315,22 @@ func AttemptGrace[T any](ctx context.Context, timeout, grace time.Duration, fn f
 	}
 }
 
+// StatusFor is the one map from a degradation-ladder reason to a file's
+// status: no reason is OK, a recovered panic Crashed, a deadline
+// TimedOut, and a budget stop or cancellation Degraded. Batch, module
+// and corpus runs and the wire encoding all classify through it.
+func StatusFor(reason pps.StopReason) Status {
+	switch reason {
+	case pps.StopNone:
+		return OK
+	case analysis.StopPanic:
+		return Crashed
+	case pps.StopDeadline:
+		return TimedOut
+	}
+	return Degraded // budget, cancelled
+}
+
 // GradeAnalysis grades one internal analysis result: a frontend
 // rejection fails, otherwise the degradation ladder's stop reason picks
 // the class.
@@ -303,22 +338,12 @@ func GradeAnalysis(ar *analysis.Result) Grade {
 	if ar.Diags.HasErrors() {
 		return Grade{Status: Failed}
 	}
-	var g Grade
+	g := Grade{Status: StatusFor(ar.Degraded())}
 	for _, w := range ar.Warnings() {
 		g.Warnings++
 		if w.Conservative {
 			g.Conservative++
 		}
-	}
-	switch ar.Degraded() {
-	case pps.StopNone:
-		g.Status = OK
-	case analysis.StopPanic:
-		g.Status = Crashed
-	case pps.StopDeadline:
-		g.Status = TimedOut
-	default: // budget, cancelled
-		g.Status = Degraded
 	}
 	return g
 }
@@ -326,24 +351,10 @@ func GradeAnalysis(ar *analysis.Result) Grade {
 // summarize folds the per-file results.
 func summarize[T any](results []Result[T]) Summary {
 	var s Summary
-	s.Files = len(results)
 	for i := range results {
 		r := &results[i]
-		switch r.Status {
-		case OK:
-			s.OK++
-		case Degraded:
-			s.Degraded++
-		case TimedOut:
-			s.TimedOut++
-		case Crashed:
-			s.Crashed++
-		case Failed:
-			s.Errors++
-		}
+		s.Add(r.Grade)
 		s.Retries += r.Attempts - 1
-		s.Warnings += r.Warnings
-		s.Conservative += r.Conservative
 		if r.Hung {
 			s.Hung++
 		}

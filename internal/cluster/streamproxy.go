@@ -87,7 +87,7 @@ type batchGroup struct {
 // merges the per-file NDJSON lines back at the edge. File names are
 // defaulted by original batch index *before* splitting, so every line
 // is byte-identical to what the single-process server would emit
-// (which defaults names the same way); lines arrive in completion
+// (both name files with server.BatchName); lines arrive in completion
 // order, exactly as they do from one process's worker pool.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
@@ -99,9 +99,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := range req.Files {
-		if req.Files[i].Name == "" {
-			req.Files[i].Name = fmt.Sprintf("input-%d.chpl", i)
-		}
+		req.Files[i].Name = server.BatchName(req.Files[i], i)
 	}
 	ring := c.aliveRing()
 	if ring.Len() == 0 {

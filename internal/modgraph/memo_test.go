@@ -141,9 +141,9 @@ func TestSummaryMemoLowersOnlyChangedInputs(t *testing.T) {
 // one-shot run and requires the same wire bytes for every file.
 func requireModuleBytes(t *testing.T, ctx context.Context, an *uafcheck.Analyzer, files [][2]string, label string) {
 	t.Helper()
-	mfs := make([]uafcheck.ModuleFile, len(files))
+	mfs := make([]uafcheck.FileInput, len(files))
 	for i, f := range files {
-		mfs[i] = uafcheck.ModuleFile{Name: f[0], Src: f[1]}
+		mfs[i] = uafcheck.FileInput{Name: f[0], Src: f[1]}
 	}
 	drep, derr := an.AnalyzeModuleDelta(ctx, mfs)
 	frep, ferr := uafcheck.AnalyzeModuleContext(ctx, mfs)

@@ -8,9 +8,8 @@ import (
 	"uafcheck/internal/obs"
 )
 
-// DefaultFlightRecorderSize is the digest ring capacity when
-// Config.FlightRecorderSize is zero.
-const DefaultFlightRecorderSize = 256
+// flightRecorderSize is the digest ring capacity of every front.
+const flightRecorderSize = 256
 
 // RequestDigest is one completed request as the flight recorder saw it:
 // enough to reconstruct what the server did and why, without holding
@@ -68,9 +67,6 @@ type flightRecorder struct {
 }
 
 func newFlightRecorder(size int) *flightRecorder {
-	if size <= 0 {
-		size = DefaultFlightRecorderSize
-	}
 	return &flightRecorder{ring: make([]RequestDigest, size)}
 }
 

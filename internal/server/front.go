@@ -45,9 +45,6 @@ type Role struct {
 	Rec *obs.Recorder
 	// MaxBodyBytes bounds a decoded request body.
 	MaxBodyBytes int64
-	// FlightRecorderSize bounds the /debug/requests digest ring
-	// (0 = DefaultFlightRecorderSize).
-	FlightRecorderSize int
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Components returns the health rows /healthz and /statusz fold
@@ -66,7 +63,7 @@ type Role struct {
 
 // NewFront builds the HTTP front for a role.
 func NewFront(r Role) *Front {
-	return &Front{role: r, start: time.Now(), flightrec: newFlightRecorder(r.FlightRecorderSize)}
+	return &Front{role: r, start: time.Now(), flightrec: newFlightRecorder(flightRecorderSize)}
 }
 
 // Mount registers the admin pages on mux.

@@ -31,11 +31,7 @@ func moduleBatchFiles() []BatchFile {
 // default options and encodes each file the way the stream does.
 func canonicalModuleLines(t *testing.T, files []BatchFile) [][]byte {
 	t.Helper()
-	mfiles := make([]uafcheck.ModuleFile, len(files))
-	for i, f := range files {
-		mfiles[i] = uafcheck.ModuleFile{Name: f.Name, Src: f.Src}
-	}
-	mrep, err := uafcheck.AnalyzeModuleContext(context.Background(), mfiles,
+	mrep, err := uafcheck.AnalyzeModuleContext(context.Background(), batchInputs(files),
 		uafcheck.WithPrune(true), uafcheck.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)

@@ -82,9 +82,6 @@ type Config struct {
 	// the process-wide tier under the singleflight layer. The server
 	// owns its lifecycle: Shutdown flushes and closes it.
 	Cache *uafcheck.Cache
-	// FlightRecorderSize bounds the /debug/requests digest ring
-	// (0 = DefaultFlightRecorderSize).
-	FlightRecorderSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints are a debugging surface, not a
 	// production one.
@@ -282,16 +279,15 @@ func New(cfg Config) *Server {
 		an:      uafcheck.NewAnalyzer(),
 	}
 	s.front = NewFront(Role{
-		Mode:               cfg.Mode,
-		Rec:                s.rec,
-		MaxBodyBytes:       cfg.MaxBodyBytes,
-		FlightRecorderSize: cfg.FlightRecorderSize,
-		Pprof:              cfg.EnablePprof,
-		Components:         s.componentHealth,
-		Metrics:            s.MetricsSnapshot,
-		RetryAfter:         s.retryAfterSeconds,
-		Healthz:            s.load,
-		Statusz:            s.load,
+		Mode:         cfg.Mode,
+		Rec:          s.rec,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Pprof:        cfg.EnablePprof,
+		Components:   s.componentHealth,
+		Metrics:      s.MetricsSnapshot,
+		RetryAfter:   s.retryAfterSeconds,
+		Healthz:      s.load,
+		Statusz:      s.load,
 	})
 	return s
 }
@@ -718,13 +714,23 @@ func (n *NDJSON) WriteLine(line []byte) error {
 	return err
 }
 
-// batchName is the name a batch file is reported under: its own, or
-// its position's default.
-func batchName(f BatchFile, i int) string {
+// BatchName is the name a batch file is reported under: its own, or
+// its position's default. A worker and the cluster edge name files the
+// same way.
+func BatchName(f BatchFile, i int) string {
 	if f.Name != "" {
 		return f.Name
 	}
 	return fmt.Sprintf("input-%d.chpl", i)
+}
+
+// batchInputs names a request's files for the library.
+func batchInputs(in []BatchFile) []uafcheck.FileInput {
+	files := make([]uafcheck.FileInput, len(in))
+	for i, f := range in {
+		files[i] = uafcheck.FileInput{Name: BatchName(f, i), Src: f.Src}
+	}
+	return files
 }
 
 // -------------------------------------------------------------- batch
@@ -755,10 +761,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	files := make([]uafcheck.FileInput, len(req.Files))
-	for i, f := range req.Files {
-		files[i] = uafcheck.FileInput{Name: batchName(f, i), Src: f.Src}
-	}
+	files := batchInputs(req.Files)
 
 	// Negotiated SARIF: one aggregate document instead of an NDJSON
 	// stream (SARIF has no line-oriented form). Results are collected
@@ -821,24 +824,21 @@ func (s *Server) batchModule(w http.ResponseWriter, r *http.Request, req BatchRe
 
 // moduleAnalysis is the signature of uafcheck.AnalyzeModuleContext and
 // Analyzer.AnalyzeModuleDelta.
-type moduleAnalysis func(context.Context, []uafcheck.ModuleFile, ...uafcheck.Option) (*uafcheck.ModuleReport, error)
+type moduleAnalysis func(context.Context, []uafcheck.FileInput, ...uafcheck.Option) (*uafcheck.BatchReport, error)
 
 // moduleLines analyzes one module snapshot with analyze and encodes one
 // canonical line per file, in input order. options follow the
 // request's own.
 func (s *Server) moduleLines(ctx context.Context, in []BatchFile, o RequestOptions, analyze moduleAnalysis, options ...uafcheck.Option) ([][]byte, error) {
-	files := make([]uafcheck.ModuleFile, len(in))
-	for i, f := range in {
-		files[i] = uafcheck.ModuleFile{Name: batchName(f, i), Src: f.Src}
-	}
+	files := batchInputs(in)
 	t0 := time.Now()
-	mrep, err := analyze(ctx, files, append(s.libraryOptions(o), options...)...)
+	rep, err := analyze(ctx, files, append(s.libraryOptions(o), options...)...)
 	if err != nil {
 		return nil, err
 	}
-	s.observeAnalysis(t0, len(files), mrep.Metrics)
-	lines := make([][]byte, len(mrep.Files))
-	for i, fr := range mrep.Files {
+	s.observeAnalysis(t0, len(files), rep.Metrics)
+	lines := make([][]byte, len(rep.Files))
+	for i, fr := range rep.Files {
 		lines[i] = s.resultLine(ctx, fr.Name, fr.Report, fr.Err, o.Metrics)
 	}
 	return lines, nil

@@ -114,8 +114,8 @@ func TestRequestSpanTree(t *testing.T) {
 	if err := json.Unmarshal(body, &listing); err != nil {
 		t.Fatalf("listing decode: %v\n%s", err, body)
 	}
-	if listing.Capacity != DefaultFlightRecorderSize {
-		t.Errorf("capacity = %d, want %d", listing.Capacity, DefaultFlightRecorderSize)
+	if listing.Capacity != flightRecorderSize {
+		t.Errorf("capacity = %d, want %d", listing.Capacity, flightRecorderSize)
 	}
 	var found bool
 	for _, d := range listing.Requests {

@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 
 	"uafcheck"
+	"uafcheck/internal/batch"
+	"uafcheck/internal/pps"
 )
 
 // APIVersion is the wire-format version stamped into every Result
@@ -51,24 +53,18 @@ type Result struct {
 	Metrics *uafcheck.Metrics `json:"metrics,omitempty"`
 }
 
-// StatusOf derives the canonical status string from a per-file outcome,
-// matching internal/batch's Status vocabulary: err wins, then the
-// degradation ladder reason, then "ok".
+// StatusOf derives the canonical status string from a per-file outcome
+// with internal/batch's rule: err (or no report) is "error", otherwise
+// the degradation ladder reason picks the word.
 func StatusOf(rep *uafcheck.Report, err error) string {
-	switch {
-	case err != nil || rep == nil:
-		return "error"
-	case rep.Degraded == nil:
-		return "ok"
+	if err != nil || rep == nil {
+		return batch.Failed.String()
 	}
-	switch rep.Degraded.Reason {
-	case uafcheck.DegradePanic:
-		return "crashed"
-	case uafcheck.DegradeDeadline:
-		return "timed-out"
-	default: // budget, cancelled
-		return "degraded"
+	var reason pps.StopReason
+	if rep.Degraded != nil {
+		reason = pps.StopReason(rep.Degraded.Reason)
 	}
+	return batch.StatusFor(reason).String()
 }
 
 // NewResult builds the canonical Result for one file outcome. It

@@ -19,51 +19,16 @@ import (
 // file — do to by-ref arguments, including fire-and-forget tasks that
 // escape the call. docs/INTERPROCEDURAL.md describes the machinery.
 
-// ModuleFile is one source file of a whole-module analysis.
-type ModuleFile struct {
-	// Name labels the file in warnings and reports (usually its path).
-	Name string
-	// Src is the source text.
-	Src string
-}
-
-// ModuleReport is the outcome of analyzing one module.
-type ModuleReport struct {
-	// Files holds one per-file outcome, index-aligned with the input.
-	// Each entry's Report is structurally identical to a single-file
-	// AnalyzeContext report (wire-encodable, byte-stable), so module
-	// results flow through the same NDJSON surfaces as batch results.
-	Files []FileReport
-	// Metrics is the module-wide telemetry snapshot (one frontend pass
-	// plus every analyzed procedure across all files).
-	Metrics Metrics
-}
-
-// ExitCode maps the module outcome onto the documented uafcheck shell
-// contract: 0 = clean, 1 = exact warnings, 2 = degraded/incomplete
-// somewhere. Frontend and unresolved-call failures surface as errors
-// from the entry points (exit 3 territory) before a ModuleReport
-// exists.
-func (m *ModuleReport) ExitCode() int {
-	code := 0
-	for _, f := range m.Files {
-		if f.Report == nil {
-			continue
-		}
-		if f.Report.Degraded != nil {
-			return 2
-		}
-		if len(f.Report.Warnings) > 0 {
-			code = 1
-		}
-	}
-	return code
-}
+// ModuleFile is the old name of FileInput, kept as an alias until the
+// last caller moves.
+//
+// Deprecated: use FileInput.
+type ModuleFile = FileInput
 
 // AnalyzeModuleContext analyzes all files of one module together under
 // ctx — the module-level mirror of AnalyzeContext:
 //
-//	rep, err := uafcheck.AnalyzeModuleContext(ctx, []uafcheck.ModuleFile{
+//	rep, err := uafcheck.AnalyzeModuleContext(ctx, []uafcheck.FileInput{
 //	    {Name: "main.chpl", Src: mainSrc},
 //	    {Name: "lib.chpl", Src: libSrc},
 //	}, uafcheck.WithMaxStates(1 << 16))
@@ -74,11 +39,18 @@ func (m *ModuleReport) ExitCode() int {
 // degradation never errors — it surfaces per file through
 // Report.Degraded, exactly as in single-file mode.
 //
+// The report has the batch run's shape: Files holds one outcome per
+// input, index-aligned, each Report structurally identical to a
+// single-file AnalyzeContext report; Summary folds the files' statuses;
+// Metrics is the module-wide snapshot (one frontend pass plus every
+// analyzed procedure across all files). No file has Err set, so
+// ExitCode is 0, 1 or 2.
+//
 // WithCache is ignored in module mode: the report cache's content
 // addresses cover one file's text, and a module report also depends on
 // every other file of the module. (The Analyzer's per-unit memo store
 // handles module mode precisely instead — see AnalyzeModuleDelta.)
-func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
+func AnalyzeModuleContext(ctx context.Context, files []FileInput, options ...Option) (*BatchReport, error) {
 	return analyzeModule(ctx, files, newConfig(options...))
 }
 
@@ -104,7 +76,7 @@ func AnalyzeModuleContext(ctx context.Context, files []ModuleFile, options ...Op
 // The returned report is byte-identical (canonical wire encoding) to
 // AnalyzeModuleContext with the same options, which it takes;
 // single-file and module units share the store without key collisions.
-func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile, options ...Option) (*ModuleReport, error) {
+func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []FileInput, options ...Option) (*BatchReport, error) {
 	return analyzeModule(ctx, files, a.config(options))
 }
 
@@ -112,7 +84,7 @@ func (a *Analyzer) AnalyzeModuleDelta(ctx context.Context, files []ModuleFile, o
 // AnalyzeModuleContext and Analyzer.AnalyzeModuleDelta. Without a
 // handle in cfg it is a one-shot run; a handle lends its memo store
 // and counts the run.
-func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *ModuleReport, err error) {
+func analyzeModule(ctx context.Context, files []FileInput, cfg config) (br *BatchReport, err error) {
 	var units *analysis.Units
 	if a := cfg.analyzer; a != nil {
 		a.files.Add(int64(len(files)))
@@ -123,9 +95,9 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *Mod
 	defer recoverCrash(func(c Crash) {
 		// A crash outside the per-proc pipeline degrades every file's
 		// report instead of unwinding into the caller.
-		mr, err = &ModuleReport{}, nil
+		br, err = &BatchReport{}, nil
 		for _, f := range files {
-			mr.Files = append(mr.Files, moduleFileReport(f.Name, crashReport(c)))
+			br.addFile(f.Name, crashReport(c))
 		}
 	})
 	rec := obs.New()
@@ -154,15 +126,20 @@ func analyzeModule(ctx context.Context, files []ModuleFile, cfg config) (mr *Mod
 		return nil, fmt.Errorf("%w:\n%s", ErrParse, b.String())
 	}
 
-	mr = &ModuleReport{}
+	br = &BatchReport{Files: make([]FileReport, 0, len(files))}
 	for i, fr := range res.Files {
-		mr.Files = append(mr.Files, moduleFileReport(files[i].Name, buildReport(fr, cfg)))
+		br.addFile(files[i].Name, buildReport(fr, cfg))
 	}
-	mr.Metrics = rec.Finish()
-	return mr, nil
+	br.Metrics = rec.Finish()
+	return br, nil
 }
 
-// moduleFileReport wraps one module file's report.
-func moduleFileReport(name string, rep *Report) FileReport {
-	return FileReport{Name: name, Status: gradeFile(FileReport{Report: rep}).Status.String(), Report: rep}
+// addFile appends one module file's report, graded by the batch rule,
+// and counts it into the summary.
+func (b *BatchReport) addFile(name string, rep *Report) {
+	fr := FileReport{Name: name, Report: rep}
+	g := gradeFile(fr)
+	fr.Status = g.Status.String()
+	b.Files = append(b.Files, fr)
+	b.Summary.Add(g)
 }

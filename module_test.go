@@ -24,17 +24,17 @@ import (
 	"uafcheck/internal/wire"
 )
 
-func modFiles(fs []progen.File) []uafcheck.ModuleFile {
-	out := make([]uafcheck.ModuleFile, len(fs))
+func modFiles(fs []progen.File) []uafcheck.FileInput {
+	out := make([]uafcheck.FileInput, len(fs))
 	for i, f := range fs {
-		out[i] = uafcheck.ModuleFile{Name: f.Name, Src: f.Src}
+		out[i] = uafcheck.FileInput{Name: f.Name, Src: f.Src}
 	}
 	return out
 }
 
 // moduleWire canonically encodes each file of a module report the way
 // the /v1/analyze-batch module stream does.
-func moduleWire(t *testing.T, mrep *uafcheck.ModuleReport) []string {
+func moduleWire(t *testing.T, mrep *uafcheck.BatchReport) []string {
 	t.Helper()
 	out := make([]string, len(mrep.Files))
 	for i, fr := range mrep.Files {
@@ -43,8 +43,11 @@ func moduleWire(t *testing.T, mrep *uafcheck.ModuleReport) []string {
 	return out
 }
 
-func requireModulesEqual(t *testing.T, got, want *uafcheck.ModuleReport, label string) {
+func requireModulesEqual(t *testing.T, got, want *uafcheck.BatchReport, label string) {
 	t.Helper()
+	if got.Summary != want.Summary {
+		t.Fatalf("%s: summary %+v, want %+v", label, got.Summary, want.Summary)
+	}
 	g, w := moduleWire(t, got), moduleWire(t, want)
 	if len(g) != len(w) {
 		t.Fatalf("%s: file count mismatch: %d vs %d", label, len(g), len(w))
@@ -53,6 +56,74 @@ func requireModulesEqual(t *testing.T, got, want *uafcheck.ModuleReport, label s
 		if g[i] != w[i] {
 			t.Fatalf("%s: wire bytes differ for file %d\n  got: %s\n want: %s",
 				label, i, g[i], w[i])
+		}
+	}
+}
+
+// TestModuleRunBatchReport: a module run returns a BatchReport whose
+// Summary is the fold of its files' statuses, so ExitCode gives the
+// batch run's 0/1/2 on a clean, a warned and a budget-degraded module,
+// from both module entry points.
+func TestModuleRunBatchReport(t *testing.T) {
+	ctx := context.Background()
+	warned := "proc p() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"
+	for _, tc := range []struct {
+		name   string
+		src    string
+		opts   []uafcheck.Option
+		status string
+		exit   int
+	}{
+		{"clean", "proc p() {\n  var x: int = 0;\n  x = 1;\n}\n", nil, "ok", 0},
+		{"warned", warned, nil, "ok", 1},
+		{"degraded", degradingSrc(), []uafcheck.Option{uafcheck.WithMaxStates(2)}, "degraded", 2},
+	} {
+		files := []uafcheck.FileInput{
+			{Name: "a.chpl", Src: tc.src},
+			{Name: "b.chpl", Src: "proc q() {\n  var y: int = 2;\n}\n"},
+		}
+		for _, run := range []struct {
+			entry string
+			call  func() (*uafcheck.BatchReport, error)
+		}{
+			{"AnalyzeModuleContext", func() (*uafcheck.BatchReport, error) {
+				return uafcheck.AnalyzeModuleContext(ctx, files, tc.opts...)
+			}},
+			{"AnalyzeModuleDelta", func() (*uafcheck.BatchReport, error) {
+				return uafcheck.NewAnalyzer().AnalyzeModuleDelta(ctx, files, tc.opts...)
+			}},
+		} {
+			label := tc.name + "/" + run.entry
+			rep, err := run.call()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := rep.Files[0].Status; got != tc.status {
+				t.Errorf("%s: a.chpl status %q, want %q", label, got, tc.status)
+			}
+			want := uafcheck.BatchSummary{Files: len(rep.Files)}
+			for _, fr := range rep.Files {
+				switch fr.Status {
+				case "ok":
+					want.OK++
+				case "degraded":
+					want.Degraded++
+				default:
+					t.Errorf("%s: %s: unexpected status %q", label, fr.Name, fr.Status)
+				}
+				for _, w := range fr.Report.Warnings {
+					want.Warnings++
+					if w.Conservative {
+						want.Conservative++
+					}
+				}
+			}
+			if rep.Summary != want {
+				t.Errorf("%s: summary %+v, want the files' fold %+v", label, rep.Summary, want)
+			}
+			if got := rep.ExitCode(); got != tc.exit {
+				t.Errorf("%s: exit code %d, want %d", label, got, tc.exit)
+			}
 		}
 	}
 }
@@ -108,7 +179,7 @@ func TestAnalyzeModuleDeltaByteIdentity(t *testing.T) {
 //     the unrelated file.
 func TestModuleDeltaGraphScopedInvalidation(t *testing.T) {
 	ctx := context.Background()
-	files := []uafcheck.ModuleFile{
+	files := []uafcheck.FileInput{
 		{Name: "leaf.chpl", Src: "proc leaf(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
 		{Name: "mid.chpl", Src: "proc mid(ref w: int) {\n  leaf(w);\n}\n"},
 		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  mid(x);\n}\n"},
@@ -160,7 +231,7 @@ func TestModuleDeltaGraphScopedInvalidation(t *testing.T) {
 func TestAnalyzeModuleDeltaConcurrent(t *testing.T) {
 	ctx := context.Background()
 	base := progen.GenerateModule(99, progen.ModuleOptions{Files: 3, Procs: 2})
-	snaps := make([][]uafcheck.ModuleFile, 4)
+	snaps := make([][]uafcheck.FileInput, 4)
 	want := make([][]string, len(snaps))
 	for i := range snaps {
 		files := modFiles(base)
@@ -217,12 +288,12 @@ func TestAnalyzeModuleDeltaConcurrent(t *testing.T) {
 // the parser or in resolution give the one-shot error every time.
 func TestModuleDeltaReusedParseDiagnostics(t *testing.T) {
 	ctx := context.Background()
-	good := uafcheck.ModuleFile{Name: "good.chpl", Src: "proc good() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"}
-	for _, bad := range []uafcheck.ModuleFile{
+	good := uafcheck.FileInput{Name: "good.chpl", Src: "proc good() {\n  var x: int = 0;\n  begin with (ref x) {\n    x = 1;\n  }\n}\n"}
+	for _, bad := range []uafcheck.FileInput{
 		{Name: "parse.chpl", Src: "proc broken( {\n"},
 		{Name: "unresolved.chpl", Src: "proc caller() {\n  var y: int = 0;\n  missing(y);\n}\n"},
 	} {
-		files := []uafcheck.ModuleFile{good, bad}
+		files := []uafcheck.FileInput{good, bad}
 		_, want := uafcheck.AnalyzeModuleContext(ctx, files)
 		if !errors.Is(want, uafcheck.ErrParse) {
 			t.Fatalf("%s: one-shot err = %v, want ErrParse", bad.Name, want)

@@ -153,11 +153,8 @@ func (v *Verdict) clone() *Verdict {
 // without a deadline.
 func Repair(ctx context.Context, name, src string, options ...Option) (*RepairReport, error) {
 	cfg := newConfig(options...)
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
+	ctx, cancel := cfg.callContext(ctx)
+	defer cancel()
 	in := cfg.internal()
 	in.Ctx = ctx
 	res, err := repair.Repair(name, src, in)

@@ -109,8 +109,8 @@ func TestSharedAnalyzerAcrossOptions(t *testing.T) {
 func TestSharedAnalyzerModuleAcrossOptions(t *testing.T) {
 	ctx := context.Background()
 	files := modFiles(progen.GenerateModule(7, progen.ModuleOptions{Files: 3, Procs: 2}))
-	files = append(files, uafcheck.ModuleFile{Name: "mixed.chpl", Src: mixedSrc})
-	want := make(map[string]*uafcheck.ModuleReport)
+	files = append(files, uafcheck.FileInput{Name: "mixed.chpl", Src: mixedSrc})
+	want := make(map[string]*uafcheck.BatchReport)
 	for _, set := range sharedOptionSets {
 		mrep, err := uafcheck.AnalyzeModuleContext(ctx, files, set.opts...)
 		if err != nil {
@@ -143,7 +143,7 @@ func TestSharedAnalyzerModuleAcrossOptions(t *testing.T) {
 func TestSharedAnalyzerAlternatingModules(t *testing.T) {
 	ctx := context.Background()
 	mopts := progen.ModuleOptions{Files: 3, Procs: 3}
-	var mods [2][]uafcheck.ModuleFile
+	var mods [2][]uafcheck.FileInput
 	var want [2][]string
 	for i := range mods {
 		mods[i] = modFiles(progen.GenerateModule(int64(40+i), mopts))

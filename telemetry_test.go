@@ -334,7 +334,7 @@ func TestReportMetricsShape(t *testing.T) {
 func TestModuleMetricsSummariesSpan(t *testing.T) {
 	tr := obs.NewTrace(obs.DeriveTraceID("module-summaries"))
 	ctx := obs.ContextWithTrace(context.Background(), tr)
-	mr, err := AnalyzeModuleContext(ctx, []ModuleFile{
+	mr, err := AnalyzeModuleContext(ctx, []FileInput{
 		{Name: "leaf.chpl", Src: "proc leaf(ref v: int) {\n  begin with (ref v) {\n    v = v + 1;\n  }\n}\n"},
 		{Name: "main.chpl", Src: "proc main() {\n  var x: int = 0;\n  leaf(x);\n}\n"},
 	})

@@ -510,13 +510,16 @@ type FileReport struct {
 	Duration time.Duration
 }
 
-// BatchReport is the outcome of AnalyzeFilesContext.
+// BatchReport is the outcome of a multi-file run: AnalyzeFilesContext,
+// AnalyzeModuleContext or Analyzer.AnalyzeModuleDelta.
 type BatchReport struct {
 	// Files holds one report per input, index-aligned.
 	Files []FileReport
-	// Summary is the aggregate accounting.
+	// Summary is the aggregate accounting, folded from the files'
+	// grades.
 	Summary BatchSummary
-	// Metrics aggregates per-file telemetry plus the batch counters.
+	// Metrics aggregates per-file telemetry plus the batch counters; a
+	// module run's is the module-wide snapshot.
 	Metrics Metrics
 }
 
@@ -604,29 +607,22 @@ func AnalyzeFilesContext(ctx context.Context, files []FileInput, options ...Opti
 }
 
 // gradeFile classifies one file outcome. Its Status is the one
-// derivation of FileReport.Status, for batch and module runs alike, and
-// agrees with internal/wire's StatusOf.
+// derivation of FileReport.Status, for batch and module runs alike.
 func gradeFile(fr FileReport) batch.Grade {
-	g := batch.Grade{Status: batch.Failed}
 	rep := fr.Report
 	if fr.Err != nil || rep == nil {
-		return g
+		return batch.Grade{Status: batch.Failed}
 	}
+	var reason pps.StopReason
+	if rep.Degraded != nil {
+		reason = pps.StopReason(rep.Degraded.Reason)
+	}
+	g := batch.Grade{Status: batch.StatusFor(reason)}
 	for _, w := range rep.Warnings {
 		g.Warnings++
 		if w.Conservative {
 			g.Conservative++
 		}
-	}
-	switch {
-	case rep.Degraded == nil:
-		g.Status = batch.OK
-	case rep.Degraded.Reason == DegradePanic:
-		g.Status = batch.Crashed
-	case rep.Degraded.Reason == DegradeDeadline:
-		g.Status = batch.TimedOut
-	default: // budget, cancelled
-		g.Status = batch.Degraded
 	}
 	return g
 }
