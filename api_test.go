@@ -166,26 +166,6 @@ proc f() {
 	}
 }
 
-func TestCorpusAndTableIAPI(t *testing.T) {
-	params := uafcheck.CorpusParams{Seed: 3, Tests: 100, BeginTests: 20,
-		UnsafeTests: 4, TrueSites: 8, AtomicFPTests: 4, FalseSites: 12}
-	cases := uafcheck.GenerateCorpus(params)
-	if len(cases) != 100 {
-		t.Fatalf("corpus size = %d", len(cases))
-	}
-	table, breakdown := uafcheck.RunTableIContext(context.Background(), cases)
-	if table.TruePositives != 8 || table.WarningsReported != 20 {
-		t.Errorf("table = %+v", table)
-	}
-	if !strings.Contains(breakdown, "pattern") {
-		t.Errorf("breakdown = %s", breakdown)
-	}
-	cmp := uafcheck.BaselineComparison(context.Background(), cases)
-	if !strings.Contains(cmp, "Naive MHP") {
-		t.Errorf("baseline comparison = %s", cmp)
-	}
-}
-
 func TestTestdataProgramsStable(t *testing.T) {
 	// The checked-in figure programs keep their documented verdicts.
 	for _, tc := range []struct {

@@ -20,7 +20,6 @@ import (
 
 	"uafcheck"
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/batch"
 	"uafcheck/internal/ccfg"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/eval"
@@ -135,7 +134,7 @@ func BenchmarkTableICorpus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, _, _ := eval.RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: 1})
+		table, _, _ := eval.RunTableI(context.Background(), cases, uafcheck.WithWorkers(1))
 		if table.TruePositives != 63 || table.WarningsReported != 437 {
 			b.Fatalf("table drifted: %+v", table)
 		}
@@ -407,17 +406,17 @@ func BenchmarkAtomicsExtension(b *testing.B) {
 	cases := corpus.Generate(corpus.DefaultParams(1711))
 	for _, mode := range []struct {
 		name  string
-		opts  analysis.Options
+		opt   uafcheck.Option
 		wantW int
 	}{
-		{"default", analysis.Options{Prune: true}, 437},
-		{"model", analysis.Options{Prune: true, ModelAtomics: true}, 250},
-		{"count", analysis.Options{Prune: true, ModelAtomics: true, CountAtomics: true}, 63},
+		{"default", uafcheck.WithAtomicsModel(false), 437},
+		{"model", uafcheck.WithAtomicsModel(true), 250},
+		{"count", uafcheck.WithAtomicsCounting(true), 63},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				table, _, _ := eval.RunTableI(cases, mode.opts, batch.Options{Workers: 1})
+				table, _, _ := eval.RunTableI(context.Background(), cases, uafcheck.WithWorkers(1), mode.opt)
 				if table.WarningsReported != mode.wantW {
 					b.Fatalf("warnings = %d, want %d", table.WarningsReported, mode.wantW)
 				}

@@ -221,9 +221,9 @@ func main() {
 	// refused by Repair with the typed sentinel — conservative warnings
 	// must never drive a patch — and the refusal is reported, not
 	// silently skipped.
-	var repairs map[string]*uafcheck.RepairReport
+	var repairs map[string]wire.RepairedFile
 	if *fix {
-		repairs = make(map[string]*uafcheck.RepairReport)
+		repairs = make(map[string]wire.RepairedFile)
 		repairOpts := []uafcheck.Option{
 			uafcheck.WithPrune(!*noPrune),
 			uafcheck.WithAtomicsModel(*atomics),
@@ -240,7 +240,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "uafcheck: repair %s: %v\n", files[i].Name, err)
 				continue
 			}
-			repairs[files[i].Name] = rr
+			repairs[files[i].Name] = wire.RepairedFile{Src: files[i].Src, Report: rr}
 		}
 	}
 
@@ -329,7 +329,7 @@ func main() {
 				}
 			}
 		}
-		if rr := repairs[path]; rr != nil {
+		if rr := repairs[path].Report; rr != nil {
 			for _, p := range rr.Patches {
 				extra := ""
 				if p.Token != "" {
@@ -433,7 +433,7 @@ func printFile(name string, rep *uafcheck.Report, explain bool) {
 // document covering every file. With -fix results, sarif embeds each
 // file's verified patches as SARIF fixes and json appends the repair
 // NDJSON lines (kind patch/summary) after the file's result line.
-func emitFormatted(w *os.File, format string, results []wire.Result, repairs map[string]*uafcheck.RepairReport) error {
+func emitFormatted(w *os.File, format string, results []wire.Result, repairs map[string]wire.RepairedFile) error {
 	if format == "sarif" {
 		b, err := wire.SARIFWithFixes(results, repairs).EncodeIndent()
 		if err != nil {
@@ -450,7 +450,7 @@ func emitFormatted(w *os.File, format string, results []wire.Result, repairs map
 		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
-		if rr := repairs[res.Name]; rr != nil {
+		if rr := repairs[res.Name].Report; rr != nil {
 			b, err := wire.EncodeRepair(res.Name, rr)
 			if err != nil {
 				return err

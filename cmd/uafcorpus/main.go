@@ -10,11 +10,12 @@
 //	          [-jobs N] [-case-timeout D] [-retries N]
 //
 // Every Table I run (the base table and the -model-atomics and
-// -count-atomics reruns) uses the fault-isolated batch driver: each
-// generated case gets its own deadline and panic isolation, so one
-// pathological program degrades only itself. The robustness summary
-// after the base Table I accounts for every case (ok / degraded / timed
-// out / crashed).
+// -count-atomics reruns) goes through the library's batch entry point,
+// uafcheck.AnalyzeFilesContext, with one option set built from -jobs,
+// -case-timeout and -retries: each generated case gets its own deadline
+// and panic isolation, so one pathological program degrades only
+// itself. The robustness summary after the base Table I accounts for
+// every case (ok / degraded / timed out / crashed).
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 
 	"uafcheck"
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/batch"
+	"uafcheck/internal/corpus"
 	"uafcheck/internal/eval"
 )
 
@@ -47,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	params := uafcheck.DefaultCorpusParams(*seed)
+	params := corpus.DefaultParams(*seed)
 	if *tests != params.Tests {
 		// Scale the population proportionally.
 		scale := float64(*tests) / float64(params.Tests)
@@ -60,7 +61,7 @@ func main() {
 	}
 
 	start := time.Now()
-	cases := uafcheck.GenerateCorpus(params)
+	cases := corpus.Generate(params)
 	genTime := time.Since(start)
 
 	if *dump != "" {
@@ -79,9 +80,14 @@ func main() {
 	}
 
 	// -jobs, -case-timeout and -retries apply to every Table I run.
-	bopts := batch.Options{Workers: *jobs, FileTimeout: *caseTimeout, Retries: *retries}
+	ctx := context.Background()
+	opts := []uafcheck.Option{
+		uafcheck.WithWorkers(*jobs),
+		uafcheck.WithDeadline(*caseTimeout),
+		uafcheck.WithRetries(*retries),
+	}
 	start = time.Now()
-	table, det, robust := eval.RunTableI(cases, analysis.DefaultOptions(), bopts)
+	table, det, robust := eval.RunTableI(ctx, cases, opts...)
 	breakdown := det.FormatPatternBreakdown()
 	anaTime := time.Since(start)
 
@@ -99,9 +105,7 @@ func main() {
 
 	if *modelAtomics {
 		start = time.Now()
-		aopts := analysis.DefaultOptions()
-		aopts.ModelAtomics = true
-		extTable, extDet, _ := eval.RunTableI(cases, aopts, bopts)
+		extTable, extDet, _ := eval.RunTableI(ctx, cases, append(opts, uafcheck.WithAtomicsModel(true))...)
 		fmt.Printf("\nTable I with the atomics extension enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(extTable.Format())
@@ -114,9 +118,7 @@ func main() {
 
 	if *countAtomics {
 		start = time.Now()
-		aopts := analysis.DefaultOptions()
-		aopts.ModelAtomics, aopts.CountAtomics = true, true
-		cntTable, cntDet, _ := eval.RunTableI(cases, aopts, bopts)
+		cntTable, cntDet, _ := eval.RunTableI(ctx, cases, append(opts, uafcheck.WithAtomicsCounting(true))...)
 		fmt.Printf("\nTable I with the counting refinement enabled (%v):\n",
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(cntTable.Format())
@@ -126,7 +128,7 @@ func main() {
 
 	if *baselines {
 		fmt.Println("\nBaseline comparison (§VI):")
-		fmt.Print(uafcheck.BaselineComparison(context.Background(), cases))
+		fmt.Print(eval.RunBaselines(cases, analysis.DefaultOptions()).Format())
 	}
 
 	if *pruning {
@@ -139,17 +141,10 @@ func main() {
 
 	if *oracle > 0 {
 		start = time.Now()
-		rep := eval.ValidateWithOracle(context.Background(), cases, 0, *oracle, *seed)
+		rep := eval.ValidateWithOracle(ctx, cases, 0, *oracle, *seed)
 		fmt.Printf("\nDynamic oracle (%d schedules/case, %v):\n", *oracle, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("  cases validated:        %d\n", rep.CasesValidated)
 		fmt.Printf("  true sites confirmed:   %d/%d\n", rep.ConfirmedTrue, rep.TotalTrue)
 		fmt.Printf("  atomic-case false alarms: %d\n", len(rep.FalseAlarms))
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"uafcheck"
+	"uafcheck/internal/corpus"
 	"uafcheck/internal/obs"
 )
 
@@ -47,7 +48,7 @@ func canonicalReport(t *testing.T, rep *uafcheck.Report) []byte {
 func determinismInputs(t *testing.T) []uafcheck.FileInput {
 	t.Helper()
 	var files []uafcheck.FileInput
-	cases := uafcheck.GenerateCorpus(uafcheck.CorpusParams{
+	cases := corpus.Generate(corpus.Params{
 		Seed: 7, Tests: 120, BeginTests: 48,
 		UnsafeTests: 6, TrueSites: 14, AtomicFPTests: 6, FalseSites: 20,
 	})

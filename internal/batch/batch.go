@@ -317,8 +317,8 @@ func AttemptGrace[T any](ctx context.Context, timeout, grace time.Duration, fn f
 
 // StatusFor is the one map from a degradation-ladder reason to a file's
 // status: no reason is OK, a recovered panic Crashed, a deadline
-// TimedOut, and a budget stop or cancellation Degraded. Batch, module
-// and corpus runs and the wire encoding all classify through it.
+// TimedOut, and a budget stop or cancellation Degraded. Batch and
+// module runs and the wire encoding all classify through it.
 func StatusFor(reason pps.StopReason) Status {
 	switch reason {
 	case pps.StopNone:
@@ -329,23 +329,6 @@ func StatusFor(reason pps.StopReason) Status {
 		return TimedOut
 	}
 	return Degraded // budget, cancelled
-}
-
-// GradeAnalysis grades one internal analysis result: a frontend
-// rejection fails, otherwise the degradation ladder's stop reason picks
-// the class.
-func GradeAnalysis(ar *analysis.Result) Grade {
-	if ar.Diags.HasErrors() {
-		return Grade{Status: Failed}
-	}
-	g := Grade{Status: StatusFor(ar.Degraded())}
-	for _, w := range ar.Warnings() {
-		g.Warnings++
-		if w.Conservative {
-			g.Conservative++
-		}
-	}
-	return g
 }
 
 // summarize folds the per-file results.

@@ -59,8 +59,8 @@ var pathoSrc = func() string {
 type file struct{ name, src string }
 
 // runAnalysis runs files through Run with the analysis pipeline as the
-// attempt, the way internal/eval drives Table I. perFile, when set,
-// supplies each file's telemetry recorder.
+// attempt and gradeAnalysis as the grader. perFile, when set, supplies
+// each file's telemetry recorder.
 func runAnalysis(files []file, opts Options, aopts analysis.Options, perFile func(i int) *obs.Recorder,
 	onResult func(Result[*analysis.Result])) ([]Result[*analysis.Result], Summary) {
 	opts.MaxStates = aopts.PPS.MaxStates
@@ -76,7 +76,24 @@ func runAnalysis(files []file, opts Options, aopts analysis.Options, perFile fun
 			o.Obs = perFile(i)
 		}
 		return analysis.AnalyzeSource(files[i].name, files[i].src, o)
-	}, GradeAnalysis, onResult)
+	}, gradeAnalysis, onResult)
+}
+
+// gradeAnalysis grades one analysis result: a frontend rejection
+// fails, otherwise the degradation ladder's stop reason picks the
+// class.
+func gradeAnalysis(ar *analysis.Result) Grade {
+	if ar.Diags.HasErrors() {
+		return Grade{Status: Failed}
+	}
+	g := Grade{Status: StatusFor(ar.Degraded())}
+	for _, w := range ar.Warnings() {
+		g.Warnings++
+		if w.Conservative {
+			g.Conservative++
+		}
+	}
+	return g
 }
 
 func TestRunMixedBatch(t *testing.T) {

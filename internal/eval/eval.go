@@ -1,8 +1,8 @@
 // Package eval runs the paper's evaluation (§V): it feeds a generated
-// corpus through the static analysis, scores warnings against the
-// corpus's ground-truth labels, and assembles Table I. It can also
-// cross-validate flagged programs with the dynamic schedule-exploration
-// oracle and compare against the §VI baselines.
+// corpus through the library's batch entry point, scores warnings
+// against the corpus's ground-truth labels, and assembles Table I. It
+// can also cross-validate flagged programs with the dynamic
+// schedule-exploration oracle and compare against the §VI baselines.
 package eval
 
 import (
@@ -12,8 +12,8 @@ import (
 	"strings"
 	"time"
 
+	"uafcheck"
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/pps"
@@ -53,7 +53,7 @@ func (t TableI) Format() string {
 // CaseOutcome records the analysis result for one test case.
 type CaseOutcome struct {
 	Case       *corpus.TestCase
-	Warnings   []analysis.Warning
+	Warnings   []uafcheck.Warning
 	FrontendOK bool
 	// TrueHits are warnings matching a ground-truth dangerous site.
 	TrueHits int
@@ -96,39 +96,27 @@ type PatternStats struct {
 	MaxStates int64
 }
 
-// RunTableI analyzes every case on the fault-isolated batch driver and
-// assembles the table: a worker pool with per-case deadlines,
-// retry-with-smaller-budget and panic isolation, so one pathological
-// generated program can slow or crash only itself, never the
-// evaluation. bopts sets the pool, deadline and retries; opts is the
-// per-case analysis, whose MaxStates the first attempt uses. The
-// Summary is the robustness accounting (cases OK / degraded / timed out
-// / crashed). Results are index-aligned with cases, so the table and
+// RunTableI analyzes every case through uafcheck.AnalyzeFilesContext,
+// the library's batch entry point, and assembles the table from the
+// file reports. The options are the library's: WithWorkers,
+// WithDeadline and WithRetries set the pool, each attempt's deadline
+// and the retry ladder, and the analysis options (WithAtomicsModel,
+// WithAtomicsCounting, ...) pick the mode. The Summary is the batch
+// report's robustness accounting (cases OK / degraded / timed out /
+// crashed). Reports are index-aligned with cases, so the table and
 // details do not depend on the worker count.
-func RunTableI(cases []corpus.TestCase, opts analysis.Options, bopts batch.Options) (TableI, *Details, batch.Summary) {
-	// File-level workers already saturate the machine, so an unset
-	// in-analysis parallelism means sequential exploration here.
-	if opts.PPS.Parallelism <= 0 {
-		opts.PPS.Parallelism = 1
-	}
-	bopts.MaxStates = opts.PPS.MaxStates
-	// Source length is the cost estimate the pool dispatches by.
-	weights := make([]int, len(cases))
+func RunTableI(ctx context.Context, cases []corpus.TestCase, options ...uafcheck.Option) (TableI, *Details, uafcheck.BatchSummary) {
+	files := make([]uafcheck.FileInput, len(cases))
 	for i := range cases {
-		weights[i] = len(cases[i].Source)
+		files[i] = uafcheck.FileInput{Name: cases[i].Name + ".chpl", Src: cases[i].Source}
 	}
-	results, sum := batch.Run(weights, bopts, func(ctx context.Context, i, maxStates int) *analysis.Result {
-		o := opts
-		o.Ctx = ctx
-		o.PPS.MaxStates = maxStates
-		return analysis.AnalyzeSource(cases[i].Name+".chpl", cases[i].Source, o)
-	}, batch.GradeAnalysis, nil)
+	br := uafcheck.AnalyzeFilesContext(ctx, files, options...)
 
 	table := TableI{TotalTests: len(cases)}
 	det := &Details{PerPattern: make(map[string]*PatternStats)}
 	for i := range cases {
 		tc := &cases[i]
-		out := outcomeFrom(tc, results[i].Value, results[i].Duration)
+		out := outcomeFrom(tc, br.Files[i])
 		if tc.HasBegin {
 			table.TestsWithBegin++
 		}
@@ -151,7 +139,7 @@ func RunTableI(cases []corpus.TestCase, opts analysis.Options, bopts batch.Optio
 		}
 		det.Outcomes = append(det.Outcomes, out)
 	}
-	return table, det, sum
+	return table, det, br.Summary
 }
 
 // absorb folds one case outcome into the pattern aggregates.
@@ -169,21 +157,20 @@ func (ps *PatternStats) absorb(out CaseOutcome) {
 	}
 }
 
-// outcomeFrom scores one analysis result against the case's ground-truth
-// labels. res may be nil — a batch attempt abandoned as a hard hang or
-// a panic outside the per-procedure recovery — which scores as a
-// frontend-level failure with no warnings.
-func outcomeFrom(tc *corpus.TestCase, res *analysis.Result, dur time.Duration) CaseOutcome {
-	out := CaseOutcome{Case: tc, Duration: dur}
-	if res == nil {
+// outcomeFrom scores one file report against the case's ground-truth
+// labels. A report-less file — rejected by the frontend, or abandoned
+// as a hard hang — scores as a frontend-level failure with no warnings.
+func outcomeFrom(tc *corpus.TestCase, fr uafcheck.FileReport) CaseOutcome {
+	out := CaseOutcome{Case: tc, Duration: fr.Duration}
+	if fr.Report == nil {
 		return out
 	}
-	out.FrontendOK = !res.Diags.HasErrors()
-	out.Warnings = res.Warnings()
-	for _, pr := range res.Procs {
-		out.StatesCreated += pr.PPSStats.StatesCreated
-		out.StatesProcessed += pr.PPSStats.StatesProcessed
-		out.StatesMerged += pr.PPSStats.StatesMerged
+	out.FrontendOK = true
+	out.Warnings = fr.Report.Warnings
+	for _, st := range fr.Report.Stats {
+		out.StatesCreated += st.StatesCreated
+		out.StatesProcessed += st.StatesProcessed
+		out.StatesMerged += st.StatesMerged
 	}
 	truth := make(map[string]bool, len(tc.TrueSites))
 	for _, s := range tc.TrueSites {

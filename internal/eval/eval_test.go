@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"uafcheck"
 	"uafcheck/internal/analysis"
-	"uafcheck/internal/batch"
 	"uafcheck/internal/corpus"
 	"uafcheck/internal/runtime"
 )
@@ -33,7 +33,7 @@ func smallParams(seed int64) corpus.Params {
 // follow the construction.
 func TestCorpusSmallShape(t *testing.T) {
 	cases := corpus.Generate(smallParams(7))
-	table, det, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{})
+	table, det, _ := RunTableI(context.Background(), cases)
 
 	if det.FrontendFailures != 0 {
 		t.Fatalf("%d corpus programs failed the frontend", det.FrontendFailures)
@@ -66,9 +66,9 @@ func TestCorpusSmallShape(t *testing.T) {
 // size, one worker included.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := corpus.Generate(smallParams(17))
-	seqTable, seqDet, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: 1})
+	seqTable, seqDet, _ := RunTableI(context.Background(), cases, uafcheck.WithWorkers(1))
 	for _, workers := range []int{1, 2, 8} {
-		parTable, parDet, sum := RunTableI(cases, analysis.DefaultOptions(), batch.Options{Workers: workers})
+		parTable, parDet, sum := RunTableI(context.Background(), cases, uafcheck.WithWorkers(workers))
 		if parTable != seqTable {
 			t.Fatalf("workers=%d: table differs: %+v vs %+v", workers, parTable, seqTable)
 		}
@@ -181,6 +181,28 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	if rep.FinishWouldBlock <= 0 {
 		t.Errorf("finish discipline blocked no safe case; sync-chain patterns should trip it")
+	}
+}
+
+// TestCorpusAndTableIAPI drives the harness the way cmd/uafcorpus
+// does: generate a corpus, run Table I through the library, format the
+// per-pattern breakdown and the §VI baseline comparison.
+func TestCorpusAndTableIAPI(t *testing.T) {
+	params := corpus.Params{Seed: 3, Tests: 100, BeginTests: 20,
+		UnsafeTests: 4, TrueSites: 8, AtomicFPTests: 4, FalseSites: 12}
+	cases := corpus.Generate(params)
+	if len(cases) != 100 {
+		t.Fatalf("corpus size = %d", len(cases))
+	}
+	table, det, _ := RunTableI(context.Background(), cases)
+	if table.TruePositives != 8 || table.WarningsReported != 20 {
+		t.Errorf("table = %+v", table)
+	}
+	if breakdown := det.FormatPatternBreakdown(); !strings.Contains(breakdown, "pattern") {
+		t.Errorf("breakdown = %s", breakdown)
+	}
+	if cmp := RunBaselines(cases, analysis.DefaultOptions()).Format(); !strings.Contains(cmp, "Naive MHP") {
+		t.Errorf("baseline comparison = %s", cmp)
 	}
 }
 

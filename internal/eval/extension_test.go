@@ -1,10 +1,10 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
-	"uafcheck/internal/analysis"
-	"uafcheck/internal/batch"
+	"uafcheck"
 	"uafcheck/internal/corpus"
 )
 
@@ -16,8 +16,8 @@ import (
 func TestAtomicsExtensionTableI(t *testing.T) {
 	cases := corpus.Generate(smallParams(31))
 
-	base, _, _ := RunTableI(cases, analysis.DefaultOptions(), batch.Options{})
-	ext, extDet, _ := RunTableI(cases, analysis.Options{Prune: true, ModelAtomics: true}, batch.Options{})
+	base, _, _ := RunTableI(context.Background(), cases)
+	ext, extDet, _ := RunTableI(context.Background(), cases, uafcheck.WithAtomicsModel(true))
 
 	if ext.TruePositives != base.TruePositives {
 		t.Errorf("extension changed true positives: %d -> %d",

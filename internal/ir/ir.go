@@ -142,14 +142,6 @@ type ParamEffects struct {
 	EscWrite    bool
 }
 
-// Zero reports whether the effect slice is empty.
-func (e ParamEffects) Zero() bool {
-	return !e.DirectRead && !e.DirectWrite && !e.EscRead && !e.EscWrite
-}
-
-// Esc reports whether any escaping effect is present.
-func (e ParamEffects) Esc() bool { return e.EscRead || e.EscWrite }
-
 // Return marks a return statement. The lowering keeps it as a marker; a
 // non-tail return is reported as an analysis limit.
 type Return struct {

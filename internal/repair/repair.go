@@ -41,7 +41,8 @@ import (
 
 // ErrDegraded is returned (wrapped) when the baseline analysis or a
 // candidate's verification re-analysis did not run to completion —
-// state budget, deadline, cancellation, or a recovered panic. A
+// state budget, deadline, cancellation, or a recovered panic — or when
+// the context cut a schedule check short. A
 // degraded report's warnings are a conservative superset of the true
 // set (or, after a panic, an incomplete subset), so "the warning count
 // decreased" proves nothing against it: accepting a patch on that
@@ -114,9 +115,9 @@ const dynBudget = 4000
 
 // Repair attempts to fix every warning in the source, verifying each
 // candidate patch by re-analysis under opts AND by bounded schedule
-// exploration: a patch that the static model accepts but that introduces
-// a fence-induced deadlock (invisible to the PPS abstraction) is
-// rejected dynamically.
+// exploration under opts.Ctx: a patch that the static model accepts but
+// that introduces a fence-induced deadlock (invisible to the PPS
+// abstraction) is rejected dynamically.
 func Repair(filename, src string, opts analysis.Options) (*Result, error) {
 	res := &Result{Fixed: src}
 	cur := src
@@ -169,19 +170,30 @@ type dynState struct {
 	valid    bool
 }
 
-func exploreDyn(src, proc string) dynState {
+// exploreDyn is one schedule check: the exploration of proc under ctx
+// (nil means no bound). A check that ctx cut short is an ErrDegraded
+// error, as a degraded verification analysis is: its partial schedule
+// set can neither confirm nor refute a candidate, and every later check
+// under the same ctx would be cut short too.
+func exploreDyn(ctx context.Context, src, proc string) (dynState, error) {
 	mod, info, diags := runtime.Load("dyn.chpl", src)
 	if diags.HasErrors() {
-		return dynState{}
+		return dynState{}, nil
 	}
-	er := runtime.Explore(context.TODO(), mod, info, proc, dynBudget, -1)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	er := runtime.Explore(ctx, mod, info, proc, dynBudget, -1)
+	if er.Cancelled {
+		return dynState{}, fmt.Errorf("%w (schedule check of %s stopped by the context)", ErrDegraded, proc)
+	}
 	st := dynState{uaf: make(map[string]bool), deadlock: er.Deadlocks > 0, valid: true}
 	for _, ev := range er.UAF {
 		// Key by (variable, task): patches shift line numbers (the
 		// pretty-printer reflows), but task labels are stable.
 		st.uaf[ev.Var+"@"+ev.Task] = true
 	}
-	return st
+	return st, nil
 }
 
 // dynCheck compares the patched proc's dynamic behaviour against the
@@ -189,34 +201,39 @@ func exploreDyn(src, proc string) dynState {
 // use-after-free site, keeps the site it claims to fix racy, or adds a
 // deadlock the baseline did not have. Residual races from OTHER,
 // not-yet-repaired warnings are tolerated — later rounds handle them.
-func dynCheck(src, proc string, base dynState, w analysis.Warning) (string, bool) {
-	st := exploreDyn(src, proc)
-	if !st.valid {
-		return "patched source no longer parses", false
-	}
-	if st.uaf[w.Var+"@"+w.Task] {
-		return "patched program still races at the warned site", false
+func dynCheck(ctx context.Context, src, proc string, base dynState, w analysis.Warning) (string, bool, error) {
+	st, err := exploreDyn(ctx, src, proc)
+	switch {
+	case err != nil:
+		return "", false, err
+	case !st.valid:
+		return "patched source no longer parses", false, nil
+	case st.uaf[w.Var+"@"+w.Task]:
+		return "patched program still races at the warned site", false, nil
 	}
 	if base.valid {
 		for k := range st.uaf {
 			if !base.uaf[k] {
-				return "patch introduces a new use-after-free at " + k, false
+				return "patch introduces a new use-after-free at " + k, false, nil
 			}
 		}
 		if st.deadlock && !base.deadlock {
-			return "patch introduces a deadlock under some schedule", false
+			return "patch introduces a deadlock under some schedule", false, nil
 		}
 	} else if st.deadlock || len(st.uaf) > 0 {
-		return "patched program fails dynamically", false
+		return "patched program fails dynamically", false, nil
 	}
-	return "", true
+	return "", true, nil
 }
 
 // fixGroup tries the candidate strategies for the (proc, task) of warning
 // w and returns the first verified patch.
 func fixGroup(filename, cur string, w analysis.Warning, before int,
 	opts analysis.Options) (string, Step, []string, error) {
-	base := exploreDyn(cur, w.Proc)
+	base, err := exploreDyn(opts.Ctx, cur, w.Proc)
+	if err != nil {
+		return "", Step{}, nil, err
+	}
 	var rejected []string
 	type candidate struct {
 		strategy Strategy
@@ -256,7 +273,9 @@ func fixGroup(filename, cur string, w analysis.Warning, before int,
 			return "", Step{}, rejected, err
 		}
 		if verified {
-			reason, verified = dynCheck(patched, w.Proc, base, w)
+			if reason, verified, err = dynCheck(opts.Ctx, patched, w.Proc, base, w); err != nil {
+				return "", Step{}, rejected, err
+			}
 		}
 		if verified {
 			return patched, Step{Strategy: c.strategy, Proc: w.Proc, Task: w.Task, Token: tok}, rejected, nil

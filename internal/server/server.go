@@ -567,7 +567,7 @@ func (s *Server) analyzeLeader(r *http.Request, req AnalyzeRequest, sarif bool) 
 	var encErr error
 	ctype := ""
 	if sarif && code == http.StatusOK {
-		repairs := map[string]*uafcheck.RepairReport{req.Name: s.repairForSARIF(r, req, rep)}
+		repairs := map[string]wire.RepairedFile{req.Name: {Src: req.Src, Report: s.repairForSARIF(r, req, rep)}}
 		body, encErr = wire.SARIFWithFixes([]wire.Result{result}, repairs).EncodeIndent()
 		ctype = "application/sarif+json"
 	} else {
@@ -945,7 +945,7 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 
 	// A disconnected client stops the extra repair work.
 	results := make([]wire.Result, len(files))
-	repairs := make(map[string]*uafcheck.RepairReport)
+	repairs := make(map[string]wire.RepairedFile)
 	for i, fr := range batchRep.Files {
 		results[i] = wire.NewResult(fr.Name, fr.Report, fr.Err, false)
 		if r.Context().Err() != nil {
@@ -953,7 +953,7 @@ func (s *Server) batchSARIF(w http.ResponseWriter, r *http.Request, files []uafc
 		}
 		req := AnalyzeRequest{Name: fr.Name, Src: files[i].Src, Options: o}
 		if rr := s.repairForSARIF(r, req, fr.Report); rr != nil {
-			repairs[fr.Name] = rr
+			repairs[fr.Name] = wire.RepairedFile{Src: files[i].Src, Report: rr}
 		}
 	}
 

@@ -701,8 +701,5 @@ func (in *Info) classifyMethod(sc *Scope, call *ast.MethodCallExpr, recv *Symbol
 	in.MethodOps[call] = op
 }
 
-// SymbolOf returns the resolved symbol of an identifier use, or nil.
-func (in *Info) SymbolOf(id *ast.Ident) *Symbol { return in.Uses[id] }
-
 // ScopeFor returns the scope opened by node, or nil.
 func (in *Info) ScopeFor(node ast.Node) *Scope { return in.ScopeOf[node] }

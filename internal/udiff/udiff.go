@@ -18,6 +18,7 @@ package udiff
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -299,12 +300,10 @@ func Apply(a, diff string) (string, error) {
 		if !strings.HasPrefix(ln, "@@ ") {
 			return "", fmt.Errorf("udiff: unexpected line %q", ln)
 		}
-		var aStart, aCount, bStart, bCount int
-		if err := parseHunkHeader(ln, &aStart, &aCount, &bStart, &bCount); err != nil {
+		aStart, aCount, err := hunkOrigin(ln)
+		if err != nil {
 			return "", err
 		}
-		_ = bStart
-		_ = bCount
 		from := aStart - 1
 		if aCount == 0 {
 			from = aStart // empty a-range is anchored before the next line
@@ -352,101 +351,18 @@ func Apply(a, diff string) (string, error) {
 	return joinLines(out), nil
 }
 
-// EditsFromDiff recovers the replacement runs encoded in a diff
-// produced by Unified, without needing either source text: each
-// returned Edit describes a maximal changed region against the
-// original ("a") side, exactly as Edits would have reported it. The
-// SARIF `fixes` projection uses this to turn wire diffs into
-// line-region replacements.
-func EditsFromDiff(diff string) ([]Edit, error) {
-	if diff == "" {
-		return nil, nil
+// hunkOrigin parses the original ("a") side of a "@@ -a[,c] +b[,c] @@"
+// header: its start line and line count (1 when the count is elided).
+func hunkOrigin(ln string) (start, count int, err error) {
+	a, _, _ := strings.Cut(strings.TrimPrefix(ln, "@@ -"), " ")
+	startS, countS, hasCount := strings.Cut(a, ",")
+	start, err = strconv.Atoi(startS)
+	count = 1
+	if err == nil && hasCount {
+		count, err = strconv.Atoi(countS)
 	}
-	lines := strings.Split(strings.TrimSuffix(diff, "\n"), "\n")
-	var edits []Edit
-	i := 0
-	for i < len(lines) && (strings.HasPrefix(lines[i], "--- ") || strings.HasPrefix(lines[i], "+++ ")) {
-		i++
+	if err != nil {
+		return 0, 0, fmt.Errorf("udiff: bad hunk header %q", ln)
 	}
-	for i < len(lines) {
-		ln := lines[i]
-		if !strings.HasPrefix(ln, "@@ ") {
-			return nil, fmt.Errorf("udiff: unexpected line %q", ln)
-		}
-		var aStart, aCount, bStart, bCount int
-		if err := parseHunkHeader(ln, &aStart, &aCount, &bStart, &bCount); err != nil {
-			return nil, err
-		}
-		_ = bStart
-		_ = bCount
-		apos := aStart - 1 // 0-based a-lines consumed before the cursor
-		if aCount == 0 {
-			apos = aStart
-		}
-		i++
-		var cur *Edit
-		flush := func() { cur = nil }
-		for i < len(lines) && !strings.HasPrefix(lines[i], "@@ ") {
-			body := lines[i]
-			if body == `\ No newline at end of file` {
-				i++
-				continue
-			}
-			if body == "" {
-				body = " "
-			}
-			tag, text := body[0], body[1:]
-			switch tag {
-			case ' ':
-				apos++
-				flush()
-			case '-':
-				if cur == nil {
-					edits = append(edits, Edit{StartA: apos + 1, EndA: apos})
-					cur = &edits[len(edits)-1]
-				}
-				apos++
-				cur.EndA = apos
-			case '+':
-				if cur == nil {
-					edits = append(edits, Edit{StartA: apos + 1, EndA: apos})
-					cur = &edits[len(edits)-1]
-				}
-				cur.Inserted = append(cur.Inserted, text)
-			default:
-				return nil, fmt.Errorf("udiff: unexpected hunk line %q", body)
-			}
-			i++
-		}
-	}
-	return edits, nil
-}
-
-// parseHunkHeader parses "@@ -a[,c] +b[,c] @@".
-func parseHunkHeader(ln string, aStart, aCount, bStart, bCount *int) error {
-	body := strings.TrimPrefix(ln, "@@ ")
-	if idx := strings.Index(body, " @@"); idx >= 0 {
-		body = body[:idx]
-	}
-	fields := strings.Fields(body)
-	if len(fields) != 2 || !strings.HasPrefix(fields[0], "-") || !strings.HasPrefix(fields[1], "+") {
-		return fmt.Errorf("udiff: bad hunk header %q", ln)
-	}
-	parse := func(p string, start, count *int) error {
-		*count = 1
-		if i := strings.IndexByte(p, ','); i >= 0 {
-			if _, err := fmt.Sscanf(p[i+1:], "%d", count); err != nil {
-				return fmt.Errorf("udiff: bad hunk header %q", ln)
-			}
-			p = p[:i]
-		}
-		if _, err := fmt.Sscanf(p, "%d", start); err != nil {
-			return fmt.Errorf("udiff: bad hunk header %q", ln)
-		}
-		return nil
-	}
-	if err := parse(fields[0][1:], aStart, aCount); err != nil {
-		return err
-	}
-	return parse(fields[1][1:], bStart, bCount)
+	return start, count, nil
 }

@@ -119,21 +119,6 @@ func TestApplyRandomized(t *testing.T) {
 		if got != b {
 			t.Fatalf("trial %d: round-trip mismatch\na=%q\nb=%q\ngot=%q\ndiff:\n%s", trial, a, b, got, d)
 		}
-		// EditsFromDiff must recover exactly what Edits computes.
-		want := Edits(a, b)
-		recovered, err := EditsFromDiff(d)
-		if err != nil {
-			t.Fatalf("trial %d: EditsFromDiff: %v", trial, err)
-		}
-		if len(want) != len(recovered) {
-			t.Fatalf("trial %d: edit count %d != %d", trial, len(recovered), len(want))
-		}
-		for i := range want {
-			if want[i].StartA != recovered[i].StartA || want[i].EndA != recovered[i].EndA ||
-				strings.Join(want[i].Inserted, "\n") != strings.Join(recovered[i].Inserted, "\n") {
-				t.Fatalf("trial %d: edit %d mismatch: %+v != %+v", trial, i, recovered[i], want[i])
-			}
-		}
 	}
 }
 

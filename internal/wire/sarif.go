@@ -159,17 +159,24 @@ func SARIF(results []Result) *SARIFLog {
 	return SARIFWithFixes(results, nil)
 }
 
+// RepairedFile pairs a file's repair report with the source it
+// repaired, the two ends a SARIF fix's replacements are computed from.
+type RepairedFile struct {
+	Src    string
+	Report *uafcheck.RepairReport
+}
+
 // SARIFWithFixes is SARIF with verified repair patches embedded as
-// `fixes` objects. repairs maps a result Name to that file's repair
-// report; every warning the repair ELIMINATED gets a fix whose
+// `fixes` objects. repairs maps a result Name to that file's source and
+// repair report; every warning the repair ELIMINATED gets a fix whose
 // replacements rewrite the original file into the fully repaired one
-// (the cumulative diff, so the applied fix is exactly what the
+// (source to Report.Fixed, so the applied fix is exactly what the
 // verifier blessed — applying a prefix of the patch chain was never
 // verified as a unit). Warnings still present in the repaired source
-// get no fix, and files without an entry (repair refused, degraded,
+// get no fix, and files without a report (repair refused, degraded,
 // or not attempted) emit plain results — a degraded analysis never
 // serves a patch.
-func SARIFWithFixes(results []Result, repairs map[string]*uafcheck.RepairReport) *SARIFLog {
+func SARIFWithFixes(results []Result, repairs map[string]RepairedFile) *SARIFLog {
 	kinds := map[string]bool{}
 	var out []SARIFResult
 	for _, fr := range results {
@@ -180,11 +187,11 @@ func SARIFWithFixes(results []Result, repairs map[string]*uafcheck.RepairReport)
 		// eliminate; every other warning carries the fix.
 		var fix []SARIFFix
 		var remaining map[string]int
-		if rr := repairs[fr.Name]; rr != nil && len(rr.Patches) > 0 {
-			if f, ok := sarifFix(fr.Name, rr); ok {
+		if rf := repairs[fr.Name]; rf.Report != nil && len(rf.Report.Patches) > 0 {
+			if f, ok := sarifFix(fr.Name, rf); ok {
 				fix = []SARIFFix{f}
-				remaining = make(map[string]int, len(rr.Remaining))
-				for _, w := range rr.Remaining {
+				remaining = make(map[string]int, len(rf.Report.Remaining))
+				for _, w := range rf.Report.Remaining {
 					remaining[sarifWarnKey(w)]++
 				}
 			}
@@ -279,13 +286,13 @@ func sarifWarnKey(w uafcheck.Warning) string {
 	return w.Proc + "\x00" + w.Task + "\x00" + w.Var + "\x00" + w.Reason + "\x00" + rw
 }
 
-// sarifFix converts a repair report's cumulative diff into one SARIF
-// fix: line-region replacements against the original artifact. It
-// reports ok=false when the diff is empty or unparsable (no fix is
-// better than a wrong fix).
-func sarifFix(name string, rr *uafcheck.RepairReport) (SARIFFix, bool) {
-	edits, err := udiff.EditsFromDiff(rr.Diff)
-	if err != nil || len(edits) == 0 {
+// sarifFix converts a repair into one SARIF fix: the line-region
+// replacements that turn the original artifact into the repaired
+// source. It reports ok=false when the repair changed nothing.
+func sarifFix(name string, rf RepairedFile) (SARIFFix, bool) {
+	rr := rf.Report
+	edits := udiff.Edits(rf.Src, rr.Fixed)
+	if len(edits) == 0 {
 		return SARIFFix{}, false
 	}
 	var reps []SARIFReplacement

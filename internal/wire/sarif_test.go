@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"uafcheck"
+	"uafcheck/internal/udiff"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -18,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // that eliminates one warning but not the other. Hand-constructed on
 // purpose — the golden file pins the SARIF *encoding*, and must not
 // drift when the analyzer's warning output changes.
-func goldenInput() ([]Result, map[string]*uafcheck.RepairReport) {
+func goldenInput() ([]Result, map[string]RepairedFile) {
 	buggy := &uafcheck.Report{Warnings: []uafcheck.Warning{
 		{Var: "x", Task: "TASK A", Proc: "f", Write: true,
 			Reason: "after-frontier", Pos: "buggy.chpl:3:5",
@@ -32,25 +33,37 @@ func goldenInput() ([]Result, map[string]*uafcheck.RepairReport) {
 		NewResult("buggy.chpl", buggy, nil, false),
 		NewResult("clean.chpl", clean, nil, false),
 	}
-	diff := strings.Join([]string{
-		"--- a/buggy.chpl",
-		"+++ b/buggy.chpl",
-		"@@ -2,4 +2,6 @@",
-		" var x: int = 1;",
-		"+var x_done$: sync bool;",
-		" begin with (ref x) { // TASK A",
-		"   x = 2;",
-		"+  x_done$ = true;",
-		" }",
-		"@@ -7,2 +9,3 @@",
-		" writeln(x);",
-		"+x_done$;",
+	src := strings.Join([]string{
+		"proc f() {",
+		"var x: int = 1;",
+		"begin with (ref x) { // TASK A",
+		"  x = 2;",
+		"}",
+		"begin with (ref y) { writeln(y); } // TASK B",
+		"writeln(x);",
+		"}",
 		"",
 	}, "\n")
-	repairs := map[string]*uafcheck.RepairReport{
-		"buggy.chpl": {
-			Name: "buggy.chpl",
-			Diff: diff,
+	fixed := strings.Join([]string{
+		"proc f() {",
+		"var x: int = 1;",
+		"var x_done$: sync bool;",
+		"begin with (ref x) { // TASK A",
+		"  x = 2;",
+		"  x_done$ = true;",
+		"}",
+		"begin with (ref y) { writeln(y); } // TASK B",
+		"writeln(x);",
+		"x_done$;",
+		"}",
+		"",
+	}, "\n")
+	diff := udiff.Unified("buggy.chpl", src, fixed)
+	repairs := map[string]RepairedFile{
+		"buggy.chpl": {Src: src, Report: &uafcheck.RepairReport{
+			Name:  "buggy.chpl",
+			Fixed: fixed,
+			Diff:  diff,
 			Patches: []uafcheck.Patch{{
 				Strategy: "token-chain", Proc: "f", Task: "TASK A",
 				Token: "x_done$", Diff: diff,
@@ -67,7 +80,7 @@ func goldenInput() ([]Result, map[string]*uafcheck.RepairReport) {
 					Reason: "never-synchronized", Pos: "buggy.chpl:8:3",
 					AccessLine: 8, AccessCol: 3, DeclLine: 2, Conservative: true},
 			},
-		},
+		}},
 	}
 	return results, repairs
 }

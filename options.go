@@ -10,14 +10,12 @@ import (
 
 // Option configures one analysis call (AnalyzeContext,
 // AnalyzeFilesContext, AnalyzeModuleContext, Analyzer.AnalyzeDelta,
-// Analyzer.AnalyzeModuleDelta, Repair, RunTableIContext,
-// BaselineComparison). Options compose left to right; unset knobs keep
-// the defaults (pruning on, everything else off or library-sized).
-// WithDeadline is the one per-file wall clock for every entry point; on
-// the batch driver (AnalyzeFilesContext and RunTableIContext) it bounds
-// each attempt. Batch options (WithWorkers, WithRetries) apply to those
-// two only, and WithOnFile to AnalyzeFilesContext only; each is ignored
-// elsewhere.
+// Analyzer.AnalyzeModuleDelta, Repair). Options compose left to right;
+// unset knobs keep the defaults (pruning on, everything else off or
+// library-sized). WithDeadline is the one per-file wall clock for every
+// entry point; on the batch driver (AnalyzeFilesContext) it bounds each
+// attempt. Batch options (WithWorkers, WithRetries, WithOnFile) apply
+// to AnalyzeFilesContext only and are ignored elsewhere.
 type Option func(*config)
 
 // config is the one configuration every entry point reads; the With*
@@ -155,16 +153,14 @@ func WithTracing(on bool) Option {
 
 // WithWorkers sets the batch worker-pool size (0 = GOMAXPROCS). A pool
 // of more than one worker starts the files with the longest sources
-// first; one worker runs them in input order. Batch runs and
-// RunTableIContext only.
+// first; one worker runs them in input order. Batch runs only.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
 // WithRetries grants extra attempts after a WithDeadline hit, each
 // with a 4×-smaller state budget, converging on a deterministic
-// budget-degraded result instead of a flaky timeout. Batch runs and
-// RunTableIContext only.
+// budget-degraded result instead of a flaky timeout. Batch runs only.
 func WithRetries(n int) Option {
 	return func(c *config) { c.retries = n }
 }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"uafcheck"
 	"uafcheck/internal/udiff"
@@ -132,5 +135,69 @@ func TestRepairReportClone(t *testing.T) {
 	}
 	if (*uafcheck.RepairReport)(nil).Clone() != nil {
 		t.Fatalf("nil clone should be nil")
+	}
+}
+
+// oracleDoneContext is live for the static analyses and already done for
+// the schedule oracle: Err reports Canceled exactly when the interpreter
+// (internal/runtime) asks, and counts those calls.
+type oracleDoneContext struct {
+	context.Context
+	oracleCalls atomic.Int64
+}
+
+func (c *oracleDoneContext) Err() error {
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, "uafcheck/internal/runtime.") {
+			c.oracleCalls.Add(1)
+			return context.Canceled
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestRepairScheduleCheckFollowsContext: the schedule checks run under
+// the call's context. With the context done by the time the first check
+// starts (the baseline analysis saw it live), that check stops at its
+// first poll and Repair refuses with ErrRepairDegraded instead of
+// accepting a patch on a cut-short exploration.
+func TestRepairScheduleCheckFollowsContext(t *testing.T) {
+	src, err := os.ReadFile("testdata/figure1.chpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &oracleDoneContext{Context: context.Background()}
+	rr, err := uafcheck.Repair(ctx, "figure1.chpl", string(src))
+	if !errors.Is(err, uafcheck.ErrRepairDegraded) {
+		t.Fatalf("Repair with the oracle's context done returned (%+v, %v), want ErrRepairDegraded", rr, err)
+	}
+	if n := ctx.oracleCalls.Load(); n != 1 {
+		t.Errorf("schedule oracle polled the context %d times, want 1 (stop at the first poll)", n)
+	}
+}
+
+// TestRepairDeadlineBoundsScheduleChecks: WithDeadline bounds a repair's
+// schedule checks too. The task in recursion_note.chpl recurses without
+// end, so every schedule of it runs to the interpreter's step budget and
+// one unbounded check takes longer than a minute; under a 200ms
+// deadline Repair refuses within seconds.
+func TestRepairDeadlineBoundsScheduleChecks(t *testing.T) {
+	src, err := os.ReadFile("testdata/suite/recursion_note.chpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rr, err := uafcheck.Repair(context.Background(), "recursion_note.chpl", string(src),
+		uafcheck.WithDeadline(200*time.Millisecond))
+	if !errors.Is(err, uafcheck.ErrRepairDegraded) {
+		t.Fatalf("Repair under a 200ms deadline returned (%+v, %v), want ErrRepairDegraded", rr, err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("Repair took %v under a 200ms deadline", el)
 	}
 }

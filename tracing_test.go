@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"uafcheck/internal/corpus"
 	"uafcheck/internal/obs"
 )
 
@@ -166,7 +167,7 @@ func TestTracingAmbientTraceWins(t *testing.T) {
 // byte-identical Prometheus text at every parallelism level, and
 // metrics merge order does not matter.
 func TestHistogramDeterminism(t *testing.T) {
-	cases := GenerateCorpus(CorpusParams{
+	cases := corpus.Generate(corpus.Params{
 		Seed: 7, Tests: 40, BeginTests: 16,
 		UnsafeTests: 4, TrueSites: 8, AtomicFPTests: 4, FalseSites: 10,
 	})

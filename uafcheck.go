@@ -13,8 +13,9 @@
 //   - ExploreSchedules runs the dynamic oracle: a task-parallel
 //     interpreter with real sync-variable semantics and scope-lifetime
 //     tracking, driven by seeded random or exhaustive schedulers.
-//   - GenerateCorpus / RunTableIContext regenerate the paper's evaluation
-//     (Table I) on a synthetic Chapel-1.11-style test suite.
+//   - AnalyzeFilesContext runs the pass over many files; cmd/uafcorpus
+//     drives it over a synthetic Chapel-1.11-style test suite to
+//     regenerate the paper's evaluation (Table I).
 //
 // Quick start:
 //
@@ -37,8 +38,6 @@ import (
 	"uafcheck/internal/ast"
 	"uafcheck/internal/batch"
 	"uafcheck/internal/cache"
-	"uafcheck/internal/corpus"
-	"uafcheck/internal/eval"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/pps"
 	"uafcheck/internal/runtime"
@@ -793,48 +792,4 @@ func ExecuteTraced(filename, src, entry string, seed int64) (output, trace []str
 		Policy:        runtime.NewRandomPolicy(seed),
 	})
 	return r.Output, r.Trace, nil
-}
-
-// ---------------------------------------------------------------- corpus
-
-// CorpusParams parameterize the synthetic test-suite generator; see
-// internal/corpus for the population model.
-type CorpusParams = corpus.Params
-
-// CorpusCase is one generated test program.
-type CorpusCase = corpus.TestCase
-
-// DefaultCorpusParams reproduce the paper's Table I population.
-func DefaultCorpusParams(seed int64) CorpusParams { return corpus.DefaultParams(seed) }
-
-// GenerateCorpus builds the synthetic suite.
-func GenerateCorpus(p CorpusParams) []CorpusCase { return corpus.Generate(p) }
-
-// TableI mirrors the paper's Table I.
-type TableI = eval.TableI
-
-// RunTableIContext analyzes the corpus under ctx and assembles Table I,
-// taking the same functional options as AnalyzeContext. The cases run on
-// the batch driver, so WithWorkers and WithRetries apply and
-// WithDeadline bounds each attempt; the table does not depend on the
-// worker count. The returned string is the per-pattern breakdown.
-func RunTableIContext(ctx context.Context, cases []CorpusCase, options ...Option) (TableI, string) {
-	cfg := newConfig(options...)
-	table, det, _ := eval.RunTableI(cases, cfg.internal(), batch.Options{
-		Workers:     cfg.workers,
-		FileTimeout: cfg.deadline,
-		Retries:     cfg.retries,
-		Ctx:         ctx,
-	})
-	return table, det.FormatPatternBreakdown()
-}
-
-// BaselineComparison runs the §VI baselines over the corpus's begin-task
-// cases under ctx and formats the comparison, taking the same
-// functional options as AnalyzeContext.
-func BaselineComparison(ctx context.Context, cases []CorpusCase, options ...Option) string {
-	cfg := newConfig(options...)
-	in := cfg.internal()
-	in.Ctx = ctx
-	return eval.RunBaselines(cases, in).Format()
 }
